@@ -103,8 +103,8 @@ func (l *Loader) ModulePath() string { return l.modulePath }
 
 // ModulePackages returns the import paths of every package directory in
 // the module, sorted: directories under the root that contain at least
-// one non-test .go file, skipping testdata, hidden directories, and
-// vendor — the same set `go build ./...` would compile.
+// one non-test .go file, skipping testdata, hidden directories, vendor,
+// and nested modules — the same set `go build ./...` would compile.
 func (l *Loader) ModulePackages() ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(l.moduleRoot, func(path string, d os.DirEntry, err error) error {
@@ -118,6 +118,11 @@ func (l *Loader) ModulePackages() ([]string, error) {
 		if path != l.moduleRoot && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 			name == "testdata" || name == "vendor") {
 			return filepath.SkipDir
+		}
+		if path != l.moduleRoot {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir // a nested module has its own ./...
+			}
 		}
 		ents, err := os.ReadDir(path)
 		if err != nil {

@@ -125,3 +125,33 @@ func TestWritebackFullBufferStallsFill(t *testing.T) {
 		t.Fatalf("second fill at %d completed before the buffered writeback could drain", d2)
 	}
 }
+
+// TestCacheAfterReleaseStartsInvalid: a cache built on a released,
+// fully dirtied frame array starts with every frame invalid, exactly as
+// a freshly allocated one does.
+func TestCacheAfterReleaseStartsInvalid(t *testing.T) {
+	build := func() *Cache {
+		c, err := New(Config{Name: "dut", Geom: testGeom(), HitLatency: 1,
+			Energy: geometry.Default18um()}, &silentLevel{latency: 40})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// Rounds repeat because a sync.Pool may drop what it is given.
+	for round := 0; round < 8; round++ {
+		c := build()
+		for i, ln := range c.lines {
+			if ln != (Line{}) {
+				t.Fatalf("round %d: frame %d of a new cache is %+v, want invalid", round, i, ln)
+			}
+		}
+		for i := uint64(0); i < 4096; i++ {
+			c.Access(i, i*32, true)
+		}
+		c.Release()
+		if c.lines != nil {
+			t.Fatal("a released cache still holds its frame array")
+		}
+	}
+}

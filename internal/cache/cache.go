@@ -2,6 +2,8 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"resizecache/internal/geometry"
 	"resizecache/internal/stats"
@@ -129,7 +131,7 @@ func New(cfg Config, next Level) (*Cache, error) {
 		maxSets: cfg.Geom.Sets(),
 		maxWays: cfg.Geom.Assoc,
 	}
-	c.lines = make([]Line, c.maxSets*c.maxWays)
+	c.lines = newLines(c.maxSets * c.maxWays)
 	c.effSets = c.maxSets
 	c.effWays = c.maxWays
 	c.refreshDerived()
@@ -140,6 +142,36 @@ func New(cfg Config, next Level) (*Cache, error) {
 		c.wb = newWritebackBuffer(cfg.WritebackEntries)
 	}
 	return c, nil
+}
+
+// linePools recycles frame arrays between caches: pool i holds arrays of
+// exactly 1<<i lines. A sweep builds thousands of short-lived caches of
+// a few sizes, and the shared L2's array alone is ~200 KB.
+var linePools [bits.UintSize]sync.Pool
+
+// newLines returns n invalid frames, reusing a released array of the
+// same length when one is pooled.
+func newLines(n int) []Line {
+	if n > 0 && n&(n-1) == 0 {
+		if p, ok := linePools[bits.TrailingZeros(uint(n))].Get().(*[]Line); ok {
+			lines := *p
+			clear(lines)
+			return lines
+		}
+	}
+	return make([]Line, n)
+}
+
+// Release returns the cache's frame array for reuse by a later New. The
+// cache must not be accessed afterwards; its statistics and energy
+// figures stay readable. Arrays whose length is not a power of two (an
+// associativity that is not one) are left to the garbage collector.
+func (c *Cache) Release() {
+	lines := c.lines
+	c.lines = nil
+	if n := len(lines); n > 0 && n&(n-1) == 0 {
+		linePools[bits.TrailingZeros(uint(n))].Put(&lines)
+	}
 }
 
 // Config returns the cache's configuration.

@@ -56,7 +56,8 @@ type Options struct {
 	// beyond it (0 = unbounded). Evicted configs re-simulate on the next
 	// submission unless a Store still holds them.
 	MemoLimit int
-	// RunSim overrides the simulation entry point (nil = sim.Run).
+	// RunSim overrides the simulation entry point (nil = sim.Run over
+	// the runner's recorded workload streams).
 	// Tests stub it to control timing and inject failures.
 	RunSim func(sim.Config) (sim.Result, error)
 	// GangSize bounds how many same-front-end configs one Enqueue pass
@@ -277,13 +278,17 @@ func New(opts Options) *Runner {
 		lru:       list.New(),
 		artifacts: make(map[sim.Key]*artifactEntry),
 	}
+	// The default entry points replay each workload stream from one
+	// recording per runner. Every worker replays one stream at a time, so
+	// keeping a recording per worker covers the streams in use.
+	streams := sim.NewStreams(workers)
 	if r.runSim == nil {
 		// The default entry point is checkpoint-aware: sampled configs
 		// with a warmup prefix restore (or record) their warm state
 		// through the Runner's store, so configs sharing a front-end skip
 		// warmup — including across processes when the store persists.
 		r.runSim = func(cfg sim.Config) (sim.Result, error) {
-			res, ws, err := sim.RunWithCheckpoints(cfg, r.checkpointTier())
+			res, ws, err := streams.Run(cfg, r.checkpointTier())
 			r.noteWarmup(ws)
 			return res, err
 		}
@@ -306,7 +311,7 @@ func New(opts Options) *Runner {
 			}
 		} else {
 			r.runGang = func(cfgs []sim.Config) ([]sim.Result, error) {
-				out, ws, err := sim.RunGangWithCheckpoints(cfgs, r.checkpointTier())
+				out, ws, err := streams.RunGang(cfgs, r.checkpointTier())
 				r.noteWarmup(ws)
 				return out, err
 			}

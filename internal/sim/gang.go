@@ -10,12 +10,10 @@ import (
 
 // gangChunk bounds how many machines one engine pass drives. Chunking
 // keeps a huge gang's per-instruction member loop within a working set
-// the data caches like; the chunks share one generated stream through a
-// workload.Tee, so generation still happens once per gang. Sequential
-// chunks make the tee buffer the full stream for the later chunks —
-// memory proportional to the instruction budget — which is the right
-// trade only past a healthy chunk size; runner-built gangs stay at or
-// below the configured gang size (default 8) and never chunk.
+// the data caches like. Each chunk reads the stream from the start on
+// its own: a replay of the memoized recording, or, without a memo, its
+// own generator, since generation is deterministic. Runner-built gangs
+// stay at or below the configured gang size (default 8) and never chunk.
 const gangChunk = 32
 
 // RunGang executes N simulations in one workload+engine pass. All
@@ -39,17 +37,23 @@ func RunGang(cfgs []Config) ([]Result, error) {
 // RunWithCheckpoints for the checkpoint semantics. A sampled gang has
 // one shared warmup prefix, so one WarmupStats covers every member.
 func RunGangWithCheckpoints(cfgs []Config, cs CheckpointStore) ([]Result, WarmupStats, error) {
+	return runGang(cfgs, cs, nil)
+}
+
+// runGang is RunGangWithCheckpoints with the detailed path's streams
+// drawn from streams (live generators when nil).
+func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, WarmupStats, error) {
 	if len(cfgs) == 0 {
 		return nil, WarmupStats{}, nil
 	}
 	prof, err := validated(cfgs[0])
 	if err != nil {
-		return nil, WarmupStats{}, err
+		return nil, WarmupStats{}, fmt.Errorf("sim: gang member 0: %w", err)
 	}
 	front := cfgs[0].FrontKey()
 	for i, cfg := range cfgs[1:] {
 		if _, err := validated(cfg); err != nil {
-			return nil, WarmupStats{}, err
+			return nil, WarmupStats{}, fmt.Errorf("sim: gang member %d: %w", i+1, err)
 		}
 		if cfg.FrontKey() != front {
 			return nil, WarmupStats{}, fmt.Errorf(
@@ -74,35 +78,17 @@ func RunGangWithCheckpoints(cfgs []Config, cs CheckpointStore) ([]Result, Warmup
 		return runSampledGang(cfgs, prof, machines, members, cs)
 	}
 
+	cfg0 := cfgs[0]
 	out := make([]Result, len(cfgs))
-	run := func(members []cpu.GangMember, src workload.Source) ([]cpu.Result, error) {
-		if cfgs[0].Engine == InOrder {
-			return cpu.RunGangInOrder(cfgs[0].CPU, bpred.NewDefault(), members, src, cfgs[0].Instructions)
-		}
-		return cpu.RunGangOutOfOrder(cfgs[0].CPU, bpred.NewDefault(), members, src, cfgs[0].Instructions)
-	}
-
-	if len(cfgs) <= gangChunk {
-		results, err := run(members, workload.NewGenerator(prof))
-		if err != nil {
-			return nil, WarmupStats{}, err
-		}
-		for i := range out {
-			out[i] = machines[i].finish(cfgs[i], results[i])
-		}
-		return out, WarmupStats{}, nil
-	}
-
-	// Oversized gang: one generated stream feeds every chunk through a
-	// tee. Each chunk's engine rebuilds the functional front-end state
-	// (predictor, BTB, RAS) from the identical stream, so results stay
-	// bit-identical to the unchunked pass.
-	chunks := (len(cfgs) + gangChunk - 1) / gangChunk
-	tee := workload.NewTee(workload.NewGenerator(prof), chunks)
-	for c := 0; c < chunks; c++ {
-		lo := c * gangChunk
+	for lo := 0; lo < len(cfgs); lo += gangChunk {
 		hi := min(lo+gangChunk, len(cfgs))
-		results, err := run(members[lo:hi], tee.Source(c))
+		src := streams.source(prof, cfg0.Instructions)
+		var results []cpu.Result
+		if cfg0.Engine == InOrder {
+			results, err = cpu.RunGangInOrder(cfg0.CPU, bpred.NewDefault(), members[lo:hi], src, cfg0.Instructions)
+		} else {
+			results, err = cpu.RunGangOutOfOrder(cfg0.CPU, bpred.NewDefault(), members[lo:hi], src, cfg0.Instructions)
+		}
 		if err != nil {
 			return nil, WarmupStats{}, err
 		}
@@ -121,14 +107,12 @@ type gangEngine interface {
 	frontEndHolder
 }
 
-// runSampledGang is the sampled counterpart of the gang paths above.
-// Unlike the detailed chunked path, every chunk drives its own generator
-// rather than a tee: generation is deterministic, so the chunks see
-// bit-identical streams and window boundaries anyway, and an owned
-// generator is what lets each chunk Skip the inter-window gaps in O(1) —
-// a tee would have to buffer or replay the skipped region. Chunk 0's
-// warmup populates the checkpoint store (when one is provided), so later
-// chunks restore it instead of re-stepping the prefix.
+// runSampledGang is the sampled counterpart of the detailed gang path
+// above. Every chunk drives its own live generator, never a recording:
+// an owned generator is what lets each chunk Skip the inter-window gaps
+// in O(1). Chunk 0's warmup populates the checkpoint store (when one is
+// provided), so later chunks restore it instead of re-stepping the
+// prefix.
 func runSampledGang(cfgs []Config, prof *workload.Profile, machines []*machine, members []cpu.GangMember, cs CheckpointStore) ([]Result, WarmupStats, error) {
 	cfg0 := cfgs[0]
 	spec := cfg0.Sampling

@@ -72,8 +72,9 @@ func TestGangEmpty(t *testing.T) {
 	}
 }
 
-// TestGangChunked: a gang larger than the chunk size replays the stream
-// through the tee and still matches solo runs member for member.
+// TestGangChunked: a gang larger than the chunk size, whose chunks each
+// read the stream from the start — from their own generators, or from
+// one recording — still matches solo runs member for member.
 func TestGangChunked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chunked gang is long")
@@ -92,6 +93,10 @@ func TestGangChunked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	replayed, _, err := NewStreams(1).RunGang(gang, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Members 0 and last straddle the chunk boundary.
 	for _, i := range []int{0, gangChunk - 1, gangChunk, len(gang) - 1} {
 		want, err := Run(gang[i])
@@ -100,6 +105,9 @@ func TestGangChunked(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got[i], want) {
 			diffResult(t, "chunked", want, got[i])
+		}
+		if !reflect.DeepEqual(replayed[i], want) {
+			diffResult(t, "chunked replay", want, replayed[i])
 		}
 	}
 }
@@ -134,17 +142,22 @@ func TestGangRejectsMixedFront(t *testing.T) {
 }
 
 // TestGangRejectsInvalidMember: an invalid member (unknown benchmark,
-// zero budget) fails the whole gang up front.
+// zero budget) fails the whole gang up front, and the error names the
+// member.
 func TestGangRejectsInvalidMember(t *testing.T) {
 	good := Default("gcc")
 	good.Instructions = 10_000
 	zero := good
 	zero.Instructions = 0
-	if _, err := RunGang([]Config{good, zero}); err == nil {
+	if _, err := RunGang([]Config{good, good, zero}); err == nil {
 		t.Error("zero-budget member accepted")
+	} else if !strings.HasPrefix(err.Error(), "sim: gang member 2: ") {
+		t.Errorf("zero-budget member: error %q does not name member 2", err)
 	}
 	if _, err := RunGang([]Config{{Benchmark: "no-such-benchmark", Instructions: 1}}); err == nil {
 		t.Error("unknown benchmark accepted")
+	} else if !strings.HasPrefix(err.Error(), "sim: gang member 0: ") {
+		t.Errorf("unknown benchmark: error %q does not name member 0", err)
 	}
 }
 

@@ -87,20 +87,7 @@ const goldenPath = "testdata/golden.json"
 // every energy figure to the last bit. Run `go test ./internal/sim
 // -run Golden -update` to re-record after an intentional model change.
 func TestGoldenResults(t *testing.T) {
-	got := map[string]Result{}
-	for name, cfg := range goldenConfigs() {
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got[name] = res
-	}
-	gotJSON, err := json.MarshalIndent(got, "", "\t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJSON = append(gotJSON, '\n')
-
+	got, gotJSON := goldenRun(t, Run)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -112,6 +99,44 @@ func TestGoldenResults(t *testing.T) {
 		return
 	}
 
+	checkGolden(t, got, gotJSON)
+}
+
+// TestGoldenResultsFromRecordedStreams: the fixtures hold when every
+// config replays a recorded stream from a memo, as a runner's default
+// entry points do; the one-recording memo makes each config evict the
+// previous stream.
+func TestGoldenResultsFromRecordedStreams(t *testing.T) {
+	s := NewStreams(1)
+	got, gotJSON := goldenRun(t, func(cfg Config) (Result, error) {
+		res, _, err := s.Run(cfg, nil)
+		return res, err
+	})
+	checkGolden(t, got, gotJSON)
+}
+
+// goldenRun runs every fixture config and encodes the results the way
+// the fixture file stores them.
+func goldenRun(t *testing.T, run func(Config) (Result, error)) (map[string]Result, []byte) {
+	t.Helper()
+	got := map[string]Result{}
+	for name, cfg := range goldenConfigs() {
+		res, err := run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got[name] = res
+	}
+	gotJSON, err := json.MarshalIndent(got, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, append(gotJSON, '\n')
+}
+
+// checkGolden compares encoded results against the fixture file.
+func checkGolden(t *testing.T, got map[string]Result, gotJSON []byte) {
+	t.Helper()
 	want, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("reading fixtures (run with -update to create): %v", err)

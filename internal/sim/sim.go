@@ -460,7 +460,9 @@ func buildMachine(cfg Config) (*machine, error) {
 }
 
 // finish finalizes the machine's levels at the run's end time and
-// assembles the complete Result from the engine's timing outcome.
+// assembles the complete Result from the engine's timing outcome. It
+// then returns the caches' frame arrays for reuse: the machine is dead
+// once finish returns.
 func (m *machine) finish(cfg Config, res cpu.Result) Result {
 	m.dc.level.Finalize(res.Cycles)
 	m.ic.level.Finalize(res.Cycles)
@@ -485,7 +487,7 @@ func (m *machine) finish(cfg Config, res cpu.Result) Result {
 		MemPJ:  memPJ,
 	}
 
-	return Result{
+	out := Result{
 		CPU:    res,
 		Energy: bd,
 		EDP:    stats.EDP{EnergyJ: bd.TotalJ(), Cycles: res.Cycles},
@@ -493,6 +495,12 @@ func (m *machine) finish(cfg Config, res cpu.Result) Result {
 		ICache: m.ic.report().CacheReport,
 		Levels: levelReports,
 	}
+	m.dc.c.Release()
+	m.ic.c.Release()
+	for _, b := range m.shared {
+		b.c.Release()
+	}
+	return out
 }
 
 // soloEngine is what Run needs from an engine beyond the basic Engine
@@ -527,6 +535,12 @@ func Run(cfg Config) (Result, error) {
 // cfg.WarmKey() for later runs; the Result is bit-identical either way.
 // The returned WarmupStats says which of the two happened.
 func RunWithCheckpoints(cfg Config, cs CheckpointStore) (Result, WarmupStats, error) {
+	return run(cfg, cs, nil)
+}
+
+// run is RunWithCheckpoints with the detailed path's stream drawn from
+// streams (a live generator when nil).
+func run(cfg Config, cs CheckpointStore, streams *Streams) (Result, WarmupStats, error) {
 	prof, err := validated(cfg)
 	if err != nil {
 		return Result{}, WarmupStats{}, err
@@ -542,6 +556,6 @@ func RunWithCheckpoints(cfg Config, cs CheckpointStore) (Result, WarmupStats, er
 	if err != nil {
 		return Result{}, WarmupStats{}, err
 	}
-	res := engine.Run(workload.NewGenerator(prof), cfg.Instructions)
+	res := engine.Run(streams.source(prof, cfg.Instructions), cfg.Instructions)
 	return m.finish(cfg, res), WarmupStats{}, nil
 }
