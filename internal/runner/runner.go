@@ -278,9 +278,9 @@ func New(opts Options) *Runner {
 		lru:       list.New(),
 		artifacts: make(map[sim.Key]*artifactEntry),
 	}
-	// The default entry points replay each workload stream from one
-	// recording per runner. Every worker replays one stream at a time, so
-	// keeping a recording per worker covers the streams in use.
+	// The default entry points replay each repeated workload stream from
+	// one recording per runner. Every worker replays one stream at a
+	// time, so tracking a stream per worker covers the streams in use.
 	streams := sim.NewStreams(workers)
 	if r.runSim == nil {
 		// The default entry point is checkpoint-aware: sampled configs

@@ -11,9 +11,10 @@ import (
 // gangChunk bounds how many machines one engine pass drives. Chunking
 // keeps a huge gang's per-instruction member loop within a working set
 // the data caches like. Each chunk reads the stream from the start on
-// its own: a replay of the memoized recording, or, without a memo, its
-// own generator, since generation is deterministic. Runner-built gangs
-// stay at or below the configured gang size (default 8) and never chunk.
+// its own: a replay of the memoized recording when there is one, or
+// else its own generator, since generation is deterministic.
+// Runner-built gangs stay at or below the configured gang size (default
+// 8) and never chunk.
 const gangChunk = 32
 
 // RunGang executes N simulations in one workload+engine pass. All

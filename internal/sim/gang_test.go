@@ -73,8 +73,9 @@ func TestGangEmpty(t *testing.T) {
 }
 
 // TestGangChunked: a gang larger than the chunk size, whose chunks each
-// read the stream from the start — from their own generators, or from
-// one recording — still matches solo runs member for member.
+// read the stream from the start — from their own generators, or, past
+// the memo's first (live) chunk, from one recording — still matches
+// solo runs member for member.
 func TestGangChunked(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chunked gang is long")

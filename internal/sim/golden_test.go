@@ -104,11 +104,15 @@ func TestGoldenResults(t *testing.T) {
 
 // TestGoldenResultsFromRecordedStreams: the fixtures hold when every
 // config replays a recorded stream from a memo, as a runner's default
-// entry points do; the one-recording memo makes each config evict the
-// previous stream.
+// entry points do. Each config runs twice, since a memo records a
+// stream on its second request; the one-stream memo makes each config
+// evict the previous stream.
 func TestGoldenResultsFromRecordedStreams(t *testing.T) {
 	s := NewStreams(1)
 	got, gotJSON := goldenRun(t, func(cfg Config) (Result, error) {
+		if _, _, err := s.Run(cfg, nil); err != nil {
+			return Result{}, err
+		}
 		res, _, err := s.Run(cfg, nil)
 		return res, err
 	})

@@ -7,6 +7,13 @@ import (
 	"resizecache/internal/workload"
 )
 
+// maxRecordedInstructions is the longest stream a Streams records:
+// 2^18 events, 4 MiB of packed records. It covers the short budgets a
+// design-space sweep repeats thousands of times; longer streams run on
+// a live generator, so a large budget costs no more memory than it did
+// before recording existed.
+const maxRecordedInstructions = 1 << 18
+
 // Streams memoizes recorded workload streams for a sequence of detailed
 // simulations. A sweep runs many configurations over a handful of
 // streams — one per (benchmark, instruction budget) — so Streams records
@@ -14,12 +21,15 @@ import (
 // regenerating the stream for every simulation or gang. Results are
 // bit-identical either way.
 //
-// Requests are single-flight: concurrent callers asking for one stream
-// share one recording pass. At most limit recordings stay cached, the
-// least recently used evicted first, so memory stays within
-// limit × 16 B × the instruction budget. A Streams is safe for concurrent
-// use. A nil *Streams is valid and runs every simulation on a live
-// generator.
+// Only repeated streams are recorded: the first request for a stream
+// runs a live generator and the second records it, so one-off traffic
+// pays neither the recording pass nor its memory. Streams longer than
+// maxRecordedInstructions always run live. Recording is single-flight:
+// concurrent callers asking for one stream share one recording pass. At
+// most limit streams stay tracked, the least recently used evicted
+// first, so the memo holds at most limit × 4 MiB. A Streams is safe for
+// concurrent use. A nil *Streams is valid and runs every simulation on
+// a live generator.
 type Streams struct {
 	limit int
 
@@ -33,13 +43,15 @@ type streamKey struct {
 	n    uint64
 }
 
+// streamEntry tracks one stream from its first request; it is recorded
+// on its second.
 type streamEntry struct {
 	once sync.Once
 	rec  *workload.Recording
 	elem *list.Element
 }
 
-// NewStreams returns an empty memo holding at most limit recordings
+// NewStreams returns an empty memo tracking at most limit streams
 // (values below 1 mean 1). A runner sizes it to its worker count: each
 // worker replays one stream at a time.
 func NewStreams(limit int) *Streams {
@@ -62,21 +74,25 @@ func (s *Streams) RunGang(cfgs []Config, cs CheckpointStore) ([]Result, WarmupSt
 	return runGang(cfgs, cs, s)
 }
 
-// recording returns the recorded first n events of prof's stream,
-// recording it on first request.
+// recording returns the recorded first n events of prof's stream, or
+// nil when the stream should run live: on its first request, or when it
+// is longer than maxRecordedInstructions.
 func (s *Streams) recording(prof *workload.Profile, n uint64) *workload.Recording {
+	if n > maxRecordedInstructions {
+		return nil
+	}
 	k := streamKey{prof, n}
 	s.mu.Lock()
 	e, ok := s.recs[k]
-	if ok {
-		s.lru.MoveToFront(e.elem)
-	} else {
-		e = &streamEntry{elem: s.lru.PushFront(k)}
-		s.recs[k] = e
+	if !ok {
+		s.recs[k] = &streamEntry{elem: s.lru.PushFront(k)}
 		for s.lru.Len() > s.limit {
 			delete(s.recs, s.lru.Remove(s.lru.Back()).(streamKey))
 		}
+		s.mu.Unlock()
+		return nil
 	}
+	s.lru.MoveToFront(e.elem)
 	s.mu.Unlock()
 	// An entry evicted while its first caller still records it stays
 	// valid for everyone already holding it.
@@ -85,10 +101,13 @@ func (s *Streams) recording(prof *workload.Profile, n uint64) *workload.Recordin
 }
 
 // source returns a fresh stream of n events of prof: a replay of the
-// memoized recording, or a live generator when s is nil.
+// memoized recording, or a live generator when s is nil or has no
+// recording to offer.
 func (s *Streams) source(prof *workload.Profile, n uint64) workload.Source {
-	if s == nil {
-		return workload.NewGenerator(prof)
+	if s != nil {
+		if rec := s.recording(prof, n); rec != nil {
+			return rec.Source()
+		}
 	}
-	return s.recording(prof, n).Source()
+	return workload.NewGenerator(prof)
 }

@@ -19,11 +19,14 @@ func checkBound(t *testing.T, s *Streams) {
 	}
 }
 
-// TestStreamsSingleFlight: concurrent requests for one stream share one
-// recording pass and one *Recording.
+// TestStreamsSingleFlight: once a stream has been seen, concurrent
+// requests for it share one recording pass and one *Recording.
 func TestStreamsSingleFlight(t *testing.T) {
 	s := NewStreams(2)
 	prof := workload.MustGet("vpr")
+	if rec := s.recording(prof, 20_000); rec != nil {
+		t.Fatal("the first request for a stream was recorded")
+	}
 	const callers = 16
 	got := make([]*workload.Recording, callers)
 	var wg sync.WaitGroup
@@ -36,8 +39,8 @@ func TestStreamsSingleFlight(t *testing.T) {
 	}
 	wg.Wait()
 	for i, rec := range got {
-		if rec != got[0] {
-			t.Fatalf("caller %d got a different recording: the stream was recorded twice", i)
+		if rec == nil || rec != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 %p: the stream was not recorded exactly once", i, rec, got[0])
 		}
 	}
 	if got[0].Len() != 20_000 {
@@ -48,7 +51,7 @@ func TestStreamsSingleFlight(t *testing.T) {
 
 // TestStreamsBounded: many goroutines cycling through more streams than
 // the limit never make the memo hold more than the limit, and every
-// caller receives the stream it asked for.
+// caller handed a recording receives the stream it asked for.
 func TestStreamsBounded(t *testing.T) {
 	s := NewStreams(2)
 	names := []string{"gcc", "vpr", "su2cor", "m88ksim"}
@@ -61,7 +64,7 @@ func TestStreamsBounded(t *testing.T) {
 				name := names[(g+i)%len(names)]
 				n := uint64(1_000 + 500*(i%2))
 				rec := s.recording(workload.MustGet(name), n)
-				if rec.Len() != int(n) {
+				if rec != nil && rec.Len() != int(n) {
 					t.Errorf("%s/%d: recording holds %d events", name, n, rec.Len())
 				}
 				checkBound(t, s)
@@ -71,9 +74,47 @@ func TestStreamsBounded(t *testing.T) {
 	wg.Wait()
 }
 
-// TestStreamsRunMatchesLiveGenerator: solo runs and gangs replaying
-// recorded streams return Results bit-identical to live generation,
-// including a repeat that hits the memo.
+// TestStreamsRecordOnlyRepeats: a stream's first request runs live and
+// its second replays a recording; a budget above the cap runs live on
+// every request, stays out of the memo, and still matches sim.Run.
+func TestStreamsRecordOnlyRepeats(t *testing.T) {
+	s := NewStreams(2)
+	prof := workload.MustGet("gcc")
+	if _, ok := s.source(prof, 10_000).(*workload.Generator); !ok {
+		t.Error("first request: not a live generator")
+	}
+	if _, ok := s.source(prof, 10_000).(*workload.Cursor); !ok {
+		t.Error("second request: not a replay")
+	}
+
+	cfg := Default("gcc")
+	cfg.Instructions = maxRecordedInstructions + 1
+	for rep := 0; rep < 2; rep++ {
+		if _, ok := s.source(prof, cfg.Instructions).(*workload.Generator); !ok {
+			t.Fatalf("over-cap request %d: not a live generator", rep)
+		}
+	}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := s.Run(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		diffResult(t, "over-cap", want, got)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.recs[streamKey{prof, cfg.Instructions}]; ok {
+		t.Error("the memo tracks an over-cap stream")
+	}
+}
+
+// TestStreamsRunMatchesLiveGenerator: solo runs and gangs over a memo
+// return Results bit-identical to live generation, both on a stream's
+// first request (live) and on its repeats (replays of the recording).
 func TestStreamsRunMatchesLiveGenerator(t *testing.T) {
 	s := NewStreams(1)
 	for name, cfg := range goldenConfigs() {

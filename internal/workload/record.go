@@ -28,10 +28,15 @@ type record struct {
 const takenBit = 0x80
 
 // Record runs one generator pass over prof and keeps its first n events,
-// or every event when a non-periodic profile ends sooner.
+// or every event when a non-periodic profile ends sooner. It holds
+// 16 B per recorded event; callers bound n.
 func Record(prof *Profile, n uint64) *Recording {
 	g := NewGenerator(prof)
-	recs := make([]record, 0, n)
+	size := n
+	if !prof.Periodic {
+		size = min(n, prof.TotalPhaseInstructions())
+	}
+	recs := make([]record, 0, size)
 	var ev Event
 	for uint64(len(recs)) < n && g.Next(&ev) {
 		recs = append(recs, pack(ev))

@@ -32,7 +32,8 @@ func checkReplay(t *testing.T, name string, prof *Profile, src Source, n int) {
 // TestRecordingReplaysGenerator: a recording's cursor yields exactly the
 // generator's events for every registered profile and every length,
 // two cursors replay independently, and a recording longer than a
-// non-periodic profile stops where the generator runs dry.
+// non-periodic profile stops where the generator runs dry, holding no
+// room beyond it.
 func TestRecordingReplaysGenerator(t *testing.T) {
 	for _, name := range Names() {
 		prof := MustGet(name)
@@ -55,8 +56,9 @@ func TestRecordingReplaysGenerator(t *testing.T) {
 			ILevels: []WSLevel{{Blocks: 16, Frac: 1}}}},
 	}
 	rec := Record(oneshot, 5000)
-	if rec.Len() != 1000 {
-		t.Fatalf("oneshot: recorded %d events, want the profile's 1000", rec.Len())
+	if rec.Len() != 1000 || cap(rec.recs) != 1000 {
+		t.Fatalf("oneshot: recorded %d events in room for %d, want the profile's 1000 in 1000",
+			rec.Len(), cap(rec.recs))
 	}
 	checkReplay(t, "oneshot", oneshot, rec.Source(), 5000)
 }
