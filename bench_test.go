@@ -58,6 +58,9 @@ func BenchmarkSimRunDeepHierarchy(b *testing.B) { benchsuite.SimRunDeepHierarchy
 func BenchmarkSimInOrder(b *testing.B)          { benchsuite.SimInOrder(b) }
 func BenchmarkSweepGang(b *testing.B)           { benchsuite.SweepGang(b) }
 func BenchmarkWorkloadGenerator(b *testing.B)   { benchsuite.WorkloadGenerator(b) }
+func BenchmarkConfigKey(b *testing.B)           { benchsuite.ConfigKey(b) }
+func BenchmarkSweepKey(b *testing.B)            { benchsuite.SweepKey(b) }
+func BenchmarkWarmSimulate(b *testing.B)        { benchsuite.WarmSimulate(b) }
 
 // BenchmarkPlanBatchVsSequential quantifies the tentpole property of
 // the batch API: one plan over N scenarios submits its profiling sweeps

@@ -19,12 +19,14 @@ package benchsuite
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
 	"resizecache"
 	"resizecache/figures"
 	"resizecache/internal/core"
+	"resizecache/internal/experiment"
 	"resizecache/internal/geometry"
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
@@ -60,6 +62,9 @@ func All() []Bench {
 		{Name: "SimInOrder", Short: true, F: SimInOrder},
 		{Name: "SweepGang", Short: true, F: SweepGang},
 		{Name: "WorkloadGenerator", Short: true, F: WorkloadGenerator},
+		{Name: "ConfigKey", Short: true, F: ConfigKey},
+		{Name: "SweepKey", Short: true, F: SweepKey},
+		{Name: "WarmSimulate", Short: true, F: WarmSimulate},
 		{Name: "Table1Hybrid", F: Table1Hybrid},
 		{Name: "Figure4Organizations", F: Figure4Organizations},
 		{Name: "Figure5PerApp", F: Figure5PerApp},
@@ -220,6 +225,79 @@ func WorkloadGenerator(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if !gen.Next(&ev) {
 			gen = workload.NewGenerator(workload.MustGet("gcc"))
+		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Warm-path benchmarks: what a request costs when every simulation and
+// every sweep is already cached — fingerprinting, decoding, memo hits.
+// ---------------------------------------------------------------------
+
+// ConfigKey times one sim.Config.Key fingerprint of the base config,
+// the unit every memo lookup and sweep fingerprint is built from.
+func ConfigKey(b *testing.B) {
+	cfg := sim.Default("gcc")
+	var k sim.Key
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k = cfg.Key()
+	}
+	_ = k
+}
+
+// WarmSweepSpec is the largest sweep of the benchmark grid: a dynamic
+// hybrid d-cache sweep, 211 configs (the baseline and 210 candidates).
+func WarmSweepSpec() experiment.SweepSpec {
+	opts := experiment.DefaultOptions()
+	opts.Instructions = 40_000
+	return experiment.NewSweepSpec("vpr", experiment.DSide, core.Hybrid, 2, true, opts)
+}
+
+// SweepKey times the artifact fingerprint of WarmSweepSpec — what a
+// warm request pays per sweep before its cached winner is decoded.
+func SweepKey(b *testing.B) {
+	spec := WarmSweepSpec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := spec.ArtifactKey(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// warmSession is a Session that has run WarmScenario once, shared by
+// every WarmSimulate invocation so the cold set-up runs once.
+var warmSession struct {
+	once sync.Once
+	s    *resizecache.Session
+	err  error
+}
+
+// WarmScenario is a dynamic both-sides scenario: two 211-config hybrid
+// sweeps and one combined run.
+func WarmScenario() resizecache.Scenario {
+	return resizecache.Scenario{Benchmark: "vpr", Organization: resizecache.Hybrid,
+		Strategy: resizecache.Dynamic, Sides: resizecache.BothSides, Instructions: 20_000}
+}
+
+// WarmSimulate times a warm Session.Simulate of WarmScenario: zero
+// simulations, two sweep fingerprints, two cached winners decoded and
+// one memo hit for the combined run.
+func WarmSimulate(b *testing.B) {
+	warmSession.once.Do(func() {
+		warmSession.s = resizecache.NewSession()
+		_, warmSession.err = warmSession.s.Simulate(WarmScenario())
+	})
+	if warmSession.err != nil {
+		b.Fatal(warmSession.err)
+	}
+	s, sc := warmSession.s, WarmScenario()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Simulate(sc); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -9,8 +9,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"resizecache/internal/geometry"
 )
@@ -133,7 +134,13 @@ func BuildSchedule(g geometry.Geometry, org Organization) (Schedule, error) {
 		minSets = 1
 	}
 	block := g.BlockBytes
-	var pts []SizePoint
+	// One allocation: every organization offers at most one point per
+	// (set count, way count) pair.
+	setCounts := 0
+	for s := maxSets; s >= minSets; s >>= 1 {
+		setCounts++
+	}
+	pts := make([]SizePoint, 0, max(setCounts, 1)*g.Assoc)
 	add := func(sets, ways int) {
 		pts = append(pts, SizePoint{Bytes: sets * ways * block, Sets: sets, Ways: ways})
 	}
@@ -150,23 +157,24 @@ func BuildSchedule(g geometry.Geometry, org Organization) (Schedule, error) {
 			add(s, g.Assoc)
 		}
 	case Hybrid, HybridMinWays:
-		best := map[int]SizePoint{}
-		preferMoreWays := org == Hybrid
 		for s := maxSets; s >= minSets; s >>= 1 {
 			for w := g.Assoc; w >= 1; w-- {
-				size := s * w * block
-				cur, ok := best[size]
-				better := !ok || (preferMoreWays && w > cur.Ways) ||
-					(!preferMoreWays && w < cur.Ways)
-				if better {
-					best[size] = SizePoint{Bytes: size, Sets: s, Ways: w}
-				}
+				add(s, w)
 			}
 		}
-		for _, p := range best { //simlint:ordered sizes are unique map keys; the sort below imposes a total order
-			pts = append(pts, p)
-		}
-		sort.Slice(pts, func(i, j int) bool { return pts[i].Bytes > pts[j].Bytes })
+		// Largest size first; among equal sizes the preferred
+		// associativity first, so compacting keeps it.
+		preferMoreWays := org == Hybrid
+		slices.SortFunc(pts, func(a, b SizePoint) int {
+			if a.Bytes != b.Bytes {
+				return cmp.Compare(b.Bytes, a.Bytes)
+			}
+			if preferMoreWays {
+				return cmp.Compare(b.Ways, a.Ways)
+			}
+			return cmp.Compare(a.Ways, b.Ways)
+		})
+		pts = slices.CompactFunc(pts, func(a, b SizePoint) bool { return a.Bytes == b.Bytes })
 	default:
 		return Schedule{}, fmt.Errorf("core: unknown organization %d", int(org))
 	}

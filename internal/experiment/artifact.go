@@ -30,24 +30,31 @@ const artifactVersion = 2
 // organization, associativity, schedule, engine, instruction budget,
 // energy model, the sim.Key encoding itself — changes some cfg.Key()
 // and therefore the artifact key, so no Options field needs to be
-// enumerated here.
+// enumerated here. Sweep.artifactKey computes the same key by streaming
+// the configs through one scratch config, so a warm sweep never
+// materializes its batch: the []sim.Config is built only on the cold
+// path (an artifact miss, or a sweep EnqueueSweeps finds cold).
 func sweepArtifactKey(kind string, cfgs []sim.Config) sim.Key {
-	b := sim.NewKeyBuilder("experiment/sweep")
-	b.Int(artifactVersion)
-	b.Str(kind)
-	for _, cfg := range cfgs {
-		b.RawKey(cfg.Key())
+	b := newSweepKeyBuilder(kind)
+	for i := range cfgs {
+		b.RawKey(cfgs[i].Key())
 	}
 	return b.Sum()
 }
 
+// newSweepKeyBuilder starts a sweep fingerprint: domain, schema version
+// and sweep kind, ready for the configs' keys.
+func newSweepKeyBuilder(kind string) *sim.KeyBuilder {
+	return sim.NewKeyBuilder("experiment/sweep").Int(artifactVersion).Str(kind)
+}
+
 // cachedBest resolves a sweep's Best through the runner's artifact
-// cache, running compute only on a cold fingerprint. A payload that no
-// longer decodes (e.g. a store written by a foreign build) falls back
-// to the direct sweep and repairs both cache tiers with the fresh
-// payload, so the broken bytes cost one recompute, not one per call.
-func cachedBest(ctx context.Context, r *runner.Runner, kind string, cfgs []sim.Config, compute func(context.Context) (Best, error)) (Best, error) {
-	key := sweepArtifactKey(kind, cfgs)
+// cache under its fingerprint, running compute only on a cold key. A
+// payload that no longer decodes (e.g. a store written by a foreign
+// build) falls back to the direct sweep and repairs both cache tiers
+// with the fresh payload, so the broken bytes cost one recompute, not
+// one per call.
+func cachedBest(ctx context.Context, r *runner.Runner, key sim.Key, compute func(context.Context) (Best, error)) (Best, error) {
 	data, err := r.Artifact(ctx, key, func(ctx context.Context) ([]byte, error) {
 		best, err := compute(ctx)
 		if err != nil {

@@ -202,17 +202,24 @@ func (b Best) SlowdownPct() float64 { return 100 * b.Chosen.EDP.Slowdown(b.Base.
 // ablation switches, so a sweep over an ablated base compares ablated
 // candidates against the ablated baseline.
 func applySide(cfg *sim.Config, side Side, spec sim.CacheSpec) {
+	if side == L2Side {
+		// Never write through to a hierarchy other configs share.
+		cfg.Levels = append([]sim.LevelSpec(nil), cfg.Hierarchy()...)
+		cfg.L2Geom = geometry.Geometry{}
+	}
+	setSide(cfg, side, spec)
+}
+
+// setSide is applySide on a config whose hierarchy is already its own
+// (the scratch config a sweep fingerprint streams through).
+func setSide(cfg *sim.Config, side Side, spec sim.CacheSpec) {
 	switch side {
 	case ISide:
 		cfg.ICache = spec
 	case L2Side:
-		levels := append([]sim.LevelSpec(nil), cfg.Hierarchy()...)
 		// sideGeom already rejected an empty hierarchy.
-		levels[0].Geom = spec.Geom
-		levels[0].Org = spec.Org
-		levels[0].Policy = spec.Policy
-		cfg.Levels = levels
-		cfg.L2Geom = geometry.Geometry{}
+		l := &cfg.Levels[0]
+		l.Geom, l.Org, l.Policy = spec.Geom, spec.Org, spec.Policy
 	default:
 		cfg.DCache = spec
 	}
@@ -263,7 +270,8 @@ func pickBest(res []sim.Result) int {
 // associativities, and any sensitivity overrides such as subarray or L2
 // geometry); the sweep derives its candidate configs from it
 // deterministically, so a spec built twice enumerates byte-identical
-// batches and fingerprints to the same artifact.
+// batches and fingerprints to the same artifact. Resolve turns it into
+// the Sweep that runs.
 type SweepSpec struct {
 	App     string
 	Side    Side
@@ -295,82 +303,128 @@ func (s SweepSpec) kind() string {
 // underlying simulation, or artifactVersion itself — moves it. Layers
 // caching values derived from whole sweeps (the facade's figure-level
 // aggregates) compose it into their own fingerprints so their caches
-// invalidate together with the sweep tier.
+// invalidate together with the sweep tier. It is Resolve's key, and
+// errors where Resolve does.
 func (s SweepSpec) ArtifactKey() (sim.Key, error) {
-	cfgs, _, err := s.sweep()
-	if err != nil {
-		return sim.Key{}, err
-	}
-	return sweepArtifactKey(s.kind(), cfgs), nil
+	sw, err := s.Resolve()
+	return sw.key, err
 }
 
-// sweep enumerates the batch the spec would run — the baseline followed
-// by every candidate — plus a describe function mapping the winning
-// batch index to the chosen description and policy.
-func (s SweepSpec) sweep() (cfgs []sim.Config, describe func(bestIdx int) (string, sim.PolicySpec), err error) {
+// Sweep is a SweepSpec resolved for execution: its side checked, the
+// resized cache's schedule built, and its artifact fingerprint computed
+// — once. A plan resolves each spec once and hands the same Sweep to
+// the batch-enqueue pass (EnqueueSweeps) and to its gather (Best), so a
+// warm sweep costs one fingerprint per plan. The fingerprint streams
+// every config through one scratch config; the []sim.Config batch is
+// built only on the cold path. Obtain a Sweep from Resolve.
+type Sweep struct {
+	Spec  SweepSpec
+	sched core.Schedule
+	key   sim.Key
+}
+
+// Resolve checks the spec's side, builds the resized cache's schedule
+// and fingerprints the sweep.
+func (s SweepSpec) Resolve() (Sweep, error) {
+	if err := checkSweepSide(s.Side); err != nil {
+		return Sweep{}, err
+	}
 	geom, err := sideGeom(s.Base, s.Side)
 	if err != nil {
-		return nil, nil, err
+		return Sweep{}, err
 	}
 	sched, err := core.BuildSchedule(geom, s.Org)
 	if err != nil {
-		return nil, nil, err
+		return Sweep{}, err
 	}
-	cfgs = []sim.Config{s.Base}
-	if s.Dynamic {
-		cands := dynamicCandidates(sched, s.Side == L2Side)
-		for _, p := range cands {
-			cfg := s.Base
-			applySide(&cfg, s.Side, sim.CacheSpec{Geom: geom, Org: s.Org,
-				Policy: sim.PolicySpec{Kind: sim.PolicyDynamic, Interval: p.Interval,
-					MissBound: p.MissBound, SizeBoundBytes: p.SizeBoundBytes,
-					UpsizeHoldIntervals: p.UpsizeHold}})
-			cfgs = append(cfgs, cfg)
+	sw := Sweep{Spec: s, sched: sched}
+	sw.key = sw.artifactKey()
+	return sw, nil
+}
+
+// Key is the sweep's artifact fingerprint (see SweepSpec.ArtifactKey).
+func (sw Sweep) Key() sim.Key { return sw.key }
+
+// policies yields every candidate's policy for the resized cache, in
+// batch order (the baseline, which runs first, has none).
+func (sw Sweep) policies(yield func(sim.PolicySpec) bool) {
+	if !sw.Spec.Dynamic {
+		for i := range sw.sched.Points {
+			if !yield(sim.PolicySpec{Kind: sim.PolicyStatic, StaticIndex: i}) {
+				return
+			}
 		}
-		return cfgs, func(bestIdx int) (string, sim.PolicySpec) {
-			p := cands[bestIdx-1]
-			return fmt.Sprintf("dynamic mb=%d sb=%s", p.MissBound,
-					geometry.FormatSize(p.SizeBoundBytes)),
-				sim.PolicySpec{Kind: sim.PolicyDynamic, Interval: p.Interval,
-					MissBound: p.MissBound, SizeBoundBytes: p.SizeBoundBytes,
-					UpsizeHoldIntervals: p.UpsizeHold}
-		}, nil
+		return
 	}
-	for i := range sched.Points {
-		cfg := s.Base
-		applySide(&cfg, s.Side, sim.CacheSpec{Geom: geom, Org: s.Org,
-			Policy: sim.PolicySpec{Kind: sim.PolicyStatic, StaticIndex: i}})
+	dynamicCandidates(sw.sched, sw.Spec.Side == L2Side, func(p DynamicParams) bool {
+		return yield(sim.PolicySpec{Kind: sim.PolicyDynamic, Interval: p.Interval,
+			MissBound: p.MissBound, SizeBoundBytes: p.SizeBoundBytes,
+			UpsizeHoldIntervals: p.UpsizeHold})
+	})
+}
+
+// candidate is the resized cache's spec under one candidate policy.
+func (sw Sweep) candidate(p sim.PolicySpec) sim.CacheSpec {
+	return sim.CacheSpec{Geom: sw.sched.Geom, Org: sw.Spec.Org, Policy: p}
+}
+
+// artifactKey fingerprints the sweep (sweepArtifactKey over its batch)
+// by streaming the candidates through one scratch config instead of
+// materializing the batch.
+func (sw Sweep) artifactKey() sim.Key {
+	b := newSweepKeyBuilder(sw.Spec.kind())
+	b.RawKey(sw.Spec.Base.Key())
+	cfg := sw.Spec.Base
+	if sw.Spec.Side == L2Side {
+		applySide(&cfg, L2Side, sw.candidate(sim.PolicySpec{})) // a private hierarchy to rewrite
+	}
+	for p := range sw.policies {
+		setSide(&cfg, sw.Spec.Side, sw.candidate(p))
+		b.RawKey(cfg.Key())
+	}
+	return b.Sum()
+}
+
+// configs materializes the batch the sweep runs — the baseline followed
+// by every candidate — with each candidate's policy. Only the cold path
+// calls it: the compute of an artifact miss, and EnqueueSweeps for a
+// sweep it finds cold.
+func (sw Sweep) configs() ([]sim.Config, []sim.PolicySpec) {
+	n := 0
+	for range sw.policies {
+		n++
+	}
+	cfgs := make([]sim.Config, 1, 1+n)
+	cfgs[0] = sw.Spec.Base
+	pols := make([]sim.PolicySpec, 0, n)
+	for p := range sw.policies {
+		cfg := sw.Spec.Base
+		applySide(&cfg, sw.Spec.Side, sw.candidate(p))
 		cfgs = append(cfgs, cfg)
+		pols = append(pols, p)
 	}
-	return cfgs, func(bestIdx int) (string, sim.PolicySpec) {
-		return fmt.Sprintf("static %v", sched.Points[bestIdx-1]),
-			sim.PolicySpec{Kind: sim.PolicyStatic, StaticIndex: bestIdx - 1}
-	}, nil
+	return cfgs, pols
 }
 
-// BestSpec profiles one sweep and returns its minimum-EDP winner versus
-// the baseline.
-func BestSpec(spec SweepSpec, opts Options) (Best, error) {
-	return BestSpecContext(context.Background(), spec, opts)
+// describe names a candidate policy for Best.Desc.
+func (sw Sweep) describe(p sim.PolicySpec) string {
+	if p.Kind == sim.PolicyDynamic {
+		return fmt.Sprintf("dynamic mb=%d sb=%s", p.MissBound, geometry.FormatSize(p.SizeBoundBytes))
+	}
+	return fmt.Sprintf("static %v", sw.sched.Points[p.StaticIndex])
 }
 
-// BestSpecContext is the sweep core: it runs (or resolves) the spec's
-// batch and selects the winner. The whole sweep memoizes as one
-// artifact through the runner's artifact cache, keyed by the configs it
-// would run — so a repeated sweep (the same grid cell in a later
-// figure, or a resumed process with a persistent store) resolves
-// without submitting a single simulation, and a sweep enqueued up front
-// by a plan gathers by joining the in-flight work instead of fanning
-// out its own barrier.
-func BestSpecContext(ctx context.Context, spec SweepSpec, opts Options) (Best, error) {
-	if err := checkSweepSide(spec.Side); err != nil {
-		return Best{}, err
-	}
-	cfgs, describe, err := spec.sweep()
-	if err != nil {
-		return Best{}, err
-	}
-	return cachedBest(ctx, opts.runner(), spec.kind(), cfgs, func(ctx context.Context) (Best, error) {
+// Best is the sweep core: it runs (or resolves) the sweep's batch and
+// selects the minimum-EDP winner versus the baseline. The whole sweep
+// memoizes as one artifact through the runner's artifact cache, keyed
+// by the configs it would run — so a repeated sweep (the same grid cell
+// in a later figure, or a resumed process with a persistent store)
+// resolves without submitting a single simulation, and a sweep enqueued
+// up front by a plan gathers by joining the in-flight work instead of
+// fanning out its own barrier.
+func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
+	return cachedBest(ctx, opts.runner(), sw.key, func(ctx context.Context) (Best, error) {
+		cfgs, pols := sw.configs()
 		// Batch-enqueue the candidate set before gathering, so a solo
 		// sweep (a single Session.Simulate, cmd/respcache) coalesces its
 		// same-front candidates into gangs exactly like a plan's
@@ -391,43 +445,36 @@ func BestSpecContext(ctx context.Context, spec SweepSpec, opts Options) (Best, e
 			return Best{}, err
 		}
 		bestIdx := pickBest(res)
-		desc, pspec := describe(bestIdx)
+		p := pols[bestIdx-1]
 		return Best{
-			App: spec.App, Side: spec.Side, Org: spec.Org,
-			Desc: desc, Spec: pspec,
+			App: sw.Spec.App, Side: sw.Spec.Side, Org: sw.Spec.Org,
+			Desc: sw.describe(p), Spec: p,
 			Chosen: res[bestIdx],
 			Base:   res[0],
 		}, nil
 	})
 }
 
-// EnqueueSweeps submits the simulations of every cold sweep in specs to
-// the runner in one batched, non-blocking pass: sweeps whose artifact is
+// EnqueueSweeps submits the simulations of every cold sweep to the
+// runner in one batched, non-blocking pass: sweeps whose artifact is
 // already cached (either tier) are skipped outright, the rest have their
-// configs deduplicated by fingerprint (sweeps of one plan share
-// baselines) and handed to Runner.Enqueue in one call. The later
-// per-sweep gathers (BestSpecContext) then join the in-flight work
-// instead of each fanning out its own barrier, so a multi-scenario
-// plan's simulations interleave freely on the shared pool. Best-effort:
-// a spec whose schedule cannot be built is skipped here and surfaces its
-// error from the gather. Returns the number of configs enqueued and a
-// wait function with Runner.Enqueue's semantics (cancel ctx, then wait,
-// before flushing a store out from under abandoned stragglers).
-func EnqueueSweeps(ctx context.Context, specs []SweepSpec, opts Options) (int, func()) {
+// configs materialized, deduplicated by fingerprint (sweeps of one plan
+// share baselines) and handed to Runner.Enqueue in one call. The later
+// per-sweep gathers (Sweep.Best) then join the in-flight work instead
+// of each fanning out its own barrier, so a multi-scenario plan's
+// simulations interleave freely on the shared pool. Returns the number
+// of configs enqueued and a wait function with Runner.Enqueue's
+// semantics (cancel ctx, then wait, before flushing a store out from
+// under abandoned stragglers).
+func EnqueueSweeps(ctx context.Context, sweeps []Sweep, opts Options) (int, func()) {
 	r := opts.runner()
 	seen := make(map[sim.Key]bool)
 	var cfgs []sim.Config
-	for _, spec := range specs {
-		if checkSweepSide(spec.Side) != nil {
+	for _, sw := range sweeps {
+		if r.HasArtifact(sw.key) {
 			continue
 		}
-		scfgs, _, err := spec.sweep()
-		if err != nil {
-			continue
-		}
-		if r.HasArtifact(sweepArtifactKey(spec.kind(), scfgs)) {
-			continue
-		}
+		scfgs, _ := sw.configs()
 		for i := range scfgs {
 			if k := scfgs[i].Key(); !seen[k] {
 				seen[k] = true
@@ -441,6 +488,28 @@ func EnqueueSweeps(ctx context.Context, specs []SweepSpec, opts Options) (int, f
 	return r.Enqueue(ctx, cfgs)
 }
 
+// resolveAll resolves every spec, failing on the first that cannot run.
+func resolveAll(specs []SweepSpec) ([]Sweep, error) {
+	sweeps := make([]Sweep, len(specs))
+	for i, spec := range specs {
+		sw, err := spec.Resolve()
+		if err != nil {
+			return nil, err
+		}
+		sweeps[i] = sw
+	}
+	return sweeps, nil
+}
+
+// bestOf resolves and runs one spec: the BestStatic/BestDynamic core.
+func bestOf(ctx context.Context, spec SweepSpec, opts Options) (Best, error) {
+	sw, err := spec.Resolve()
+	if err != nil {
+		return Best{}, err
+	}
+	return sw.Best(ctx, opts)
+}
+
 // BestStatic profiles every schedule point of an organization (the
 // paper's static strategy: run each offered size offline, pick the
 // minimum-EDP one) and returns the winner for one application.
@@ -450,7 +519,7 @@ func BestStatic(app string, side Side, org core.Organization, assoc int, opts Op
 
 // BestStaticContext is BestStatic with cancellation.
 func BestStaticContext(ctx context.Context, app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
-	return BestSpecContext(ctx, NewSweepSpec(app, side, org, assoc, false, opts), opts)
+	return bestOf(ctx, NewSweepSpec(app, side, org, assoc, false, opts), opts)
 }
 
 // DynamicParams is one dynamic-controller parameterization.
@@ -462,48 +531,49 @@ type DynamicParams struct {
 }
 
 // dynamicCandidates enumerates the offline profiling grid for the
-// miss-ratio controller: miss-bounds as fractions of the interval and
-// size-bounds across the schedule's range. lowTraffic selects the
-// interval set for caches that see only the level above's misses (the
-// shared L2): an order of magnitude shorter, so the controller still
-// observes enough interval boundaries to adapt.
-func dynamicCandidates(sched core.Schedule, lowTraffic bool) []DynamicParams {
+// miss-ratio controller, yielding each distinct parameterization in
+// order until yield returns false: miss-bounds as fractions of the
+// interval and size-bounds across the schedule's range. lowTraffic
+// selects the interval set for caches that see only the level above's
+// misses (the shared L2): an order of magnitude shorter, so the
+// controller still observes enough interval boundaries to adapt.
+func dynamicCandidates(sched core.Schedule, lowTraffic bool, yield func(DynamicParams) bool) {
 	// Miss-bounds span well past each app's background miss level
 	// (conflict and cold misses) or the controller would pin at full
 	// size; the shorter interval tracks phases in shorter runs; the
 	// size-bound candidates are every offered size below full, since the
 	// bound is how profiling pins the controller at an app's known floor.
-	intervals := []uint64{4096, 16384, 65536}
+	intervals := [...]uint64{4096, 16384, 65536}
 	if lowTraffic {
-		intervals = []uint64{128, 1024, 8192}
+		intervals = [...]uint64{128, 1024, 8192}
 	}
-	missFracs := []float64{0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.15}
-	var sizeBounds []int
-	for _, p := range sched.Points[1:] {
-		sizeBounds = append(sizeBounds, p.Bytes)
-	}
+	missFracs := [...]float64{0.002, 0.005, 0.01, 0.02, 0.04, 0.08, 0.15}
+	sizeBounds := sched.Points[1:]
 	if len(sizeBounds) == 0 {
-		sizeBounds = []int{sched.Geom.SizeBytes}
+		sizeBounds = []core.SizePoint{{Bytes: sched.Geom.SizeBytes}}
 	}
-	holds := []int{0, 3}
-	var out []DynamicParams
-	seen := map[DynamicParams]bool{}
+	holds := [...]int{0, 3}
 	for _, iv := range intervals {
+		prevMB := ^uint64(0)
 		for _, mf := range missFracs {
+			// Schedule sizes are distinct and miss-bounds never decrease
+			// with the fraction, so the only repeats are a fraction whose
+			// bound rounds to its predecessor's: skip its whole block.
+			mb := uint64(mf * float64(iv))
+			if mb == prevMB {
+				continue
+			}
+			prevMB = mb
 			for _, sb := range sizeBounds {
 				for _, h := range holds {
-					p := DynamicParams{Interval: iv,
-						MissBound: uint64(mf * float64(iv)), SizeBoundBytes: sb,
-						UpsizeHold: h}
-					if !seen[p] {
-						seen[p] = true
-						out = append(out, p)
+					if !yield(DynamicParams{Interval: iv, MissBound: mb,
+						SizeBoundBytes: sb.Bytes, UpsizeHold: h}) {
+						return
 					}
 				}
 			}
 		}
 	}
-	return out
 }
 
 // BestDynamic profiles the dynamic controller's parameter grid for one
@@ -514,7 +584,7 @@ func BestDynamic(app string, side Side, org core.Organization, assoc int, opts O
 
 // BestDynamicContext is BestDynamic with cancellation.
 func BestDynamicContext(ctx context.Context, app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
-	return BestSpecContext(ctx, NewSweepSpec(app, side, org, assoc, true, opts), opts)
+	return bestOf(ctx, NewSweepSpec(app, side, org, assoc, true, opts), opts)
 }
 
 // Combined runs one simulation with both L1s resizing at their

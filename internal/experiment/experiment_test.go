@@ -200,7 +200,11 @@ func TestDynamicCandidatesDeduplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cands := dynamicCandidates(sched, false)
+	var cands []DynamicParams
+	dynamicCandidates(sched, false, func(p DynamicParams) bool {
+		cands = append(cands, p)
+		return true
+	})
 	seen := map[DynamicParams]bool{}
 	for _, c := range cands {
 		if seen[c] {
@@ -362,7 +366,8 @@ func TestCachedBestRepairsUndecodablePayload(t *testing.T) {
 	}
 	ctx := context.Background()
 	r1 := runner.New(runner.Options{Store: store})
-	got, err := cachedBest(ctx, r1, "best-static", cfgs, compute)
+	key := sweepArtifactKey("best-static", cfgs)
+	got, err := cachedBest(ctx, r1, key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,12 +378,12 @@ func TestCachedBestRepairsUndecodablePayload(t *testing.T) {
 		t.Fatalf("computed %d times, want 1", computes)
 	}
 	// Same runner: the repaired in-memory tier must decode.
-	if _, err := cachedBest(ctx, r1, "best-static", cfgs, compute); err != nil {
+	if _, err := cachedBest(ctx, r1, key, compute); err != nil {
 		t.Fatal(err)
 	}
 	// Fresh runner, same store: the repaired persistent tier must decode.
 	r2 := runner.New(runner.Options{Store: store})
-	again, err := cachedBest(ctx, r2, "best-static", cfgs, compute)
+	again, err := cachedBest(ctx, r2, key, compute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,9 +427,9 @@ func TestBestAccessorsOnSides(t *testing.T) {
 	_ = b.SizeReductionPct()
 }
 
-// TestBestSpecMatchesBestStatic guards the SweepSpec refactor: the spec
-// path must enumerate the identical sweep (same artifact fingerprint,
-// same winner) as the classic entry points.
+// TestBestSpecMatchesBestStatic guards the SweepSpec refactor: a
+// resolved spec must enumerate the identical sweep (same artifact
+// fingerprint, same winner) as the classic entry points.
 func TestBestSpecMatchesBestStatic(t *testing.T) {
 	opts := tinyArtifactOpts()
 	direct, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts)
@@ -434,8 +439,11 @@ func TestBestSpecMatchesBestStatic(t *testing.T) {
 	// Same sweep through the spec on the same runner: a pure artifact
 	// hit, zero submissions.
 	before := opts.Runner.Stats()
-	spec := NewSweepSpec("m88ksim", DSide, core.SelectiveSets, 2, false, opts)
-	viaSpec, err := BestSpec(spec, opts)
+	sw, err := NewSweepSpec("m88ksim", DSide, core.SelectiveSets, 2, false, opts).Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaSpec, err := sw.Best(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,12 +467,16 @@ func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
 		NewSweepSpec("m88ksim", DSide, core.SelectiveSets, 2, false, opts),
 		NewSweepSpec("m88ksim", ISide, core.SelectiveSets, 2, false, opts),
 	}
-	n, _ := EnqueueSweeps(ctx, specs, opts)
+	sweeps, err := resolveAll(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := EnqueueSweeps(ctx, sweeps, opts)
 	if n == 0 {
 		t.Fatal("cold sweeps enqueued nothing")
 	}
-	for _, spec := range specs {
-		if _, err := BestSpecContext(ctx, spec, opts); err != nil {
+	for _, sw := range sweeps {
+		if _, err := sw.Best(ctx, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -479,7 +491,7 @@ func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
 		t.Errorf("ran %d configs, want the %d enqueued (dedup broken?)", st.Runs, n)
 	}
 	// Warm: artifacts exist, so the batch pass skips everything.
-	if again, _ := EnqueueSweeps(ctx, specs, opts); again != 0 {
+	if again, _ := EnqueueSweeps(ctx, sweeps, opts); again != 0 {
 		t.Errorf("warm sweeps enqueued %d configs, want 0", again)
 	}
 	if st := opts.Runner.Stats(); st.EnqueueBatches != 1 {
@@ -495,7 +507,7 @@ func TestL2SideSweep(t *testing.T) {
 	opts.Instructions = 150_000
 	opts.Runner = runner.New(runner.Options{})
 	base := BaseConfig("m88ksim", 2, opts)
-	best, err := BestSpec(SweepSpec{App: "m88ksim", Side: L2Side,
+	best, err := bestOf(context.Background(), SweepSpec{App: "m88ksim", Side: L2Side,
 		Org: core.SelectiveWays, Base: base}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +529,7 @@ func TestL2SideSweep(t *testing.T) {
 	flat := base
 	flat.Levels = nil
 	flat.L2Geom = geometry.Geometry{}
-	if _, err := BestSpec(SweepSpec{App: "m88ksim", Side: L2Side,
+	if _, err := bestOf(context.Background(), SweepSpec{App: "m88ksim", Side: L2Side,
 		Org: core.SelectiveWays, Base: flat}, opts); err == nil {
 		t.Error("L2 sweep over an empty hierarchy accepted")
 	}
@@ -530,12 +542,12 @@ func TestCombinedBestsAppliesEverySide(t *testing.T) {
 	opts.Instructions = 150_000
 	opts.Runner = runner.New(runner.Options{})
 	base := BaseConfig("m88ksim", 2, opts)
-	d, err := BestSpec(SweepSpec{App: "m88ksim", Side: DSide,
+	d, err := bestOf(context.Background(), SweepSpec{App: "m88ksim", Side: DSide,
 		Org: core.SelectiveSets, Base: base}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l2, err := BestSpec(SweepSpec{App: "m88ksim", Side: L2Side,
+	l2, err := bestOf(context.Background(), SweepSpec{App: "m88ksim", Side: L2Side,
 		Org: core.SelectiveWays, Base: base}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -43,3 +43,58 @@ func TestSweepArtifactKeyGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepKeyMatchesDefinition: the streamed fingerprint of every
+// kind of sweep equals sweepArtifactKey over its materialized batch,
+// and the batch opens with the baseline followed by one config per
+// candidate policy.
+func TestSweepKeyMatchesDefinition(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Instructions = 100_000
+	for _, side := range []Side{DSide, ISide, L2Side} {
+		for _, org := range []core.Organization{core.NonResizable, core.SelectiveWays,
+			core.SelectiveSets, core.Hybrid, core.HybridMinWays} {
+			for _, dynamic := range []bool{false, true} {
+				spec := NewSweepSpec("vpr", side, org, 4, dynamic, opts)
+				sw, err := spec.Resolve()
+				if err != nil {
+					t.Fatalf("%v/%v/%v: %v", side, org, dynamic, err)
+				}
+				cfgs, pols := sw.configs()
+				if len(cfgs) != len(pols)+1 || cfgs[0].Key() != spec.Base.Key() {
+					t.Fatalf("%v/%v/%v: batch of %d configs for %d candidates", side, org, dynamic, len(cfgs), len(pols))
+				}
+				if want := sweepArtifactKey(spec.kind(), cfgs); sw.Key() != want {
+					t.Errorf("%v/%v/%v: streamed key %v, materialized batch %v", side, org, dynamic, sw.Key(), want)
+				}
+			}
+		}
+	}
+}
+
+// TestSweepArtifactKeyAllocs: fingerprinting a sweep costs a fixed few
+// allocations (the schedule and the key builder), however many
+// candidates it streams.
+func TestSweepArtifactKeyAllocs(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Instructions = 100_000
+	allocs := func(spec SweepSpec, wantConfigs int) float64 {
+		sw, err := spec.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfgs, _ := sw.configs(); len(cfgs) != wantConfigs {
+			t.Fatalf("sweep runs %d configs, want %d", len(cfgs), wantConfigs)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := spec.ArtifactKey(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small := allocs(NewSweepSpec("gcc", DSide, core.SelectiveWays, 2, true, opts), 43)
+	large := allocs(NewSweepSpec("gcc", DSide, core.Hybrid, 2, true, opts), 211)
+	if small != large || large > 3 {
+		t.Errorf("ArtifactKey allocations: %v for 43 configs, %v for 211; want equal and at most 3", small, large)
+	}
+}

@@ -38,12 +38,7 @@ func SubarraySensitivity(opts Options) ([]SensitivityRow, error) {
 // SubarraySensitivityContext is SubarraySensitivity with cancellation.
 func SubarraySensitivityContext(ctx context.Context, opts Options) ([]SensitivityRow, error) {
 	apps := opts.apps()
-	type point struct {
-		label string
-		specs []SweepSpec
-	}
-	var points []point
-	var all []SweepSpec
+	var points []sensPoint
 	for _, sub := range []int{512, 1 << 10, 2 << 10, 4 << 10} {
 		geom := geometry.Geometry{SizeBytes: 32 << 10, Assoc: 2, BlockBytes: 32, SubarrayBytes: sub}
 		if err := geom.Validate(); err != nil {
@@ -53,7 +48,7 @@ func SubarraySensitivityContext(ctx context.Context, opts Options) ([]Sensitivit
 		if err != nil {
 			return nil, err
 		}
-		p := point{label: fmt.Sprintf("%s subarray (%d points, min %s)",
+		p := sensPoint{label: fmt.Sprintf("%s subarray (%d points, min %s)",
 			geometry.FormatSize(sub), len(sched.Points), geometry.FormatSize(sched.MinBytes()))}
 		for _, app := range apps {
 			base := baseConfig(app, opts.Engine, opts.Instructions, 2, 2)
@@ -62,26 +57,47 @@ func SubarraySensitivityContext(ctx context.Context, opts Options) ([]Sensitivit
 				Org: core.SelectiveSets, Base: base})
 		}
 		points = append(points, p)
+	}
+	return sweepRows(ctx, points, opts)
+}
+
+// sensPoint is one parameter point of a sweep-based sensitivity study:
+// its label and the sweeps (one per app) whose winners it averages.
+type sensPoint struct {
+	label string
+	specs []SweepSpec
+}
+
+// sweepRows runs a sensitivity grid: every sweep resolved once, one
+// batched enqueue pass over the whole grid, then per point the mean
+// winner of its sweeps. On an early error return it cancels and drains
+// the stragglers, so a caller flushing a store right after cannot race
+// their result writes.
+func sweepRows(ctx context.Context, points []sensPoint, opts Options) ([]SensitivityRow, error) {
+	var all []SweepSpec
+	for _, p := range points {
 		all = append(all, p.specs...)
 	}
-	// One batched pass over the whole grid; on an early error return,
-	// cancel and drain the stragglers so a caller flushing a store right
-	// after cannot race their result writes.
+	sweeps, err := resolveAll(all)
+	if err != nil {
+		return nil, err
+	}
 	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	_, wait := EnqueueSweeps(enqCtx, all, opts)
+	_, wait := EnqueueSweeps(enqCtx, sweeps, opts)
 	defer func() { stopEnqueue(); wait() }()
 	var out []SensitivityRow
 	for _, p := range points {
 		var edp, size float64
-		for _, spec := range p.specs {
-			best, err := BestSpecContext(ctx, spec, opts)
+		for range p.specs {
+			best, err := sweeps[0].Best(ctx, opts)
 			if err != nil {
 				return nil, err
 			}
+			sweeps = sweeps[1:]
 			edp += best.EDPReductionPct()
 			size += best.SizeReductionPct()
 		}
-		n := float64(len(apps))
+		n := float64(len(p.specs))
 		out = append(out, SensitivityRow{Label: p.label,
 			EDPReductionPct: edp / n, SizeRedPct: size / n})
 	}
@@ -154,14 +170,9 @@ func L2Sensitivity(opts Options) ([]SensitivityRow, error) {
 // L2SensitivityContext is L2Sensitivity with cancellation.
 func L2SensitivityContext(ctx context.Context, opts Options) ([]SensitivityRow, error) {
 	apps := opts.apps()
-	type point struct {
-		label string
-		specs []SweepSpec
-	}
-	var points []point
-	var all []SweepSpec
+	var points []sensPoint
 	for _, l2kb := range []int{256, 512, 1024} {
-		p := point{label: fmt.Sprintf("%dK L2", l2kb)}
+		p := sensPoint{label: fmt.Sprintf("%dK L2", l2kb)}
 		for _, app := range apps {
 			base := baseConfig(app, opts.Engine, opts.Instructions, 2, 2)
 			base.Levels = []sim.LevelSpec{{CacheSpec: sim.CacheSpec{
@@ -173,29 +184,8 @@ func L2SensitivityContext(ctx context.Context, opts Options) ([]SensitivityRow, 
 				Org: core.SelectiveSets, Base: base})
 		}
 		points = append(points, p)
-		all = append(all, p.specs...)
 	}
-	// One batched pass over the whole grid, drained on early error like
-	// SubarraySensitivity's.
-	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	_, wait := EnqueueSweeps(enqCtx, all, opts)
-	defer func() { stopEnqueue(); wait() }()
-	var out []SensitivityRow
-	for _, p := range points {
-		var edp, size float64
-		for _, spec := range p.specs {
-			best, err := BestSpecContext(ctx, spec, opts)
-			if err != nil {
-				return nil, err
-			}
-			edp += best.EDPReductionPct()
-			size += best.SizeReductionPct()
-		}
-		n := float64(len(apps))
-		out = append(out, SensitivityRow{Label: p.label,
-			EDPReductionPct: edp / n, SizeRedPct: size / n})
-	}
-	return out, nil
+	return sweepRows(ctx, points, opts)
 }
 
 // RenderSensitivity formats a sweep as a text table.

@@ -111,7 +111,9 @@ func (r *Runner) artifactOnce(ctx context.Context, key sim.Key, compute func(con
 // in-memory tier, or present in the persistent store. Batch schedulers
 // probe it before enqueueing a sweep's simulations, so warm sweeps cost
 // nothing — not even redundant submissions that would immediately
-// memo-hit.
+// memo-hit. A store hit is promoted into the in-memory tier (and counted
+// as an artifact store hit), so the gather that follows the probe
+// resolves from memory instead of fetching the payload a second time.
 func (r *Runner) HasArtifact(key sim.Key) bool {
 	r.artMu.Lock()
 	_, ok := r.artifacts[key]
@@ -119,12 +121,22 @@ func (r *Runner) HasArtifact(key sim.Key) bool {
 	if ok {
 		return true
 	}
-	if r.store != nil {
-		if _, ok := r.store.LookupArtifact(key); ok {
-			return true
-		}
+	if r.store == nil {
+		return false
 	}
-	return false
+	data, ok := r.store.LookupArtifact(key)
+	if !ok {
+		return false
+	}
+	r.artMu.Lock()
+	if _, raced := r.artifacts[key]; !raced {
+		e := &artifactEntry{done: make(chan struct{}), data: data}
+		close(e.done)
+		r.artifacts[key] = e
+		r.artStoreHits.Add(1)
+	}
+	r.artMu.Unlock()
+	return true
 }
 
 // PutArtifact force-installs an artifact payload in both tiers,

@@ -738,6 +738,44 @@ func TestHasArtifactBothTiers(t *testing.T) {
 	}
 }
 
+// lookupCountingStore counts artifact lookups reaching the backend.
+type lookupCountingStore struct {
+	Store
+	artifactLookups atomic.Int64
+}
+
+func (s *lookupCountingStore) LookupArtifact(k sim.Key) ([]byte, bool) {
+	s.artifactLookups.Add(1)
+	return s.Store.LookupArtifact(k)
+}
+
+// TestHasArtifactPromotesStoreHit: a probe that finds the artifact in
+// the store installs it in memory, so the gather after it does not
+// fetch the payload again.
+func TestHasArtifactPromotesStoreHit(t *testing.T) {
+	mem := NewMemStore()
+	key := sim.NewKeyBuilder("runner-test").Str("promote").Sum()
+	mem.RecordArtifact(key, []byte(`{"v":2}`))
+	store := &lookupCountingStore{Store: mem}
+	r := New(Options{Workers: 1, Store: store})
+	if !r.HasArtifact(key) {
+		t.Fatal("stored artifact reported absent")
+	}
+	data, err := r.Artifact(context.Background(), key, func(context.Context) ([]byte, error) {
+		t.Error("promoted artifact recomputed")
+		return nil, nil
+	})
+	if err != nil || string(data) != `{"v":2}` {
+		t.Fatalf("Artifact = %q, %v", data, err)
+	}
+	if n := store.artifactLookups.Load(); n != 1 {
+		t.Errorf("store saw %d artifact lookups, want 1", n)
+	}
+	if st := r.Stats(); st.ArtifactStoreHits != 1 || st.ArtifactComputes != 0 {
+		t.Errorf("stats = %+v, want 1 artifact store hit and no computes", st)
+	}
+}
+
 func TestStatsDelta(t *testing.T) {
 	a := Stats{Submitted: 10, Runs: 4, MemoHits: 6, Enqueued: 3, Barriers: 2, ArtifactComputes: 1}
 	b := Stats{Submitted: 25, Runs: 5, MemoHits: 20, Enqueued: 3, Barriers: 2, ArtifactComputes: 1, ArtifactHits: 7}

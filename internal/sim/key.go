@@ -87,70 +87,93 @@ func (p PolicySpec) canonical() PolicySpec {
 	}
 }
 
-// Key returns the canonical fingerprint of the config.
+// Key returns the canonical fingerprint of the config: the SHA-256 of
+// its encoding (keyEnc: fixed-width little-endian integers and float
+// bits, length-prefixed strings) in the field order below. The whole
+// encoding is built in one fixed-size stack buffer and hashed with a
+// single sha256.Sum256, and Canonical's normal form is applied while
+// encoding instead of on a copy, so a config of up to three shared
+// levels fingerprints without allocating; a longer encoding spills the
+// buffer to the heap with the same bytes. The bytes are exactly those
+// keyVersion 3 has always hashed, so stores written by earlier builds
+// keep hitting (TestKeyGolden pins them).
 func (c Config) Key() Key {
-	c = c.Canonical()
-	h := sha256.New()
-	w := keyWriter{h: h}
-	w.u64(keyVersion)
-	w.str(c.Benchmark)
-	w.u64(c.Instructions)
-	w.u64(uint64(c.Engine))
-	// CPU pipeline.
-	w.i(c.CPU.Width)
-	w.i(c.CPU.ROBEntries)
-	w.i(c.CPU.LSQEntries)
-	w.u64(c.CPU.DecodeLatency)
-	w.u64(c.CPU.MispredictPenalty)
-	// L1s and the shared hierarchy (Canonical already folded L2Geom in).
-	w.cacheSpec(c.DCache)
-	w.cacheSpec(c.ICache)
-	w.i(len(c.Levels))
-	for _, l := range c.Levels {
-		w.cacheSpec(l.CacheSpec)
-		w.u64(uint64(l.Precharge))
-		w.i(l.MSHREntries)
-		w.i(l.WritebackEntries)
+	var buf [keyBufBytes]byte
+	e := keyEnc(buf[:0]).u64(keyVersion).
+		str(c.Benchmark).
+		u64(c.Instructions).
+		u64(uint64(c.Engine)).
+		// CPU pipeline.
+		i(c.CPU.Width).
+		i(c.CPU.ROBEntries).
+		i(c.CPU.LSQEntries).
+		u64(c.CPU.DecodeLatency).
+		u64(c.CPU.MispredictPenalty).
+		// L1s, then the shared hierarchy with a deprecated L2Geom folded
+		// in (Hierarchy); cacheSpec canonicalizes every level's policy.
+		cacheSpec(c.DCache).
+		cacheSpec(c.ICache)
+	levels := c.Hierarchy()
+	e = e.i(len(levels))
+	for i := range levels {
+		l := &levels[i]
+		e = e.cacheSpec(l.CacheSpec).
+			u64(uint64(l.Precharge)).
+			i(l.MSHREntries).
+			i(l.WritebackEntries)
 	}
 	// All zeros for every valid config; non-zero only for the invalid
 	// Levels+L2Geom conflict, whose cold-path error must memoize under
 	// its own key (see Canonical).
-	w.geometry(c.L2Geom.SizeBytes, c.L2Geom.Assoc, c.L2Geom.BlockBytes, c.L2Geom.SubarrayBytes)
-	w.i(c.MSHREntries)
-	w.i(c.WritebackEntries)
-	// Sampled execution (all zero for fully detailed runs; a partial spec
-	// is invalid but keeps its own fingerprint so the cold-path error
-	// memoizes under its own key, like the Levels+L2Geom conflict).
-	w.u64(c.Sampling.WarmupInstructions)
-	w.u64(c.Sampling.DetailedInstructions)
-	w.u64(c.Sampling.FastForwardInstructions)
-	w.u64(c.Sampling.SkipInstructions)
-	// Energy models.
-	w.f64(c.Energy.PrechargePJPerBit)
-	w.f64(c.Energy.BitlinePJPerBit)
-	w.f64(c.Energy.WordlinePJPerBit)
-	w.f64(c.Energy.SensePJPerBit)
-	w.f64(c.Energy.DecodePJPerSubarray)
-	w.f64(c.Energy.ComparePJPerBit)
-	w.f64(c.Energy.OutputPJPerBit)
-	w.f64(c.Energy.ClockPJPerSubarray)
-	w.f64(c.Energy.LeakagePJPerBytePerCycle)
-	w.f64(c.Core.DecodePJ)
-	w.f64(c.Core.ROBWritePJ)
-	w.f64(c.Core.LSQWritePJ)
-	w.f64(c.Core.RegReadPJ)
-	w.f64(c.Core.RegWritePJ)
-	w.f64(c.Core.IntALUPJ)
-	w.f64(c.Core.FPALUPJ)
-	w.f64(c.Core.BpredPJ)
-	w.f64(c.Core.BTBPJ)
-	w.f64(c.Core.RASPJ)
-	w.f64(c.Core.ResultBusPJ)
-	w.f64(c.Core.ClockPJ)
-	var k Key
-	h.Sum(k[:0])
-	return k
+	var conflict geometry.Geometry
+	if len(c.Levels) > 0 {
+		conflict = c.L2Geom
+	}
+	// The in-order engine forces a blocking d-cache: its MSHRs are inert.
+	mshrs := c.MSHREntries
+	if c.Engine == InOrder {
+		mshrs = 0
+	}
+	e = e.geometry(conflict).
+		i(mshrs).
+		i(c.WritebackEntries).
+		// Sampled execution (all zero for fully detailed runs; a partial
+		// spec is invalid but keeps its own fingerprint so the cold-path
+		// error memoizes under its own key, like the Levels+L2Geom
+		// conflict).
+		u64(c.Sampling.WarmupInstructions).
+		u64(c.Sampling.DetailedInstructions).
+		u64(c.Sampling.FastForwardInstructions).
+		u64(c.Sampling.SkipInstructions).
+		// Energy models.
+		f64(c.Energy.PrechargePJPerBit).
+		f64(c.Energy.BitlinePJPerBit).
+		f64(c.Energy.WordlinePJPerBit).
+		f64(c.Energy.SensePJPerBit).
+		f64(c.Energy.DecodePJPerSubarray).
+		f64(c.Energy.ComparePJPerBit).
+		f64(c.Energy.OutputPJPerBit).
+		f64(c.Energy.ClockPJPerSubarray).
+		f64(c.Energy.LeakagePJPerBytePerCycle).
+		f64(c.Core.DecodePJ).
+		f64(c.Core.ROBWritePJ).
+		f64(c.Core.LSQWritePJ).
+		f64(c.Core.RegReadPJ).
+		f64(c.Core.RegWritePJ).
+		f64(c.Core.IntALUPJ).
+		f64(c.Core.FPALUPJ).
+		f64(c.Core.BpredPJ).
+		f64(c.Core.BTBPJ).
+		f64(c.Core.RASPJ).
+		f64(c.Core.ResultBusPJ).
+		f64(c.Core.ClockPJ)
+	return sha256.Sum256(e)
 }
+
+// keyBufBytes sizes Key's stack buffer. The base config encodes to 643
+// bytes and each further shared level adds 120, so three levels and a
+// 100-byte benchmark name still fit.
+const keyBufBytes = 1024
 
 // FrontKey fingerprints the config's shared simulation front-end: the
 // projection of the config that determines workload generation and the
@@ -161,21 +184,26 @@ func (c Config) Key() Key {
 // (RunGang); everything outside the projection — cache geometries,
 // resizing organizations and policies, hierarchy depth, MSHRs, energy
 // models — is per-member state a gang evaluates independently.
+//
+// It is the KeyBuilder fingerprint of those fields in domain
+// "sim.front", encoded on the stack like Key.
 func (c Config) FrontKey() Key {
-	return NewKeyBuilder("sim.front").
-		Str(c.Benchmark).
-		U64(c.Instructions).
-		U64(uint64(c.Engine)).
-		Int(c.CPU.Width).
-		Int(c.CPU.ROBEntries).
-		Int(c.CPU.LSQEntries).
-		U64(c.CPU.DecodeLatency).
-		U64(c.CPU.MispredictPenalty).
-		U64(c.Sampling.WarmupInstructions).
-		U64(c.Sampling.DetailedInstructions).
-		U64(c.Sampling.FastForwardInstructions).
-		U64(c.Sampling.SkipInstructions).
-		Sum()
+	var buf [256]byte
+	e := keyEnc(buf[:0]).u64(keyVersion).
+		str("sim.front").
+		str(c.Benchmark).
+		u64(c.Instructions).
+		u64(uint64(c.Engine)).
+		i(c.CPU.Width).
+		i(c.CPU.ROBEntries).
+		i(c.CPU.LSQEntries).
+		u64(c.CPU.DecodeLatency).
+		u64(c.CPU.MispredictPenalty).
+		u64(c.Sampling.WarmupInstructions).
+		u64(c.Sampling.DetailedInstructions).
+		u64(c.Sampling.FastForwardInstructions).
+		u64(c.Sampling.SkipInstructions)
+	return sha256.Sum256(e)
 }
 
 // KeyBuilder accumulates explicitly ordered fields into a
@@ -187,92 +215,110 @@ func (c Config) FrontKey() Key {
 // config the sweep would run — so one versioning scheme invalidates
 // both per-config results and derived artifacts together.
 //
+// Fields are encoded into a block buffer inside the builder and handed
+// to the hash a full block at a time, so appending a field never
+// allocates; a fingerprint costs the builder and its hash state. The
+// bytes hashed are the plain concatenation of the field encodings,
+// unchanged byte for byte from the earlier field-at-a-time builder.
+//
 // A builder is single-use: construct with NewKeyBuilder, append fields,
 // call Sum once.
 type KeyBuilder struct {
-	h hash.Hash
-	w keyWriter
+	h     hash.Hash
+	n     int // encoded bytes pending in block
+	block [keyBlockBytes]byte
 }
+
+// keyBlockBytes is the builder's buffer: eight SHA-256 blocks.
+const keyBlockBytes = 512
 
 // NewKeyBuilder starts a fingerprint in a named domain; distinct
 // domains never collide even over identical field sequences.
 func NewKeyBuilder(domain string) *KeyBuilder {
-	h := sha256.New()
-	b := &KeyBuilder{h: h, w: keyWriter{h: h}}
-	b.w.u64(keyVersion)
-	b.w.str(domain)
-	return b
+	b := &KeyBuilder{h: sha256.New()}
+	return b.U64(keyVersion).Str(domain)
+}
+
+// reserve returns an encoder appending at the end of the pending bytes,
+// first handing them to the hash unless need more bytes fit behind them.
+func (b *KeyBuilder) reserve(need int) keyEnc {
+	if b.n+need > len(b.block) {
+		b.h.Write(b.block[:b.n])
+		b.n = 0
+	}
+	return b.block[b.n:b.n]
 }
 
 // U64 appends an unsigned integer field.
-func (b *KeyBuilder) U64(v uint64) *KeyBuilder { b.w.u64(v); return b }
+func (b *KeyBuilder) U64(v uint64) *KeyBuilder { b.n += len(b.reserve(8).u64(v)); return b }
 
 // Int appends a signed integer field.
-func (b *KeyBuilder) Int(v int) *KeyBuilder { b.w.i(v); return b }
+func (b *KeyBuilder) Int(v int) *KeyBuilder { b.n += len(b.reserve(8).i(v)); return b }
 
 // Str appends a string field (length-prefixed; never aliases).
-func (b *KeyBuilder) Str(s string) *KeyBuilder { b.w.str(s); return b }
+func (b *KeyBuilder) Str(s string) *KeyBuilder {
+	b.U64(uint64(len(s)))
+	for len(s) > 0 {
+		e := b.reserve(1)
+		e = append(e, s[:min(len(s), cap(e))]...)
+		b.n += len(e)
+		s = s[len(e):]
+	}
+	return b
+}
 
 // RawKey appends another fingerprint (e.g. a Config.Key) as a field.
 func (b *KeyBuilder) RawKey(k Key) *KeyBuilder {
-	b.w.u64(uint64(len(k)))
-	b.h.Write(k[:])
+	b.n += len(append(b.reserve(8+len(k)).u64(uint64(len(k))), k[:]...))
 	return b
 }
 
 // Sum finalizes the fingerprint.
 func (b *KeyBuilder) Sum() Key {
+	b.h.Write(b.block[:b.n])
+	b.n = 0
+	// The block is free again: let the hash append the digest to it.
 	var k Key
-	b.h.Sum(k[:0])
+	copy(k[:], b.h.Sum(b.block[:0]))
 	return k
 }
 
-// keyWriter streams fixed-width, field-order-stable encodings into the
-// hash. Strings are length-prefixed so adjacent fields cannot alias.
-type keyWriter struct {
-	h hash.Hash
-}
+// keyEnc appends fixed-width, field-order-stable encodings to a byte
+// slice. Strings are length-prefixed so adjacent fields cannot alias.
+// Each method returns the extended slice, so encodings chain.
+type keyEnc []byte
 
-func (w keyWriter) u64(v uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	w.h.Write(b[:])
-}
+func (e keyEnc) u64(v uint64) keyEnc { return binary.LittleEndian.AppendUint64(e, v) }
 
-func (w keyWriter) i(v int) { w.u64(uint64(int64(v))) }
+func (e keyEnc) i(v int) keyEnc { return e.u64(uint64(int64(v))) }
 
-func (w keyWriter) f64(v float64) { w.u64(math.Float64bits(v)) }
+func (e keyEnc) f64(v float64) keyEnc { return e.u64(math.Float64bits(v)) }
 
-func (w keyWriter) b(v bool) {
+func (e keyEnc) b(v bool) keyEnc {
 	if v {
-		w.u64(1)
-	} else {
-		w.u64(0)
+		return e.u64(1)
 	}
+	return e.u64(0)
 }
 
-func (w keyWriter) str(s string) {
-	w.u64(uint64(len(s)))
-	w.h.Write([]byte(s))
+func (e keyEnc) str(s string) keyEnc { return append(e.u64(uint64(len(s))), s...) }
+
+// cacheSpec encodes one cache spec (an L1 or a shared level's core),
+// with the policy in canonical form.
+func (e keyEnc) cacheSpec(s CacheSpec) keyEnc {
+	p := s.Policy.canonical()
+	return e.geometry(s.Geom).
+		u64(uint64(s.Org)).
+		u64(uint64(p.Kind)).
+		i(p.StaticIndex).
+		u64(p.Interval).
+		u64(p.MissBound).
+		i(p.SizeBoundBytes).
+		i(p.UpsizeHoldIntervals).
+		b(s.AblationFullPrecharge).
+		b(s.AblationFreeFlush)
 }
 
-// cacheSpec encodes one cache spec (an L1 or a shared level's core).
-func (w keyWriter) cacheSpec(s CacheSpec) {
-	w.geometry(s.Geom.SizeBytes, s.Geom.Assoc, s.Geom.BlockBytes, s.Geom.SubarrayBytes)
-	w.u64(uint64(s.Org))
-	w.u64(uint64(s.Policy.Kind))
-	w.i(s.Policy.StaticIndex)
-	w.u64(s.Policy.Interval)
-	w.u64(s.Policy.MissBound)
-	w.i(s.Policy.SizeBoundBytes)
-	w.i(s.Policy.UpsizeHoldIntervals)
-	w.b(s.AblationFullPrecharge)
-	w.b(s.AblationFreeFlush)
-}
-
-func (w keyWriter) geometry(size, assoc, block, subarray int) {
-	w.i(size)
-	w.i(assoc)
-	w.i(block)
-	w.i(subarray)
+func (e keyEnc) geometry(g geometry.Geometry) keyEnc {
+	return e.i(g.SizeBytes).i(g.Assoc).i(g.BlockBytes).i(g.SubarrayBytes)
 }

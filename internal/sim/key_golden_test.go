@@ -169,3 +169,21 @@ func TestKeyGolden(t *testing.T) {
 		t.Errorf("KeyBuilder sequence = %s, pinned %s", got, wantBuilder)
 	}
 }
+
+// TestKeyAllocs guards the allocation-free fingerprint path: Key and
+// FrontKey encode on the stack and hash once, for the base config and
+// for a two-level hierarchy alike.
+func TestKeyAllocs(t *testing.T) {
+	for _, tc := range keyGoldenConfigs() {
+		if tc.name != "base-ooo" && tc.name != "two-level" {
+			continue
+		}
+		cfg := tc.cfg
+		if n := testing.AllocsPerRun(100, func() { _ = cfg.Key() }); n != 0 {
+			t.Errorf("%s: Key makes %v allocations, want 0", tc.name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = cfg.FrontKey() }); n != 0 {
+			t.Errorf("%s: FrontKey makes %v allocations, want 0", tc.name, n)
+		}
+	}
+}

@@ -173,70 +173,58 @@ func TestKeyVersionNeverAliasesRetired(t *testing.T) {
 	l2 := c.Hierarchy()[0].Geom
 
 	// Shared tails of the retired encodings.
-	writeFront := func(w keyWriter) {
-		w.str(c.Benchmark)
-		w.u64(c.Instructions)
-		w.u64(uint64(c.Engine))
-		w.i(c.CPU.Width)
-		w.i(c.CPU.ROBEntries)
-		w.i(c.CPU.LSQEntries)
-		w.u64(c.CPU.DecodeLatency)
-		w.u64(c.CPU.MispredictPenalty)
-		w.cacheSpec(c.DCache)
-		w.cacheSpec(c.ICache)
+	writeFront := func(e keyEnc) keyEnc {
+		return e.str(c.Benchmark).
+			u64(c.Instructions).
+			u64(uint64(c.Engine)).
+			i(c.CPU.Width).
+			i(c.CPU.ROBEntries).
+			i(c.CPU.LSQEntries).
+			u64(c.CPU.DecodeLatency).
+			u64(c.CPU.MispredictPenalty).
+			cacheSpec(c.DCache).
+			cacheSpec(c.ICache)
 	}
-	writeEnergies := func(w keyWriter) {
-		w.f64(c.Energy.PrechargePJPerBit)
-		w.f64(c.Energy.BitlinePJPerBit)
-		w.f64(c.Energy.WordlinePJPerBit)
-		w.f64(c.Energy.SensePJPerBit)
-		w.f64(c.Energy.DecodePJPerSubarray)
-		w.f64(c.Energy.ComparePJPerBit)
-		w.f64(c.Energy.OutputPJPerBit)
-		w.f64(c.Energy.ClockPJPerSubarray)
-		w.f64(c.Energy.LeakagePJPerBytePerCycle)
-		w.f64(c.Core.DecodePJ)
-		w.f64(c.Core.ROBWritePJ)
-		w.f64(c.Core.LSQWritePJ)
-		w.f64(c.Core.RegReadPJ)
-		w.f64(c.Core.RegWritePJ)
-		w.f64(c.Core.IntALUPJ)
-		w.f64(c.Core.FPALUPJ)
-		w.f64(c.Core.BpredPJ)
-		w.f64(c.Core.BTBPJ)
-		w.f64(c.Core.RASPJ)
-		w.f64(c.Core.ResultBusPJ)
-		w.f64(c.Core.ClockPJ)
+	writeEnergies := func(e keyEnc) keyEnc {
+		return e.f64(c.Energy.PrechargePJPerBit).
+			f64(c.Energy.BitlinePJPerBit).
+			f64(c.Energy.WordlinePJPerBit).
+			f64(c.Energy.SensePJPerBit).
+			f64(c.Energy.DecodePJPerSubarray).
+			f64(c.Energy.ComparePJPerBit).
+			f64(c.Energy.OutputPJPerBit).
+			f64(c.Energy.ClockPJPerSubarray).
+			f64(c.Energy.LeakagePJPerBytePerCycle).
+			f64(c.Core.DecodePJ).
+			f64(c.Core.ROBWritePJ).
+			f64(c.Core.LSQWritePJ).
+			f64(c.Core.RegReadPJ).
+			f64(c.Core.RegWritePJ).
+			f64(c.Core.IntALUPJ).
+			f64(c.Core.FPALUPJ).
+			f64(c.Core.BpredPJ).
+			f64(c.Core.BTBPJ).
+			f64(c.Core.RASPJ).
+			f64(c.Core.ResultBusPJ).
+			f64(c.Core.ClockPJ)
 	}
 
-	h1 := sha256.New()
-	w1 := keyWriter{h: h1}
-	w1.u64(1) // keyVersion 1
-	writeFront(w1)
-	w1.geometry(l2.SizeBytes, l2.Assoc, l2.BlockBytes, l2.SubarrayBytes) // v1: bare L2 geometry
-	w1.i(c.MSHREntries)
-	w1.i(c.WritebackEntries)
-	writeEnergies(w1)
-	var v1 Key
-	h1.Sum(v1[:0])
+	e1 := writeFront(keyEnc(nil).u64(1))                        // keyVersion 1
+	e1 = e1.geometry(l2).i(c.MSHREntries).i(c.WritebackEntries) // v1: bare L2 geometry
+	v1 := Key(sha256.Sum256(writeEnergies(e1)))
 
-	h2 := sha256.New()
-	w2 := keyWriter{h: h2}
-	w2.u64(2) // keyVersion 2
-	writeFront(w2)
-	w2.i(len(c.Levels)) // v2: hierarchy as data, no sampling fields
+	e2 := writeFront(keyEnc(nil).u64(2)) // keyVersion 2
+	e2 = e2.i(len(c.Levels))             // v2: hierarchy as data, no sampling fields
 	for _, l := range c.Levels {
-		w2.cacheSpec(l.CacheSpec)
-		w2.u64(uint64(l.Precharge))
-		w2.i(l.MSHREntries)
-		w2.i(l.WritebackEntries)
+		e2 = e2.cacheSpec(l.CacheSpec).
+			u64(uint64(l.Precharge)).
+			i(l.MSHREntries).
+			i(l.WritebackEntries)
 	}
-	w2.geometry(c.L2Geom.SizeBytes, c.L2Geom.Assoc, c.L2Geom.BlockBytes, c.L2Geom.SubarrayBytes)
-	w2.i(c.MSHREntries)
-	w2.i(c.WritebackEntries)
-	writeEnergies(w2)
-	var v2 Key
-	h2.Sum(v2[:0])
+	e2 = e2.geometry(c.L2Geom).
+		i(c.MSHREntries).
+		i(c.WritebackEntries)
+	v2 := Key(sha256.Sum256(writeEnergies(e2)))
 
 	cur := Default("gcc").Key()
 	if v1 == cur {

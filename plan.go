@@ -253,17 +253,17 @@ func (s *Session) Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan 
 		return out
 	}
 
-	var specs []experiment.SweepSpec
-	for _, sc := range plan.scenarios {
-		// A spec error is only possible for a scenario that bypassed
-		// normalize; its simulate gather reports it as that scenario's
-		// Result.Err, so the enqueue pass just skips it.
-		if scSpecs, err := sc.sweepSpecs(); err == nil {
-			specs = append(specs, scSpecs...)
-		}
+	// Resolve every scenario's sweeps once: the enqueue pass and the
+	// scenario's gather share them, so each sweep is fingerprinted once.
+	sweeps := make([][]experiment.Sweep, plan.Len())
+	errs := make([]error, plan.Len())
+	var all []experiment.Sweep
+	for i, sc := range plan.scenarios {
+		sweeps[i], errs[i] = sc.sweeps()
+		all = append(all, sweeps[i]...)
 	}
 	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	_, waitEnqueued := experiment.EnqueueSweeps(enqCtx, specs, experiment.Options{Runner: s.r})
+	_, waitEnqueued := experiment.EnqueueSweeps(enqCtx, all, experiment.Options{Runner: s.r})
 
 	total := plan.Len()
 	var wg sync.WaitGroup
@@ -273,8 +273,10 @@ func (s *Session) Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan 
 		wg.Add(1)
 		go func(i int, sc Scenario) {
 			defer wg.Done()
-			o, err := simulate(ctx, sc, s.r)
-			res := Result{Index: i, Scenario: sc, Outcome: o, Err: err}
+			res := Result{Index: i, Scenario: sc, Err: errs[i]}
+			if res.Err == nil {
+				res.Outcome, res.Err = gather(ctx, sc, sweeps[i], s.r)
+			}
 			mu.Lock()
 			completed++
 			if ro.onResult != nil {

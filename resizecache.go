@@ -485,10 +485,8 @@ func (sc Scenario) resizesI() bool  { return sc.Sides == BothSides || sc.Sides =
 func (sc Scenario) resizesL2() bool { return sc.L2.Organization != NonResizable }
 
 // sweepSpecs lists the profiling sweeps a normalized scenario gathers —
-// one per resized cache. Plan execution enqueues these up front;
-// simulate gathers the same specs, so the fingerprints agree by
-// construction. The error is non-nil only for a scenario that bypassed
-// normalize (an invalid hierarchy).
+// one per resized cache. The error is non-nil only for a scenario that
+// bypassed normalize (an invalid hierarchy).
 func (sc Scenario) sweepSpecs() ([]experiment.SweepSpec, error) {
 	opts := sc.experimentOptions(nil)
 	base, err := sc.baseSimConfig(opts)
@@ -509,6 +507,24 @@ func (sc Scenario) sweepSpecs() ([]experiment.SweepSpec, error) {
 			Org: sc.L2.Organization, Dynamic: sc.L2.Strategy == Dynamic, Base: base})
 	}
 	return specs, nil
+}
+
+// sweeps resolves the scenario's sweepSpecs, fingerprinting each once.
+// Plan execution hands the same resolved sweeps to its enqueue pass and
+// to the scenario's gather, so the two agree by construction and a warm
+// sweep is fingerprinted once per plan.
+func (sc Scenario) sweeps() ([]experiment.Sweep, error) {
+	specs, err := sc.sweepSpecs()
+	if err != nil {
+		return nil, err
+	}
+	sweeps := make([]experiment.Sweep, len(specs))
+	for i, spec := range specs {
+		if sweeps[i], err = spec.Resolve(); err != nil {
+			return nil, err
+		}
+	}
+	return sweeps, nil
 }
 
 // EnergyShares is a processor energy breakdown in percent of total:
@@ -792,6 +808,16 @@ func simulate(ctx context.Context, sc Scenario, r *runner.Runner) (Outcome, erro
 	if err != nil {
 		return Outcome{}, err
 	}
+	sweeps, err := sc.sweeps()
+	if err != nil {
+		return Outcome{}, err
+	}
+	return gather(ctx, sc, sweeps, r)
+}
+
+// gather runs (or resolves) a normalized scenario's resolved sweeps and
+// combines their winners into its Outcome.
+func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runner.Runner) (Outcome, error) {
 	exec := r
 	if exec == nil {
 		exec = runner.Default()
@@ -807,18 +833,14 @@ func simulate(ctx context.Context, sc Scenario, r *runner.Runner) (Outcome, erro
 	// Profile each resizing cache alone (the paper's decoupled-profiling
 	// protocol, extended over the hierarchy), recording the per-cache
 	// outcome fields as the sweeps complete.
-	specs, err := sc.sweepSpecs()
-	if err != nil {
-		return Outcome{}, err
-	}
 	var out Outcome
-	var parts []experiment.Best
-	for _, spec := range specs {
-		best, err := experiment.BestSpecContext(ctx, spec, opts)
+	parts := make([]experiment.Best, 0, len(sweeps))
+	for _, sw := range sweeps {
+		best, err := sw.Best(ctx, opts)
 		if err != nil {
 			return Outcome{}, err
 		}
-		switch spec.Side {
+		switch sw.Spec.Side {
 		case experiment.DSide:
 			out.DCacheSizeReductionPct = best.SizeReductionPct()
 			out.DChosen = best.Desc

@@ -1,0 +1,89 @@
+package resizecache
+
+import (
+	"context"
+	"sync/atomic"
+	"testing"
+
+	"resizecache/internal/runner"
+	"resizecache/internal/sim"
+)
+
+// artifactLookupCounter counts artifact lookups reaching a store.
+type artifactLookupCounter struct {
+	runner.Store
+	n atomic.Int64
+}
+
+func (s *artifactLookupCounter) LookupArtifact(k sim.Key) ([]byte, bool) {
+	s.n.Add(1)
+	return s.Store.LookupArtifact(k)
+}
+
+// stubbedStoreSession is stubbedSession over a persistent store.
+func stubbedStoreSession(store runner.Store) *Session {
+	runGang := func(cfgs []sim.Config) ([]sim.Result, error) {
+		out := make([]sim.Result, len(cfgs))
+		for i, cfg := range cfgs {
+			out[i] = stubResult(cfg)
+		}
+		return out, nil
+	}
+	return &Session{r: runner.New(runner.Options{Workers: 4, RunGang: runGang, Store: store}), store: store}
+}
+
+// TestWarmPlanLooksUpEachSweepOnce: a warm plan on a fresh session
+// fetches each sweep's artifact from the store exactly once — the
+// enqueue pass's probe promotes it, and the gather resolves from memory.
+func TestWarmPlanLooksUpEachSweepOnce(t *testing.T) {
+	plan, err := PlanOf(
+		Scenario{Benchmark: "m88ksim", Organization: SelectiveSets, Sides: DOnly, Instructions: 50_000},
+		Scenario{Benchmark: "m88ksim", Organization: SelectiveSets, Strategy: Dynamic,
+			Sides: BothSides, Instructions: 50_000},
+		Scenario{Benchmark: "vpr", Organization: SelectiveWays, Sides: IOnly, Instructions: 50_000},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sweeps = 4 // d static; d and i dynamic; i static
+	mem := runner.NewMemStore()
+	if _, err := Collect(stubbedStoreSession(mem).Run(context.Background(), plan)); err != nil {
+		t.Fatal(err)
+	}
+
+	store := &artifactLookupCounter{Store: mem}
+	s := stubbedStoreSession(store)
+	if _, err := Collect(s.Run(context.Background(), plan)); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.n.Load(); n != sweeps {
+		t.Errorf("warm plan made %d artifact lookups, want %d (one per sweep)", n, sweeps)
+	}
+	if st := s.Stats(); st.Runs != 0 || st.ArtifactStoreHits != sweeps || st.ArtifactComputes != 0 {
+		t.Errorf("warm plan stats = %+v, want 0 runs, %d artifact store hits, 0 computes", st, sweeps)
+	}
+}
+
+// TestWarmSimulateAllocs bounds the allocations of a warm Simulate of
+// a dynamic both-sides scenario: fingerprinting its two 211-config
+// sweeps, decoding their cached winners and the combined run's memo
+// hit. The fingerprints allocate a few times per sweep, not per config:
+// the whole call measured 44 allocations, against 37,360 when every
+// config key allocated and every sweep was materialized.
+func TestWarmSimulateAllocs(t *testing.T) {
+	s := stubbedStoreSession(nil)
+	sc := Scenario{Benchmark: "gcc", Organization: Hybrid, Strategy: Dynamic,
+		Sides: BothSides, Instructions: 50_000}
+	if _, err := s.Simulate(sc); err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(20, func() {
+		if _, err := s.Simulate(sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 64
+	if n > bound {
+		t.Errorf("warm Simulate makes %v allocations, want at most %d", n, bound)
+	}
+}
