@@ -19,7 +19,6 @@ package benchsuite
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -238,12 +237,10 @@ func WorkloadGenerator(b *testing.B) {
 // the unit every memo lookup and sweep fingerprint is built from.
 func ConfigKey(b *testing.B) {
 	cfg := sim.Default("gcc")
-	var k sim.Key
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k = cfg.Key()
+	for b.Loop() {
+		cfg.Key()
 	}
-	_ = k
 }
 
 // WarmSweepSpec is the largest sweep of the benchmark grid: a dynamic
@@ -259,43 +256,26 @@ func WarmSweepSpec() experiment.SweepSpec {
 func SweepKey(b *testing.B) {
 	spec := WarmSweepSpec()
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := spec.ArtifactKey(); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// warmSession is a Session that has run WarmScenario once, shared by
-// every WarmSimulate invocation so the cold set-up runs once.
-var warmSession struct {
-	once sync.Once
-	s    *resizecache.Session
-	err  error
-}
-
-// WarmScenario is a dynamic both-sides scenario: two 211-config hybrid
-// sweeps and one combined run.
-func WarmScenario() resizecache.Scenario {
-	return resizecache.Scenario{Benchmark: "vpr", Organization: resizecache.Hybrid,
-		Strategy: resizecache.Dynamic, Sides: resizecache.BothSides, Instructions: 20_000}
-}
-
-// WarmSimulate times a warm Session.Simulate of WarmScenario: zero
-// simulations, two sweep fingerprints, two cached winners decoded and
-// one memo hit for the combined run.
+// WarmSimulate times a warm Session.Simulate of a dynamic both-sides
+// scenario: zero simulations, two 211-config sweep fingerprints, two
+// cached winners decoded and one memo hit for the combined run. The
+// untimed cold run before the loop warms the session.
 func WarmSimulate(b *testing.B) {
-	warmSession.once.Do(func() {
-		warmSession.s = resizecache.NewSession()
-		_, warmSession.err = warmSession.s.Simulate(WarmScenario())
-	})
-	if warmSession.err != nil {
-		b.Fatal(warmSession.err)
+	s := resizecache.NewSession()
+	sc := resizecache.Scenario{Benchmark: "vpr", Organization: resizecache.Hybrid,
+		Strategy: resizecache.Dynamic, Sides: resizecache.BothSides, Instructions: 20_000}
+	if _, err := s.Simulate(sc); err != nil {
+		b.Fatal(err)
 	}
-	s, sc := warmSession.s, WarmScenario()
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := s.Simulate(sc); err != nil {
 			b.Fatal(err)
 		}

@@ -12,7 +12,7 @@
 // the non-resizable baseline every sweep compares against — simulate at
 // most once per runner, and a plan's sweeps can be enqueued up front in
 // one batched pass (EnqueueSweeps) so gathers join in-flight work. On
-// top of that, every winner-selection sweep (BestSpec and the
+// top of that, every winner-selection sweep (Sweep.Best and the
 // sensitivity variants) memoizes its outcome as a sweep-level artifact
 // (see artifact.go), so a driver repeating a grid another figure
 // already profiled resolves the whole sweep — not just its simulations
@@ -318,7 +318,7 @@ func (s SweepSpec) ArtifactKey() (sim.Key, error) {
 // every config through one scratch config; the []sim.Config batch is
 // built only on the cold path. Obtain a Sweep from Resolve.
 type Sweep struct {
-	Spec  SweepSpec
+	spec  SweepSpec
 	sched core.Schedule
 	key   sim.Key
 }
@@ -337,18 +337,18 @@ func (s SweepSpec) Resolve() (Sweep, error) {
 	if err != nil {
 		return Sweep{}, err
 	}
-	sw := Sweep{Spec: s, sched: sched}
+	sw := Sweep{spec: s, sched: sched}
 	sw.key = sw.artifactKey()
 	return sw, nil
 }
 
-// Key is the sweep's artifact fingerprint (see SweepSpec.ArtifactKey).
-func (sw Sweep) Key() sim.Key { return sw.key }
+// Spec returns the spec the sweep was resolved from.
+func (sw Sweep) Spec() SweepSpec { return sw.spec }
 
 // policies yields every candidate's policy for the resized cache, in
 // batch order (the baseline, which runs first, has none).
 func (sw Sweep) policies(yield func(sim.PolicySpec) bool) {
-	if !sw.Spec.Dynamic {
+	if !sw.spec.Dynamic {
 		for i := range sw.sched.Points {
 			if !yield(sim.PolicySpec{Kind: sim.PolicyStatic, StaticIndex: i}) {
 				return
@@ -356,7 +356,7 @@ func (sw Sweep) policies(yield func(sim.PolicySpec) bool) {
 		}
 		return
 	}
-	dynamicCandidates(sw.sched, sw.Spec.Side == L2Side, func(p DynamicParams) bool {
+	dynamicCandidates(sw.sched, sw.spec.Side == L2Side, func(p DynamicParams) bool {
 		return yield(sim.PolicySpec{Kind: sim.PolicyDynamic, Interval: p.Interval,
 			MissBound: p.MissBound, SizeBoundBytes: p.SizeBoundBytes,
 			UpsizeHoldIntervals: p.UpsizeHold})
@@ -365,21 +365,21 @@ func (sw Sweep) policies(yield func(sim.PolicySpec) bool) {
 
 // candidate is the resized cache's spec under one candidate policy.
 func (sw Sweep) candidate(p sim.PolicySpec) sim.CacheSpec {
-	return sim.CacheSpec{Geom: sw.sched.Geom, Org: sw.Spec.Org, Policy: p}
+	return sim.CacheSpec{Geom: sw.sched.Geom, Org: sw.spec.Org, Policy: p}
 }
 
 // artifactKey fingerprints the sweep (sweepArtifactKey over its batch)
 // by streaming the candidates through one scratch config instead of
 // materializing the batch.
 func (sw Sweep) artifactKey() sim.Key {
-	b := newSweepKeyBuilder(sw.Spec.kind())
-	b.RawKey(sw.Spec.Base.Key())
-	cfg := sw.Spec.Base
-	if sw.Spec.Side == L2Side {
+	b := newSweepKeyBuilder(sw.spec.kind())
+	b.RawKey(sw.spec.Base.Key())
+	cfg := sw.spec.Base
+	if sw.spec.Side == L2Side {
 		applySide(&cfg, L2Side, sw.candidate(sim.PolicySpec{})) // a private hierarchy to rewrite
 	}
 	for p := range sw.policies {
-		setSide(&cfg, sw.Spec.Side, sw.candidate(p))
+		setSide(&cfg, sw.spec.Side, sw.candidate(p))
 		b.RawKey(cfg.Key())
 	}
 	return b.Sum()
@@ -395,11 +395,11 @@ func (sw Sweep) configs() ([]sim.Config, []sim.PolicySpec) {
 		n++
 	}
 	cfgs := make([]sim.Config, 1, 1+n)
-	cfgs[0] = sw.Spec.Base
+	cfgs[0] = sw.spec.Base
 	pols := make([]sim.PolicySpec, 0, n)
 	for p := range sw.policies {
-		cfg := sw.Spec.Base
-		applySide(&cfg, sw.Spec.Side, sw.candidate(p))
+		cfg := sw.spec.Base
+		applySide(&cfg, sw.spec.Side, sw.candidate(p))
 		cfgs = append(cfgs, cfg)
 		pols = append(pols, p)
 	}
@@ -447,7 +447,7 @@ func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 		bestIdx := pickBest(res)
 		p := pols[bestIdx-1]
 		return Best{
-			App: sw.Spec.App, Side: sw.Spec.Side, Org: sw.Spec.Org,
+			App: sw.spec.App, Side: sw.spec.Side, Org: sw.spec.Org,
 			Desc: sw.describe(p), Spec: p,
 			Chosen: res[bestIdx],
 			Base:   res[0],

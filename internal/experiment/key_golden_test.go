@@ -64,8 +64,8 @@ func TestSweepKeyMatchesDefinition(t *testing.T) {
 				if len(cfgs) != len(pols)+1 || cfgs[0].Key() != spec.Base.Key() {
 					t.Fatalf("%v/%v/%v: batch of %d configs for %d candidates", side, org, dynamic, len(cfgs), len(pols))
 				}
-				if want := sweepArtifactKey(spec.kind(), cfgs); sw.Key() != want {
-					t.Errorf("%v/%v/%v: streamed key %v, materialized batch %v", side, org, dynamic, sw.Key(), want)
+				if want := sweepArtifactKey(spec.kind(), cfgs); sw.key != want {
+					t.Errorf("%v/%v/%v: streamed key %v, materialized batch %v", side, org, dynamic, sw.key, want)
 				}
 			}
 		}

@@ -160,6 +160,11 @@ func TestKeyGolden(t *testing.T) {
 		if got[1] != w[1] {
 			t.Errorf("%s: FrontKey = %s, pinned %s", tc.name, got[1], w[1])
 		}
+		// Key applies Canonical's normal form while encoding; the two
+		// must agree.
+		if canon := tc.cfg.Canonical().Key().String(); canon != got[0] {
+			t.Errorf("%s: Canonical().Key() = %s, Key() = %s", tc.name, canon, got[0])
+		}
 	}
 
 	b := NewKeyBuilder("golden").Str("gcc").Int(-7).U64(1 << 40).Str("").

@@ -840,7 +840,7 @@ func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runn
 		if err != nil {
 			return Outcome{}, err
 		}
-		switch sw.Spec.Side {
+		switch sw.Spec().Side {
 		case experiment.DSide:
 			out.DCacheSizeReductionPct = best.SizeReductionPct()
 			out.DChosen = best.Desc
