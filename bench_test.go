@@ -54,6 +54,7 @@ func BenchmarkFigureL2Resizing(b *testing.B)        { benchsuite.FigureL2Resizin
 
 func BenchmarkSimRun(b *testing.B)              { benchsuite.SimRun(b) }
 func BenchmarkSimSampled(b *testing.B)          { benchsuite.SimSampled(b) }
+func BenchmarkSimSampledStreams(b *testing.B)   { benchsuite.SimSampledStreams(b) }
 func BenchmarkSimRunDeepHierarchy(b *testing.B) { benchsuite.SimRunDeepHierarchy(b) }
 func BenchmarkSimInOrder(b *testing.B)          { benchsuite.SimInOrder(b) }
 func BenchmarkSweepGang(b *testing.B)           { benchsuite.SweepGang(b) }

@@ -57,6 +57,7 @@ func All() []Bench {
 	return []Bench{
 		{Name: "SimRun", Short: true, F: SimRun},
 		{Name: "SimSampled", Short: true, F: SimSampled},
+		{Name: "SimSampledStreams", Short: true, F: SimSampledStreams},
 		{Name: "SimRunDeepHierarchy", Short: true, F: SimRunDeepHierarchy},
 		{Name: "SimInOrder", Short: true, F: SimInOrder},
 		{Name: "SweepGang", Short: true, F: SweepGang},
@@ -165,6 +166,52 @@ func SimSampled(b *testing.B) {
 		b.ReportMetric(100*last.Sample.EDPRelStdErr, "edp_relse_pct")
 	}
 	b.ReportMetric(float64(cfg.Instructions), "instrs/op")
+}
+
+// SimSampledStreams times an 8-member sampled gang at 250K
+// instructions (the default sampling schedule) replaying a warm
+// sim.Streams memo, its warmup checkpoint in an in-memory store: the
+// steady state of a sampled design-space sweep, where every gang after
+// a stream's second replays its recording. replay_speedup_x is the
+// multiplier over the same gang on a live generator, averaged over
+// three untimed runs each invocation.
+func SimSampledStreams(b *testing.B) {
+	cfgs := SweepGangConfigs()
+	for i := range cfgs {
+		cfgs[i].Instructions = 250_000
+		cfgs[i].Sampling = sim.DefaultSampling()
+	}
+	// A memo records a stream on its second request; the first saves
+	// the warmup checkpoint every later run restores.
+	store := runner.NewMemStore()
+	streams := sim.NewStreams(1)
+	for i := 0; i < 2; i++ {
+		if _, _, err := streams.RunGang(cfgs, store); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const liveRuns = 3
+	liveStart := time.Now()
+	for i := 0; i < liveRuns; i++ {
+		if _, _, err := sim.RunGangWithCheckpoints(cfgs, store); err != nil {
+			b.Fatal(err)
+		}
+	}
+	liveNs := float64(time.Since(liveStart).Nanoseconds()) / liveRuns
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	replayStart := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := streams.RunGang(cfgs, store); err != nil {
+			b.Fatal(err)
+		}
+	}
+	replayNs := float64(time.Since(replayStart).Nanoseconds()) / float64(b.N)
+	if replayNs > 0 {
+		b.ReportMetric(liveNs/replayNs, "replay_speedup_x")
+	}
+	b.ReportMetric(float64(len(cfgs))*float64(cfgs[0].Instructions), "instrs/op")
 }
 
 // SweepGangConfigs returns the 8-configuration same-benchmark sweep the

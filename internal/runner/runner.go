@@ -275,13 +275,14 @@ func New(opts Options) *Runner {
 		artifacts: make(map[sim.Key]*artifactEntry),
 	}
 	if r.runGang == nil {
-		// The default entry point replays each repeated workload stream
-		// from one recording per runner; every worker replays one stream
-		// at a time, so tracking a stream per worker covers the streams
-		// in use. It is checkpoint-aware: sampled configs with a warmup
-		// prefix restore (or record) their warm state through the
-		// Runner's store, so configs sharing a front-end skip warmup —
-		// including across processes when the store persists.
+		// The default entry point replays each repeated workload stream,
+		// detailed or sampled, from one recording per runner; the memo
+		// holds up to 4 MiB of recordings per worker, whatever the
+		// number of streams that is. It is checkpoint-aware: sampled
+		// configs with a warmup prefix restore (or record) their warm
+		// state through the Runner's store, so configs sharing a
+		// front-end skip warmup — including across processes when the
+		// store persists.
 		streams := sim.NewStreams(workers)
 		r.runGang = func(cfgs []sim.Config) ([]sim.Result, error) {
 			out, ws, err := streams.RunGang(cfgs, r.checkpointTier())

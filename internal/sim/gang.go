@@ -5,6 +5,7 @@ import (
 
 	"resizecache/internal/bpred"
 	"resizecache/internal/cpu"
+	"resizecache/internal/workload"
 )
 
 // gangChunk bounds how many machines one engine pass drives. Chunking
@@ -42,8 +43,8 @@ func RunGangWithCheckpoints(cfgs []Config, cs CheckpointStore) ([]Result, Warmup
 	return runGang(cfgs, cs, nil)
 }
 
-// runGang is RunGangWithCheckpoints with the detailed path's streams
-// drawn from streams (live generators when nil).
+// runGang is RunGangWithCheckpoints with every chunk's stream drawn
+// from streams (live generators when nil).
 func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, WarmupStats, error) {
 	if len(cfgs) == 0 {
 		return nil, WarmupStats{}, nil
@@ -64,7 +65,11 @@ func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, War
 				cfgs[0].Benchmark, cfgs[0].Instructions, cfgs[0].Engine, cfgs[0].CPU, cfgs[0].Sampling)
 		}
 	}
+	return runGangOver(cfgs, prof, cs, streams)
+}
 
+// runGangOver runs a validated gang over prof's stream.
+func runGangOver(cfgs []Config, prof *workload.Profile, cs CheckpointStore, streams *Streams) ([]Result, WarmupStats, error) {
 	machines := make([]*machine, len(cfgs))
 	members := make([]cpu.GangMember, len(cfgs))
 	for i, cfg := range cfgs {
@@ -85,6 +90,7 @@ func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, War
 		if err != nil {
 			return nil, ws, err
 		}
+		st := streams.stream(prof, cfg0.Instructions, cfg0.Sampling)
 		if cfg0.Sampling.Enabled() {
 			// Chunk 0's warmup populates the checkpoint store (when one
 			// is provided), so later chunks restore it instead of
@@ -94,12 +100,12 @@ func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, War
 			if lo > 0 {
 				chunkWS = new(WarmupStats)
 			}
-			if err := runSampled(cfgs[lo:hi], prof, machines[lo:hi], eng, cs, chunkWS, out[lo:hi]); err != nil {
+			if err := runSampled(cfgs[lo:hi], prof, st, machines[lo:hi], eng, cs, chunkWS, out[lo:hi]); err != nil {
 				return nil, ws, err
 			}
 			continue
 		}
-		rs := eng.RunWindow(streams.source(prof, cfg0.Instructions), cfg0.Instructions, nil)
+		rs := eng.RunWindow(st.src, cfg0.Instructions, nil)
 		for i, r := range rs {
 			out[lo+i] = machines[lo+i].finish(cfgs[lo+i], r)
 		}

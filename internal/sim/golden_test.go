@@ -112,19 +112,24 @@ func TestGoldenResults(t *testing.T) {
 }
 
 // TestGoldenResultsFromRecordedStreams: the fixtures hold when every
-// config replays a recorded stream from a memo, as a runner's default
-// entry points do. Each config runs twice, since a memo records a
-// stream on its second request; the one-stream memo makes each config
-// evict the previous stream.
+// config — detailed or sampled — replays a recorded stream from a memo,
+// as a runner's default entry points do. Each config runs twice, since
+// a memo records a stream on its second request, and the second run
+// must have been served a recording. The limit-1 memo holds 4 MiB, a
+// stream or two, so later configs evict earlier streams.
 func TestGoldenResultsFromRecordedStreams(t *testing.T) {
 	s := NewStreams(1)
 	got, gotJSON := goldenRun(t, func(cfg Config) (Result, error) {
 		if _, _, err := s.RunGang([]Config{cfg}, nil); err != nil {
 			return Result{}, err
 		}
+		before := s.replays.Load()
 		res, _, err := s.RunGang([]Config{cfg}, nil)
 		if err != nil {
 			return Result{}, err
+		}
+		if s.replays.Load() == before {
+			t.Errorf("%s/%d: the memo served no recording", cfg.Benchmark, cfg.Instructions)
 		}
 		return res[0], nil
 	})

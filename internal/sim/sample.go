@@ -169,12 +169,13 @@ func decodeCheckpoint(data []byte) (checkpointPayload, error) {
 }
 
 // warmupWithCheckpoint runs the warmup prefix: on a store hit it
-// restores the generator and front-end instead of stepping them; on a
-// miss it computes the warm state and records it. Any undecodable or
-// shape-mismatched stored payload falls back to a cold warmup (and is
-// overwritten), so a corrupt store can never fail a run. Returns the
+// restores the stream position and front-end instead of stepping them;
+// on a miss it computes the warm state and records it. Any
+// undecodable, shape-mismatched, or wrong-length stored payload falls
+// back to a cold warmup (and is overwritten), so a corrupt store can
+// never fail a run or move a replay off its recording. Returns the
 // instructions the prefix consumed.
-func warmupWithCheckpoint(cfg Config, eng *cpu.Gang, gen *workload.Generator, cs CheckpointStore, ws *WarmupStats) uint64 {
+func warmupWithCheckpoint(cfg Config, prof *workload.Profile, eng *cpu.Gang, st stream, cs CheckpointStore, ws *WarmupStats) uint64 {
 	want := cfg.Sampling.WarmupInstructions
 	if want == 0 {
 		return 0
@@ -182,23 +183,24 @@ func warmupWithCheckpoint(cfg Config, eng *cpu.Gang, gen *workload.Generator, cs
 	key := cfg.WarmKey()
 	if cs != nil {
 		if data, ok := cs.LookupArtifact(key); ok {
-			if p, err := decodeCheckpoint(data); err == nil {
+			// A valid prefix consumed exactly what the stream holds of it.
+			if p, err := decodeCheckpoint(data); err == nil && p.Consumed == min(want, streamLen(prof)) {
 				if err := eng.RestoreFrontEnd(p.Front); err == nil {
-					gen.Restore(p.Gen)
+					st.resume(p)
 					ws.CheckpointHit = true
 					return p.Consumed
 				}
 			}
 		}
 	}
-	n := eng.WarmupFrontEnd(gen, want)
+	n := eng.WarmupFrontEnd(st.src, want)
 	if cs != nil {
 		front, err := eng.SnapshotFrontEnd()
 		if err == nil {
 			data, err := json.Marshal(checkpointPayload{
 				Version:  checkpointFormatVersion,
 				Consumed: n,
-				Gen:      gen.Snapshot(),
+				Gen:      st.warmState(),
 				Front:    front,
 			})
 			if err == nil {
@@ -403,56 +405,91 @@ func relStdErr(samples []float64) float64 {
 	return se / mean
 }
 
-// runSampled runs one chunk of a sampled gang: the warmup prefix
-// (checkpointed), then alternating detailed and fast-forward windows
-// until the instruction budget (or the stream) is exhausted, writing
-// member i's Result to out[i]. The chunk drives its own live generator,
-// never a recording: an owned generator is what lets it Skip the
-// inter-window gaps in O(1).
-func runSampled(cfgs []Config, prof *workload.Profile, machines []*machine, eng *cpu.Gang, cs CheckpointStore, ws *WarmupStats, out []Result) error {
-	cfg0 := cfgs[0]
-	spec := cfg0.Sampling
-	gen := workload.NewGenerator(prof)
-	consumed := warmupWithCheckpoint(cfg0, eng, gen, cs, ws)
+// sampleSteps are the moves a sampling schedule makes over one
+// stream. Each consumes up to n instructions and returns how many it
+// consumed.
+type sampleSteps interface {
+	window(n uint64) uint64
+	skip(n uint64) uint64
+	fastForward(n uint64) uint64
+}
 
-	accs := make([]windowAccum, len(cfgs))
-	for i := range accs {
-		accs[i].m = machines[i]
-	}
-	base := make([]uint64, len(cfgs))
-	total := consumed
-	for total < cfg0.Instructions {
-		rs := eng.RunWindow(gen, min(spec.DetailedInstructions, cfg0.Instructions-total), base)
-		if rs[0].Instructions == 0 {
+// sampleSchedule is the one sampling schedule, driven from stream
+// position at (the end of the warmup prefix) to the instruction budget
+// or the end of the stream: a measured window, then the gap to the next
+// window — an optional O(1) skip, then functional warming right before
+// the measurement so the window sees representative cache and predictor
+// state — and again. A sampled run drives it with the engine, a
+// recording pass with a recorder, and a dry pass with a counter that
+// sizes the recording. Returns the stream position reached.
+func sampleSchedule(spec SamplingSpec, budget, at uint64, st sampleSteps) uint64 {
+	total := at
+	for total < budget {
+		n := st.window(min(spec.DetailedInstructions, budget-total))
+		if n == 0 {
 			break // stream exhausted
 		}
-		total += rs[0].Instructions
-		for i := range accs {
-			accs[i].observe(cfgs[i], rs[i])
-			base[i] = rs[i].Cycles
-		}
-		if total >= cfg0.Instructions {
+		total += n
+		if total >= budget {
 			break
 		}
-		// Gap to the next window: optional O(1) skip, then functional
-		// warming right before the measurement so the window sees
-		// representative cache and predictor state.
-		if sk := min(spec.SkipInstructions, cfg0.Instructions-total); sk > 0 {
-			n := gen.Skip(sk)
+		if sk := min(spec.SkipInstructions, budget-total); sk > 0 {
+			n := st.skip(sk)
 			total += n
 			if n < sk {
 				break // stream exhausted
 			}
 		}
-		ff := min(spec.FastForwardInstructions, cfg0.Instructions-total)
-		n := eng.FastForward(gen, ff)
+		ff := min(spec.FastForwardInstructions, budget-total)
+		n = st.fastForward(ff)
 		total += n
 		if n < ff {
 			break // stream exhausted; nothing left for another window
 		}
 	}
-	for i := range accs {
-		res, err := accs[i].finish(cfgs[i], total, consumed)
+	return total
+}
+
+// chunkSteps are a sampled chunk's moves: detailed windows measured into
+// every member's windowAccum, skips on the stream, fast-forwards through
+// the engine.
+type chunkSteps struct {
+	cfgs []Config
+	eng  *cpu.Gang
+	src  workload.SkipSource
+	accs []windowAccum
+	base []uint64
+}
+
+func (c *chunkSteps) window(n uint64) uint64 {
+	rs := c.eng.RunWindow(c.src, n, c.base)
+	if rs[0].Instructions == 0 {
+		return 0
+	}
+	for i := range c.accs {
+		c.accs[i].observe(c.cfgs[i], rs[i])
+		c.base[i] = rs[i].Cycles
+	}
+	return rs[0].Instructions
+}
+
+func (c *chunkSteps) skip(n uint64) uint64        { return c.src.Skip(n) }
+func (c *chunkSteps) fastForward(n uint64) uint64 { return c.eng.FastForward(c.src, n) }
+
+// runSampled runs one chunk of a sampled gang over st: the warmup
+// prefix (checkpointed), then the sampling schedule, writing member i's
+// Result to out[i].
+func runSampled(cfgs []Config, prof *workload.Profile, st stream, machines []*machine, eng *cpu.Gang, cs CheckpointStore, ws *WarmupStats, out []Result) error {
+	cfg0 := cfgs[0]
+	consumed := warmupWithCheckpoint(cfg0, prof, eng, st, cs, ws)
+	c := &chunkSteps{cfgs: cfgs, eng: eng, src: st.src,
+		accs: make([]windowAccum, len(cfgs)), base: make([]uint64, len(cfgs))}
+	for i := range c.accs {
+		c.accs[i].m = machines[i]
+	}
+	total := sampleSchedule(cfg0.Sampling, cfg0.Instructions, consumed, c)
+	for i := range c.accs {
+		res, err := c.accs[i].finish(cfgs[i], total, consumed)
 		if err != nil {
 			return err
 		}

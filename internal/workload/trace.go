@@ -152,10 +152,17 @@ func (t *TraceReader) Next(ev *Event) (bool, error) {
 	return true, nil
 }
 
-// Source is anything that yields an event stream: a live Generator or a
-// TraceReader wrapped by ReplaySource.
+// Source is anything that yields an event stream: a live Generator, a
+// Cursor over a Recording, or a TraceReader wrapped by ReplaySource.
 type Source interface {
 	Next(ev *Event) bool
+}
+
+// SkipSource is a Source a sampled run can skip through: a Generator, a
+// Recorder over one, or a Cursor replaying a Recording.
+type SkipSource interface {
+	Source
+	Skip(n uint64) uint64
 }
 
 // ReplaySource adapts TraceReader to Source, surfacing I/O errors via Err.
