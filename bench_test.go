@@ -203,11 +203,11 @@ func BenchmarkAblationHybridTieBreak(b *testing.B) {
 	opts := benchOpts()
 	var maxAssoc, minWays float64
 	for i := 0; i < b.N; i++ {
-		ba, err := experiment.BestStatic("vpr", experiment.DSide, core.Hybrid, 4, opts)
+		ba, err := experiment.BestStatic(context.Background(), "vpr", experiment.DSide, core.Hybrid, 4, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		bw, err := experiment.BestStatic("vpr", experiment.DSide, core.HybridMinWays, 4, opts)
+		bw, err := experiment.BestStatic(context.Background(), "vpr", experiment.DSide, core.HybridMinWays, 4, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -270,7 +270,7 @@ func BenchmarkRunnerMemoization(b *testing.B) {
 		opts.Runner = runner.New(runner.Options{})
 		sweep := func() {
 			for _, org := range orgs {
-				if _, err := experiment.BestStatic("m88ksim", experiment.DSide, org, 4, opts); err != nil {
+				if _, err := experiment.BestStatic(context.Background(), "m88ksim", experiment.DSide, org, 4, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -311,21 +311,21 @@ func runSens(ctx context.Context, exp string, instr uint64, apps []string, par, 
 	var err error
 	if err == nil && sens("sens-subarray") {
 		var rows []experiment.SensitivityRow
-		if rows, err = experiment.SubarraySensitivityContext(ctx, opts); err == nil {
+		if rows, err = experiment.SubarraySensitivity(ctx, opts); err == nil {
 			fmt.Println(experiment.RenderSensitivity(
 				"Sensitivity: subarray granularity (static selective-sets d-cache)", rows))
 		}
 	}
 	if err == nil && sens("sens-interval") {
 		var rows []experiment.SensitivityRow
-		if rows, err = experiment.IntervalSensitivityContext(ctx, opts); err == nil {
+		if rows, err = experiment.IntervalSensitivity(ctx, opts); err == nil {
 			fmt.Println(experiment.RenderSensitivity(
 				"Sensitivity: dynamic interval (in-order engine, d-cache)", rows))
 		}
 	}
 	if err == nil && sens("sens-l2") {
 		var rows []experiment.SensitivityRow
-		if rows, err = experiment.L2SensitivityContext(ctx, opts); err == nil {
+		if rows, err = experiment.L2Sensitivity(ctx, opts); err == nil {
 			fmt.Println(experiment.RenderSensitivity(
 				"Sensitivity: L2 capacity (static selective-sets d-cache)", rows))
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,8 +16,9 @@ func main() {
 	opts := experiment.DefaultOptions()
 	opts.Instructions = 500_000
 	opts.Apps = []string{"ammp", "vpr"}
+	ctx := context.Background()
 
-	rows, err := experiment.SubarraySensitivity(opts)
+	rows, err := experiment.SubarraySensitivity(ctx, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -26,7 +28,7 @@ func main() {
 	fmt.Println("points, so small-working-set apps keep gaining; coarser subarrays")
 	fmt.Println("throw that opportunity away.")
 
-	rows, err = experiment.IntervalSensitivity(opts)
+	rows, err = experiment.IntervalSensitivity(ctx, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -29,7 +29,9 @@ func counterBytes(t []twoBit) []byte {
 	return b
 }
 
-func restoreCounters(dst []twoBit, src []byte, what string) error {
+// restoreCounters checks src against dst and, when apply is set, loads
+// it; restorePredictor calls it once to check and once to apply.
+func restoreCounters(dst []twoBit, src []byte, what string, apply bool) error {
 	if len(src) != len(dst) {
 		return fmt.Errorf("bpred: %s table length %d does not match predictor's %d", what, len(src), len(dst))
 	}
@@ -37,7 +39,9 @@ func restoreCounters(dst []twoBit, src []byte, what string) error {
 		if b > 3 {
 			return fmt.Errorf("bpred: %s counter %d out of two-bit range", what, b)
 		}
-		dst[i] = twoBit(b)
+		if apply {
+			dst[i] = twoBit(b)
+		}
 	}
 	return nil
 }
@@ -66,35 +70,61 @@ func SnapshotPredictor(p Predictor) (PredictorState, error) {
 	}
 }
 
-// RestorePredictor loads a snapshot into an already-constructed
-// predictor of the same shape (same kinds, same table geometries).
-func RestorePredictor(p Predictor, s PredictorState) error {
+// Restore loads the warm state of a predictor, its BTB and its RAS, all
+// or nothing: every snapshot is checked against the structure it
+// targets (kinds, table lengths, counter ranges, entry counts, stack
+// bounds) before any is loaded, so a snapshot with one bad part leaves
+// all three structures as they were.
+func Restore(p Predictor, ps PredictorState, b *BTB, bs BTBState, r *RAS, rs RASState) error {
+	if err := restorePredictor(p, ps, false); err != nil {
+		return err
+	}
+	if err := b.check(bs); err != nil {
+		return err
+	}
+	if err := r.check(rs); err != nil {
+		return err
+	}
+	if err := restorePredictor(p, ps, true); err != nil {
+		panic(err) // unreachable: the same walk passed the check above
+	}
+	b.restore(bs)
+	r.restore(rs)
+	return nil
+}
+
+// restorePredictor checks a snapshot against an already-constructed
+// predictor of the same shape (same kinds, same table geometries) and,
+// when apply is set, loads it. Only a checked snapshot is applied.
+func restorePredictor(p Predictor, s PredictorState, apply bool) error {
 	switch v := p.(type) {
 	case *Bimodal:
 		if s.Kind != "bimodal" {
 			return fmt.Errorf("bpred: snapshot kind %q into bimodal", s.Kind)
 		}
-		return restoreCounters(v.table, s.Table, "bimodal")
+		return restoreCounters(v.table, s.Table, "bimodal", apply)
 	case *GShare:
 		if s.Kind != "gshare" {
 			return fmt.Errorf("bpred: snapshot kind %q into gshare", s.Kind)
 		}
-		if err := restoreCounters(v.table, s.Table, "gshare"); err != nil {
+		if err := restoreCounters(v.table, s.Table, "gshare", apply); err != nil {
 			return err
 		}
-		v.history = s.History & ((1 << v.histLen) - 1)
+		if apply {
+			v.history = s.History & ((1 << v.histLen) - 1)
+		}
 		return nil
 	case *Combining:
 		if s.Kind != "combining" || s.Comp1 == nil || s.Comp2 == nil {
 			return fmt.Errorf("bpred: snapshot kind %q into combining", s.Kind)
 		}
-		if err := restoreCounters(v.meta, s.Table, "combining meta"); err != nil {
+		if err := restoreCounters(v.meta, s.Table, "combining meta", apply); err != nil {
 			return err
 		}
-		if err := RestorePredictor(v.comp1, *s.Comp1); err != nil {
+		if err := restorePredictor(v.comp1, *s.Comp1, apply); err != nil {
 			return err
 		}
-		return RestorePredictor(v.comp2, *s.Comp2)
+		return restorePredictor(v.comp2, *s.Comp2, apply)
 	default:
 		return fmt.Errorf("bpred: cannot restore predictor %q (%T)", p.Name(), p)
 	}
@@ -136,19 +166,23 @@ func (b *BTB) Snapshot() BTBState {
 	return s
 }
 
-// Restore loads a snapshot into a BTB of the same geometry.
-func (b *BTB) Restore(s BTBState) error {
+// check reports whether a snapshot fits a BTB of this geometry.
+func (b *BTB) check(s BTBState) error {
 	n := len(b.entries)
 	if len(s.Tags) != n || len(s.Targets) != n || len(s.LRU) != n || len(s.Valid) != n {
 		return fmt.Errorf("bpred: BTB snapshot entry count does not match geometry (%d entries)", n)
 	}
+	return nil
+}
+
+// restore loads a checked snapshot.
+func (b *BTB) restore(s BTBState) {
 	for i := range b.entries {
 		b.entries[i] = btbEntry{tag: s.Tags[i], tgt: s.Targets[i], lru: s.LRU[i], valid: s.Valid[i] != 0}
 	}
 	b.clock = s.Clock
 	b.Lookups = s.Lookups
 	b.Hits = s.Hits
-	return nil
 }
 
 // RASState is the serializable warm state of a return-address stack.
@@ -171,20 +205,24 @@ func (r *RAS) Snapshot() RASState {
 	}
 }
 
-// Restore loads a snapshot into a RAS of the same capacity.
-func (r *RAS) Restore(s RASState) error {
+// check reports whether a snapshot fits a RAS of this capacity.
+func (r *RAS) check(s RASState) error {
 	if len(s.Stack) != len(r.stack) {
 		return fmt.Errorf("bpred: RAS snapshot depth %d does not match capacity %d", len(s.Stack), len(r.stack))
 	}
 	if s.Top < 0 || s.Top >= len(r.stack) || s.Depth < 0 || s.Depth > len(r.stack) {
 		return fmt.Errorf("bpred: RAS snapshot top/depth out of range")
 	}
+	return nil
+}
+
+// restore loads a checked snapshot.
+func (r *RAS) restore(s RASState) {
 	copy(r.stack, s.Stack)
 	r.top = s.Top
 	r.depth = s.Depth
 	r.Pushes = s.Pushes
 	r.Pops = s.Pops
-	return nil
 }
 
 // StatsState is the serializable accuracy-counter state of Stats.

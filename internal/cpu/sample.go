@@ -55,16 +55,11 @@ func (g *Gang) SnapshotFrontEnd() (FrontEndState, error) {
 }
 
 // RestoreFrontEnd loads a front-end snapshot taken from an engine with
-// the same predictor configuration.
+// the same predictor configuration. A snapshot that does not fit leaves
+// the front-end untouched.
 func (g *Gang) RestoreFrontEnd(s FrontEndState) error {
 	f := &g.front
-	if err := bpred.RestorePredictor(f.bp.P, s.Predictor); err != nil {
-		return err
-	}
-	if err := f.btb.Restore(s.BTB); err != nil {
-		return err
-	}
-	if err := f.ras.Restore(s.RAS); err != nil {
+	if err := bpred.Restore(f.bp.P, s.Predictor, f.btb, s.BTB, f.ras, s.RAS); err != nil {
 		return err
 	}
 	f.bp.Restore(s.Stats)

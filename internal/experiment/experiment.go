@@ -1,7 +1,7 @@
 // Package experiment defines the paper's evaluation machinery: offline
 // profiling sweeps that select static sizes and dynamic parameters by
-// minimum energy-delay product (BestStatic/BestDynamic/Combined, with
-// SweepSpec as the shared sweep descriptor), plus the extension
+// minimum energy-delay product (BestStatic/BestDynamic/CombinedBests,
+// with SweepSpec as the shared sweep descriptor), plus the extension
 // sensitivity studies. The table/figure drivers themselves live in the
 // public figures package, built on the facade's Grid/Plan/Session.Run
 // batch API.
@@ -65,9 +65,6 @@ func (s Side) String() string {
 type Options struct {
 	// Instructions per simulation.
 	Instructions uint64
-	// Parallelism bounds concurrent simulations within one sweep
-	// (0 = the runner's worker-pool size).
-	Parallelism int
 	// Apps restricts the benchmark list (nil = all twelve).
 	Apps []string
 	// Engine is the processor model (Figures 4-6 and 9 use the
@@ -96,12 +93,6 @@ func (o Options) runner() *runner.Runner {
 		return o.Runner
 	}
 	return runner.Default()
-}
-
-// runAll submits a batch through the configured runner, honouring the
-// sweep-level parallelism bound.
-func (o Options) runAll(ctx context.Context, cfgs []sim.Config) ([]sim.Result, error) {
-	return o.runner().RunAllLimit(ctx, cfgs, o.Parallelism)
 }
 
 // l1Geom returns the experiments' 32K L1 geometry at a set-associativity.
@@ -204,8 +195,7 @@ func (b Best) SlowdownPct() float64 { return 100 * b.Chosen.EDP.Slowdown(b.Base.
 func applySide(cfg *sim.Config, side Side, spec sim.CacheSpec) {
 	if side == L2Side {
 		// Never write through to a hierarchy other configs share.
-		cfg.Levels = append([]sim.LevelSpec(nil), cfg.Hierarchy()...)
-		cfg.L2Geom = geometry.Geometry{}
+		cfg.Levels = append([]sim.LevelSpec(nil), cfg.Levels...)
 	}
 	setSide(cfg, side, spec)
 }
@@ -231,11 +221,10 @@ func sideGeom(cfg sim.Config, side Side) (geometry.Geometry, error) {
 	case ISide:
 		return cfg.ICache.Geom, nil
 	case L2Side:
-		levels := cfg.Hierarchy()
-		if len(levels) == 0 {
+		if len(cfg.Levels) == 0 {
 			return geometry.Geometry{}, fmt.Errorf("experiment: L2 resizing needs a shared level in the hierarchy")
 		}
-		return levels[0].Geom, nil
+		return cfg.Levels[0].Geom, nil
 	default:
 		return cfg.DCache.Geom, nil
 	}
@@ -281,8 +270,8 @@ type SweepSpec struct {
 }
 
 // NewSweepSpec builds the spec for one (app, side, org, assoc) sweep
-// under opts — exactly the sweep BestStaticContext/BestDynamicContext
-// run for the same arguments.
+// under opts — exactly the sweep BestStatic/BestDynamic run for the
+// same arguments.
 func NewSweepSpec(app string, side Side, org core.Organization, assoc int, dynamic bool, opts Options) SweepSpec {
 	return SweepSpec{App: app, Side: side, Org: org, Dynamic: dynamic,
 		Base: baseConfig(app, opts.Engine, opts.Instructions, assoc, assoc)}
@@ -429,18 +418,15 @@ func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 		// sweep (a single Session.Simulate, cmd/respcache) coalesces its
 		// same-front candidates into gangs exactly like a plan's
 		// batched pass does — instead of fanning them out one Run at a
-		// time behind a barrier. Skipped when the caller bounds
-		// Parallelism, which Enqueue's pool-wide dispatch cannot honour.
-		if opts.Parallelism <= 0 {
-			enqCtx, stopEnqueue := context.WithCancel(ctx)
-			_, waitEnqueued := opts.runner().Enqueue(enqCtx, cfgs)
-			defer func() {
-				// Abandon stragglers on error; see Enqueue's wait contract.
-				stopEnqueue()
-				waitEnqueued()
-			}()
-		}
-		res, err := opts.runAll(ctx, cfgs)
+		// time behind a barrier.
+		enqCtx, stopEnqueue := context.WithCancel(ctx)
+		_, waitEnqueued := opts.runner().Enqueue(enqCtx, cfgs)
+		defer func() {
+			// Abandon stragglers on error; see Enqueue's wait contract.
+			stopEnqueue()
+			waitEnqueued()
+		}()
+		res, err := opts.runner().RunAll(ctx, cfgs)
 		if err != nil {
 			return Best{}, err
 		}
@@ -513,12 +499,7 @@ func bestOf(ctx context.Context, spec SweepSpec, opts Options) (Best, error) {
 // BestStatic profiles every schedule point of an organization (the
 // paper's static strategy: run each offered size offline, pick the
 // minimum-EDP one) and returns the winner for one application.
-func BestStatic(app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
-	return BestStaticContext(context.Background(), app, side, org, assoc, opts)
-}
-
-// BestStaticContext is BestStatic with cancellation.
-func BestStaticContext(ctx context.Context, app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
+func BestStatic(ctx context.Context, app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
 	return bestOf(ctx, NewSweepSpec(app, side, org, assoc, false, opts), opts)
 }
 
@@ -578,43 +559,18 @@ func dynamicCandidates(sched core.Schedule, lowTraffic bool, yield func(DynamicP
 
 // BestDynamic profiles the dynamic controller's parameter grid for one
 // application and returns the minimum-EDP parameterization.
-func BestDynamic(app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
-	return BestDynamicContext(context.Background(), app, side, org, assoc, opts)
-}
-
-// BestDynamicContext is BestDynamic with cancellation.
-func BestDynamicContext(ctx context.Context, app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
+func BestDynamic(ctx context.Context, app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
 	return bestOf(ctx, NewSweepSpec(app, side, org, assoc, true, opts), opts)
-}
-
-// Combined runs one simulation with both L1s resizing at their
-// individually profiled configurations (the paper's Figure 9 protocol:
-// the additivity of d- and i-cache resizing lets each be profiled
-// alone). The returned Best compares against the shared non-resizable
-// baseline.
-func Combined(app string, org core.Organization, assoc int, dBest, iBest Best, opts Options) (Best, error) {
-	return CombinedContext(context.Background(), app, org, assoc, dBest, iBest, opts)
-}
-
-// CombinedContext is Combined with cancellation.
-func CombinedContext(ctx context.Context, app string, org core.Organization, assoc int, dBest, iBest Best, opts Options) (Best, error) {
-	return CombinedBestsContext(ctx,
-		baseConfig(app, opts.Engine, opts.Instructions, assoc, assoc),
-		[]Best{dBest, iBest}, opts)
 }
 
 // CombinedBests is the decoupled-profiling protocol generalized over
 // the hierarchy: one simulation with every profiled winner applied to
-// its side of base — any subset of {d-cache, i-cache, L2}. Each part
-// carries its own side, organization, and policy from its sweep; the
-// returned Best compares against the parts' shared non-resizable
-// baseline.
-func CombinedBests(base sim.Config, parts []Best, opts Options) (Best, error) {
-	return CombinedBestsContext(context.Background(), base, parts, opts)
-}
-
-// CombinedBestsContext is CombinedBests with cancellation.
-func CombinedBestsContext(ctx context.Context, base sim.Config, parts []Best, opts Options) (Best, error) {
+// its side of base — any subset of {d-cache, i-cache, L2}. The paper's
+// Figure 9 combines the two L1 winners: the additivity of d- and
+// i-cache resizing lets each be profiled alone. Each part carries its
+// own side, organization, and policy from its sweep; the returned Best
+// compares against the parts' shared non-resizable baseline.
+func CombinedBests(ctx context.Context, base sim.Config, parts []Best, opts Options) (Best, error) {
 	if len(parts) == 0 {
 		return Best{}, fmt.Errorf("experiment: no profiled parts to combine")
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"resizecache/internal/core"
-	"resizecache/internal/geometry"
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
 )
@@ -26,7 +25,7 @@ func fastOpts() Options {
 
 func TestBestStaticPicksProfiledMinimum(t *testing.T) {
 	opts := fastOpts()
-	best, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts)
+	best, err := BestStatic(context.Background(), "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +51,7 @@ func TestSoloSweepGangsCandidates(t *testing.T) {
 	opts.Instructions = 60_000
 	r := runner.New(runner.Options{})
 	opts.Runner = r
-	if _, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts); err != nil {
+	if _, err := BestStatic(context.Background(), "m88ksim", DSide, core.SelectiveSets, 2, opts); err != nil {
 		t.Fatal(err)
 	}
 	st := r.Stats()
@@ -70,7 +69,7 @@ func TestSoloSweepGangsCandidates(t *testing.T) {
 func TestSwimNeverDownsizes(t *testing.T) {
 	opts := fastOpts()
 	for _, org := range []core.Organization{core.SelectiveWays, core.SelectiveSets} {
-		best, err := BestStatic("swim", DSide, org, 4, opts)
+		best, err := BestStatic(context.Background(), "swim", DSide, org, 4, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,11 +84,11 @@ func TestCompressFavorsWaysGranularity(t *testing.T) {
 	// compress's ~20K working set needs the 24K point only selective-ways
 	// offers at 4-way (paper §4.1).
 	opts := fastOpts()
-	w, err := BestStatic("compress", DSide, core.SelectiveWays, 4, opts)
+	w, err := BestStatic(context.Background(), "compress", DSide, core.SelectiveWays, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := BestStatic("compress", DSide, core.SelectiveSets, 4, opts)
+	s, err := BestStatic(context.Background(), "compress", DSide, core.SelectiveSets, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +108,11 @@ func TestConflictAppsFavorSets(t *testing.T) {
 	// behaviour (Fig. 7) instead — see EXPERIMENTS.md deviations.
 	opts := fastOpts()
 	for _, app := range []string{"apsi", "vpr", "tomcatv"} {
-		w, err := BestStatic(app, DSide, core.SelectiveWays, 4, opts)
+		w, err := BestStatic(context.Background(), app, DSide, core.SelectiveWays, 4, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := BestStatic(app, DSide, core.SelectiveSets, 4, opts)
+		s, err := BestStatic(context.Background(), app, DSide, core.SelectiveSets, 4, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,15 +129,15 @@ func TestCombinedResizingIsAdditive(t *testing.T) {
 	}
 	opts := fastOpts()
 	app := "m88ksim"
-	dBest, err := BestStatic(app, DSide, core.SelectiveSets, 2, opts)
+	dBest, err := BestStatic(context.Background(), app, DSide, core.SelectiveSets, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	iBest, err := BestStatic(app, ISide, core.SelectiveSets, 2, opts)
+	iBest, err := BestStatic(context.Background(), app, ISide, core.SelectiveSets, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	both, err := Combined(app, core.SelectiveSets, 2, dBest, iBest, opts)
+	both, err := CombinedBests(context.Background(), BaseConfig(app, 2, opts), []Best{dBest, iBest}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +156,7 @@ func TestSlowdownEnvelopeHolds(t *testing.T) {
 	opts := fastOpts()
 	for _, app := range []string{"ammp", "compress", "gcc", "swim"} {
 		for _, org := range []core.Organization{core.SelectiveWays, core.SelectiveSets} {
-			best, err := BestStatic(app, DSide, org, 4, opts)
+			best, err := BestStatic(context.Background(), app, DSide, org, 4, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,17 +172,17 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 	cfgs[0].Instructions = 1000
 	opts := DefaultOptions()
 	opts.Runner = runner.New(runner.Options{Workers: 2})
-	if _, err := opts.runAll(context.Background(), cfgs); err == nil {
+	if _, err := opts.runner().RunAll(context.Background(), cfgs); err == nil {
 		t.Fatal("bad config did not surface")
 	}
 }
 
 func TestSweepsRejectBothSides(t *testing.T) {
 	opts := DefaultOptions()
-	if _, err := BestStatic("gcc", BothSides, core.SelectiveSets, 2, opts); err == nil {
+	if _, err := BestStatic(context.Background(), "gcc", BothSides, core.SelectiveSets, 2, opts); err == nil {
 		t.Error("BestStatic accepted BothSides")
 	}
-	if _, err := BestDynamic("gcc", BothSides, core.SelectiveSets, 2, opts); err == nil {
+	if _, err := BestDynamic(context.Background(), "gcc", BothSides, core.SelectiveSets, 2, opts); err == nil {
 		t.Error("BestDynamic accepted BothSides")
 	}
 }
@@ -248,8 +247,8 @@ func TestCombinedUsesProfiledSpecs(t *testing.T) {
 		return Best{App: "m88ksim", Side: side, Org: core.SelectiveSets,
 			Spec: sim.PolicySpec{Kind: sim.PolicyStatic, StaticIndex: idx}}
 	}
-	comb, err := Combined("m88ksim", core.SelectiveSets, 2,
-		mkBest(DSide, dIdx), mkBest(ISide, iIdx), opts)
+	comb, err := CombinedBests(context.Background(), BaseConfig("m88ksim", 2, opts),
+		[]Best{mkBest(DSide, dIdx), mkBest(ISide, iIdx)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +275,7 @@ func TestSweepArtifactWarmsAcrossDrivers(t *testing.T) {
 		for _, side := range []Side{DSide, ISide} {
 			for _, org := range orgs {
 				for _, app := range opts.apps() {
-					if _, err := BestStaticContext(ctx, app, side, org, 2, opts); err != nil {
+					if _, err := BestStatic(ctx, app, side, org, 2, opts); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -320,7 +319,7 @@ func TestSweepArtifactResumesFromStore(t *testing.T) {
 	}
 	opts := tinyArtifactOpts()
 	opts.Runner = runner.New(runner.Options{Store: store})
-	first, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts)
+	first, err := BestStatic(context.Background(), "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +332,7 @@ func TestSweepArtifactResumesFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Runner = runner.New(runner.Options{Store: store2})
-	second, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts)
+	second, err := BestStatic(context.Background(), "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +431,7 @@ func TestBestAccessorsOnSides(t *testing.T) {
 // fingerprint, same winner) as the classic entry points.
 func TestBestSpecMatchesBestStatic(t *testing.T) {
 	opts := tinyArtifactOpts()
-	direct, err := BestStatic("m88ksim", DSide, core.SelectiveSets, 2, opts)
+	direct, err := BestStatic(context.Background(), "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +527,6 @@ func TestL2SideSweep(t *testing.T) {
 
 	flat := base
 	flat.Levels = nil
-	flat.L2Geom = geometry.Geometry{}
 	if _, err := bestOf(context.Background(), SweepSpec{App: "m88ksim", Side: L2Side,
 		Org: core.SelectiveWays, Base: flat}, opts); err == nil {
 		t.Error("L2 sweep over an empty hierarchy accepted")
@@ -552,7 +550,7 @@ func TestCombinedBestsAppliesEverySide(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comb, err := CombinedBests(base, []Best{d, l2}, opts)
+	comb, err := CombinedBests(context.Background(), base, []Best{d, l2}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +569,7 @@ func TestCombinedBestsAppliesEverySide(t *testing.T) {
 	if got := comb.SizeReductionPct(); got <= 50 {
 		t.Errorf("combined size reduction %.1f%% ignores the resized L2", got)
 	}
-	if _, err := CombinedBests(base, nil, opts); err == nil {
+	if _, err := CombinedBests(context.Background(), base, nil, opts); err == nil {
 		t.Error("empty parts accepted")
 	}
 }
@@ -624,7 +622,6 @@ func TestSweepSpecArtifactKey(t *testing.T) {
 	}
 	bad := l2
 	bad.Base.Levels = nil
-	bad.Base.L2Geom = geometry.Geometry{}
 	if _, err := bad.ArtifactKey(); err == nil {
 		t.Error("L2 sweep over an empty hierarchy produced a key")
 	}

@@ -20,17 +20,17 @@ func TestSweepArtifactKeyGolden(t *testing.T) {
 		want string
 	}{
 		{"d-static-ways", NewSweepSpec("gcc", DSide, core.SelectiveWays, 4, false, opts),
-			"a94bde0323b13caff2c5923124c58325a237f1db63c43044bf3935ee66f35551"},
+			"3ee5934efc9f6f8b78731ebd4b99bdd005a9bead40b66df0bec7df3970ed6c54"},
 		{"d-dynamic-hybrid", NewSweepSpec("m88ksim", DSide, core.Hybrid, 2, true, opts),
-			"8013f204bf11a4939b87d73433ff9d69bf88005df5559be6bc9421fc969452c3"},
+			"c588248c1fca9facce1c87126ffc9bfc86ece26013433e6ea58d21fc4319db52"},
 		{"i-static-sets", NewSweepSpec("vpr", ISide, core.SelectiveSets, 2, false, opts),
-			"c4a41019f12c7651810c7266ddcb255a41dcc2b779be2e20687de7557ba6c6cc"},
+			"56a8d24be156a33f38e414dafb486f7faf169eba476b45acac7cf468ff781864"},
 		{"i-dynamic-sets", NewSweepSpec("su2cor", ISide, core.SelectiveSets, 2, true, opts),
-			"be8e1d8ccbb58042054d200755200812c9caf0f5423d9f13b24a9d662b082fc6"},
+			"6d21fb7f7c7a9f2877cb404c981198df920e0d4cc726644883d7f51cd2a81480"},
 		{"l2-static-ways", NewSweepSpec("gcc", L2Side, core.SelectiveWays, 2, false, opts),
-			"b73721c4a328d1d6f6bcd8604a63b97f2aeac647c4ed40d3e151dcaa8640be48"},
+			"822eedb1d8cfc7b356a15a7d9a008d9bd2c9a4cd6c06dc1ad5bcb6e109631917"},
 		{"l2-dynamic-hybrid", NewSweepSpec("vpr", L2Side, core.Hybrid, 2, true, opts),
-			"ba94b10157f09189760f5f69443c913fc368d6222e0eccf37098340ae95eed0b"},
+			"b39c2e2b2eccaf3c9528cb06e6005e8158c7f27f59421215162efe56ab433533"},
 	}
 	for _, tc := range cases {
 		k, err := tc.spec.ArtifactKey()

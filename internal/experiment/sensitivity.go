@@ -31,12 +31,7 @@ type SensitivityRow struct {
 // 32K 2-way selective-sets d-cache. Smaller subarrays offer smaller
 // minimum sizes (512B subarray -> 1K minimum at 2-way), larger ones
 // coarser schedules.
-func SubarraySensitivity(opts Options) ([]SensitivityRow, error) {
-	return SubarraySensitivityContext(context.Background(), opts)
-}
-
-// SubarraySensitivityContext is SubarraySensitivity with cancellation.
-func SubarraySensitivityContext(ctx context.Context, opts Options) ([]SensitivityRow, error) {
+func SubarraySensitivity(ctx context.Context, opts Options) ([]SensitivityRow, error) {
 	apps := opts.apps()
 	var points []sensPoint
 	for _, sub := range []int{512, 1 << 10, 2 << 10, 4 << 10} {
@@ -107,12 +102,7 @@ func sweepRows(ctx context.Context, points []sensPoint, opts Options) ([]Sensiti
 // IntervalSensitivity sweeps the dynamic controller's interval for a
 // fixed miss-bound fraction and size bound, on the in-order engine where
 // adaptation lag is most exposed.
-func IntervalSensitivity(opts Options) ([]SensitivityRow, error) {
-	return IntervalSensitivityContext(context.Background(), opts)
-}
-
-// IntervalSensitivityContext is IntervalSensitivity with cancellation.
-func IntervalSensitivityContext(ctx context.Context, opts Options) ([]SensitivityRow, error) {
+func IntervalSensitivity(ctx context.Context, opts Options) ([]SensitivityRow, error) {
 	opts.Engine = sim.InOrder
 	apps := opts.apps()
 	intervals := []uint64{2048, 8192, 32768, 131072}
@@ -143,7 +133,7 @@ func IntervalSensitivityContext(ctx context.Context, opts Options) ([]Sensitivit
 		var edp, size float64
 		for _, app := range apps {
 			p := pair(interval, app)
-			res, err := opts.runAll(ctx, p[:])
+			res, err := opts.runner().RunAll(ctx, p[:])
 			if err != nil {
 				return nil, err
 			}
@@ -163,12 +153,7 @@ func IntervalSensitivityContext(ctx context.Context, opts Options) ([]Sensitivit
 // L2Sensitivity sweeps the L2 capacity to test the paper's claim that L1
 // resizing has minimal impact on the L2 footprint: the resizing gain
 // should be stable across L2 sizes.
-func L2Sensitivity(opts Options) ([]SensitivityRow, error) {
-	return L2SensitivityContext(context.Background(), opts)
-}
-
-// L2SensitivityContext is L2Sensitivity with cancellation.
-func L2SensitivityContext(ctx context.Context, opts Options) ([]SensitivityRow, error) {
+func L2Sensitivity(ctx context.Context, opts Options) ([]SensitivityRow, error) {
 	apps := opts.apps()
 	var points []sensPoint
 	for _, l2kb := range []int{256, 512, 1024} {

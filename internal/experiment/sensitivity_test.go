@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,7 @@ func TestSubarraySensitivityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	rows, err := SubarraySensitivity(sensOpts())
+	rows, err := SubarraySensitivity(context.Background(), sensOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestIntervalSensitivityRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	rows, err := IntervalSensitivity(sensOpts())
+	rows, err := IntervalSensitivity(context.Background(), sensOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestL2SensitivityStability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	rows, err := L2Sensitivity(sensOpts())
+	rows, err := L2Sensitivity(context.Background(), sensOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

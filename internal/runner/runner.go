@@ -647,13 +647,6 @@ func isCancellation(err error) bool {
 // first failing config (by submission index) determines the returned
 // error. Concurrency is bounded by the Runner's shared worker pool.
 func (r *Runner) RunAll(ctx context.Context, cfgs []sim.Config) ([]sim.Result, error) {
-	return r.RunAllLimit(ctx, cfgs, 0)
-}
-
-// RunAllLimit is RunAll with an additional per-batch concurrency bound
-// (<= 0 means no extra bound beyond the shared pool). Sweeps use it to
-// honour a caller-requested parallelism below the pool size.
-func (r *Runner) RunAllLimit(ctx context.Context, cfgs []sim.Config, limit int) ([]sim.Result, error) {
 	// A batch that must submit work not already in flight or memoized is
 	// a fan-out barrier: the caller blocks until its own submissions
 	// drain. Batches fully covered by an earlier Enqueue pass (or prior
@@ -679,19 +672,11 @@ func (r *Runner) RunAllLimit(ctx context.Context, cfgs []sim.Config, limit int) 
 
 	results := make([]sim.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
-	var gate chan struct{}
-	if limit > 0 {
-		gate = make(chan struct{}, limit)
-	}
 	var wg sync.WaitGroup
 	for i := range cfgs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if gate != nil {
-				gate <- struct{}{}
-				defer func() { <-gate }()
-			}
 			results[i], errs[i] = r.Run(ctx, cfgs[i])
 		}(i)
 	}

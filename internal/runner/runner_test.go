@@ -222,32 +222,6 @@ func TestCancelledEntryRetriesOnLiveContext(t *testing.T) {
 	}
 }
 
-func TestRunAllLimitBoundsConcurrency(t *testing.T) {
-	var inFlight, peak atomic.Int32
-	r := New(Options{Workers: 8, RunGang: each(func(cfg sim.Config) (sim.Result, error) {
-		n := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if n <= p || peak.CompareAndSwap(p, n) {
-				break
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-		inFlight.Add(-1)
-		return stubResult(cfg), nil
-	})})
-	var cfgs []sim.Config
-	for i := 0; i < 12; i++ {
-		cfgs = append(cfgs, cfgN(i))
-	}
-	if _, err := r.RunAllLimit(context.Background(), cfgs, 2); err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > 2 {
-		t.Errorf("peak concurrency %d exceeds limit 2", p)
-	}
-}
-
 func TestDiskStoreRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.json")
 	var calls atomic.Int32

@@ -29,8 +29,10 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // encoded a bare L2 geometry, so v1 stores invalidate cleanly — their
 // keys can never alias a v2 config. Version 3 added the sampling spec
 // (warmup/detailed/fast-forward instruction counts) to both Key and
-// FrontKey for the interval-sampled execution mode.
-const keyVersion = 3
+// FrontKey for the interval-sampled execution mode. Version 4 dropped
+// the deprecated single-level L2 geometry field and its conflict slot:
+// Levels is the only way to describe the shared hierarchy.
+const keyVersion = 4
 
 // Canonical returns the config with semantically inert fields zeroed
 // and the hierarchy in normal form, so that configs describing
@@ -41,8 +43,8 @@ const keyVersion = 3
 //     every level of the hierarchy;
 //   - d-cache MSHRs under the in-order engine, which forces a blocking
 //     d-cache regardless of the configured entry count;
-//   - the deprecated L2Geom, folded into its equivalent one-level
-//     Levels spec (see Hierarchy), so both spellings share a key.
+//   - an empty, non-nil Levels, which connects the L1s to memory just
+//     as a nil one does.
 //
 // Run never inspects the zeroed fields, so Canonical is behaviour
 // preserving by construction.
@@ -52,24 +54,15 @@ func (c Config) Canonical() Config {
 	if c.Engine == InOrder {
 		c.MSHREntries = 0
 	}
-	// A config that sets both Levels and L2Geom is invalid (Run rejects
-	// it); keep the conflicting L2Geom so its fingerprint can never
-	// alias the valid Levels-only config — otherwise a warm memo/store
-	// would serve the valid config's result where the cold path errors.
-	conflict := len(c.Levels) > 0 && c.L2Geom != (geometry.Geometry{})
-	levels := c.Hierarchy()
-	if len(levels) > 0 {
-		canon := make([]LevelSpec, len(levels))
-		for i, l := range levels {
+	if len(c.Levels) > 0 {
+		canon := make([]LevelSpec, len(c.Levels))
+		for i, l := range c.Levels {
 			l.Policy = l.Policy.canonical()
 			canon[i] = l
 		}
 		c.Levels = canon
 	} else {
 		c.Levels = nil
-	}
-	if !conflict {
-		c.L2Geom = geometry.Geometry{}
 	}
 	return c
 }
@@ -94,9 +87,8 @@ func (p PolicySpec) canonical() PolicySpec {
 // single sha256.Sum256, and Canonical's normal form is applied while
 // encoding instead of on a copy, so a config of up to three shared
 // levels fingerprints without allocating; a longer encoding spills the
-// buffer to the heap with the same bytes. The bytes are exactly those
-// keyVersion 3 has always hashed, so stores written by earlier builds
-// keep hitting (TestKeyGolden pins them).
+// buffer to the heap with the same bytes. TestKeyGolden pins the
+// bytes, so an encoding change cannot land without a keyVersion bump.
 func (c Config) Key() Key {
 	var buf [keyBufBytes]byte
 	e := keyEnc(buf[:0]).u64(keyVersion).
@@ -109,38 +101,28 @@ func (c Config) Key() Key {
 		i(c.CPU.LSQEntries).
 		u64(c.CPU.DecodeLatency).
 		u64(c.CPU.MispredictPenalty).
-		// L1s, then the shared hierarchy with a deprecated L2Geom folded
-		// in (Hierarchy); cacheSpec canonicalizes every level's policy.
+		// L1s, then the shared hierarchy; cacheSpec canonicalizes every
+		// level's policy.
 		cacheSpec(c.DCache).
-		cacheSpec(c.ICache)
-	levels := c.Hierarchy()
-	e = e.i(len(levels))
-	for i := range levels {
-		l := &levels[i]
+		cacheSpec(c.ICache).
+		i(len(c.Levels))
+	for i := range c.Levels {
+		l := &c.Levels[i]
 		e = e.cacheSpec(l.CacheSpec).
 			u64(uint64(l.Precharge)).
 			i(l.MSHREntries).
 			i(l.WritebackEntries)
-	}
-	// All zeros for every valid config; non-zero only for the invalid
-	// Levels+L2Geom conflict, whose cold-path error must memoize under
-	// its own key (see Canonical).
-	var conflict geometry.Geometry
-	if len(c.Levels) > 0 {
-		conflict = c.L2Geom
 	}
 	// The in-order engine forces a blocking d-cache: its MSHRs are inert.
 	mshrs := c.MSHREntries
 	if c.Engine == InOrder {
 		mshrs = 0
 	}
-	e = e.geometry(conflict).
-		i(mshrs).
+	e = e.i(mshrs).
 		i(c.WritebackEntries).
 		// Sampled execution (all zero for fully detailed runs; a partial
 		// spec is invalid but keeps its own fingerprint so the cold-path
-		// error memoizes under its own key, like the Levels+L2Geom
-		// conflict).
+		// error memoizes under its own key).
 		u64(c.Sampling.WarmupInstructions).
 		u64(c.Sampling.DetailedInstructions).
 		u64(c.Sampling.FastForwardInstructions).
@@ -170,7 +152,7 @@ func (c Config) Key() Key {
 	return sha256.Sum256(e)
 }
 
-// keyBufBytes sizes Key's stack buffer. The base config encodes to 643
+// keyBufBytes sizes Key's stack buffer. The base config encodes to 611
 // bytes and each further shared level adds 120, so three levels and a
 // 100-byte benchmark name still fit.
 const keyBufBytes = 1024

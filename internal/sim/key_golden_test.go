@@ -11,14 +11,14 @@ import (
 // keyGoldenConfigs are the configs whose fingerprints TestKeyGolden
 // pins: together they reach every branch of the Key encoding (both
 // engines, both policy kinds with their inert fields set, a resizable
-// shared level, a deeper hierarchy, both L2 spellings, sampling, and
-// the ablation switches).
+// shared level, a deeper hierarchy, sampling, and the ablation
+// switches).
 func keyGoldenConfigs() []struct {
 	name string
 	cfg  Config
 } {
 	withL2 := func(c Config, fn func(*LevelSpec)) Config {
-		c.Levels = append([]LevelSpec(nil), c.Hierarchy()...)
+		c.Levels = append([]LevelSpec(nil), c.Levels...)
 		fn(&c.Levels[0])
 		return c
 	}
@@ -54,13 +54,6 @@ func keyGoldenConfigs() []struct {
 		Precharge: PrechargeFull, MSHREntries: 4, WritebackEntries: 2,
 	})
 
-	legacy := Default("gcc")
-	legacy.L2Geom = legacy.Hierarchy()[0].Geom
-	legacy.Levels = nil
-
-	conflict := Default("gcc")
-	conflict.L2Geom = conflict.Hierarchy()[0].Geom
-
 	sampled := Default("su2cor")
 	sampled.Instructions = 250_000
 	sampled.Sampling = DefaultSampling()
@@ -94,8 +87,6 @@ func keyGoldenConfigs() []struct {
 		{"dynamic-inert", dynamic},
 		{"dynamic-l2", dynL2},
 		{"two-level", twoLevel},
-		{"legacy-l2geom", legacy},
-		{"levels-l2geom-conflict", conflict},
 		{"sampled", sampled},
 		{"ablation", ablation},
 		{"oversized", oversized},
@@ -111,41 +102,41 @@ func keyGoldenConfigs() []struct {
 func TestKeyGolden(t *testing.T) {
 	want := map[string][2]string{ // name -> {Key, FrontKey}
 		"base-ooo": {
-			"038f2d6d7a995f69b5473ec7187d415a94d82db65749b121a90b0d5d30bbfd8b",
-			"e37d999078761b37b7a416a4f50ac2f71a6e89a0a0ab3f5908f2836648095cd5"},
+			"f6c4a0f8d2c5c726f32d96389df8e4f94459b645313d50fc9ba05a8127e9f1f0",
+			"116b08b5c4d71a50ed3164857a4778ff2dc28f063cd19f617f219de828ab6382"},
 		"base-inorder": {
-			"6b996dd530b4b6155a61e5dee6e4419031361aca8f5ae1f80f4542e074e1f741",
-			"17540ee08f9bd38b6e6b29054c0b2842b55bb02f14c81bb7ed40839b83d1b9dd"},
+			"731938e12ee0adcc823a88ebb919779ee3dd90d060d5bb04b303301cd49e3186",
+			"eab68886364c3db531a278725b27e06d2394d34e122a37efcb764dbbb4b2c521"},
 		"inorder-mshr": {
-			"ee9c49ea6c11ad301d2d02205d89c9ca19d8c1c871f09ba6512dc0e6dafbebb9",
-			"f90799e46e63e602fb1b4bd175f5671c3dc1deb86f906df4b2bf9438a69351e6"},
+			"1d011109a244a795315d37b0aa713c6709e2b1b3dc42c5b6abd836936d47a0ce",
+			"e2bd3e95226a133a69d506e5b4d5b58feaf6aa0e27d2df3f0e950b19da8202a0"},
 		"static-inert": {
-			"d6cffbd7eb442f5bddb8b9a365ef6f7b4ef0051dda73a2a5eba10d2b69aeb4cd",
-			"7de0e3369e9866bd512ef854847709a70602054e277e57daad1dcdf17fdd49ed"},
+			"4e283ce63e338f5fa53b22ad02acace76f3821cc005bcb74f9a5fefdd0f52411",
+			"c11f9bd6f3ce4c8a33d81fa2cc37977ab3dd51e7cd48f86046259fe1865052e5"},
 		"dynamic-inert": {
-			"5ed8fd682c5df801f51a925d345563f75f9217246c6e2c57861be7a6b037836d",
-			"9e7f264c0802ff3afb574796a9536874d55dcbb1698367ef7e56a42dedfd8f6c"},
+			"d0f2a71e35867d51b88c0f18e588f69f31ded9f7f0b9de7cb1bc878296345a72",
+			"7300f61e9a5c490b563bc11ee40ceecc99d69b010df4818de1ebe63313664644"},
 		"dynamic-l2": {
-			"6f15fcfffe02a96d6e10aa08b7fc5907dc3a3436ddab287c611f4aaa972d1c6f",
-			"e37d999078761b37b7a416a4f50ac2f71a6e89a0a0ab3f5908f2836648095cd5"},
+			"62b526c59aaf870801ade8eb3439b2c8a1e7a3c9dbd4169b7bbe7446559b551b",
+			"116b08b5c4d71a50ed3164857a4778ff2dc28f063cd19f617f219de828ab6382"},
 		"two-level": {
-			"29ba36e4cba8f20e4851227701375ca2087867e5ae57675b1ed8b0291c3490e6",
-			"35995e7500d9313a063e72d37daf16d39bbddcc8c094b5760545710cf396ff80"},
+			"dc27b6bd557973fdb7b91a4026c900e817fc167ce1cc4cf26204902d72ba4b3a",
+			"883828317bd8a89e13995f95e7f05f84ee1b2e16c19d8a92722385f0c83e1e39"},
 		"legacy-l2geom": {
-			"038f2d6d7a995f69b5473ec7187d415a94d82db65749b121a90b0d5d30bbfd8b",
-			"e37d999078761b37b7a416a4f50ac2f71a6e89a0a0ab3f5908f2836648095cd5"},
+			"f6c4a0f8d2c5c726f32d96389df8e4f94459b645313d50fc9ba05a8127e9f1f0",
+			"116b08b5c4d71a50ed3164857a4778ff2dc28f063cd19f617f219de828ab6382"},
 		"levels-l2geom-conflict": {
 			"f6b1417882b10dd3d296f9628e9f2d496ff4cd1deaf7647e7a6b361f64e1b2e0",
-			"e37d999078761b37b7a416a4f50ac2f71a6e89a0a0ab3f5908f2836648095cd5"},
+			"116b08b5c4d71a50ed3164857a4778ff2dc28f063cd19f617f219de828ab6382"},
 		"sampled": {
-			"4619cfbeefd467a8a94e438bf8f071f43ced71f1cabb0b584e5d1127a6a74ba1",
-			"00ef370fbbf8052a407113aef616378a56e1211ba56b22c810c6a792ff8668d3"},
+			"419ea5aff99763e788edc8a252b7c3f1da96c5a0029be90de9fa5158f2ca5bf0",
+			"7e67749556914360d8f308c7b5d51a89d7472a244cf03970f8049b365151d4a6"},
 		"ablation": {
-			"042d65443df4a3359bf01254fe13359252000486ec7c8130770ebe78b87f71c0",
-			"7de0e3369e9866bd512ef854847709a70602054e277e57daad1dcdf17fdd49ed"},
+			"e298d502e0bf9cc675ad64d083085db6439fec1dba25b8dfb1658cbae812947d",
+			"c11f9bd6f3ce4c8a33d81fa2cc37977ab3dd51e7cd48f86046259fe1865052e5"},
 		"oversized": {
-			"8c1460cc39de86402a36d4fa8309c38723e35cf3f0f76cd0667d435d68dcae2f",
-			"d3f9046bab02380621ec4fe6f0f826aaaf1cd581bd1770fff4d3153f5d856edb"},
+			"dbbb786b166bb7514cda11c77fdedba3329388c1ec8b3fbd08469293cf7820e9",
+			"f836e96a7dc264c515ed2aa3b649bdec67057dd9304eb8fa66055cef1fefe5f7"},
 	}
 	for _, tc := range keyGoldenConfigs() {
 		got := [2]string{tc.cfg.Key().String(), tc.cfg.FrontKey().String()}
@@ -169,7 +160,7 @@ func TestKeyGolden(t *testing.T) {
 
 	b := NewKeyBuilder("golden").Str("gcc").Int(-7).U64(1 << 40).Str("").
 		RawKey(Default("gcc").Key()).Int(0)
-	const wantBuilder = "7d0a65d64f194b6927d1ba795771fca4be9a22d78cb671f2d74028385945638c"
+	const wantBuilder = "33f8e272cb7616928ed91c4efb23786b005e2ec443f05d03e90d058291cd0d7c"
 	if got := b.Sum().String(); got != wantBuilder {
 		t.Errorf("KeyBuilder sequence = %s, pinned %s", got, wantBuilder)
 	}

@@ -40,7 +40,7 @@ func TestKeyVersionPinnedToFieldSet(t *testing.T) {
 // mutateL2 clones the hierarchy (the Levels backing array is shared
 // between config copies) and applies fn to the outermost level.
 func mutateL2(c *Config, fn func(*LevelSpec)) {
-	c.Levels = append([]LevelSpec(nil), c.Hierarchy()...)
+	c.Levels = append([]LevelSpec(nil), c.Levels...)
 	fn(&c.Levels[0])
 }
 
@@ -115,19 +115,12 @@ func TestKeyDistinguishesConfigs(t *testing.T) {
 	}
 }
 
-// TestKeyHierarchySpellings: the deprecated L2Geom and its equivalent
-// one-level Levels spec describe the same simulation and must share a
+// TestKeyHierarchySpellings: a one-level Levels spec that spells out
+// its zero-value knobs describes the same simulation and must share a
 // fingerprint; materially different hierarchies must not.
 func TestKeyHierarchySpellings(t *testing.T) {
-	legacy := Default("gcc")
-	l2 := legacy.Hierarchy()[0].Geom
-	legacy.Levels = nil
-	legacy.L2Geom = l2
-
 	modern := Default("gcc")
-	if legacy.Key() != modern.Key() {
-		t.Error("L2Geom spelling and its Levels equivalent fingerprint differently")
-	}
+	l2 := modern.Levels[0].Geom
 
 	// A zero-value LevelSpec knob set explicitly is still the same level.
 	explicit := Default("gcc")
@@ -145,32 +138,21 @@ func TestKeyHierarchySpellings(t *testing.T) {
 	if deep.Key() == modern.Key() {
 		t.Error("adding an L3 did not move the fingerprint")
 	}
-
-	// The invalid both-set conflict (Run rejects it) must not alias the
-	// valid Levels-only config: a warm memo/store would otherwise serve
-	// a result where the cold path errors.
-	conflict := Default("gcc")
-	conflict.L2Geom = conflict.Hierarchy()[0].Geom
-	if _, err := Run(conflict); err == nil {
-		t.Error("both-set config accepted by Run")
-	}
-	if conflict.Key() == modern.Key() {
-		t.Error("both-set conflict aliases the valid config's fingerprint")
-	}
 }
 
 // TestKeyVersionNeverAliasesRetired re-encodes the canonical base
-// config with both retired layouts — version 1 (flat L2 geometry) and
-// version 2 (hierarchy-as-data but no sampling fields) — and checks
-// neither fingerprint collides with the current key: a persisted store
-// from an older version can only miss under current keys, never serve a
-// stale result for a config it does not describe.
+// config with every retired layout — version 1 (flat L2 geometry),
+// version 2 (hierarchy-as-data but no sampling fields) and version 3
+// (sampling fields and a conflict geometry slot) — and checks no
+// fingerprint collides with the current key: a persisted store from an
+// older version can only miss under current keys, never serve a stale
+// result for a config it does not describe.
 func TestKeyVersionNeverAliasesRetired(t *testing.T) {
-	if keyVersion != 3 {
-		t.Fatalf("keyVersion = %d, want 3 (update this test when bumping)", keyVersion)
+	if keyVersion != 4 {
+		t.Fatalf("keyVersion = %d, want 4 (update this test when bumping)", keyVersion)
 	}
 	c := Default("gcc").Canonical()
-	l2 := c.Hierarchy()[0].Geom
+	l2 := c.Levels[0].Geom
 
 	// Shared tails of the retired encodings.
 	writeFront := func(e keyEnc) keyEnc {
@@ -213,25 +195,45 @@ func TestKeyVersionNeverAliasesRetired(t *testing.T) {
 	e1 = e1.geometry(l2).i(c.MSHREntries).i(c.WritebackEntries) // v1: bare L2 geometry
 	v1 := Key(sha256.Sum256(writeEnergies(e1)))
 
-	e2 := writeFront(keyEnc(nil).u64(2)) // keyVersion 2
-	e2 = e2.i(len(c.Levels))             // v2: hierarchy as data, no sampling fields
-	for _, l := range c.Levels {
-		e2 = e2.cacheSpec(l.CacheSpec).
-			u64(uint64(l.Precharge)).
-			i(l.MSHREntries).
-			i(l.WritebackEntries)
+	// Versions 2 and 3 share the hierarchy-as-data prefix.
+	writeLevels := func(e keyEnc) keyEnc {
+		e = e.i(len(c.Levels))
+		for _, l := range c.Levels {
+			e = e.cacheSpec(l.CacheSpec).
+				u64(uint64(l.Precharge)).
+				i(l.MSHREntries).
+				i(l.WritebackEntries)
+		}
+		return e
 	}
-	e2 = e2.geometry(c.L2Geom).
+
+	// v2: no sampling fields.
+	e2 := writeLevels(writeFront(keyEnc(nil).u64(2))).
+		geometry(geometry.Geometry{}).
 		i(c.MSHREntries).
 		i(c.WritebackEntries)
 	v2 := Key(sha256.Sum256(writeEnergies(e2)))
 
-	cur := Default("gcc").Key()
-	if v1 == cur {
-		t.Fatal("current key aliases the v1 encoding of the same config")
+	// v3: sampling fields, after the conflict geometry slot.
+	e3 := writeLevels(writeFront(keyEnc(nil).u64(3))).
+		geometry(geometry.Geometry{}).
+		i(c.MSHREntries).
+		i(c.WritebackEntries).
+		u64(c.Sampling.WarmupInstructions).
+		u64(c.Sampling.DetailedInstructions).
+		u64(c.Sampling.FastForwardInstructions).
+		u64(c.Sampling.SkipInstructions)
+	v3 := Key(sha256.Sum256(writeEnergies(e3)))
+	// The keyVersion 3 golden of this config: the re-encoding is faithful.
+	if got := v3.String(); got != "038f2d6d7a995f69b5473ec7187d415a94d82db65749b121a90b0d5d30bbfd8b" {
+		t.Fatalf("v3 re-encoding = %s, not the keyVersion 3 golden", got)
 	}
-	if v2 == cur {
-		t.Fatal("current key aliases the v2 encoding of the same config")
+
+	cur := Default("gcc").Key()
+	for v, k := range map[int]Key{1: v1, 2: v2, 3: v3} {
+		if k == cur {
+			t.Errorf("current key aliases the v%d encoding of the same config", v)
+		}
 	}
 }
 

@@ -190,22 +190,47 @@ func TestWarmupCheckpointSharedAcrossGeometries(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointFallsBack: undecodable or version-mismatched
-// stored payloads must never fail a run — they fall back to a cold
-// warmup and are overwritten.
+// TestCorruptCheckpointFallsBack: undecodable, version-mismatched or
+// partly mis-shaped stored payloads must never fail a run — they fall
+// back to a cold warmup and are overwritten. A payload whose predictor
+// fits but whose BTB (or one predictor component) does not must leave
+// no restored part behind for the cold warmup to start from.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	cfg := goldenConfigs()["gcc-ooo-base"]
 	cfg.Sampling = fidelitySpec()
 	cfg.Sampling.WarmupInstructions = 10_000
-	cold, _, err := RunWithCheckpoints(cfg, nil)
+	saved := newMapStore()
+	cold, _, err := RunWithCheckpoints(cfg, saved)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldJSON := resultJSON(t, cold)
+	// reshaped returns the saved payload with one part cut down.
+	reshaped := func(cut func(*checkpointPayload)) []byte {
+		p, err := decodeCheckpoint(saved.m[cfg.WarmKey()])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut(&p)
+		data, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
 
 	for name, payload := range map[string][]byte{
 		"garbage":       []byte("{not json"),
 		"wrong-version": []byte(`{"version":99}`),
+		"truncated-btb": reshaped(func(p *checkpointPayload) {
+			p.Front.BTB.Tags = p.Front.BTB.Tags[:1]
+		}),
+		"truncated-predictor-component": reshaped(func(p *checkpointPayload) {
+			p.Front.Predictor.Comp2.Table = p.Front.Predictor.Comp2.Table[:1]
+		}),
+		"counter-out-of-range": reshaped(func(p *checkpointPayload) {
+			p.Front.Predictor.Table[len(p.Front.Predictor.Table)-1] = 4
+		}),
 	} {
 		st := newMapStore()
 		st.RecordArtifact(cfg.WarmKey(), payload)

@@ -145,17 +145,8 @@ type Config struct {
 
 	// Levels describes the shared hierarchy below the split L1s,
 	// outermost first: Levels[0] is the L2, Levels[1] an L3, and so on.
-	// An explicitly empty hierarchy (no Levels and a zero L2Geom)
-	// connects the L1s straight to memory.
+	// An empty hierarchy connects the L1s straight to memory.
 	Levels []LevelSpec
-
-	// L2Geom is the older single-level form of Levels.
-	//
-	// Deprecated: set Levels instead. A non-zero L2Geom normalizes into
-	// a one-level non-resizable spec when Levels is empty, and the two
-	// spellings fingerprint identically; a config that sets both is
-	// rejected by Run.
-	L2Geom geometry.Geometry
 
 	MSHREntries      int // d-cache MSHRs for the OoO engine
 	WritebackEntries int
@@ -169,20 +160,6 @@ type Config struct {
 	// with standard-error bars (Result.Sample). The zero value runs every
 	// instruction in detail. See sample.go.
 	Sampling SamplingSpec
-}
-
-// Hierarchy returns the config's shared levels in canonical form,
-// outermost first: Levels verbatim when set, otherwise a non-zero
-// L2Geom folded into a one-level non-resizable spec, otherwise nil (the
-// L1s talk straight to memory).
-func (c Config) Hierarchy() []LevelSpec {
-	if len(c.Levels) > 0 {
-		return c.Levels
-	}
-	if c.L2Geom == (geometry.Geometry{}) {
-		return nil
-	}
-	return []LevelSpec{{CacheSpec: CacheSpec{Geom: c.L2Geom, Org: core.NonResizable}}}
 }
 
 // Default returns the paper's base configuration (Table 2) for a
@@ -357,9 +334,6 @@ func validated(cfg Config) (*workload.Profile, error) {
 	if cfg.Instructions == 0 {
 		return nil, fmt.Errorf("sim: zero instruction budget")
 	}
-	if len(cfg.Levels) > 0 && cfg.L2Geom != (geometry.Geometry{}) {
-		return nil, fmt.Errorf("sim: both Levels and the deprecated L2Geom set; use Levels only")
-	}
 	if s := cfg.Sampling; s != (SamplingSpec{}) {
 		if !s.Enabled() {
 			return nil, fmt.Errorf("sim: partial sampling spec %+v: both DetailedInstructions and FastForwardInstructions must be set", s)
@@ -382,7 +356,7 @@ type machine struct {
 
 // buildMachine constructs the config's memory system.
 func buildMachine(cfg Config) (*machine, error) {
-	levels := cfg.Hierarchy()
+	levels := cfg.Levels
 	// Memory transfers its client's block: the innermost shared level's
 	// when the hierarchy has one, otherwise one memory per L1 (the two
 	// L1s may use different block sizes, so a shared transfer size would

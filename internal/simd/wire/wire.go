@@ -38,8 +38,10 @@ import (
 // ProtocolVersion tags every request; see the package comment for the
 // bump policy.
 // Version history: 1 = initial op set; 2 = OpPing health check (and the
-// reconnecting client that relies on it).
-const ProtocolVersion = 2
+// reconnecting client that relies on it); 3 = plan scenarios lost the
+// deprecated per-L1 resize booleans, which a v2 client could still send
+// and a v3 server would silently drop (Sides is the only spelling).
+const ProtocolVersion = 3
 
 // MaxFrame bounds a single frame's payload. Plans serialize to a few
 // bytes per scenario and results to a few KB, so 64 MiB is far above any

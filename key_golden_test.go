@@ -17,7 +17,7 @@ func TestPlanArtifactKeyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "6dfe687f171bf1e2dbba1165ffa118e611fa854bb691a0803a0f216c121fda3f"
+	const want = "2bf7eddcb4b4b61fc927e12eb2ed03b7795271bcac9ba80aeffd6e847816af9f"
 	if got := planArtifactKey("golden", 1, plan).String(); got != want {
 		t.Errorf("planArtifactKey = %q, pinned %q", got, want)
 	}

@@ -163,10 +163,9 @@ type Plan struct {
 }
 
 // PlanOf builds a Plan from explicit scenarios: each is validated and
-// normalized (defaults filled, the deprecated resize booleans folded
-// into Sides), and duplicates after normalization collapse to their
-// first position — a legacy ResizeDCache scenario and its Sides=DOnly
-// equivalent count as one.
+// normalized (defaults filled, inert axes zeroed), and duplicates after
+// normalization collapse to their first position — a scenario leaving
+// Assoc at zero and its Assoc=2 equivalent count as one.
 func PlanOf(scenarios ...Scenario) (Plan, error) {
 	seen := make(map[Scenario]struct{}, len(scenarios))
 	var p Plan

@@ -13,8 +13,8 @@ import (
 
 func TestGridExpansionDeterministicAndDeduped(t *testing.T) {
 	g := Grid{
-		// Duplicate axis values and a legacy-boolean equivalent must
-		// collapse; expansion order must be stable across calls.
+		// Duplicate axis values must collapse; expansion order must be
+		// stable across calls.
 		Benchmarks:    []string{"gcc", "m88ksim", "gcc"},
 		Organizations: []Organization{SelectiveSets},
 		Assocs:        []int{2, 4, 2},
@@ -42,9 +42,6 @@ func TestGridExpansionDeterministicAndDeduped(t *testing.T) {
 	for i, sc := range scs {
 		if sc.Benchmark == "m88ksim" && i < 4 {
 			t.Errorf("expansion order broken: m88ksim at position %d", i)
-		}
-		if sc.ResizeDCache || sc.ResizeICache {
-			t.Error("plan scenarios not normalized")
 		}
 	}
 }
@@ -77,17 +74,17 @@ func TestGridDefaultsAndValidation(t *testing.T) {
 	}
 }
 
-func TestPlanOfNormalizesLegacyBooleans(t *testing.T) {
-	legacy := Scenario{Benchmark: "gcc", Organization: SelectiveSets, ResizeDCache: true}
-	modern := Scenario{Benchmark: "gcc", Organization: SelectiveSets, Sides: DOnly}
-	p, err := PlanOf(legacy, modern)
+func TestPlanOfNormalizesAndDedups(t *testing.T) {
+	implicit := Scenario{Benchmark: "gcc", Organization: SelectiveSets, Sides: DOnly}
+	explicit := Scenario{Benchmark: "gcc", Organization: SelectiveSets, Sides: DOnly, Assoc: 2}
+	p, err := PlanOf(implicit, explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Len() != 1 {
-		t.Fatalf("legacy and Sides spellings did not dedup: %d scenarios", p.Len())
+		t.Fatalf("default and explicit Assoc did not dedup: %d scenarios", p.Len())
 	}
-	if sc := p.Scenarios()[0]; sc.Sides != DOnly || sc.ResizeDCache {
+	if sc := p.Scenarios()[0]; sc.Sides != DOnly || sc.Assoc != 2 {
 		t.Errorf("normalization broken: %+v", sc)
 	}
 	if _, err := PlanOf(Scenario{Benchmark: "gcc"}); err == nil {

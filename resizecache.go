@@ -278,15 +278,6 @@ type Scenario struct {
 	// Sides selects which caches resize: BothSides (the default), DOnly,
 	// or IOnly.
 	Sides Sides
-	// ResizeDCache / ResizeICache are the older boolean form of Sides:
-	// exactly one true selects that cache; both false (or both true)
-	// means both resize.
-	//
-	// Deprecated: set Sides instead. The booleans remain honoured when
-	// Sides is left at its BothSides zero value, but a combination that
-	// contradicts an explicit DOnly/IOnly is an error.
-	ResizeDCache bool
-	ResizeICache bool
 	// Assoc is the L1 set-associativity (default 2, the base config).
 	// It must describe a geometry the schedule builder supports: a
 	// positive power of two no larger than the 32K cache's subarray
@@ -315,9 +306,8 @@ type Scenario struct {
 }
 
 // normalize validates a scenario and fills defaults, returning the
-// canonical form shared by Simulate and Plan expansion: Sides carries
-// the resize selection (the deprecated booleans are folded in and
-// cleared) and Assoc and Instructions are defaulted, so two scenarios
+// canonical form shared by Simulate and Plan expansion: Assoc and
+// Instructions are defaulted and inert axes zeroed, so two scenarios
 // describing the same experiment compare equal — which is what Plan
 // deduplication relies on.
 func (sc Scenario) normalize() (Scenario, error) {
@@ -401,31 +391,10 @@ func (sc Scenario) normalize() (Scenario, error) {
 	}
 
 	switch sc.Sides {
-	case BothSides:
-		// Fold in the deprecated booleans; both set (or neither) is the
-		// combined experiment, matching their historical contract.
-		switch {
-		case sc.ResizeDCache && !sc.ResizeICache:
-			sc.Sides = DOnly
-		case sc.ResizeICache && !sc.ResizeDCache:
-			sc.Sides = IOnly
-		}
-	case DOnly:
-		if sc.ResizeICache {
-			return Scenario{}, fmt.Errorf("resizecache: Sides=DOnly contradicts ResizeICache")
-		}
-	case IOnly:
-		if sc.ResizeDCache {
-			return Scenario{}, fmt.Errorf("resizecache: Sides=IOnly contradicts ResizeDCache")
-		}
-	case L2Only:
-		if sc.ResizeDCache || sc.ResizeICache {
-			return Scenario{}, fmt.Errorf("resizecache: Sides=L2Only contradicts the L1 resize booleans")
-		}
+	case BothSides, DOnly, IOnly, L2Only:
 	default:
 		return Scenario{}, fmt.Errorf("resizecache: invalid Sides value %d", sc.Sides)
 	}
-	sc.ResizeDCache, sc.ResizeICache = false, false
 
 	// Which caches actually resize. An L2-only experiment has two
 	// spellings — Sides == L2Only, or a NonResizable L1 organization
@@ -863,7 +832,7 @@ func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runn
 		out.EDPReductionPct = parts[0].EDPReductionPct()
 		out.SlowdownPct = parts[0].SlowdownPct()
 	} else {
-		comb, err := experiment.CombinedBestsContext(ctx, base, parts, opts)
+		comb, err := experiment.CombinedBests(ctx, base, parts, opts)
 		if err != nil {
 			return Outcome{}, err
 		}

@@ -68,12 +68,8 @@ func TestSidesNormalization(t *testing.T) {
 		want Sides
 	}{
 		{"default", base, BothSides},
-		{"legacy d", func() Scenario { s := base; s.ResizeDCache = true; return s }(), DOnly},
-		{"legacy i", func() Scenario { s := base; s.ResizeICache = true; return s }(), IOnly},
-		{"legacy both", func() Scenario { s := base; s.ResizeDCache, s.ResizeICache = true, true; return s }(), BothSides},
 		{"explicit d", func() Scenario { s := base; s.Sides = DOnly; return s }(), DOnly},
 		{"explicit i", func() Scenario { s := base; s.Sides = IOnly; return s }(), IOnly},
-		{"explicit d + redundant bool", func() Scenario { s := base; s.Sides = DOnly; s.ResizeDCache = true; return s }(), DOnly},
 	}
 	for _, c := range cases {
 		n, err := c.sc.normalize()
@@ -84,20 +80,6 @@ func TestSidesNormalization(t *testing.T) {
 		if n.Sides != c.want {
 			t.Errorf("%s: normalized to %v, want %v", c.name, n.Sides, c.want)
 		}
-		if n.ResizeDCache || n.ResizeICache {
-			t.Errorf("%s: deprecated booleans survived normalization", c.name)
-		}
-	}
-	// Contradictions between Sides and the deprecated booleans are errors.
-	bad := base
-	bad.Sides, bad.ResizeICache = DOnly, true
-	if _, err := bad.normalize(); err == nil {
-		t.Error("Sides=DOnly with ResizeICache accepted")
-	}
-	bad = base
-	bad.Sides, bad.ResizeDCache = IOnly, true
-	if _, err := bad.normalize(); err == nil {
-		t.Error("Sides=IOnly with ResizeDCache accepted")
 	}
 }
 
@@ -107,7 +89,7 @@ func TestSimulateContextCancellation(t *testing.T) {
 	_, err := SimulateContext(ctx, Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
-		ResizeDCache: true,
+		Sides:        DOnly,
 		Instructions: 300_000,
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -120,7 +102,7 @@ func TestSessionSharesMemoizedResults(t *testing.T) {
 	sc := Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
-		ResizeDCache: true,
+		Sides:        DOnly,
 		Instructions: 200_000,
 	}
 	first, err := s.Simulate(sc)
@@ -194,7 +176,7 @@ func TestSessionPersistsAcrossProcessesViaStore(t *testing.T) {
 	sc := Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
-		ResizeDCache: true,
+		Sides:        DOnly,
 		Instructions: 200_000,
 	}
 	s1, err := NewSessionWith(SessionOptions{StorePath: path})
@@ -241,7 +223,7 @@ func TestSimulateSingleCache(t *testing.T) {
 	out, err := Simulate(Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
-		ResizeDCache: true,
+		Sides:        DOnly,
 		Instructions: 300_000,
 	})
 	if err != nil {
@@ -322,8 +304,6 @@ func TestL2ScenarioNormalization(t *testing.T) {
 		"L2 assoc on NoL2":            {Benchmark: "gcc", Organization: SelectiveSets, Hierarchy: NoL2, L2: L2Spec{Assoc: 8}},
 		"bad L2 assoc":                {Benchmark: "gcc", Organization: SelectiveSets, L2: L2Spec{Assoc: 3}},
 		"unknown hierarchy":           {Benchmark: "gcc", Organization: SelectiveSets, Hierarchy: Hierarchy(99)},
-		"L2Only with legacy boolean": {Benchmark: "gcc", Sides: L2Only,
-			L2: L2Spec{Organization: SelectiveWays}, ResizeDCache: true},
 		// An explicit L1 side with no resizable L1 organization asked for
 		// something the scenario cannot do — it must not silently fold to
 		// an L2-only experiment.
