@@ -299,7 +299,9 @@ func WarmSweepSpec() experiment.SweepSpec {
 }
 
 // SweepKey times the artifact fingerprint of WarmSweepSpec — what a
-// warm request pays per sweep before its cached winner is decoded.
+// warm request pays per sweep before its cached winner is decoded. The
+// key hashes the sweep's definition, so its cost does not grow with the
+// 211 configs the sweep runs.
 func SweepKey(b *testing.B) {
 	spec := WarmSweepSpec()
 	b.ReportAllocs()
@@ -311,8 +313,8 @@ func SweepKey(b *testing.B) {
 }
 
 // WarmSimulate times a warm Session.Simulate of a dynamic both-sides
-// scenario: zero simulations, two 211-config sweep fingerprints, two
-// cached winners decoded and one memo hit for the combined run. The
+// scenario: zero simulations, two sweep fingerprints, two cached
+// winners decoded and one memo hit for the combined run. The
 // untimed cold run before the loop warms the session.
 func WarmSimulate(b *testing.B) {
 	s := resizecache.NewSession()

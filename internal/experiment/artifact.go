@@ -9,44 +9,25 @@ import (
 )
 
 // Sweep-artifact caching: BestStatic/BestDynamic winner selections are
-// sweep-level artifacts — pure functions of the configs the sweep runs —
-// and every figure driver re-derives the same grids (Figure 6 repeats
-// Figure 4's ways/sets cells, Figure 9 repeats Figure 5's and 8's
-// selective-sets winners). The helpers here memoize a Best through the
-// runner's two-tier artifact cache (in-memory + persistent store) under
-// a content-addressed fingerprint, so regenerating one figure warms the
-// next and a resumed cmd/figures run skips whole sweeps.
+// sweep-level artifacts — pure functions of the sweep's definition
+// (SweepSpec.ArtifactKey) — and every figure driver re-derives the same
+// grids (Figure 6 repeats Figure 4's ways/sets cells, Figure 9 repeats
+// Figure 5's and 8's selective-sets winners). The helpers here memoize a
+// Best through the runner's two-tier artifact cache (in-memory +
+// persistent store) under that fingerprint, so regenerating one figure
+// warms the next and a resumed cmd/figures run skips whole sweeps.
 
-// artifactVersion tags the serialized Best schema and the
-// winner-selection algorithm (pickBest, candidate enumeration). Bump it
-// whenever either changes: persisted artifacts from older code are then
-// unreachable (different fingerprints) instead of misapplied.
+// artifactVersion tags what a sweep fingerprint does not hash: the
+// serialized Best schema, winner selection (pickBest, describe) and
+// candidate enumeration (the static policy list, dynamicCandidates,
+// applySide). Bump it whenever any of them changes: persisted artifacts
+// from older code are then unreachable (different fingerprints) instead
+// of misapplied. TestSweepBatchesPinned fails when the enumeration
+// changes.
 // Version 2: sim.Result gained the per-level hierarchy reports.
-const artifactVersion = 2
-
-// sweepArtifactKey fingerprints one winner-selection sweep: the sweep
-// kind plus the content fingerprint of every config it would run, in
-// order. Anything that changes any underlying simulation — app, side,
-// organization, associativity, schedule, engine, instruction budget,
-// energy model, the sim.Key encoding itself — changes some cfg.Key()
-// and therefore the artifact key, so no Options field needs to be
-// enumerated here. Sweep.artifactKey computes the same key by streaming
-// the configs through one scratch config, so a warm sweep never
-// materializes its batch: the []sim.Config is built only on the cold
-// path (an artifact miss, or a sweep EnqueueSweeps finds cold).
-func sweepArtifactKey(kind string, cfgs []sim.Config) sim.Key {
-	b := newSweepKeyBuilder(kind)
-	for i := range cfgs {
-		b.RawKey(cfgs[i].Key())
-	}
-	return b.Sum()
-}
-
-// newSweepKeyBuilder starts a sweep fingerprint: domain, schema version
-// and sweep kind, ready for the configs' keys.
-func newSweepKeyBuilder(kind string) *sim.KeyBuilder {
-	return sim.NewKeyBuilder("experiment/sweep").Int(artifactVersion).Str(kind)
-}
+// Version 3: sweeps are keyed by their definition, not by the key of
+// every config in their batch.
+const artifactVersion = 3
 
 // cachedBest resolves a sweep's Best through the runner's artifact
 // cache under its fingerprint, running compute only on a cold key. A

@@ -14,10 +14,10 @@
 // one batched pass (EnqueueSweeps) so gathers join in-flight work. On
 // top of that, every winner-selection sweep (Sweep.Best and the
 // sensitivity variants) memoizes its outcome as a sweep-level artifact
-// (see artifact.go), so a driver repeating a grid another figure
-// already profiled resolves the whole sweep — not just its simulations
-// — from cache. Every simulation is independently deterministic, so
-// results do not depend on scheduling.
+// keyed by the sweep's definition (see artifact.go), so a driver
+// repeating a grid another figure already profiled resolves the whole
+// sweep — not just its simulations — from cache. Every simulation is
+// independently deterministic, so results do not depend on scheduling.
 package experiment
 
 import (
@@ -193,21 +193,13 @@ func (b Best) SlowdownPct() float64 { return 100 * b.Chosen.EDP.Slowdown(b.Base.
 // ablation switches, so a sweep over an ablated base compares ablated
 // candidates against the ablated baseline.
 func applySide(cfg *sim.Config, side Side, spec sim.CacheSpec) {
-	if side == L2Side {
-		// Never write through to a hierarchy other configs share.
-		cfg.Levels = append([]sim.LevelSpec(nil), cfg.Levels...)
-	}
-	setSide(cfg, side, spec)
-}
-
-// setSide is applySide on a config whose hierarchy is already its own
-// (the scratch config a sweep fingerprint streams through).
-func setSide(cfg *sim.Config, side Side, spec sim.CacheSpec) {
 	switch side {
 	case ISide:
 		cfg.ICache = spec
 	case L2Side:
-		// sideGeom already rejected an empty hierarchy.
+		// Never write through to a hierarchy other configs share;
+		// sideGeom already rejected an empty one.
+		cfg.Levels = append([]sim.LevelSpec(nil), cfg.Levels...)
 		l := &cfg.Levels[0]
 		l.Geom, l.Org, l.Policy = spec.Geom, spec.Org, spec.Policy
 	default:
@@ -285,12 +277,14 @@ func (s SweepSpec) kind() string {
 	return "best-static"
 }
 
-// ArtifactKey is the sweep's artifact-cache fingerprint: the sweep kind
-// and schema version plus the content fingerprint of every config the
-// sweep would run (baseline and all candidates). Anything that changes
-// the winner selection — candidate enumeration, schedule building, any
-// underlying simulation, or artifactVersion itself — moves it. Layers
-// caching values derived from whole sweeps (the facade's figure-level
+// ArtifactKey is the sweep's artifact-cache fingerprint: one hash over
+// artifactVersion, the sweep kind, App, Side, Org and Base.Key() — every
+// field of the spec. The candidate batch is a pure function of those
+// plus code artifactVersion versions, so a change to candidate
+// enumeration, schedule building or winner selection must bump it
+// (TestSweepBatchesPinned fails until it does); a change to any
+// underlying simulation moves Base.Key() by itself. Layers caching
+// values derived from whole sweeps (the facade's figure-level
 // aggregates) compose it into their own fingerprints so their caches
 // invalidate together with the sweep tier. It is Resolve's key, and
 // errors where Resolve does.
@@ -302,10 +296,9 @@ func (s SweepSpec) ArtifactKey() (sim.Key, error) {
 // Sweep is a SweepSpec resolved for execution: its side checked, the
 // resized cache's schedule built, and its artifact fingerprint computed
 // — once. A plan resolves each spec once and hands the same Sweep to
-// the batch-enqueue pass (EnqueueSweeps) and to its gather (Best), so a
-// warm sweep costs one fingerprint per plan. The fingerprint streams
-// every config through one scratch config; the []sim.Config batch is
-// built only on the cold path. Obtain a Sweep from Resolve.
+// the batch-enqueue pass (EnqueueSweeps) and to its gather (Best). The
+// []sim.Config batch is built only on the cold path. Obtain a Sweep
+// from Resolve.
 type Sweep struct {
 	spec  SweepSpec
 	sched core.Schedule
@@ -357,21 +350,12 @@ func (sw Sweep) candidate(p sim.PolicySpec) sim.CacheSpec {
 	return sim.CacheSpec{Geom: sw.sched.Geom, Org: sw.spec.Org, Policy: p}
 }
 
-// artifactKey fingerprints the sweep (sweepArtifactKey over its batch)
-// by streaming the candidates through one scratch config instead of
-// materializing the batch.
+// artifactKey fingerprints the sweep by its definition; see
+// SweepSpec.ArtifactKey.
 func (sw Sweep) artifactKey() sim.Key {
-	b := newSweepKeyBuilder(sw.spec.kind())
-	b.RawKey(sw.spec.Base.Key())
-	cfg := sw.spec.Base
-	if sw.spec.Side == L2Side {
-		applySide(&cfg, L2Side, sw.candidate(sim.PolicySpec{})) // a private hierarchy to rewrite
-	}
-	for p := range sw.policies {
-		setSide(&cfg, sw.spec.Side, sw.candidate(p))
-		b.RawKey(cfg.Key())
-	}
-	return b.Sum()
+	s := sw.spec
+	return sim.NewKeyBuilder("experiment/sweep").Int(artifactVersion).Str(s.kind()).
+		Str(s.App).Int(int(s.Side)).Int(int(s.Org)).RawKey(s.Base.Key()).Sum()
 }
 
 // configs materializes the batch the sweep runs — the baseline followed
@@ -406,7 +390,7 @@ func (sw Sweep) describe(p sim.PolicySpec) string {
 // Best is the sweep core: it runs (or resolves) the sweep's batch and
 // selects the minimum-EDP winner versus the baseline. The whole sweep
 // memoizes as one artifact through the runner's artifact cache, keyed
-// by the configs it would run — so a repeated sweep (the same grid cell
+// by the sweep's definition — so a repeated sweep (the same grid cell
 // in a later figure, or a resumed process with a persistent store)
 // resolves without submitting a single simulation, and a sweep enqueued
 // up front by a plan gathers by joining the in-flight work instead of

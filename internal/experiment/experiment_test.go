@@ -2,14 +2,17 @@ package experiment
 
 import (
 	"context"
+	"crypto/sha256"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"resizecache/internal/core"
+	"resizecache/internal/geometry"
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
+	"resizecache/internal/workload"
 )
 
 // fastOpts trades fidelity for test speed; claim tests use tolerant
@@ -350,12 +353,13 @@ func TestSweepArtifactResumesFromStore(t *testing.T) {
 // repairs both tiers, so later calls (and later processes) hit again.
 func TestCachedBestRepairsUndecodablePayload(t *testing.T) {
 	store := runner.NewMemStore()
-	cfg := sim.Default("gcc")
-	cfg.Instructions = 1000
-	cfgs := []sim.Config{cfg}
+	key, err := NewSweepSpec("gcc", DSide, core.SelectiveSets, 2, false, fastOpts()).ArtifactKey()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Valid JSON (so every Store backend keeps it) that does not decode
 	// into a Best payload.
-	store.RecordArtifact(sweepArtifactKey("best-static", cfgs), []byte("[1,2,3]"))
+	store.RecordArtifact(key, []byte("[1,2,3]"))
 
 	var computes int
 	want := Best{App: "gcc", Desc: "static 8K/2-way"}
@@ -365,7 +369,6 @@ func TestCachedBestRepairsUndecodablePayload(t *testing.T) {
 	}
 	ctx := context.Background()
 	r1 := runner.New(runner.Options{Store: store})
-	key := sweepArtifactKey("best-static", cfgs)
 	got, err := cachedBest(ctx, r1, key, compute)
 	if err != nil {
 		t.Fatal(err)
@@ -394,27 +397,73 @@ func TestCachedBestRepairsUndecodablePayload(t *testing.T) {
 	}
 }
 
-// TestSweepArtifactKeySeparatesSweeps: distinct sweeps must fingerprint
-// apart even when they share structure, and identical sweeps must not.
+// TestSweepArtifactKeySeparatesSweeps checks the sweep key's safety
+// property over a generated space of specs: apps × sides × organizations
+// × strategies × L1 associativities × engines × the facade's hierarchy
+// presets × sampling on and off. Specs sharing a key must run the same
+// batch (the key stands in for it), distinct specs must key apart, and a
+// spec built twice must key the same. Short mode keeps two apps.
 func TestSweepArtifactKeySeparatesSweeps(t *testing.T) {
-	cfgs := func(app string, n uint64) []sim.Config {
-		c := sim.Default(app)
-		c.Instructions = n
-		return []sim.Config{c}
+	apps := workload.Names()
+	if testing.Short() {
+		apps = apps[:2]
 	}
-	a := sweepArtifactKey("best-static", cfgs("gcc", 1000))
-	if b := sweepArtifactKey("best-static", cfgs("gcc", 1000)); a != b {
-		t.Error("identical sweeps fingerprint apart")
+	level := func(size, assoc int) sim.LevelSpec {
+		return sim.LevelSpec{CacheSpec: sim.CacheSpec{Org: core.NonResizable,
+			Geom: geometry.Geometry{SizeBytes: size, Assoc: assoc, BlockBytes: 64, SubarrayBytes: 4 << 10}}}
 	}
-	if b := sweepArtifactKey("best-dynamic", cfgs("gcc", 1000)); a == b {
-		t.Error("sweep kind does not move the fingerprint")
+	// BaseL2, NoL2, SmallL2, BigL2, DeepL2L3.
+	hierarchies := [][]sim.LevelSpec{{level(512<<10, 4)}, nil, {level(256<<10, 4)},
+		{level(1<<20, 4)}, {level(512<<10, 4), level(2<<20, 8)}}
+	batches := make(map[sim.Key][sha256.Size]byte)
+	specs := 0
+	for _, app := range apps {
+		for _, side := range []Side{DSide, ISide, L2Side} {
+			for _, org := range []core.Organization{core.NonResizable, core.SelectiveWays,
+				core.SelectiveSets, core.Hybrid, core.HybridMinWays} {
+				for _, dynamic := range []bool{false, true} {
+					for _, assoc := range []int{1, 2, 4, 8, 16} {
+						for _, engine := range []sim.EngineKind{sim.OutOfOrder, sim.InOrder} {
+							for _, levels := range hierarchies {
+								for _, sampling := range []sim.SamplingSpec{{}, sim.DefaultSampling()} {
+									opts := DefaultOptions()
+									opts.Instructions = 100_000
+									opts.Engine = engine
+									build := func() SweepSpec {
+										spec := NewSweepSpec(app, side, org, assoc, dynamic, opts)
+										spec.Base.Levels = levels
+										spec.Base.Sampling = sampling
+										return spec
+									}
+									sw, err := build().Resolve()
+									if err != nil {
+										continue
+									}
+									if again, _ := build().ArtifactKey(); again != sw.key {
+										t.Fatalf("%s/%v/%v/%v: spec built twice keys %v then %v", app, side, org, dynamic, sw.key, again)
+									}
+									h := sha256.New()
+									cfgs, _ := sw.configs()
+									writeBatch(h, cfgs)
+									var digest [sha256.Size]byte
+									h.Sum(digest[:0])
+									if prev, ok := batches[sw.key]; ok && prev != digest {
+										t.Fatalf("%s/%v/%v/%v: key %v stands for two different batches", app, side, org, dynamic, sw.key)
+									}
+									batches[sw.key] = digest
+									specs++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
-	if b := sweepArtifactKey("best-static", cfgs("vpr", 1000)); a == b {
-		t.Error("config contents do not move the fingerprint")
+	if len(batches) != specs {
+		t.Errorf("%d distinct specs share %d keys", specs, len(batches))
 	}
-	if b := sweepArtifactKey("best-static", append(cfgs("gcc", 1000), cfgs("gcc", 2000)...)); a == b {
-		t.Error("config count does not move the fingerprint")
-	}
+	t.Logf("%d specs resolved", specs)
 }
 
 func TestBestAccessorsOnSides(t *testing.T) {

@@ -1,9 +1,14 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
 	"testing"
 
 	"resizecache/internal/core"
+	"resizecache/internal/sim"
 )
 
 // TestSweepArtifactKeyGolden pins the literal artifact fingerprints of
@@ -20,17 +25,17 @@ func TestSweepArtifactKeyGolden(t *testing.T) {
 		want string
 	}{
 		{"d-static-ways", NewSweepSpec("gcc", DSide, core.SelectiveWays, 4, false, opts),
-			"3ee5934efc9f6f8b78731ebd4b99bdd005a9bead40b66df0bec7df3970ed6c54"},
+			"903386758521abea6e9d2292184dc3b3146a63d30b999cc2b9014011e4fcc0da"},
 		{"d-dynamic-hybrid", NewSweepSpec("m88ksim", DSide, core.Hybrid, 2, true, opts),
-			"c588248c1fca9facce1c87126ffc9bfc86ece26013433e6ea58d21fc4319db52"},
+			"f806a58ceba171ca83112c172b20d6860fc88272cb66525ede34a201331d33e1"},
 		{"i-static-sets", NewSweepSpec("vpr", ISide, core.SelectiveSets, 2, false, opts),
-			"56a8d24be156a33f38e414dafb486f7faf169eba476b45acac7cf468ff781864"},
+			"4b8a280fac7a25d7eb67daf2021548c4c930149725994581d3e5e7286173c02c"},
 		{"i-dynamic-sets", NewSweepSpec("su2cor", ISide, core.SelectiveSets, 2, true, opts),
-			"6d21fb7f7c7a9f2877cb404c981198df920e0d4cc726644883d7f51cd2a81480"},
+			"2443de5af28ec673a059ffafa0b165b3aeb71f3c8a517126c53ea2be6baba8ff"},
 		{"l2-static-ways", NewSweepSpec("gcc", L2Side, core.SelectiveWays, 2, false, opts),
-			"822eedb1d8cfc7b356a15a7d9a008d9bd2c9a4cd6c06dc1ad5bcb6e109631917"},
+			"facc9aaca9b158a848b5f46d055188289c1ae0c425db42a81dc21f7f80637b5c"},
 		{"l2-dynamic-hybrid", NewSweepSpec("vpr", L2Side, core.Hybrid, 2, true, opts),
-			"b39c2e2b2eccaf3c9528cb06e6005e8158c7f27f59421215162efe56ab433533"},
+			"55ec0085ac03bc8fc1f5c24d13322962c6713d7db6f05380f2e8271835f62220"},
 	}
 	for _, tc := range cases {
 		k, err := tc.spec.ArtifactKey()
@@ -44,13 +49,18 @@ func TestSweepArtifactKeyGolden(t *testing.T) {
 	}
 }
 
-// TestSweepKeyMatchesDefinition: the streamed fingerprint of every
-// kind of sweep equals sweepArtifactKey over its materialized batch,
-// and the batch opens with the baseline followed by one config per
-// candidate policy.
-func TestSweepKeyMatchesDefinition(t *testing.T) {
+// TestSweepBatchesPinned pins the candidate batches a sweep key does not
+// hash. A sweep is keyed by its definition, so a change to candidate
+// enumeration (the static policy list, dynamicCandidates, applySide)
+// would leave every key in place and serve winners selected from the old
+// batch; this digest over the Config.Key of every config in every kind
+// of sweep fails instead. Each batch opens with the baseline followed by
+// one config per candidate policy. A keyVersion bump moves the digest
+// too (and every sweep key with Base.Key()): re-pin it then as well.
+func TestSweepBatchesPinned(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Instructions = 100_000
+	h := sha256.New()
 	for _, side := range []Side{DSide, ISide, L2Side} {
 		for _, org := range []core.Organization{core.NonResizable, core.SelectiveWays,
 			core.SelectiveSets, core.Hybrid, core.HybridMinWays} {
@@ -64,17 +74,29 @@ func TestSweepKeyMatchesDefinition(t *testing.T) {
 				if len(cfgs) != len(pols)+1 || cfgs[0].Key() != spec.Base.Key() {
 					t.Fatalf("%v/%v/%v: batch of %d configs for %d candidates", side, org, dynamic, len(cfgs), len(pols))
 				}
-				if want := sweepArtifactKey(spec.kind(), cfgs); sw.key != want {
-					t.Errorf("%v/%v/%v: streamed key %v, materialized batch %v", side, org, dynamic, sw.key, want)
-				}
+				writeBatch(h, cfgs)
 			}
 		}
+	}
+	const want = "b5add1533c70e37e36167fa43e7a60628ec79e09062747c410abfafe9351f710"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("batch digest %s, pinned %s: candidate batch changed: bump artifactVersion and re-pin this digest and TestSweepArtifactKeyGolden", got, want)
+	}
+}
+
+// writeBatch feeds a sweep's materialized batch to h: its length, then
+// the Key of every config in batch order.
+func writeBatch(h hash.Hash, cfgs []sim.Config) {
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(cfgs))))
+	for i := range cfgs {
+		k := cfgs[i].Key()
+		h.Write(k[:])
 	}
 }
 
 // TestSweepArtifactKeyAllocs: fingerprinting a sweep costs a fixed few
 // allocations (the schedule and the key builder), however many
-// candidates it streams.
+// candidates it runs.
 func TestSweepArtifactKeyAllocs(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Instructions = 100_000

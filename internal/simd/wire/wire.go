@@ -154,19 +154,40 @@ func WriteFrame(w io.Writer, v any) error {
 	return err
 }
 
+// exactFrame is the largest body ReadFrame allocates up front at its
+// declared size; every ordinary frame fits.
+const exactFrame = 64 << 10
+
 // ReadFrame reads one length-prefixed frame and unmarshals it into v.
+// io.EOF means the peer hung up cleanly between frames; a frame cut
+// short, header or body, is io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, v any) error {
 	var prefix [4]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(prefix[:])
-	if n > MaxFrame {
-		return fmt.Errorf("wire: frame length %d exceeds the %d-byte bound", n, MaxFrame)
+	size := binary.BigEndian.Uint32(prefix[:])
+	if size > MaxFrame {
+		return fmt.Errorf("wire: frame length %d exceeds the %d-byte bound", size, MaxFrame)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
+	// The length is the peer's claim: past exactFrame the body grows by
+	// doubling as bytes arrive, so a header promising MaxFrame and then
+	// stalling pins exactFrame or twice what was actually sent.
+	n := int(size)
+	body := make([]byte, min(n, exactFrame))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, body[got:])
+		got += m
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+		if got == n {
+			break
+		}
+		body = append(body, make([]byte, min(n-got, got))...)
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("wire: decode frame: %w", err)

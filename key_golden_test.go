@@ -17,7 +17,7 @@ func TestPlanArtifactKeyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "2bf7eddcb4b4b61fc927e12eb2ed03b7795271bcac9ba80aeffd6e847816af9f"
+	const want = "c45c7497d85a4d255d7ac7b8aa1edb75c3c7ef204b05ee6f85193d7197c83693"
 	if got := planArtifactKey("golden", 1, plan).String(); got != want {
 		t.Errorf("planArtifactKey = %q, pinned %q", got, want)
 	}

@@ -706,9 +706,9 @@ func (s *Session) Stats() runner.Stats { return s.r.Stats() }
 // planArtifactKey fingerprints a derived artifact of a whole plan: the
 // caller's domain and schema version plus every scenario's axes and the
 // artifact fingerprints of its profiling sweeps (which cover the
-// experiment layer's schema version and every config each sweep would
-// run) — so anything that changes any underlying simulation, the
-// winner-selection machinery, or the set of scenarios moves the key.
+// experiment layer's schema version and each sweep's definition) — so
+// anything that changes any underlying simulation, the winner-selection
+// machinery, or the set of scenarios moves the key.
 func planArtifactKey(domain string, version int, plan Plan) sim.Key {
 	b := sim.NewKeyBuilder("facade/plan-artifact")
 	b.Str(domain)
