@@ -9,16 +9,15 @@ import "fmt"
 // checkpoint format version in internal/sim (see CONTRIBUTING.md).
 
 // PredictorState is the serializable warm state of a direction
-// predictor. Table holds two-bit counters one per byte ([]byte
-// round-trips through JSON as base64, keeping checkpoints compact);
-// combining predictors store the meta table there and their components
-// in Comp1/Comp2.
+// predictor. Table holds two-bit counters one per byte; combining
+// predictors store the meta table there and their components in
+// Comp1/Comp2.
 type PredictorState struct {
-	Kind    string          `json:"kind"`
-	Table   []byte          `json:"table"`
-	History uint64          `json:"history,omitempty"` // gshare global history
-	Comp1   *PredictorState `json:"comp1,omitempty"`
-	Comp2   *PredictorState `json:"comp2,omitempty"`
+	Kind    string
+	Table   []byte
+	History uint64 // gshare global history
+	Comp1   *PredictorState
+	Comp2   *PredictorState
 }
 
 func counterBytes(t []twoBit) []byte {
@@ -133,13 +132,13 @@ func restorePredictor(p Predictor, s PredictorState, apply bool) error {
 // BTBState is the serializable warm state of a BTB: parallel per-entry
 // arrays plus the LRU clock and hit counters.
 type BTBState struct {
-	Tags    []uint64 `json:"tags"`
-	Targets []uint64 `json:"targets"`
-	LRU     []uint64 `json:"lru"`
-	Valid   []byte   `json:"valid"`
-	Clock   uint64   `json:"clock"`
-	Lookups uint64   `json:"lookups"`
-	Hits    uint64   `json:"hits"`
+	Tags    []uint64
+	Targets []uint64
+	LRU     []uint64
+	Valid   []byte
+	Clock   uint64
+	Lookups uint64
+	Hits    uint64
 }
 
 // Snapshot captures the BTB's warm state.
@@ -187,11 +186,11 @@ func (b *BTB) restore(s BTBState) {
 
 // RASState is the serializable warm state of a return-address stack.
 type RASState struct {
-	Stack  []uint64 `json:"stack"`
-	Top    int      `json:"top"`
-	Depth  int      `json:"depth"`
-	Pushes uint64   `json:"pushes"`
-	Pops   uint64   `json:"pops"`
+	Stack  []uint64
+	Top    int
+	Depth  int
+	Pushes uint64
+	Pops   uint64
 }
 
 // Snapshot captures the RAS's warm state.
@@ -227,8 +226,8 @@ func (r *RAS) restore(s RASState) {
 
 // StatsState is the serializable accuracy-counter state of Stats.
 type StatsState struct {
-	Lookups    uint64 `json:"lookups"`
-	Mispredict uint64 `json:"mispredict"`
+	Lookups    uint64
+	Mispredict uint64
 }
 
 // Snapshot captures the accuracy counters (the wrapped predictor is

@@ -29,12 +29,12 @@ import (
 // front-end: the direction predictor (with accuracy counters), the BTB,
 // the return-address stack, and the deferred BTB-install latch.
 type FrontEndState struct {
-	Predictor  bpred.PredictorState `json:"predictor"`
-	Stats      bpred.StatsState     `json:"stats"`
-	BTB        bpred.BTBState       `json:"btb"`
-	RAS        bpred.RASState       `json:"ras"`
-	PendingPC  uint64               `json:"pendingPC"`
-	HasPending bool                 `json:"hasPending"`
+	Predictor  bpred.PredictorState
+	Stats      bpred.StatsState
+	BTB        bpred.BTBState
+	RAS        bpred.RASState
+	PendingPC  uint64
+	HasPending bool
 }
 
 // SnapshotFrontEnd captures the shared front-end warm state.

@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
+	"fmt"
 
+	"resizecache/internal/core"
+	"resizecache/internal/payload"
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
 )
@@ -27,7 +29,9 @@ import (
 // Version 2: sim.Result gained the per-level hierarchy reports.
 // Version 3: sweeps are keyed by their definition, not by the key of
 // every config in their batch.
-const artifactVersion = 3
+// Version 4: a Best is stored in the binary layout of encodeBest, not
+// as JSON.
+const artifactVersion = 4
 
 // cachedBest resolves a sweep's Best through the runner's artifact
 // cache under its fingerprint, running compute only on a cold key. A
@@ -41,24 +45,76 @@ func cachedBest(ctx context.Context, r *runner.Runner, key sim.Key, compute func
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(stripTraces(best))
+		best = stripTraces(best)
+		return encodeBest(&best), nil
 	})
 	if err != nil {
 		return Best{}, err
 	}
-	var best Best
-	if err := json.Unmarshal(data, &best); err != nil {
+	best, err := decodeBest(data)
+	if err != nil {
 		fresh, cerr := compute(ctx)
 		if cerr != nil {
 			return Best{}, cerr
 		}
 		fresh = stripTraces(fresh)
-		if repaired, merr := json.Marshal(fresh); merr == nil {
-			r.PutArtifact(key, repaired)
-		}
+		r.PutArtifact(key, encodeBest(&fresh))
 		return fresh, nil
 	}
 	return best, nil
+}
+
+// encodeBest seals a Best's binary layout for the artifact store; sim
+// owns the layout of its two Results. decodeBest mirrors it line for
+// line, and TestBestLayoutCoversEveryField fails when a field of Best
+// is missing from either.
+func encodeBest(b *Best) []byte {
+	var w payload.Writer
+	w.Str(b.App)
+	w.Int(int(b.Side))
+	w.Int(int(b.Org))
+	w.Str(b.Desc)
+	w.Int(int(b.Spec.Kind))
+	w.Int(b.Spec.StaticIndex)
+	w.Uvarint(b.Spec.Interval)
+	w.Uvarint(b.Spec.MissBound)
+	w.Int(b.Spec.SizeBoundBytes)
+	w.Int(b.Spec.UpsizeHoldIntervals)
+	b.Chosen.AppendPayload(&w)
+	b.Base.AppendPayload(&w)
+	w.Len(len(b.Resized), b.Resized == nil)
+	for _, s := range b.Resized {
+		w.Int(int(s))
+	}
+	return w.Seal()
+}
+
+// decodeBest opens a payload encodeBest sealed.
+func decodeBest(data []byte) (Best, error) {
+	var b Best
+	rd := payload.Open(data)
+	b.App = rd.Str()
+	b.Side = Side(rd.Int())
+	b.Org = core.Organization(rd.Int())
+	b.Desc = rd.Str()
+	b.Spec.Kind = sim.PolicyKind(rd.Int())
+	b.Spec.StaticIndex = rd.Int()
+	b.Spec.Interval = rd.Uvarint()
+	b.Spec.MissBound = rd.Uvarint()
+	b.Spec.SizeBoundBytes = rd.Int()
+	b.Spec.UpsizeHoldIntervals = rd.Int()
+	b.Chosen.ReadPayload(&rd)
+	b.Base.ReadPayload(&rd)
+	if n, isNil := rd.Len(); !isNil {
+		b.Resized = make([]Side, n)
+		for i := range b.Resized {
+			b.Resized[i] = Side(rd.Int())
+		}
+	}
+	if err := rd.Done(); err != nil {
+		return Best{}, fmt.Errorf("experiment: cached Best: %w", err)
+	}
+	return b, nil
 }
 
 // stripTraces drops the per-interval size traces from a Best's results

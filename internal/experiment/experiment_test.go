@@ -3,6 +3,7 @@ package experiment
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -352,48 +353,59 @@ func TestSweepArtifactResumesFromStore(t *testing.T) {
 // longer decodes must cost exactly one recompute — the fresh payload
 // repairs both tiers, so later calls (and later processes) hit again.
 func TestCachedBestRepairsUndecodablePayload(t *testing.T) {
-	store := runner.NewMemStore()
 	key, err := NewSweepSpec("gcc", DSide, core.SelectiveSets, 2, false, fastOpts()).ArtifactKey()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Valid JSON (so every Store backend keeps it) that does not decode
-	// into a Best payload.
-	store.RecordArtifact(key, []byte("[1,2,3]"))
-
-	var computes int
 	want := Best{App: "gcc", Desc: "static 8K/2-way"}
-	compute := func(context.Context) (Best, error) {
-		computes++
-		return want, nil
-	}
-	ctx := context.Background()
-	r1 := runner.New(runner.Options{Store: store})
-	got, err := cachedBest(ctx, r1, key, compute)
+	oldFormat, err := json.Marshal(want) // artifactVersion 3 stored JSON
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.App != want.App || got.Desc != want.Desc {
-		t.Errorf("repair returned %+v, want %+v", got, want)
-	}
-	if computes != 1 {
-		t.Fatalf("computed %d times, want 1", computes)
-	}
-	// Same runner: the repaired in-memory tier must decode.
-	if _, err := cachedBest(ctx, r1, key, compute); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh runner, same store: the repaired persistent tier must decode.
-	r2 := runner.New(runner.Options{Store: store})
-	again, err := cachedBest(ctx, r2, key, compute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computes != 1 {
-		t.Errorf("repaired payload recomputed (computes = %d)", computes)
-	}
-	if again.Desc != want.Desc {
-		t.Errorf("repaired store returned %+v", again)
+	sealed := encodeBest(&want)
+	// Each is valid JSON (so every Store backend keeps it) that does not
+	// decode into a Best payload.
+	for name, bad := range map[string][]byte{
+		"not a payload": []byte("[1,2,3]"),
+		"old format":    oldFormat,
+		"truncated":     append(append([]byte(nil), sealed[:len(sealed)/2]...), '"'),
+	} {
+		store := runner.NewMemStore()
+		store.RecordArtifact(key, bad)
+
+		var computes int
+		compute := func(context.Context) (Best, error) {
+			computes++
+			return want, nil
+		}
+		ctx := context.Background()
+		r1 := runner.New(runner.Options{Store: store})
+		got, err := cachedBest(ctx, r1, key, compute)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.App != want.App || got.Desc != want.Desc {
+			t.Errorf("%s: repair returned %+v, want %+v", name, got, want)
+		}
+		if computes != 1 {
+			t.Fatalf("%s: computed %d times, want 1", name, computes)
+		}
+		// Same runner: the repaired in-memory tier must decode.
+		if _, err := cachedBest(ctx, r1, key, compute); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// Fresh runner, same store: the repaired persistent tier must decode.
+		r2 := runner.New(runner.Options{Store: store})
+		again, err := cachedBest(ctx, r2, key, compute)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if computes != 1 {
+			t.Errorf("%s: repaired payload recomputed (computes = %d)", name, computes)
+		}
+		if again.Desc != want.Desc {
+			t.Errorf("%s: repaired store returned %+v", name, again)
+		}
 	}
 }
 

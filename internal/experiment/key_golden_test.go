@@ -25,17 +25,17 @@ func TestSweepArtifactKeyGolden(t *testing.T) {
 		want string
 	}{
 		{"d-static-ways", NewSweepSpec("gcc", DSide, core.SelectiveWays, 4, false, opts),
-			"903386758521abea6e9d2292184dc3b3146a63d30b999cc2b9014011e4fcc0da"},
+			"2146d5f3b8221317483a1ad5ce81d8f2e2ea892847a3a8ebd3420df3031223c1"},
 		{"d-dynamic-hybrid", NewSweepSpec("m88ksim", DSide, core.Hybrid, 2, true, opts),
-			"f806a58ceba171ca83112c172b20d6860fc88272cb66525ede34a201331d33e1"},
+			"4e04f7902b0b24de8e9efc932a2d7eae2aa8369a7181c5f8c95d955db63177e4"},
 		{"i-static-sets", NewSweepSpec("vpr", ISide, core.SelectiveSets, 2, false, opts),
-			"4b8a280fac7a25d7eb67daf2021548c4c930149725994581d3e5e7286173c02c"},
+			"df92d971be0cae06f7ada1ed8d158fedd58511bbbff459f7bdd4e54de95cacfe"},
 		{"i-dynamic-sets", NewSweepSpec("su2cor", ISide, core.SelectiveSets, 2, true, opts),
-			"2443de5af28ec673a059ffafa0b165b3aeb71f3c8a517126c53ea2be6baba8ff"},
+			"dde18dcae6a87125cd8bb098e2a5bd95bbd0cd013a6c88e913bc2ae4cf22618b"},
 		{"l2-static-ways", NewSweepSpec("gcc", L2Side, core.SelectiveWays, 2, false, opts),
-			"facc9aaca9b158a848b5f46d055188289c1ae0c425db42a81dc21f7f80637b5c"},
+			"2bd869ede8234c7fb7bb38c9ba3bda1e13021b69789ce4adc3c429b96a2cabbe"},
 		{"l2-dynamic-hybrid", NewSweepSpec("vpr", L2Side, core.Hybrid, 2, true, opts),
-			"55ec0085ac03bc8fc1f5c24d13322962c6713d7db6f05380f2e8271835f62220"},
+			"f734974095a6a09d90e46b7eddcd1dd49222434934a05db89a3afd074557360e"},
 	}
 	for _, tc := range cases {
 		k, err := tc.spec.ArtifactKey()

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -129,21 +128,23 @@ type CheckpointStore interface {
 }
 
 // checkpointFormatVersion tags the serialized warmup-checkpoint payload.
-// Bump it whenever the warm-state wire format changes — any field change
-// in workload.Snapshot, cpu.FrontEndState, or the bpred state structs —
-// so stale checkpoints miss instead of restoring skewed state (see
-// CONTRIBUTING.md).
-const checkpointFormatVersion = 1
+// Bump it whenever the warm-state layout changes — any field change in
+// workload.Snapshot, cpu.FrontEndState, or the bpred state structs, or
+// in how encodeCheckpoint writes them — so stale checkpoints miss
+// instead of restoring skewed state (see CONTRIBUTING.md).
+// Version 2: the binary layout of layout.go replaced JSON.
+const checkpointFormatVersion = 2
 
 // checkpointPayload is the serialized post-warmup state: the workload
 // generator position and the front-end warm state. Deliberately no cache
 // state — the payload must be valid for every config sharing a FrontKey,
-// and cache contents are geometry-dependent.
+// and cache contents are geometry-dependent. encodeCheckpoint and
+// decodeCheckpoint (layout.go) give its stored form.
 type checkpointPayload struct {
-	Version  int               `json:"version"`
-	Consumed uint64            `json:"consumed"` // instructions the prefix consumed
-	Gen      workload.Snapshot `json:"gen"`
-	Front    cpu.FrontEndState `json:"front"`
+	Version  int
+	Consumed uint64 // instructions the prefix consumed
+	Gen      workload.Snapshot
+	Front    cpu.FrontEndState
 }
 
 // WarmKey is the content-addressed checkpoint key: the front-end
@@ -157,24 +158,15 @@ func (c Config) WarmKey() Key {
 		Sum()
 }
 
-func decodeCheckpoint(data []byte) (checkpointPayload, error) {
-	var p checkpointPayload
-	if err := json.Unmarshal(data, &p); err != nil {
-		return p, err
-	}
-	if p.Version != checkpointFormatVersion {
-		return p, fmt.Errorf("sim: checkpoint format version %d, want %d", p.Version, checkpointFormatVersion)
-	}
-	return p, nil
-}
-
 // warmupWithCheckpoint runs the warmup prefix: on a store hit it
 // restores the stream position and front-end instead of stepping them;
 // on a miss it computes the warm state and records it. Any
 // undecodable, shape-mismatched, or wrong-length stored payload falls
 // back to a cold warmup (and is overwritten), so a corrupt store can
-// never fail a run or move a replay off its recording. Returns the
-// instructions the prefix consumed.
+// never fail a run or move a replay off its recording. The generator
+// snapshot and the front-end are both checked before either is
+// restored, so a rejected payload leaves nothing restored behind.
+// Returns the instructions the prefix consumed.
 func warmupWithCheckpoint(cfg Config, prof *workload.Profile, eng *cpu.Gang, st stream, cs CheckpointStore, ws *WarmupStats) uint64 {
 	want := cfg.Sampling.WarmupInstructions
 	if want == 0 {
@@ -183,8 +175,10 @@ func warmupWithCheckpoint(cfg Config, prof *workload.Profile, eng *cpu.Gang, st 
 	key := cfg.WarmKey()
 	if cs != nil {
 		if data, ok := cs.LookupArtifact(key); ok {
-			// A valid prefix consumed exactly what the stream holds of it.
-			if p, err := decodeCheckpoint(data); err == nil && p.Consumed == min(want, streamLen(prof)) {
+			// A valid prefix consumed exactly what the stream holds of it,
+			// and its generator snapshot stands at that position.
+			if p, err := decodeCheckpoint(data); err == nil && p.Consumed == min(want, streamLen(prof)) &&
+				p.Gen.Instr == p.Consumed && prof.CheckSnapshot(p.Gen) == nil {
 				if err := eng.RestoreFrontEnd(p.Front); err == nil {
 					st.resume(p)
 					ws.CheckpointHit = true
@@ -197,16 +191,13 @@ func warmupWithCheckpoint(cfg Config, prof *workload.Profile, eng *cpu.Gang, st 
 	if cs != nil {
 		front, err := eng.SnapshotFrontEnd()
 		if err == nil {
-			data, err := json.Marshal(checkpointPayload{
+			cs.RecordArtifact(key, encodeCheckpoint(&checkpointPayload{
 				Version:  checkpointFormatVersion,
 				Consumed: n,
 				Gen:      st.warmState(),
 				Front:    front,
-			})
-			if err == nil {
-				cs.RecordArtifact(key, data)
-				ws.CheckpointSaved = true
-			}
+			}))
+			ws.CheckpointSaved = true
 		}
 	}
 	return n

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"resizecache/internal/cpu"
+	"resizecache/internal/workload"
 )
 
 // fidelitySpec is the schedule the fidelity assertions run: dense enough
@@ -190,11 +193,30 @@ func TestWarmupCheckpointSharedAcrossGeometries(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointFallsBack: undecodable, version-mismatched or
-// partly mis-shaped stored payloads must never fail a run — they fall
-// back to a cold warmup and are overwritten. A payload whose predictor
-// fits but whose BTB (or one predictor component) does not must leave
-// no restored part behind for the cold warmup to start from.
+// oldFormatCheckpoint is p as checkpoint format version 1 stored it:
+// JSON, which the binary layout must reject rather than misread.
+func oldFormatCheckpoint(t *testing.T, p checkpointPayload) []byte {
+	t.Helper()
+	data, err := json.Marshal(struct {
+		Version  int               `json:"version"`
+		Consumed uint64            `json:"consumed"`
+		Gen      workload.Snapshot `json:"gen"`
+		Front    cpu.FrontEndState `json:"front"`
+	}{1, p.Consumed, p.Gen, p.Front})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCorruptCheckpointFallsBack: undecodable, version-mismatched,
+// old-format or partly mis-shaped stored payloads must never fail a run
+// — they fall back to a cold warmup and are overwritten. A payload
+// whose predictor fits but whose BTB (or one predictor component, or
+// generator snapshot) does not must leave no restored part behind for
+// the cold warmup to start from, and a generator snapshot must stand
+// where the prefix ended. The mis-shaped payloads go through the real
+// encoder, so each reaches the check it targets.
 func TestCorruptCheckpointFallsBack(t *testing.T) {
 	cfg := goldenConfigs()["gcc-ooo-base"]
 	cfg.Sampling = fidelitySpec()
@@ -205,6 +227,10 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldJSON := resultJSON(t, cold)
+	valid, err := decodeCheckpoint(saved.m[cfg.WarmKey()])
+	if err != nil {
+		t.Fatal(err)
+	}
 	// reshaped returns the saved payload with one part cut down.
 	reshaped := func(cut func(*checkpointPayload)) []byte {
 		p, err := decodeCheckpoint(saved.m[cfg.WarmKey()])
@@ -212,16 +238,14 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		cut(&p)
-		data, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+		return encodeCheckpoint(&p)
 	}
 
 	for name, payload := range map[string][]byte{
 		"garbage":       []byte("{not json"),
-		"wrong-version": []byte(`{"version":99}`),
+		"wrong-version": reshaped(func(p *checkpointPayload) { p.Version = 99 }),
+		"old-format":    oldFormatCheckpoint(t, valid),
+		"truncated":     saved.m[cfg.WarmKey()][:len(saved.m[cfg.WarmKey()])/2],
 		"truncated-btb": reshaped(func(p *checkpointPayload) {
 			p.Front.BTB.Tags = p.Front.BTB.Tags[:1]
 		}),
@@ -230,6 +254,18 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 		}),
 		"counter-out-of-range": reshaped(func(p *checkpointPayload) {
 			p.Front.Predictor.Table[len(p.Front.Predictor.Table)-1] = 4
+		}),
+		"phase-out-of-range": reshaped(func(p *checkpointPayload) {
+			p.Gen.PhaseIdx = 99
+		}),
+		"no-data-cursors": reshaped(func(p *checkpointPayload) {
+			p.Gen.DCursors = nil
+		}),
+		"exhausted-early": reshaped(func(p *checkpointPayload) {
+			p.Gen.Exhausted = true
+		}),
+		"phase-position": reshaped(func(p *checkpointPayload) {
+			p.Gen.PhaseLeft--
 		}),
 	} {
 		st := newMapStore()

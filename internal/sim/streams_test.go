@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -419,7 +418,7 @@ func TestStreamsReplayCheckpointMatchesLive(t *testing.T) {
 // TestStreamsReplayCheckpointWrongConsumed: a payload that decodes but
 // claims a warmup length the stream does not have falls back to a cold
 // warmup, on a replay and on a live run alike — no panic, no hit, and
-// the cold Result.
+// the cold Result. So does the right length in the old JSON format.
 func TestStreamsReplayCheckpointWrongConsumed(t *testing.T) {
 	cfg := sampledCheckpointConfig()
 	prof := workload.MustGet(cfg.Benchmark)
@@ -432,14 +431,14 @@ func TestStreamsReplayCheckpointWrongConsumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewStreams(1)
+	payloads := map[string][]byte{"old format": oldFormatCheckpoint(t, p)}
 	for _, consumed := range []uint64{0, p.Consumed - 1, p.Consumed + 1, 1 << 40} {
 		bad := p
 		bad.Consumed = consumed
-		data, err := json.Marshal(bad)
-		if err != nil {
-			t.Fatal(err)
-		}
+		payloads[fmt.Sprintf("consumed %d", consumed)] = encodeCheckpoint(&bad)
+	}
+	s := NewStreams(1)
+	for name, data := range payloads {
 		for _, streams := range []*Streams{nil, s} {
 			store := newMapStore()
 			store.RecordArtifact(cfg.WarmKey(), data)
@@ -448,10 +447,10 @@ func TestStreamsReplayCheckpointWrongConsumed(t *testing.T) {
 				t.Fatal(err)
 			}
 			if ws.CheckpointHit || !ws.CheckpointSaved {
-				t.Errorf("consumed %d (replay=%v): stats %+v, want a cold warmup that overwrites", consumed, streams != nil, ws)
+				t.Errorf("%s (replay=%v): stats %+v, want a cold warmup that overwrites", name, streams != nil, ws)
 			}
 			if !reflect.DeepEqual(res[0], cold[0]) {
-				diffResult(t, fmt.Sprintf("consumed %d", consumed), cold[0], res[0])
+				diffResult(t, name, cold[0], res[0])
 			}
 		}
 	}

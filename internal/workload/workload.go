@@ -174,6 +174,13 @@ const (
 	instrBytes   = 4
 )
 
+// Generator state bounds: a spatial run touches at most maxRunLeft
+// further words of its block, and calls nest at most maxCallDepth deep.
+const (
+	maxRunLeft   = 2
+	maxCallDepth = 48
+)
+
 // NewGenerator builds the deterministic generator for a profile.
 func NewGenerator(p *Profile) *Generator {
 	g := &Generator{
@@ -323,7 +330,7 @@ func (g *Generator) dataAddr() uint64 {
 			g.dCursors[li] = c
 			addr := g.dBase[li] + uint64(c)*blockBytes
 			// 0-2 further word touches within the block.
-			g.runLeft = g.r.intn(3)
+			g.runLeft = g.r.intn(maxRunLeft + 1)
 			g.runAddr = addr
 			return addr
 		}
@@ -424,7 +431,7 @@ func (g *Generator) Next(ev *Event) bool {
 		// conditional branches.
 		cr := g.r.float()
 		switch {
-		case cr < 0.12 && g.callDepth < 48:
+		case cr < 0.12 && g.callDepth < maxCallDepth:
 			ev.Kind = KindCall
 			ev.Taken = true
 			g.callDepth++

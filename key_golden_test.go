@@ -17,7 +17,7 @@ func TestPlanArtifactKeyGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = "c45c7497d85a4d255d7ac7b8aa1edb75c3c7ef204b05ee6f85193d7197c83693"
+	const want = "c86a6c0237bd4c121af0353a15e719759ea99f65c926e78e5bf0ee4033cf3183"
 	if got := planArtifactKey("golden", 1, plan).String(); got != want {
 		t.Errorf("planArtifactKey = %q, pinned %q", got, want)
 	}
