@@ -93,9 +93,6 @@ func (w *Writer) Ints(s []int) {
 	}
 }
 
-// Binary returns the bytes written so far.
-func (w *Writer) Binary() []byte { return w.buf }
-
 // Seal returns the bytes written so far as a store payload: a JSON
 // string literal holding their standard base64 encoding.
 func (w *Writer) Seal() []byte {
@@ -127,7 +124,7 @@ func Open(sealed []byte) Reader {
 	if b64.EncodedLen(n) != len(src) {
 		return Reader{err: errors.New("payload: non-canonical base64")}
 	}
-	return NewReader(bin[:n])
+	return Reader{buf: bin[:n]}
 }
 
 // Reader reads fields back in the order a Writer wrote them. Its error
@@ -138,9 +135,6 @@ type Reader struct {
 	err error
 }
 
-// NewReader reads the binary payload b.
-func NewReader(b []byte) Reader { return Reader{buf: b} }
-
 // Done reports the first decoding error, or an error if bytes remain
 // unread.
 func (r *Reader) Done() error {
@@ -149,6 +143,11 @@ func (r *Reader) Done() error {
 	}
 	return r.err
 }
+
+// Fail records a layout error the caller found in a field it read (a
+// value past a bound its layout sets), with the same sticky effect as a
+// malformed field.
+func (r *Reader) Fail(format string, args ...any) { r.fail(format, args...) }
 
 func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {

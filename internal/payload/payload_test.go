@@ -65,7 +65,7 @@ func TestRoundTrip(t *testing.T) {
 	want.write(&w)
 
 	for name, r := range map[string]Reader{
-		"binary": NewReader(w.Binary()),
+		"binary": Reader{buf: w.buf},
 		"sealed": Open(w.Seal()),
 	} {
 		var got fields
@@ -87,7 +87,7 @@ func TestNilAndEmptyStayApart(t *testing.T) {
 	w.Bytes([]byte{})
 	w.Uvarints(nil)
 	w.Uvarints([]uint64{})
-	r := NewReader(w.Binary())
+	r := Reader{buf: w.buf}
 	if b := r.Bytes(); b != nil {
 		t.Errorf("nil bytes read back as %#v", b)
 	}
@@ -122,7 +122,7 @@ func TestReaderRejects(t *testing.T) {
 	var good Writer
 	sample := sample()
 	sample.write(&good)
-	valid := good.Binary()
+	valid := good.buf
 	sealed := string(good.Seal())
 	var lying Writer
 	lying.U64(1)
@@ -137,14 +137,14 @@ func TestReaderRejects(t *testing.T) {
 		r    Reader
 		want string
 	}{
-		"truncated":       {NewReader(valid[:len(valid)-1]), "truncated"},
-		"trailing":        {NewReader(append(append([]byte(nil), valid...), 0)), "trailing"},
+		"truncated":       {Reader{buf: valid[:len(valid)-1]}, "truncated"},
+		"trailing":        {Reader{buf: append(append([]byte(nil), valid...), 0)}, "trailing"},
 		"not sealed":      {Open([]byte(`{"version":1}`)), "not a sealed"},
 		"non-base64":      {Open([]byte(`"!!!!"`)), "illegal base64"},
 		"base64 newline":  {Open([]byte(sealed[:5] + "\n" + sealed[5:])), "non-canonical base64"},
-		"lying length":    {NewReader(lying.Binary()), "exceeds"},
-		"overlong varint": {NewReader(append(valid[:16:16], 0x80, 0x00)), "overlong"},
-		"bool byte":       {NewReader(append(valid[:16:16], 1, 2, 2)), "bool byte"},
+		"lying length":    {Reader{buf: lying.buf}, "exceeds"},
+		"overlong varint": {Reader{buf: append(valid[:16:16], 0x80, 0x00)}, "overlong"},
+		"bool byte":       {Reader{buf: append(valid[:16:16], 1, 2, 2)}, "bool byte"},
 	} {
 		var f fields
 		f.read(&tc.r)
@@ -173,7 +173,7 @@ func TestHugeLengthDoesNotAllocate(t *testing.T) {
 	for name, read := range reads {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		r := NewReader(data)
+		r := Reader{buf: data}
 		read(&r)
 		runtime.ReadMemStats(&after)
 		if r.Done() == nil {

@@ -197,7 +197,7 @@ func decodeCheckpoint(data []byte) (checkpointPayload, error) {
 	g.CallDepth = rd.Int()
 
 	f := &p.Front
-	f.Predictor = readPredictor(&rd)
+	f.Predictor = readPredictor(&rd, 0)
 	f.Stats.Lookups = rd.Uvarint()
 	f.Stats.Mispredict = rd.Uvarint()
 	f.BTB.Tags = rd.Uvarints()
@@ -238,15 +238,27 @@ func appendPredictor(w *payload.Writer, s *bpred.PredictorState) {
 	}
 }
 
-// readPredictor mirrors appendPredictor. Each level of nesting costs at
-// least four bytes, so the recursion is bounded by the payload.
-func readPredictor(rd *payload.Reader) bpred.PredictorState {
+// maxPredictorNesting bounds how many levels of components a stored
+// predictor state may nest. The simulator's predictors nest one level
+// (a combining predictor over two leaves); without a bound a crafted
+// payload would recurse once per four bytes of its length, deep enough
+// to overflow the goroutine stack.
+const maxPredictorNesting = 4
+
+// readPredictor mirrors appendPredictor for a state nested depth levels
+// below the front end's predictor, and fails rd past maxPredictorNesting.
+func readPredictor(rd *payload.Reader, depth int) bpred.PredictorState {
 	s := bpred.PredictorState{Kind: rd.Str(), Table: rd.Bytes(), History: rd.Uvarint()}
 	for _, c := range [...]**bpred.PredictorState{&s.Comp1, &s.Comp2} {
-		if rd.Bool() {
-			v := readPredictor(rd)
-			*c = &v
+		if !rd.Bool() {
+			continue
 		}
+		if depth == maxPredictorNesting {
+			rd.Fail("predictor state nests deeper than %d levels", maxPredictorNesting)
+			return s
+		}
+		v := readPredictor(rd, depth+1)
+		*c = &v
 	}
 	return s
 }

@@ -3,8 +3,11 @@ package sim
 import (
 	"bytes"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"resizecache/internal/bpred"
 	"resizecache/internal/payload"
 	"resizecache/internal/payload/payloadtest"
 )
@@ -22,7 +25,8 @@ func TestLayoutsCoverEveryField(t *testing.T) {
 		payloadtest.Fill(&res, shape)
 		var w payload.Writer
 		res.AppendPayload(&w)
-		rd := payload.NewReader(w.Binary())
+		sealed := w.Seal()
+		rd := payload.Open(sealed)
 		var got Result
 		got.ReadPayload(&rd)
 		if err := rd.Done(); err != nil {
@@ -33,7 +37,7 @@ func TestLayoutsCoverEveryField(t *testing.T) {
 		}
 		var again payload.Writer
 		got.AppendPayload(&again)
-		if !bytes.Equal(again.Binary(), w.Binary()) {
+		if !bytes.Equal(again.Seal(), sealed) {
 			t.Errorf("%s Result re-encodes to different bytes", shape)
 		}
 
@@ -51,6 +55,59 @@ func TestLayoutsCoverEveryField(t *testing.T) {
 		if !bytes.Equal(encodeCheckpoint(&back), data) {
 			t.Errorf("%s checkpoint re-encodes to different bytes", shape)
 		}
+	}
+}
+
+// nestedPredictor returns a predictor state whose Comp1 chain nests
+// levels deep.
+func nestedPredictor(levels int) bpred.PredictorState {
+	s := bpred.PredictorState{Kind: "bimodal", Table: []byte{1}}
+	for range levels {
+		inner := s
+		s = bpred.PredictorState{Kind: "combining", Table: []byte{2}, Comp1: &inner}
+	}
+	return s
+}
+
+// TestCheckpointPredictorNestingBounded: a stored predictor state may
+// nest maxPredictorNesting levels of components and no more, and a
+// crafted chain a million levels deep fails without recursing through
+// it (the decoder would otherwise allocate a state per level and, at a
+// store payload's size limit, overflow the stack).
+func TestCheckpointPredictorNestingBounded(t *testing.T) {
+	for _, tc := range []struct {
+		levels int
+		ok     bool
+	}{{maxPredictorNesting, true}, {maxPredictorNesting + 1, false}} {
+		p := checkpointPayload{Version: checkpointFormatVersion}
+		p.Front.Predictor = nestedPredictor(tc.levels)
+		back, err := decodeCheckpoint(encodeCheckpoint(&p))
+		if tc.ok && (err != nil || !reflect.DeepEqual(back, p)) {
+			t.Errorf("%d levels: did not round-trip: %v", tc.levels, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "nests deeper")) {
+			t.Errorf("%d levels: error %v, want a nesting error", tc.levels, err)
+		}
+	}
+
+	const levels = 1 << 20
+	var w payload.Writer
+	for range levels {
+		w.Str("")
+		w.Bytes(nil)
+		w.Uvarint(0)
+		w.Bool(true) // Comp1 follows
+	}
+	rd := payload.Open(w.Seal())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	readPredictor(&rd, 0)
+	runtime.ReadMemStats(&after)
+	if rd.Done() == nil {
+		t.Fatalf("a %d-level predictor chain decoded", levels)
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("a %d-level predictor chain allocated %d bytes before failing", levels, d)
 	}
 }
 
