@@ -12,7 +12,7 @@
 // (edp_red_pct and friends) carry the experiment's headline result so
 // regressions in *results*, not just speed, show up in benchmark diffs.
 // The ablation and orchestration benchmarks below assert properties
-// (memo hits, barrier counts) and stay test-only.
+// (memo hits, enqueue passes) and stay test-only.
 package resizecache_test
 
 import (
@@ -66,9 +66,9 @@ func BenchmarkWarmSimulate(b *testing.B)        { benchsuite.WarmSimulate(b) }
 // BenchmarkPlanBatchVsSequential quantifies the tentpole property of
 // the batch API: one plan over N scenarios submits its profiling sweeps
 // in one batched enqueue pass, where N sequential Simulate calls pay
-// one enqueue pass per sweep and drain the pool between scenarios.
-// (Both paths now gather barrier-free — sequential sweeps pre-enqueue
-// their candidates.) Both paths run the identical scenario set on cold
+// one enqueue pass per sweep (each sweep's RunAll enqueues its own
+// batch) and drain the pool between scenarios. Both paths run the
+// identical scenario set on cold
 // sessions; the reported metrics carry the enqueue-pass counts and wall
 // times.
 func BenchmarkPlanBatchVsSequential(b *testing.B) {
@@ -197,20 +197,29 @@ func BenchmarkAblationFreeFlush(b *testing.B) {
 	b.ReportMetric(free, "freeflush_edp_red_pct")
 }
 
+// staticBest runs the static profiling sweep for one (app, side, org,
+// assoc) cell.
+func staticBest(b *testing.B, app string, side experiment.Side, org core.Organization, assoc int, opts experiment.Options) experiment.Best {
+	b.Helper()
+	sw, err := experiment.NewSweepSpec(app, side, org, assoc, false, opts).Resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	best, err := sw.Best(context.Background(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return best
+}
+
 // BenchmarkAblationHybridTieBreak quantifies design decision 4: Table 1's
 // prefer-highest-associativity rule versus preferring the fewest ways.
 func BenchmarkAblationHybridTieBreak(b *testing.B) {
 	opts := benchOpts()
 	var maxAssoc, minWays float64
 	for i := 0; i < b.N; i++ {
-		ba, err := experiment.BestStatic(context.Background(), "vpr", experiment.DSide, core.Hybrid, 4, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		bw, err := experiment.BestStatic(context.Background(), "vpr", experiment.DSide, core.HybridMinWays, 4, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
+		ba := staticBest(b, "vpr", experiment.DSide, core.Hybrid, 4, opts)
+		bw := staticBest(b, "vpr", experiment.DSide, core.HybridMinWays, 4, opts)
 		maxAssoc = ba.EDPReductionPct()
 		minWays = bw.EDPReductionPct()
 	}
@@ -257,7 +266,7 @@ func BenchmarkAblationNoSizeBound(b *testing.B) {
 // BenchmarkRunnerMemoization quantifies the tentpole property of the
 // run-orchestration layer: a repeated sweep resolves from the memo store
 // instead of re-simulating. Each iteration profiles one app across all
-// three organizations on a cold runner — the three BestStatic sweeps
+// three organizations on a cold runner — the three static sweeps
 // share their non-resizable baseline, so even the cold pass must score
 // memo hits — then repeats the identical sweep warm, which must complete
 // with zero fresh simulations and far lower wall time.
@@ -270,9 +279,7 @@ func BenchmarkRunnerMemoization(b *testing.B) {
 		opts.Runner = runner.New(runner.Options{})
 		sweep := func() {
 			for _, org := range orgs {
-				if _, err := experiment.BestStatic(context.Background(), "m88ksim", experiment.DSide, org, 4, opts); err != nil {
-					b.Fatal(err)
-				}
+				staticBest(b, "m88ksim", experiment.DSide, org, 4, opts)
 			}
 		}
 		start := time.Now()

@@ -4,8 +4,8 @@
 // and stream results as they complete — with a progress callback and an
 // ordered Collect at the end. The session's stats show the batch
 // scheduling at work: every cold profiling sweep was enqueued in one
-// pass (EnqueueBatches=1) and the per-sweep gathers joined that work
-// instead of fanning out their own barriers (Barriers=0).
+// pass (EnqueueBatches=1), coalesced into gangs of same-front configs,
+// and the per-sweep gathers joined that work.
 //
 // The instruction budget is kept small so this finishes in seconds; it
 // doubles as the CI smoke test for the batch API.
@@ -56,6 +56,6 @@ func main() {
 	}
 
 	st := session.Stats()
-	fmt.Printf("\nbatch scheduling: %d sims enqueued in %d pass(es), %d gather barriers, %d dedup joins\n",
-		st.Enqueued, st.EnqueueBatches, st.Barriers, st.InFlightDedups)
+	fmt.Printf("\nbatch scheduling: %d sims enqueued in %d pass(es), %d ganged in %d gangs, %d dedup joins\n",
+		st.Enqueued, st.EnqueueBatches, st.Ganged, st.GangBatches, st.InFlightDedups)
 }

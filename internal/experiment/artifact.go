@@ -10,7 +10,7 @@ import (
 	"resizecache/internal/sim"
 )
 
-// Sweep-artifact caching: BestStatic/BestDynamic winner selections are
+// Sweep-artifact caching: the winner selections of Sweep.Best are
 // sweep-level artifacts — pure functions of the sweep's definition
 // (SweepSpec.ArtifactKey) — and every figure driver re-derives the same
 // grids (Figure 6 repeats Figure 4's ways/sets cells, Figure 9 repeats

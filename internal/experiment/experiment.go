@@ -1,10 +1,10 @@
 // Package experiment defines the paper's evaluation machinery: offline
 // profiling sweeps that select static sizes and dynamic parameters by
-// minimum energy-delay product (BestStatic/BestDynamic/CombinedBests,
-// with SweepSpec as the shared sweep descriptor), plus the extension
-// sensitivity studies. The table/figure drivers themselves live in the
-// public figures package, built on the facade's Grid/Plan/Session.Run
-// batch API.
+// minimum energy-delay product (a SweepSpec resolved into a Sweep whose
+// Best picks the winner, and CombinedBests for several sides at once),
+// plus the extension sensitivity studies. The table/figure drivers
+// themselves live in the public figures package, built on the facade's
+// Grid/Plan/Session.Run batch API.
 //
 // All simulation execution goes through the run-orchestration layer
 // (internal/runner): sweeps submit batches of configs to a shared
@@ -244,10 +244,10 @@ func pickBest(res []sim.Result) int {
 	return best
 }
 
-// SweepSpec identifies one profiling sweep — the unit a BestStatic or
-// BestDynamic call executes, and the unit plan-level batch scheduling
-// enqueues up front (see EnqueueSweeps). Base is the fully resolved
-// non-resizable baseline config (benchmark, engine, instruction budget,
+// SweepSpec identifies one profiling sweep — the unit Sweep.Best
+// executes, and the unit plan-level batch scheduling enqueues up front
+// (see EnqueueSweeps). Base is the fully resolved non-resizable
+// baseline config (benchmark, engine, instruction budget,
 // associativities, and any sensitivity overrides such as subarray or L2
 // geometry); the sweep derives its candidate configs from it
 // deterministically, so a spec built twice enumerates byte-identical
@@ -262,8 +262,10 @@ type SweepSpec struct {
 }
 
 // NewSweepSpec builds the spec for one (app, side, org, assoc) sweep
-// under opts — exactly the sweep BestStatic/BestDynamic run for the
-// same arguments.
+// under opts: the static sweep over every schedule point of org (the
+// paper's static strategy: run each offered size offline, pick the
+// minimum-EDP one), or with dynamic the dynamic controller's parameter
+// grid.
 func NewSweepSpec(app string, side Side, org core.Organization, assoc int, dynamic bool, opts Options) SweepSpec {
 	return SweepSpec{App: app, Side: side, Org: org, Dynamic: dynamic,
 		Base: baseConfig(app, opts.Engine, opts.Instructions, assoc, assoc)}
@@ -338,11 +340,7 @@ func (sw Sweep) policies(yield func(sim.PolicySpec) bool) {
 		}
 		return
 	}
-	dynamicCandidates(sw.sched, sw.spec.Side == L2Side, func(p DynamicParams) bool {
-		return yield(sim.PolicySpec{Kind: sim.PolicyDynamic, Interval: p.Interval,
-			MissBound: p.MissBound, SizeBoundBytes: p.SizeBoundBytes,
-			UpsizeHoldIntervals: p.UpsizeHold})
-	})
+	dynamicCandidates(sw.sched, sw.spec.Side == L2Side, yield)
 }
 
 // candidate is the resized cache's spec under one candidate policy.
@@ -392,24 +390,12 @@ func (sw Sweep) describe(p sim.PolicySpec) string {
 // memoizes as one artifact through the runner's artifact cache, keyed
 // by the sweep's definition — so a repeated sweep (the same grid cell
 // in a later figure, or a resumed process with a persistent store)
-// resolves without submitting a single simulation, and a sweep enqueued
-// up front by a plan gathers by joining the in-flight work instead of
-// fanning out its own barrier.
+// resolves without submitting a single simulation. A cold sweep runs
+// its batch through RunAll, which gangs same-front candidates; a sweep
+// enqueued up front by a plan gathers by joining the in-flight work.
 func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 	return cachedBest(ctx, opts.runner(), sw.key, func(ctx context.Context) (Best, error) {
 		cfgs, pols := sw.configs()
-		// Batch-enqueue the candidate set before gathering, so a solo
-		// sweep (a single Session.Simulate, cmd/respcache) coalesces its
-		// same-front candidates into gangs exactly like a plan's
-		// batched pass does — instead of fanning them out one Run at a
-		// time behind a barrier.
-		enqCtx, stopEnqueue := context.WithCancel(ctx)
-		_, waitEnqueued := opts.runner().Enqueue(enqCtx, cfgs)
-		defer func() {
-			// Abandon stragglers on error; see Enqueue's wait contract.
-			stopEnqueue()
-			waitEnqueued()
-		}()
 		res, err := opts.runner().RunAll(ctx, cfgs)
 		if err != nil {
 			return Best{}, err
@@ -430,10 +416,10 @@ func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 // already cached (either tier) are skipped outright, the rest have their
 // configs materialized, deduplicated by fingerprint (sweeps of one plan
 // share baselines) and handed to Runner.Enqueue in one call. The later
-// per-sweep gathers (Sweep.Best) then join the in-flight work instead
-// of each fanning out its own barrier, so a multi-scenario plan's
-// simulations interleave freely on the shared pool. Returns the number
-// of configs enqueued and a wait function with Runner.Enqueue's
+// per-sweep gathers (Sweep.Best) then join the in-flight work, so a
+// multi-scenario plan's simulations interleave freely on the shared
+// pool instead of running one sweep's batch at a time. Returns the
+// number of configs enqueued and a wait function with Runner.Enqueue's
 // semantics (cancel ctx, then wait, before flushing a store out from
 // under abandoned stragglers).
 func EnqueueSweeps(ctx context.Context, sweeps []Sweep, opts Options) (int, func()) {
@@ -471,38 +457,14 @@ func resolveAll(specs []SweepSpec) ([]Sweep, error) {
 	return sweeps, nil
 }
 
-// bestOf resolves and runs one spec: the BestStatic/BestDynamic core.
-func bestOf(ctx context.Context, spec SweepSpec, opts Options) (Best, error) {
-	sw, err := spec.Resolve()
-	if err != nil {
-		return Best{}, err
-	}
-	return sw.Best(ctx, opts)
-}
-
-// BestStatic profiles every schedule point of an organization (the
-// paper's static strategy: run each offered size offline, pick the
-// minimum-EDP one) and returns the winner for one application.
-func BestStatic(ctx context.Context, app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
-	return bestOf(ctx, NewSweepSpec(app, side, org, assoc, false, opts), opts)
-}
-
-// DynamicParams is one dynamic-controller parameterization.
-type DynamicParams struct {
-	Interval       uint64
-	MissBound      uint64
-	SizeBoundBytes int
-	UpsizeHold     int
-}
-
 // dynamicCandidates enumerates the offline profiling grid for the
-// miss-ratio controller, yielding each distinct parameterization in
+// miss-ratio controller, yielding each distinct policy in
 // order until yield returns false: miss-bounds as fractions of the
 // interval and size-bounds across the schedule's range. lowTraffic
 // selects the interval set for caches that see only the level above's
 // misses (the shared L2): an order of magnitude shorter, so the
 // controller still observes enough interval boundaries to adapt.
-func dynamicCandidates(sched core.Schedule, lowTraffic bool, yield func(DynamicParams) bool) {
+func dynamicCandidates(sched core.Schedule, lowTraffic bool, yield func(sim.PolicySpec) bool) {
 	// Miss-bounds span well past each app's background miss level
 	// (conflict and cold misses) or the controller would pin at full
 	// size; the shorter interval tracks phases in shorter runs; the
@@ -531,20 +493,14 @@ func dynamicCandidates(sched core.Schedule, lowTraffic bool, yield func(DynamicP
 			prevMB = mb
 			for _, sb := range sizeBounds {
 				for _, h := range holds {
-					if !yield(DynamicParams{Interval: iv, MissBound: mb,
-						SizeBoundBytes: sb.Bytes, UpsizeHold: h}) {
+					if !yield(sim.PolicySpec{Kind: sim.PolicyDynamic, Interval: iv,
+						MissBound: mb, SizeBoundBytes: sb.Bytes, UpsizeHoldIntervals: h}) {
 						return
 					}
 				}
 			}
 		}
 	}
-}
-
-// BestDynamic profiles the dynamic controller's parameter grid for one
-// application and returns the minimum-EDP parameterization.
-func BestDynamic(ctx context.Context, app string, side Side, org core.Organization, assoc int, opts Options) (Best, error) {
-	return bestOf(ctx, NewSweepSpec(app, side, org, assoc, true, opts), opts)
 }
 
 // CombinedBests is the decoupled-profiling protocol generalized over

@@ -27,12 +27,31 @@ func fastOpts() Options {
 	return o
 }
 
-func TestBestStaticPicksProfiledMinimum(t *testing.T) {
-	opts := fastOpts()
-	best, err := BestStatic(context.Background(), "m88ksim", DSide, core.SelectiveSets, 2, opts)
+// runSweep resolves spec and runs its sweep, failing the test on an
+// error.
+func runSweep(t *testing.T, spec SweepSpec, opts Options) Best {
+	t.Helper()
+	sw, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	best, err := sw.Best(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return best
+}
+
+// staticBest runs the static sweep NewSweepSpec builds for the
+// arguments: every schedule point of org, minimum EDP wins.
+func staticBest(t *testing.T, app string, side Side, org core.Organization, assoc int, opts Options) Best {
+	t.Helper()
+	return runSweep(t, NewSweepSpec(app, side, org, assoc, false, opts), opts)
+}
+
+func TestStaticSweepPicksProfiledMinimum(t *testing.T) {
+	opts := fastOpts()
+	best := staticBest(t, "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	// m88ksim's tiny working set must downsize substantially and win EDP.
 	if best.SizeReductionPct() < 40 {
 		t.Errorf("m88ksim size reduction %.1f%%, want >= 40%%", best.SizeReductionPct())
@@ -45,19 +64,15 @@ func TestBestStaticPicksProfiledMinimum(t *testing.T) {
 	}
 }
 
-// TestSoloSweepGangsCandidates: a lone sweep (the sequential
-// Simulate/BestStatic path, no plan in sight) must still route its
-// candidates through the runner's batched Enqueue, so same-front
-// configs coalesce into gangs and the gather loop never pays a
-// fan-out barrier.
+// TestSoloSweepGangsCandidates: a lone sweep (the sequential Simulate
+// path, no plan in sight) must still route its candidates through the
+// runner's batched Enqueue, so same-front configs coalesce into gangs.
 func TestSoloSweepGangsCandidates(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Instructions = 60_000
 	r := runner.New(runner.Options{})
 	opts.Runner = r
-	if _, err := BestStatic(context.Background(), "m88ksim", DSide, core.SelectiveSets, 2, opts); err != nil {
-		t.Fatal(err)
-	}
+	staticBest(t, "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	st := r.Stats()
 	if st.EnqueueBatches == 0 || st.Enqueued == 0 {
 		t.Fatalf("solo sweep bypassed Enqueue: %+v", st)
@@ -65,18 +80,12 @@ func TestSoloSweepGangsCandidates(t *testing.T) {
 	if st.Ganged == 0 || st.GangBatches == 0 {
 		t.Errorf("solo sweep coalesced no gangs: %+v", st)
 	}
-	if st.Barriers != 0 {
-		t.Errorf("solo sweep fanned out %d gather barriers, want 0", st.Barriers)
-	}
 }
 
 func TestSwimNeverDownsizes(t *testing.T) {
 	opts := fastOpts()
 	for _, org := range []core.Organization{core.SelectiveWays, core.SelectiveSets} {
-		best, err := BestStatic(context.Background(), "swim", DSide, org, 4, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		best := staticBest(t, "swim", DSide, org, 4, opts)
 		if best.SizeReductionPct() > 1 {
 			t.Errorf("swim downsized %.1f%% under %v; paper: working set fills 32K",
 				best.SizeReductionPct(), org)
@@ -88,14 +97,8 @@ func TestCompressFavorsWaysGranularity(t *testing.T) {
 	// compress's ~20K working set needs the 24K point only selective-ways
 	// offers at 4-way (paper §4.1).
 	opts := fastOpts()
-	w, err := BestStatic(context.Background(), "compress", DSide, core.SelectiveWays, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := BestStatic(context.Background(), "compress", DSide, core.SelectiveSets, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := staticBest(t, "compress", DSide, core.SelectiveWays, 4, opts)
+	s := staticBest(t, "compress", DSide, core.SelectiveSets, 4, opts)
 	if w.EDPReductionPct() <= s.EDPReductionPct() {
 		t.Errorf("compress: ways %.1f%% should beat sets %.1f%%",
 			w.EDPReductionPct(), s.EDPReductionPct())
@@ -112,14 +115,8 @@ func TestConflictAppsFavorSets(t *testing.T) {
 	// behaviour (Fig. 7) instead — see EXPERIMENTS.md deviations.
 	opts := fastOpts()
 	for _, app := range []string{"apsi", "vpr", "tomcatv"} {
-		w, err := BestStatic(context.Background(), app, DSide, core.SelectiveWays, 4, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := BestStatic(context.Background(), app, DSide, core.SelectiveSets, 4, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w := staticBest(t, app, DSide, core.SelectiveWays, 4, opts)
+		s := staticBest(t, app, DSide, core.SelectiveSets, 4, opts)
 		if s.EDPReductionPct() <= w.EDPReductionPct() {
 			t.Errorf("%s: sets %.1f%% should beat ways %.1f%%",
 				app, s.EDPReductionPct(), w.EDPReductionPct())
@@ -133,14 +130,8 @@ func TestCombinedResizingIsAdditive(t *testing.T) {
 	}
 	opts := fastOpts()
 	app := "m88ksim"
-	dBest, err := BestStatic(context.Background(), app, DSide, core.SelectiveSets, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iBest, err := BestStatic(context.Background(), app, ISide, core.SelectiveSets, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dBest := staticBest(t, app, DSide, core.SelectiveSets, 2, opts)
+	iBest := staticBest(t, app, ISide, core.SelectiveSets, 2, opts)
 	both, err := CombinedBests(context.Background(), BaseConfig(app, 2, opts), []Best{dBest, iBest}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -160,10 +151,7 @@ func TestSlowdownEnvelopeHolds(t *testing.T) {
 	opts := fastOpts()
 	for _, app := range []string{"ammp", "compress", "gcc", "swim"} {
 		for _, org := range []core.Organization{core.SelectiveWays, core.SelectiveSets} {
-			best, err := BestStatic(context.Background(), app, DSide, org, 4, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			best := staticBest(t, app, DSide, org, 4, opts)
 			if best.SlowdownPct() > 6 {
 				t.Errorf("%s/%v: slowdown %.1f%% exceeds 6%%", app, org, best.SlowdownPct())
 			}
@@ -183,11 +171,10 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 
 func TestSweepsRejectBothSides(t *testing.T) {
 	opts := DefaultOptions()
-	if _, err := BestStatic(context.Background(), "gcc", BothSides, core.SelectiveSets, 2, opts); err == nil {
-		t.Error("BestStatic accepted BothSides")
-	}
-	if _, err := BestDynamic(context.Background(), "gcc", BothSides, core.SelectiveSets, 2, opts); err == nil {
-		t.Error("BestDynamic accepted BothSides")
+	for _, dynamic := range []bool{false, true} {
+		if _, err := NewSweepSpec("gcc", BothSides, core.SelectiveSets, 2, dynamic, opts).Resolve(); err == nil {
+			t.Errorf("sweep (dynamic %v) accepted BothSides", dynamic)
+		}
 	}
 }
 
@@ -203,18 +190,18 @@ func TestDynamicCandidatesDeduplicated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cands []DynamicParams
-	dynamicCandidates(sched, false, func(p DynamicParams) bool {
+	var cands []sim.PolicySpec
+	dynamicCandidates(sched, false, func(p sim.PolicySpec) bool {
 		cands = append(cands, p)
 		return true
 	})
-	seen := map[DynamicParams]bool{}
+	seen := map[sim.PolicySpec]bool{}
 	for _, c := range cands {
 		if seen[c] {
 			t.Fatalf("duplicate candidate %+v", c)
 		}
 		seen[c] = true
-		if c.MissBound == 0 || c.Interval == 0 {
+		if c.Kind != sim.PolicyDynamic || c.MissBound == 0 || c.Interval == 0 {
 			t.Fatalf("degenerate candidate %+v", c)
 		}
 	}
@@ -273,15 +260,12 @@ func TestCombinedUsesProfiledSpecs(t *testing.T) {
 // must submit zero configs.
 func TestSweepArtifactWarmsAcrossDrivers(t *testing.T) {
 	opts := tinyArtifactOpts()
-	ctx := context.Background()
 	grid := func(orgs ...core.Organization) {
 		t.Helper()
 		for _, side := range []Side{DSide, ISide} {
 			for _, org := range orgs {
 				for _, app := range opts.apps() {
-					if _, err := BestStatic(ctx, app, side, org, 2, opts); err != nil {
-						t.Fatal(err)
-					}
+					staticBest(t, app, side, org, 2, opts)
 				}
 			}
 		}
@@ -323,10 +307,7 @@ func TestSweepArtifactResumesFromStore(t *testing.T) {
 	}
 	opts := tinyArtifactOpts()
 	opts.Runner = runner.New(runner.Options{Store: store})
-	first, err := BestStatic(context.Background(), "m88ksim", DSide, core.SelectiveSets, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := staticBest(t, "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	if err := store.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -336,10 +317,7 @@ func TestSweepArtifactResumesFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Runner = runner.New(runner.Options{Store: store2})
-	second, err := BestStatic(context.Background(), "m88ksim", DSide, core.SelectiveSets, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := staticBest(t, "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	st := opts.Runner.Stats()
 	if st.ArtifactStoreHits != 1 || st.Submitted != 0 || st.Runs != 0 {
 		t.Errorf("resumed sweep stats = %+v, want 1 artifact store hit, 0 submitted, 0 runs", st)
@@ -487,39 +465,11 @@ func TestBestAccessorsOnSides(t *testing.T) {
 	_ = b.SizeReductionPct()
 }
 
-// TestBestSpecMatchesBestStatic guards the SweepSpec refactor: a
-// resolved spec must enumerate the identical sweep (same artifact
-// fingerprint, same winner) as the classic entry points.
-func TestBestSpecMatchesBestStatic(t *testing.T) {
-	opts := tinyArtifactOpts()
-	direct, err := BestStatic(context.Background(), "m88ksim", DSide, core.SelectiveSets, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same sweep through the spec on the same runner: a pure artifact
-	// hit, zero submissions.
-	before := opts.Runner.Stats()
-	sw, err := NewSweepSpec("m88ksim", DSide, core.SelectiveSets, 2, false, opts).Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpec, err := sw.Best(context.Background(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := opts.Runner.Stats()
-	if st.Submitted != before.Submitted || st.ArtifactHits != before.ArtifactHits+1 {
-		t.Errorf("spec path did not hit the sweep artifact: %+v -> %+v", before, st)
-	}
-	if !reflect.DeepEqual(direct, viaSpec) {
-		t.Errorf("spec winner differs:\ndirect: %+v\nspec:   %+v", direct, viaSpec)
-	}
-}
-
 // TestEnqueueSweepsBatchesColdAndSkipsWarm: the plan-level batch pass
 // must enqueue every distinct config of cold sweeps in one runner pass
-// (shared baselines deduplicated), let gathers join with zero fan-out
-// barriers, and enqueue nothing once the sweeps' artifacts are warm.
+// (shared baselines deduplicated), let gathers join that work without
+// a second pass, and enqueue nothing once the sweeps' artifacts are
+// warm.
 func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
 	opts := tinyArtifactOpts()
 	ctx := context.Background()
@@ -544,9 +494,6 @@ func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
 	if st.EnqueueBatches != 1 || st.Enqueued != uint64(n) {
 		t.Errorf("enqueue stats = %+v, want one pass of %d configs", st, n)
 	}
-	if st.Barriers != 0 {
-		t.Errorf("gathers of enqueued sweeps fanned out %d barriers, want 0", st.Barriers)
-	}
 	if st.Runs != uint64(n) {
 		t.Errorf("ran %d configs, want the %d enqueued (dedup broken?)", st.Runs, n)
 	}
@@ -567,11 +514,8 @@ func TestL2SideSweep(t *testing.T) {
 	opts.Instructions = 150_000
 	opts.Runner = runner.New(runner.Options{})
 	base := BaseConfig("m88ksim", 2, opts)
-	best, err := bestOf(context.Background(), SweepSpec{App: "m88ksim", Side: L2Side,
+	best := runSweep(t, SweepSpec{App: "m88ksim", Side: L2Side,
 		Org: core.SelectiveWays, Base: base}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if best.Side != L2Side {
 		t.Fatalf("side = %v", best.Side)
 	}
@@ -588,8 +532,8 @@ func TestL2SideSweep(t *testing.T) {
 
 	flat := base
 	flat.Levels = nil
-	if _, err := bestOf(context.Background(), SweepSpec{App: "m88ksim", Side: L2Side,
-		Org: core.SelectiveWays, Base: flat}, opts); err == nil {
+	if _, err := (SweepSpec{App: "m88ksim", Side: L2Side,
+		Org: core.SelectiveWays, Base: flat}).Resolve(); err == nil {
 		t.Error("L2 sweep over an empty hierarchy accepted")
 	}
 }
@@ -601,16 +545,10 @@ func TestCombinedBestsAppliesEverySide(t *testing.T) {
 	opts.Instructions = 150_000
 	opts.Runner = runner.New(runner.Options{})
 	base := BaseConfig("m88ksim", 2, opts)
-	d, err := bestOf(context.Background(), SweepSpec{App: "m88ksim", Side: DSide,
+	d := runSweep(t, SweepSpec{App: "m88ksim", Side: DSide,
 		Org: core.SelectiveSets, Base: base}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := bestOf(context.Background(), SweepSpec{App: "m88ksim", Side: L2Side,
+	l2 := runSweep(t, SweepSpec{App: "m88ksim", Side: L2Side,
 		Org: core.SelectiveWays, Base: base}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	comb, err := CombinedBests(context.Background(), base, []Best{d, l2}, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ import (
 // Each driver batch-schedules its whole parameter grid: every cold
 // sweep (or raw config pair) is enqueued on the runner in one pass
 // before any gathering starts, so the worker pool interleaves across
-// parameter points instead of draining at each point's barrier.
+// parameter points instead of draining one point at a time.
 
 // SensitivityRow is one parameter point of a sensitivity sweep.
 type SensitivityRow struct {
@@ -106,39 +106,32 @@ func IntervalSensitivity(ctx context.Context, opts Options) ([]SensitivityRow, e
 	opts.Engine = sim.InOrder
 	apps := opts.apps()
 	intervals := []uint64{2048, 8192, 32768, 131072}
-	pair := func(interval uint64, app string) [2]sim.Config {
-		base := baseConfig(app, opts.Engine, opts.Instructions, 2, 2)
-		cfg := base
-		cfg.DCache = sim.CacheSpec{Geom: l1Geom(2), Org: core.SelectiveSets,
-			Policy: sim.PolicySpec{Kind: sim.PolicyDynamic, Interval: interval,
-				MissBound: uint64(float64(interval) * 0.01), SizeBoundBytes: 4 << 10,
-				UpsizeHoldIntervals: 3}}
-		return [2]sim.Config{base, cfg}
-	}
-	// This sweep runs raw config pairs (no winner selection to cache), so
-	// batch-schedule the configs themselves: the gathers below join. On
-	// an early error return, cancel and drain the stragglers.
-	var batch []sim.Config
+	// Every (interval, app) point is a baseline and candidate pair with
+	// no winner selection to cache: run the whole grid as one batch.
+	batch := make([]sim.Config, 0, 2*len(intervals)*len(apps))
 	for _, interval := range intervals {
 		for _, app := range apps {
-			p := pair(interval, app)
-			batch = append(batch, p[0], p[1])
+			base := baseConfig(app, opts.Engine, opts.Instructions, 2, 2)
+			cfg := base
+			cfg.DCache = sim.CacheSpec{Geom: l1Geom(2), Org: core.SelectiveSets,
+				Policy: sim.PolicySpec{Kind: sim.PolicyDynamic, Interval: interval,
+					MissBound: uint64(float64(interval) * 0.01), SizeBoundBytes: 4 << 10,
+					UpsizeHoldIntervals: 3}}
+			batch = append(batch, base, cfg)
 		}
 	}
-	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	_, wait := opts.runner().Enqueue(enqCtx, batch)
-	defer func() { stopEnqueue(); wait() }()
+	res, err := opts.runner().RunAll(ctx, batch)
+	if err != nil {
+		return nil, err
+	}
 	var out []SensitivityRow
 	for _, interval := range intervals {
 		var edp, size float64
-		for _, app := range apps {
-			p := pair(interval, app)
-			res, err := opts.runner().RunAll(ctx, p[:])
-			if err != nil {
-				return nil, err
-			}
-			edp += res[1].EDP.ReductionPct(res[0].EDP)
-			size += res[1].DCache.SizeReductionPct()
+		for range apps {
+			base, cfg := res[0], res[1]
+			res = res[2:]
+			edp += cfg.EDP.ReductionPct(base.EDP)
+			size += cfg.DCache.SizeReductionPct()
 		}
 		n := float64(len(apps))
 		out = append(out, SensitivityRow{

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"resizecache/internal/sim"
 )
@@ -257,5 +260,157 @@ func TestRealGangThroughRunner(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("config %d: ganged result differs from sim.Run", i)
 		}
+	}
+}
+
+// TestRunAllGangsColdBatch: a cold RunAll enqueues its own batch, so
+// same-front configs coalesce into gangs, and each result equals the
+// config's own Run on a fresh runner (a gang of one).
+func TestRunAllGangsColdBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real simulation")
+	}
+	ctx := context.Background()
+	var cfgs []sim.Config
+	for _, kb := range []int{16, 32, 64} {
+		c := sim.Default("gcc")
+		c.Instructions = 20_000
+		c.DCache.Geom.SizeBytes = kb << 10
+		cfgs = append(cfgs, c)
+	}
+	r := New(Options{Workers: 2})
+	res, err := r.RunAll(ctx, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.Ganged == 0 {
+		t.Fatalf("stats = %+v, want the cold batch ganged", st)
+	}
+	alone := New(Options{Workers: 1})
+	for i, cfg := range cfgs {
+		want, err := alone.Run(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res[i], want) {
+			t.Errorf("config %d: RunAll result differs from its own Run", i)
+		}
+	}
+}
+
+// TestRunAllGoroutinesBoundedByGangs: while a batch of same-front
+// configs is blocked in the simulator, RunAll holds about one goroutine
+// per gang, not one per config.
+func TestRunAllGoroutinesBoundedByGangs(t *testing.T) {
+	const n = 200
+	started := make(chan struct{}, n)
+	release := make(chan struct{})
+	r := New(Options{Workers: 2, RunGang: func(cfgs []sim.Config) ([]sim.Result, error) {
+		started <- struct{}{}
+		<-release
+		out := make([]sim.Result, len(cfgs))
+		for i, cfg := range cfgs {
+			out[i] = stubResult(cfg)
+		}
+		return out, nil
+	}})
+	cfgs := make([]sim.Config, n)
+	for i := range cfgs {
+		cfgs[i] = gangCfgN("gcc", i)
+	}
+	base := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.RunAll(context.Background(), cfgs)
+		done <- err
+	}()
+	<-started
+	peak := 0
+	for end := time.Now().Add(50 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		peak = max(peak, runtime.NumGoroutine())
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if limit := n/DefaultGangSize + 8; peak-base >= limit {
+		t.Errorf("goroutines grew by %d while blocked, want < %d", peak-base, limit)
+	}
+	if st := r.Stats(); st.Ganged != n {
+		t.Errorf("stats = %+v, want all %d configs ganged", st, n)
+	}
+}
+
+// recordCountingStore counts result records reaching the backend.
+type recordCountingStore struct {
+	Store
+	records atomic.Int64
+}
+
+func (s *recordCountingStore) Record(k sim.Key, v StoredResult) {
+	s.records.Add(1)
+	s.Store.Record(k, v)
+}
+
+// TestRunAllFailureCancelsAndDrains: RunAll returns the first error by
+// submission index without waiting for the rest of the batch to run.
+// The work it enqueued and never started is cancelled, the simulation
+// already running finishes before RunAll returns, and nothing records
+// into the store afterwards.
+func TestRunAllFailureCancelsAndDrains(t *testing.T) {
+	const n = 16
+	cfgs := make([]sim.Config, n)
+	for i := range cfgs {
+		cfgs[i] = cfgN(i)
+	}
+	// Configs 1 and 3 fail from the store, without a worker slot; the
+	// rest simulate, one at a time, blocked until released.
+	mem := NewMemStore()
+	mem.Record(cfgs[0].Key(), StoredResult{Result: stubResult(cfgs[0])})
+	mem.Record(cfgs[1].Key(), StoredResult{Err: "boom 1"})
+	mem.Record(cfgs[3].Key(), StoredResult{Err: "boom 3"})
+	store := &recordCountingStore{Store: mem}
+	release := make(chan struct{})
+	var active atomic.Int32
+	r := New(Options{Workers: 1, Store: store, RunGang: each(func(cfg sim.Config) (sim.Result, error) {
+		active.Add(1)
+		defer active.Add(-1)
+		<-release
+		return stubResult(cfg), nil
+	})})
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.RunAll(context.Background(), cfgs)
+		done <- err
+	}()
+	// Release the running simulation once everything queued behind it
+	// has been cancelled: only the three stored configs and the running
+	// one keep an entry. Give up after a while so a runner that never
+	// cancels fails below instead of hanging.
+	for end := time.Now().Add(2 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		r.mu.Lock()
+		left := len(r.entries)
+		r.mu.Unlock()
+		if left == 4 && active.Load() == 1 {
+			break
+		}
+	}
+	close(release)
+	err := <-done
+	var se *StoredError
+	if !errors.As(err, &se) || se.Msg != "boom 1" || !strings.Contains(err.Error(), "config 1 ") {
+		t.Fatalf("err = %v, want config 1's stored error", err)
+	}
+	if a := active.Load(); a != 0 {
+		t.Errorf("%d simulations still running after RunAll returned", a)
+	}
+	recorded := store.records.Load()
+	time.Sleep(20 * time.Millisecond)
+	if got := store.records.Load(); got != recorded {
+		t.Errorf("store recorded %d results after RunAll returned", got-recorded)
+	}
+	if st := r.Stats(); st.Runs != 1 {
+		t.Errorf("simulated %d configs, want only the one already running", st.Runs)
 	}
 }

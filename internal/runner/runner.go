@@ -2,9 +2,9 @@
 // the repository executes through a Runner, which owns the worker pool
 // and a content-addressed result store keyed by sim.Config fingerprints
 // (sim.Key). The paper's evaluation is a design-space sweep that
-// re-visits many identical configurations — every BestStatic/BestDynamic
-// call re-runs the non-resizable baseline, and figure drivers repeat
-// whole sweeps — so the Runner:
+// re-visits many identical configurations — every profiling sweep
+// re-runs the non-resizable baseline, and figure drivers repeat whole
+// sweeps — so the Runner:
 //
 //   - memoizes completed results, so an identical config simulates once
 //     per process (or once ever, with a persistent store);
@@ -20,9 +20,9 @@
 //   - honours context cancellation between (not within) simulations;
 //   - returns batch results in deterministic submission order;
 //   - accepts whole plans up front (Enqueue): a batch of configs is
-//     registered and scheduled without waiting, so later Run/RunAll
-//     calls join the in-flight work instead of fanning out their own
-//     per-sweep barrier, and the pool interleaves across sweeps.
+//     registered and scheduled without waiting, coalesced into gangs of
+//     same-front-end configs, so later Run/RunAll calls join the
+//     in-flight work and the pool interleaves across sweeps.
 //
 // Callers either share the process-wide Default() runner (cross-sweep
 // memoization for free) or construct private runners (hermetic sessions,
@@ -105,12 +105,11 @@ type Stats struct {
 	// plan, or a solo sweep whose configs an earlier pass enqueued) are
 	// not counted.
 	EnqueueBatches uint64
-	// Barriers counts RunAll batches that had to submit fresh work (at
-	// least one config neither memoized nor in flight): the caller
-	// fanned out its own submissions and blocked on them. Batches fully
-	// covered by earlier Enqueue/Run calls just join existing entries
-	// and are not counted, so a plan whose sweeps were enqueued up
-	// front gathers with zero barriers.
+	// Barriers is always 0 and nothing counts it: RunAll enqueues its own
+	// batch, so no gather fans out per config any more. The field stays
+	// only because the JSON of a resizecache.Outcome includes its Stats,
+	// and perfbench's oracle digests that JSON; it goes with the next
+	// change to the benchmark.
 	Barriers uint64
 	// ArtifactHits resolved a sweep-level artifact from the in-memory
 	// tier (including joins of an in-flight computation).
@@ -148,9 +147,9 @@ type Stats struct {
 func (s Stats) Hits() uint64 { return s.MemoHits + s.StoreHits + s.InFlightDedups }
 
 func (s Stats) String() string {
-	out := fmt.Sprintf("runner: %d submitted, %d simulated, %d memo hits, %d store hits, %d in-flight dedups, %d errors, %d evictions; batch: %d enqueued in %d passes, %d barriers; gangs: %d ganged in %d batches; artifacts: %d hits, %d store hits, %d computes",
+	out := fmt.Sprintf("runner: %d submitted, %d simulated, %d memo hits, %d store hits, %d in-flight dedups, %d errors, %d evictions; batch: %d enqueued in %d passes; gangs: %d ganged in %d batches; artifacts: %d hits, %d store hits, %d computes",
 		s.Submitted, s.Runs, s.MemoHits, s.StoreHits, s.InFlightDedups, s.Errors,
-		s.Evictions, s.Enqueued, s.EnqueueBatches, s.Barriers,
+		s.Evictions, s.Enqueued, s.EnqueueBatches,
 		s.Ganged, s.GangBatches,
 		s.ArtifactHits, s.ArtifactStoreHits, s.ArtifactComputes)
 	if s.RemoteHits > 0 || s.RemoteErrors > 0 || s.BreakerTrips > 0 {
@@ -183,7 +182,6 @@ func (s Stats) Delta(prev Stats) Stats {
 		Ganged:            s.Ganged - prev.Ganged,
 		GangBatches:       s.GangBatches - prev.GangBatches,
 		EnqueueBatches:    s.EnqueueBatches - prev.EnqueueBatches,
-		Barriers:          s.Barriers - prev.Barriers,
 		ArtifactHits:      s.ArtifactHits - prev.ArtifactHits,
 		ArtifactStoreHits: s.ArtifactStoreHits - prev.ArtifactStoreHits,
 		ArtifactComputes:  s.ArtifactComputes - prev.ArtifactComputes,
@@ -224,7 +222,7 @@ type Runner struct {
 
 	submitted, memoHits, storeHits, dedups, runs, errs atomic.Uint64
 	evictions, artHits, artStoreHits, artComputes      atomic.Uint64
-	enqueued, enqueueBatches, barriers                 atomic.Uint64
+	enqueued, enqueueBatches                           atomic.Uint64
 	ganged, gangBatches                                atomic.Uint64
 	warmupHits, warmupSaves                            atomic.Uint64
 }
@@ -331,7 +329,6 @@ func (r *Runner) Stats() Stats {
 		Ganged:            r.ganged.Load(),
 		GangBatches:       r.gangBatches.Load(),
 		EnqueueBatches:    r.enqueueBatches.Load(),
-		Barriers:          r.barriers.Load(),
 		ArtifactHits:      r.artHits.Load(),
 		ArtifactStoreHits: r.artStoreHits.Load(),
 		ArtifactComputes:  r.artComputes.Load(),
@@ -448,17 +445,17 @@ func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Con
 // Enqueue submits a batch of configs without waiting for their results:
 // fingerprints not yet known to the runner are registered synchronously
 // — before Enqueue returns, a later Run/RunAll of the same config joins
-// the in-flight work instead of fanning out its own — and execute on
+// the in-flight work instead of simulating it again — and execute on
 // the shared worker pool in the background. Fingerprints already
 // memoized or executing are skipped. Outcomes land in the memo table
 // and persistent store exactly as if Run had been called; cancelling
 // ctx abandons work that has not started, leaving those fingerprints
 // retryable. Returns the number of configs actually enqueued.
 //
-// Enqueue is the batch-scheduling primitive behind plan execution: a
-// multi-sweep plan enqueues every profiling simulation in one pass, so
-// the pool interleaves across sweeps and scenarios instead of draining
-// at each sequential caller's per-sweep barrier.
+// Enqueue is the batch-scheduling primitive behind RunAll and plan
+// execution: a multi-sweep plan enqueues every profiling simulation in
+// one pass, so the pool interleaves across sweeps and scenarios instead
+// of draining one sweep's batch at a time.
 //
 // The returned wait function blocks until every goroutine this call
 // spawned has published its outcome (to the memo table and, when
@@ -643,48 +640,25 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunAll executes a batch and returns results in submission order. The
-// first failing config (by submission index) determines the returned
-// error. Concurrency is bounded by the Runner's shared worker pool.
+// RunAll executes a batch and returns results in submission order. It
+// enqueues the batch — so same-front-end configs coalesce into gangs
+// and the pool runs them without a goroutine per config — then gathers
+// each result in order with Run. The first failing config (by
+// submission index) determines the returned error; before returning,
+// RunAll cancels whatever it enqueued that is still pending and waits
+// for it, so no simulation it started outlives the call. Concurrency is
+// bounded by the Runner's shared worker pool.
 func (r *Runner) RunAll(ctx context.Context, cfgs []sim.Config) ([]sim.Result, error) {
-	// A batch that must submit work not already in flight or memoized is
-	// a fan-out barrier: the caller blocks until its own submissions
-	// drain. Batches fully covered by an earlier Enqueue pass (or prior
-	// runs) just join existing entries and are not counted — the Barriers
-	// counter is how batch-scheduled plans prove they gather without
-	// fanning out.
-	keys := make([]sim.Key, len(cfgs))
-	for i := range cfgs {
-		keys[i] = cfgs[i].Key()
-	}
-	fresh := false
-	r.mu.Lock()
-	for _, k := range keys {
-		if _, ok := r.entries[k]; !ok {
-			fresh = true
-			break
-		}
-	}
-	r.mu.Unlock()
-	if fresh {
-		r.barriers.Add(1)
-	}
-
+	enqCtx, stop := context.WithCancel(ctx)
+	_, wait := r.Enqueue(enqCtx, cfgs)
+	defer func() { stop(); wait() }()
 	results := make([]sim.Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
 	for i := range cfgs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = r.Run(ctx, cfgs[i])
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+		res, err := r.Run(ctx, cfgs[i])
 		if err != nil {
 			return nil, fmt.Errorf("runner: config %d (%s): %w", i, cfgs[i].Benchmark, err)
 		}
+		results[i] = res
 	}
 	return results, nil
 }

@@ -6,10 +6,10 @@ import (
 	"resizecache/internal/simd/client"
 )
 
-// TestAddressGrammar keeps the server's parseAddr and the client's
-// ParseAddr in lockstep: the two packages deliberately do not import
-// each other, so this table is the contract that one address string
-// means the same endpoint on both ends.
+// TestAddressGrammar pins the one simd address grammar: the client
+// dials and Listen binds through client.ParseAddr, so this table is the
+// contract that one address string names the same endpoint on both
+// ends.
 func TestAddressGrammar(t *testing.T) {
 	cases := []struct {
 		addr    string
@@ -26,15 +26,10 @@ func TestAddressGrammar(t *testing.T) {
 		{"localhost:9821", "tcp", "localhost:9821"},
 	}
 	for _, tc := range cases {
-		sn, st := parseAddr(tc.addr)
-		if sn != tc.network || st != tc.target {
-			t.Errorf("server parseAddr(%q) = %s, %s; want %s, %s",
-				tc.addr, sn, st, tc.network, tc.target)
-		}
-		cn, ct := client.ParseAddr(tc.addr)
-		if cn != sn || ct != st {
-			t.Errorf("grammar skew on %q: client says %s,%s; server says %s,%s",
-				tc.addr, cn, ct, sn, st)
+		network, target := client.ParseAddr(tc.addr)
+		if network != tc.network || target != tc.target {
+			t.Errorf("ParseAddr(%q) = %s, %s; want %s, %s",
+				tc.addr, network, target, tc.network, tc.target)
 		}
 	}
 }

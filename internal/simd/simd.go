@@ -31,6 +31,7 @@ import (
 	"resizecache"
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
+	"resizecache/internal/simd/client"
 	"resizecache/internal/simd/wire"
 )
 
@@ -103,33 +104,16 @@ func (s *Server) Abort() { s.abort() }
 func (s *Server) Stats() runner.Stats { return s.session.Stats() }
 
 // Listen resolves a simd listen address ("unix:<path>", "tcp:<addr>",
-// bare path or host:port — see the client's ParseAddr) into a listener.
+// bare path or host:port) into a listener. It parses the address with
+// the client's ParseAddr, so one string names the same endpoint on both
+// ends; the server may import the client, never the other way round.
 func Listen(addr string) (net.Listener, error) {
-	network, target := parseAddr(addr)
+	network, target := client.ParseAddr(addr)
 	ln, err := net.Listen(network, target)
 	if err != nil {
 		return nil, fmt.Errorf("simd: listen %s: %w", addr, err)
 	}
 	return ln, nil
-}
-
-// parseAddr mirrors the client's address grammar (kept in sync by
-// TestAddressGrammar rather than an import, so the client package stays
-// free of server dependencies).
-func parseAddr(addr string) (network, target string) {
-	switch {
-	case len(addr) > 5 && addr[:5] == "unix:":
-		return "unix", addr[5:]
-	case len(addr) > 4 && addr[:4] == "tcp:":
-		return "tcp", addr[4:]
-	default:
-		for i := 0; i < len(addr); i++ {
-			if addr[i] == '/' || addr[i] == '\\' {
-				return "unix", addr
-			}
-		}
-		return "tcp", addr
-	}
 }
 
 // Serve accepts connections until ctx is cancelled or the listener

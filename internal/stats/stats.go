@@ -26,9 +26,6 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // Ratio returns c/other as a float64, or 0 when other is zero.
 func (c *Counter) Ratio(other *Counter) float64 {
 	if other.n == 0 {

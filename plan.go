@@ -228,12 +228,10 @@ func OnResult(fn func(r Result, completed, total int)) RunOption {
 // pass enqueues every cold profiling sweep of the whole plan on the
 // runner (sweeps whose artifacts are already cached are skipped, so a
 // warm plan enqueues nothing). Scenario gathers then join that
-// in-flight work instead of each fanning out its own per-sweep barrier
-// — the pool interleaves simulations across scenarios, and the
-// runner's Barriers counter stays flat where N sequential Simulate
-// calls would add one barrier per sweep. Work still in the queue when
-// every scenario has finished (e.g. after per-scenario errors) is
-// abandoned.
+// in-flight work instead of each sweep enqueueing and draining its own
+// batch in turn, so the pool interleaves simulations across scenarios.
+// Work still in the queue when every scenario has finished (e.g. after
+// per-scenario errors) is abandoned.
 //
 // Errors are per scenario: a failing benchmark yields a Result with Err
 // set and the rest of the plan continues. Cancelling ctx stops the plan

