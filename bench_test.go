@@ -58,6 +58,7 @@ func BenchmarkSimSampledStreams(b *testing.B)   { benchsuite.SimSampledStreams(b
 func BenchmarkSimRunDeepHierarchy(b *testing.B) { benchsuite.SimRunDeepHierarchy(b) }
 func BenchmarkSimInOrder(b *testing.B)          { benchsuite.SimInOrder(b) }
 func BenchmarkSweepGang(b *testing.B)           { benchsuite.SweepGang(b) }
+func BenchmarkSweepDynamic(b *testing.B)        { benchsuite.SweepDynamic(b) }
 func BenchmarkWorkloadGenerator(b *testing.B)   { benchsuite.WorkloadGenerator(b) }
 func BenchmarkConfigKey(b *testing.B)           { benchsuite.ConfigKey(b) }
 func BenchmarkSweepKey(b *testing.B)            { benchsuite.SweepKey(b) }

@@ -61,6 +61,7 @@ func All() []Bench {
 		{Name: "SimRunDeepHierarchy", Short: true, F: SimRunDeepHierarchy},
 		{Name: "SimInOrder", Short: true, F: SimInOrder},
 		{Name: "SweepGang", Short: true, F: SweepGang},
+		{Name: "SweepDynamic", Short: true, F: SweepDynamic},
 		{Name: "WorkloadGenerator", Short: true, F: WorkloadGenerator},
 		{Name: "ConfigKey", Short: true, F: ConfigKey},
 		{Name: "SweepKey", Short: true, F: SweepKey},
@@ -261,6 +262,27 @@ func SweepGang(b *testing.B) {
 		b.ReportMetric(soloNs/gangNs, "gang_speedup_x")
 	}
 	b.ReportMetric(float64(len(cfgs))*float64(cfgs[0].Instructions), "instrs/op")
+}
+
+// SweepDynamic times the cold batch of WarmSweepSpec — the baseline
+// and 210 dynamic-controller candidates — through one sim.RunGang, as
+// the runner would run it were its gang size unbounded. Candidates
+// that differ only in their thresholds share one machine until their
+// controllers disagree, so the cost follows the distinct decision
+// trajectories, not the candidate count. configs/op counts the batch.
+func SweepDynamic(b *testing.B) {
+	sw, err := WarmSweepSpec().Resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfgs, _ := sw.Configs()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := sim.RunGang(cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(cfgs)), "configs/op")
 }
 
 // WorkloadGenerator times event synthesis alone.

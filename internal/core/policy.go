@@ -43,6 +43,13 @@ func (s *StaticPolicy) OnInterval(uint64, uint64) {}
 // boundary the cache upsizes one step when interval misses exceed
 // MissBound and downsizes one step when they fall below, never shrinking
 // under SizeBoundBytes. Both parameters come from offline profiling.
+//
+// The decision at a boundary is a pure function of the interval's
+// misses, the schedule index and the policy's own hold count (decide),
+// so policies that differ only in their thresholds can share one cache
+// while they agree: a bound policy may carry followers (Follow), which
+// decide on the same inputs at every boundary and detach the first time
+// their target differs from the leader's.
 type DynamicPolicy struct {
 	// Interval is the monitoring window in cache accesses.
 	Interval uint64
@@ -57,11 +64,20 @@ type DynamicPolicy struct {
 	// offered points (paper §4.2.1), instead of thrashing 50/50.
 	UpsizeHoldIntervals int
 
-	r    *ResizableCache
-	hold int
+	r         *ResizableCache
+	hold      int
+	intervals int // boundaries seen
 
-	// Resizings counts applied size changes (for reporting).
-	Resizings uint64
+	followers []*DynamicPolicy
+	split     Split // where this follower left its leader; zero while attached
+}
+
+// Split is where a follower left its leader: the interval boundary,
+// counted from 1, at which its own decision first differed, and the
+// schedule index it chose there.
+type Split struct {
+	Boundary int
+	Target   int
 }
 
 // Name implements Policy.
@@ -73,28 +89,62 @@ func (d *DynamicPolicy) Bind(r *ResizableCache) { d.r = r }
 // IntervalLength implements Policy.
 func (d *DynamicPolicy) IntervalLength() uint64 { return d.Interval }
 
-// OnInterval implements Policy.
+// Follow attaches f as a follower of d. f must share d's Interval and
+// schedule; it is never bound to a cache of its own.
+func (d *DynamicPolicy) Follow(f *DynamicPolicy) { d.followers = append(d.followers, f) }
+
+// Detached reports where a follower left its leader, and false while it
+// is still attached (its run equals the leader's).
+func (d *DynamicPolicy) Detached() (Split, bool) { return d.split, d.split.Boundary > 0 }
+
+// decide is the controller's decision after an interval with misses at
+// schedule index idx of points, with hold intervals of hysteresis left:
+// the index to move to (idx to stay) and the hold count to keep once
+// the move is applied. Upsizing at index 0 is a no-op that leaves the
+// hold alone; the hold is set only by an upsize.
+func (d *DynamicPolicy) decide(points []SizePoint, idx int, misses uint64, hold int) (target, newHold int) {
+	if misses > d.MissBound {
+		if idx == 0 {
+			return idx, hold
+		}
+		return idx - 1, d.UpsizeHoldIntervals
+	}
+	if hold > 0 {
+		return idx, hold - 1
+	}
+	next := idx + 1
+	if next >= len(points) {
+		return idx, hold
+	}
+	if bound := d.SizeBoundBytes; bound > 0 && points[next].Bytes < bound {
+		return idx, hold
+	}
+	return next, hold
+}
+
+// OnInterval implements Policy: it applies its own decision, then has
+// every attached follower decide on the same inputs. A move that fails
+// to apply keeps the old hold count, for the leader and its followers
+// alike.
 func (d *DynamicPolicy) OnInterval(now uint64, misses uint64) {
-	switch {
-	case misses > d.MissBound:
-		if d.r.Upsize(now) {
-			d.Resizings++
-			d.hold = d.UpsizeHoldIntervals
+	points := d.r.Sched.Points
+	idx := d.r.Index()
+	target, hold := d.decide(points, idx, misses, d.hold)
+	applied := target == idx || d.r.SetIndex(now, target) == nil
+	if applied {
+		d.hold = hold
+	}
+	d.intervals++
+	for _, f := range d.followers {
+		if f.split.Boundary > 0 {
+			continue
 		}
-	default:
-		if d.hold > 0 {
-			d.hold--
-			return
-		}
-		next := d.r.Index() + 1
-		if next >= len(d.r.Sched.Points) {
-			return
-		}
-		if bound := d.SizeBoundBytes; bound > 0 && d.r.Sched.Points[next].Bytes < bound {
-			return
-		}
-		if d.r.Downsize(now) {
-			d.Resizings++
+		ft, fh := f.decide(points, idx, misses, f.hold)
+		switch {
+		case ft != target:
+			f.split = Split{Boundary: d.intervals, Target: ft}
+		case applied:
+			f.hold = fh
 		}
 	}
 }

@@ -60,6 +60,9 @@ func Wrap(c *cache.Cache, sched Schedule, p Policy) (*ResizableCache, error) {
 	return r, nil
 }
 
+// Policy returns the attached resizing policy (nil when none).
+func (r *ResizableCache) Policy() Policy { return r.policy }
+
 // Current returns the active size point.
 func (r *ResizableCache) Current() SizePoint { return r.Sched.Points[r.idx] }
 
@@ -77,22 +80,6 @@ func (r *ResizableCache) SetIndex(now uint64, i int) error {
 	}
 	r.idx = i
 	return nil
-}
-
-// Downsize moves one step smaller if possible; reports whether it moved.
-func (r *ResizableCache) Downsize(now uint64) bool {
-	if r.idx+1 >= len(r.Sched.Points) {
-		return false
-	}
-	return r.SetIndex(now, r.idx+1) == nil
-}
-
-// Upsize moves one step larger if possible; reports whether it moved.
-func (r *ResizableCache) Upsize(now uint64) bool {
-	if r.idx == 0 {
-		return false
-	}
-	return r.SetIndex(now, r.idx-1) == nil
 }
 
 // Access implements cache.Level, threading each access through the

@@ -92,26 +92,6 @@ func TestStaticPolicyAppliesPointAtBind(t *testing.T) {
 	}
 }
 
-func TestUpsizeDownsizeBounds(t *testing.T) {
-	r := buildL1(t, SelectiveSets, nil)
-	if r.Upsize(0) {
-		t.Fatal("upsize from full size should fail")
-	}
-	moves := 0
-	for r.Downsize(0) {
-		moves++
-		if moves > 10 {
-			t.Fatal("runaway downsize")
-		}
-	}
-	if r.Index() != len(r.Sched.Points)-1 {
-		t.Fatal("not at minimum after exhaustive downsize")
-	}
-	if r.Downsize(0) {
-		t.Fatal("downsize below minimum should fail")
-	}
-}
-
 func TestSetIndexRangeCheck(t *testing.T) {
 	r := buildL1(t, Hybrid, nil)
 	if err := r.SetIndex(0, -1); err == nil {
@@ -134,7 +114,7 @@ func TestDynamicPolicyDownsizesOnLowMisses(t *testing.T) {
 	if got := r.Current().Bytes; got != 8<<10 {
 		t.Fatalf("settled at %d bytes, want size bound 8K", got)
 	}
-	if p.Resizings == 0 {
+	if r.C.Stat.Resizes.Value() == 0 {
 		t.Fatal("no resizings recorded")
 	}
 	if len(r.SizeTrace) == 0 {
@@ -194,7 +174,7 @@ func TestDynamicPolicySizeBoundBlocksDownsize(t *testing.T) {
 	if r.Index() != 0 {
 		t.Fatal("size bound equal to full size must pin the cache")
 	}
-	if p.Resizings != 0 {
+	if r.C.Stat.Resizes.Value() != 0 {
 		t.Fatal("resizings counted despite bound")
 	}
 }

@@ -356,11 +356,11 @@ func (sw Sweep) artifactKey() sim.Key {
 		Str(s.App).Int(int(s.Side)).Int(int(s.Org)).RawKey(s.Base.Key()).Sum()
 }
 
-// configs materializes the batch the sweep runs — the baseline followed
+// Configs materializes the batch the sweep runs — the baseline followed
 // by every candidate — with each candidate's policy. Only the cold path
 // calls it: the compute of an artifact miss, and EnqueueSweeps for a
 // sweep it finds cold.
-func (sw Sweep) configs() ([]sim.Config, []sim.PolicySpec) {
+func (sw Sweep) Configs() ([]sim.Config, []sim.PolicySpec) {
 	n := 0
 	for range sw.policies {
 		n++
@@ -395,7 +395,7 @@ func (sw Sweep) describe(p sim.PolicySpec) string {
 // enqueued up front by a plan gathers by joining the in-flight work.
 func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 	return cachedBest(ctx, opts.runner(), sw.key, func(ctx context.Context) (Best, error) {
-		cfgs, pols := sw.configs()
+		cfgs, pols := sw.Configs()
 		res, err := opts.runner().RunAll(ctx, cfgs)
 		if err != nil {
 			return Best{}, err
@@ -430,7 +430,7 @@ func EnqueueSweeps(ctx context.Context, sweeps []Sweep, opts Options) (int, func
 		if r.HasArtifact(sw.key) {
 			continue
 		}
-		scfgs, _ := sw.configs()
+		scfgs, _ := sw.Configs()
 		for i := range scfgs {
 			if k := scfgs[i].Key(); !seen[k] {
 				seen[k] = true

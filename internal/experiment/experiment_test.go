@@ -433,7 +433,7 @@ func TestSweepArtifactKeySeparatesSweeps(t *testing.T) {
 										t.Fatalf("%s/%v/%v/%v: spec built twice keys %v then %v", app, side, org, dynamic, sw.key, again)
 									}
 									h := sha256.New()
-									cfgs, _ := sw.configs()
+									cfgs, _ := sw.Configs()
 									writeBatch(h, cfgs)
 									var digest [sha256.Size]byte
 									h.Sum(digest[:0])

@@ -70,7 +70,7 @@ func TestSweepBatchesPinned(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v/%v/%v: %v", side, org, dynamic, err)
 				}
-				cfgs, pols := sw.configs()
+				cfgs, pols := sw.Configs()
 				if len(cfgs) != len(pols)+1 || cfgs[0].Key() != spec.Base.Key() {
 					t.Fatalf("%v/%v/%v: batch of %d configs for %d candidates", side, org, dynamic, len(cfgs), len(pols))
 				}
@@ -105,7 +105,7 @@ func TestSweepArtifactKeyAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cfgs, _ := sw.configs(); len(cfgs) != wantConfigs {
+		if cfgs, _ := sw.Configs(); len(cfgs) != wantConfigs {
 			t.Fatalf("sweep runs %d configs, want %d", len(cfgs), wantConfigs)
 		}
 		return testing.AllocsPerRun(20, func() {

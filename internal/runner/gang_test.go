@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"resizecache/internal/core"
 	"resizecache/internal/sim"
 )
 
@@ -294,6 +295,69 @@ func TestRunAllGangsColdBatch(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res[i], want) {
 			t.Errorf("config %d: RunAll result differs from its own Run", i)
+		}
+	}
+}
+
+// TestEnqueueKeepsSharedClassesWhole: same-front configs that differ
+// only in the thresholds of their dynamic policy (one share class,
+// sim.Config.ShareKey) gang together whatever their submission order,
+// no class is split across gangs, a gang takes at most GangSize
+// classes, and each result equals the config's own Run.
+func TestEnqueueKeepsSharedClassesWhole(t *testing.T) {
+	const classes, perClass = 3, 40
+	var cfgs []sim.Config
+	for i := 0; i < classes*perClass; i++ {
+		c := gangCfgN("gcc", 0)
+		c.DCache.Org = core.SelectiveSets
+		// Interleaved: submission order alternates between the classes.
+		c.DCache.Policy = sim.PolicySpec{Kind: sim.PolicyDynamic,
+			Interval: 1024 << (i % classes), MissBound: uint64(i), UpsizeHoldIntervals: i % 2}
+		cfgs = append(cfgs, c)
+	}
+	rec := &gangRecorder{}
+	r := New(Options{Workers: 2, GangSize: 2, RunGang: rec.run})
+	ctx := context.Background()
+	res, err := r.RunAll(ctx, cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec.mu.Lock()
+	batches := rec.batches
+	rec.mu.Unlock()
+	batchOf := make(map[sim.Key]int) // share key → the batch that ran it
+	ran := 0
+	for b, batch := range batches {
+		seen := make(map[sim.Key]bool)
+		for _, c := range batch {
+			k := c.ShareKey()
+			if prev, ok := batchOf[k]; ok && prev != b {
+				t.Errorf("share class split across batches %d and %d", prev, b)
+			}
+			batchOf[k] = b
+			seen[k] = true
+		}
+		if len(seen) > 2 {
+			t.Errorf("batch %d holds %d share classes, want at most 2", b, len(seen))
+		}
+		ran += len(batch)
+	}
+	if ran != len(cfgs) || len(batchOf) != classes {
+		t.Errorf("ran %d configs in %d classes, want %d in %d", ran, len(batchOf), len(cfgs), classes)
+	}
+	if st := r.Stats(); st.Runs != uint64(len(cfgs)) || st.Ganged != uint64(len(cfgs)) {
+		t.Errorf("stats = %+v, want every config counted as a ganged run", st)
+	}
+
+	alone := New(Options{Workers: 1, RunGang: (&gangRecorder{}).run})
+	for i, cfg := range cfgs {
+		want, err := alone.Run(ctx, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res[i], want) {
+			t.Errorf("config %d: result differs from its own Run", i)
 		}
 	}
 }

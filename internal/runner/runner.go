@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -56,9 +57,12 @@ type Options struct {
 	// beyond it (0 = unbounded). Evicted configs re-simulate on the next
 	// submission unless a Store still holds them.
 	MemoLimit int
-	// GangSize bounds how many same-front-end configs one Enqueue pass
-	// coalesces into a single gang simulation (sim.RunGang). 0 means
-	// DefaultGangSize; 1 disables coalescing.
+	// GangSize bounds how many machines one gang simulation
+	// (sim.RunGang) that Enqueue coalesces starts with: a gang takes up
+	// to GangSize share classes of same-front-end configs
+	// (sim.Config.ShareKey), whole, and runs one machine per class until
+	// the class's dynamic controllers disagree. 0 means DefaultGangSize;
+	// 1 disables coalescing.
 	GangSize int
 	// RunGang overrides the simulation entry point (nil = sim.RunGang
 	// over the runner's recorded workload streams). It returns one
@@ -68,7 +72,7 @@ type Options struct {
 }
 
 // DefaultGangSize is the gang bound when Options.GangSize is zero. Eight
-// members amortize the shared front-end well past the 2× mark while
+// machines amortize the shared front-end well past the 2× mark while
 // keeping a gang's machine state compact and the pool's units of work
 // evenly sized.
 const DefaultGangSize = 8
@@ -466,9 +470,10 @@ func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Con
 // Enqueue additionally coalesces the batch's memo-miss configs into
 // gangs: configs sharing a front-end fingerprint (sim.Config.FrontKey —
 // same benchmark, budget, engine, pipeline) run through one gang
-// simulation of up to GangSize members instead of GangSize independent
-// passes. Coalescing is invisible to waiters — outcomes publish to the
-// same entries — and is accounted by the Ganged/GangBatches counters.
+// simulation of up to GangSize share classes (sim.Config.ShareKey)
+// instead of one pass each; a class is never split across gangs.
+// Coalescing is invisible to waiters — outcomes publish to the same
+// entries — and is accounted by the Ganged/GangBatches counters.
 func (r *Runner) Enqueue(ctx context.Context, cfgs []sim.Config) (int, func()) {
 	if len(cfgs) == 0 || ctx.Err() != nil {
 		return 0, func() {}
@@ -508,37 +513,45 @@ func (r *Runner) Enqueue(ctx context.Context, cfgs []sim.Config) (int, func()) {
 		return len(fresh), wg.Wait
 	}
 
-	// Group the fresh entries by shared front-end; each same-front group
-	// dispatches as gangs of up to gangSize, stragglers solo.
-	groups := make(map[sim.Key][]gangItem)
-	var order []sim.Key
-	for _, it := range fresh {
-		fk := it.cfg.FrontKey()
-		if _, ok := groups[fk]; !ok {
-			order = append(order, fk)
-		}
-		groups[fk] = append(groups[fk], it)
-	}
-	for _, fk := range order {
-		g := groups[fk]
-		for len(g) >= 2 {
-			n := r.gangSize
-			if n > len(g) {
-				n = len(g)
+	// Group the fresh entries by shared front-end, and each front group
+	// by share class (sim.Config.ShareKey), both in order of first
+	// appearance. A front group dispatches as gangs of up to gangSize
+	// whole classes — a gang runs one machine per class until the
+	// class's controllers disagree — and a lone straggler solo.
+	for _, g := range groupBy(fresh, sim.Config.FrontKey) {
+		classes := groupBy(g, sim.Config.ShareKey)
+		for lo := 0; lo < len(classes); lo += r.gangSize {
+			batch := slices.Concat(classes[lo:min(lo+r.gangSize, len(classes))]...)
+			if len(batch) == 1 {
+				solo(batch[0])
+				continue
 			}
-			batch := g[:n]
-			g = g[n:]
 			wg.Add(1)
 			go func(batch []gangItem) {
 				defer wg.Done()
 				r.executeGang(ctx, batch)
 			}(batch)
 		}
-		for _, it := range g {
-			solo(it)
-		}
 	}
 	return len(fresh), wg.Wait
+}
+
+// groupBy partitions items by the key of their config, in order of
+// first appearance.
+func groupBy(items []gangItem, key func(sim.Config) sim.Key) [][]gangItem {
+	at := make(map[sim.Key]int)
+	var groups [][]gangItem
+	for _, it := range items {
+		k := key(it.cfg)
+		n, ok := at[k]
+		if !ok {
+			n = len(groups)
+			at[k] = n
+			groups = append(groups, nil)
+		}
+		groups[n] = append(groups[n], it)
+	}
+	return groups
 }
 
 // gangItem is one fresh Enqueue registration awaiting execution.

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"resizecache/internal/bpred"
+	"resizecache/internal/core"
 	"resizecache/internal/cpu"
 	"resizecache/internal/workload"
 )
@@ -13,8 +15,9 @@ import (
 // the data caches like. Each chunk reads the stream from the start on
 // its own: a replay of the memoized recording when there is one, or
 // else its own generator, since generation is deterministic.
-// Runner-built gangs stay at or below the configured gang size (default
-// 8) and never chunk.
+// Runner-built gangs start with at most the configured gang size
+// (default 8) of machines; only a later pass whose controllers split
+// many ways can chunk.
 const gangChunk = 32
 
 // RunGang executes N simulations in one workload+engine pass. All
@@ -24,6 +27,11 @@ const gangChunk = 32
 // stream once and fans each event out to every member's private memory
 // system. Cache geometries, resizing organizations and policies,
 // hierarchy depth, MSHRs, and energy models may all differ per member.
+// Members that differ only in the thresholds of their one dynamic
+// policy (equal ShareKeys) share one machine until their controllers
+// disagree; the ones that split off re-run from the start in a later
+// pass, so the gang builds one machine per distinct decision
+// trajectory.
 //
 // Every simulation runs here: Run is a gang of one. Each member's Result
 // is bit-identical to Run on the same config, whatever the member order
@@ -68,49 +76,127 @@ func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, War
 	return runGangOver(cfgs, prof, cs, streams)
 }
 
-// runGangOver runs a validated gang over prof's stream.
+// runGangOver runs a validated gang over prof's stream. Configs with
+// equal ShareKeys form one group that runs on one machine, led by its
+// first config: the leader's dynamic policy carries the others as
+// followers, and a follower still attached when the run ends gets a
+// copy of the leader's Result. The followers that detached, grouped by
+// leader and split point, are the groups of the next pass over the
+// stream. A regrouped follower agrees with its new leader through the
+// boundary it split at, so every later split comes strictly later and
+// the passes end. Each pass drives its machines in chunks of gangChunk.
 func runGangOver(cfgs []Config, prof *workload.Profile, cs CheckpointStore, streams *Streams) ([]Result, WarmupStats, error) {
-	machines := make([]*machine, len(cfgs))
-	members := make([]cpu.GangMember, len(cfgs))
-	for i, cfg := range cfgs {
-		m, err := buildMachine(cfg)
-		if err != nil {
-			return nil, WarmupStats{}, memberErr(cfgs, i, err)
-		}
-		machines[i] = m
-		members[i] = cpu.GangMember{IC: m.ic.level, DC: m.dc.level}
-	}
-
-	cfg0 := cfgs[0]
 	var ws WarmupStats
 	out := make([]Result, len(cfgs))
-	for lo := 0; lo < len(cfgs); lo += gangChunk {
-		hi := min(lo+gangChunk, len(cfgs))
-		eng, err := newEngine(cfg0, members[lo:hi])
-		if err != nil {
-			return nil, ws, err
-		}
-		st := streams.stream(prof, cfg0.Instructions, cfg0.Sampling)
-		if cfg0.Sampling.Enabled() {
-			// Chunk 0's warmup populates the checkpoint store (when one
-			// is provided), so later chunks restore it instead of
-			// re-stepping the prefix; their stats are the gang's internal
-			// traffic, not the caller's.
-			chunkWS := &ws
-			if lo > 0 {
-				chunkWS = new(WarmupStats)
-			}
-			if err := runSampled(cfgs[lo:hi], prof, st, machines[lo:hi], eng, cs, chunkWS, out[lo:hi]); err != nil {
+	chunkWS := &ws
+	for groups := shareGroups(cfgs); len(groups) > 0; {
+		var next [][]int
+		for lo := 0; lo < len(groups); lo += gangChunk {
+			split, err := runChunk(cfgs, groups[lo:min(lo+gangChunk, len(groups))], prof, cs, streams, chunkWS, out)
+			if err != nil {
 				return nil, ws, err
 			}
-			continue
+			next = append(next, split...)
+			// The first chunk's warmup populates the checkpoint store
+			// (when one is provided), so later chunks restore it instead
+			// of re-stepping the prefix; their stats are the gang's
+			// internal traffic, not the caller's.
+			chunkWS = new(WarmupStats)
 		}
-		rs := eng.RunWindow(st.src, cfg0.Instructions, nil)
-		for i, r := range rs {
-			out[lo+i] = machines[lo+i].finish(cfgs[lo+i], r)
-		}
+		groups = next
 	}
 	return out, ws, nil
+}
+
+// shareGroups partitions cfgs' indices by ShareKey, in order of first
+// appearance, each group ascending.
+func shareGroups(cfgs []Config) [][]int {
+	var groups [][]int
+	at := make(map[Key]int)
+	for i := range cfgs {
+		k := cfgs[i].ShareKey()
+		n, ok := at[k]
+		if !ok {
+			n = len(groups)
+			at[k] = n
+			groups = append(groups, nil)
+		}
+		groups[n] = append(groups[n], i)
+	}
+	return groups
+}
+
+// runChunk runs one engine pass over groups of cfgs' indices, leader
+// first, writing every attached member's Result to out, and returns the
+// groups its detached followers form.
+func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs CheckpointStore, streams *Streams, ws *WarmupStats, out []Result) ([][]int, error) {
+	leaders := make([]Config, len(groups))
+	machines := make([]*machine, len(groups))
+	members := make([]cpu.GangMember, len(groups))
+	// followers[j][k] is the policy following on behalf of groups[j][k+1];
+	// nil for a config identical to its leader, which never detaches.
+	followers := make([][]*core.DynamicPolicy, len(groups))
+	for j, g := range groups {
+		cfg := cfgs[g[0]]
+		m, err := buildMachine(cfg)
+		if err != nil {
+			return nil, memberErr(cfgs, g[0], err)
+		}
+		leaders[j], machines[j] = cfg, m
+		members[j] = cpu.GangMember{IC: m.ic.level, DC: m.dc.level}
+		followers[j] = make([]*core.DynamicPolicy, len(g)-1)
+		if at := cfg.dynamicLevel(); at >= 0 && len(g) > 1 {
+			lead := m.levelAt(at).r.Policy().(*core.DynamicPolicy)
+			for k, i := range g[1:] {
+				f := cfgs[i].policyAt(at).build().(*core.DynamicPolicy)
+				lead.Follow(f)
+				followers[j][k] = f
+			}
+		}
+	}
+
+	cfg0 := leaders[0]
+	eng, err := newEngine(cfg0, members)
+	if err != nil {
+		return nil, err
+	}
+	res := make([]Result, len(groups))
+	st := streams.stream(prof, cfg0.Instructions, cfg0.Sampling)
+	if cfg0.Sampling.Enabled() {
+		if err := runSampled(leaders, prof, st, machines, eng, cs, ws, res); err != nil {
+			return nil, err
+		}
+	} else {
+		for j, r := range eng.RunWindow(st.src, cfg0.Instructions, nil) {
+			res[j] = machines[j].finish(leaders[j], r)
+		}
+	}
+
+	var next [][]int
+	for j, g := range groups {
+		out[g[0]] = res[j]
+		// This group's splits, parallel to the groups it appends to next.
+		var splits []core.Split
+		first := len(next)
+		for k, i := range g[1:] {
+			s, detached := core.Split{}, false
+			if f := followers[j][k]; f != nil {
+				s, detached = f.Detached()
+			}
+			if !detached {
+				out[i] = res[j].clone()
+				continue
+			}
+			n := slices.Index(splits, s)
+			if n < 0 {
+				n = len(splits)
+				splits = append(splits, s)
+				next = append(next, nil)
+			}
+			next[first+n] = append(next[first+n], i)
+		}
+	}
+	return next, nil
 }
 
 // memberErr attributes a gang's failure to member i. A gang of one is

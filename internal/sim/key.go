@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"slices"
 
 	"resizecache/internal/geometry"
 )
@@ -186,6 +187,57 @@ func (c Config) FrontKey() Key {
 		u64(c.Sampling.FastForwardInstructions).
 		u64(c.Sampling.SkipInstructions)
 	return sha256.Sum256(e)
+}
+
+// ShareKey fingerprints what a config's run shares with configs that
+// differ from it only in the thresholds of its one dynamic policy: the
+// Key of the config with that policy's MissBound, SizeBoundBytes and
+// UpsizeHoldIntervals zeroed. Such configs make the same resize
+// decisions until their controllers first disagree, so a gang runs
+// them on one machine until then (see RunGang). Interval stays in the
+// key: it sets the boundaries, and with them SizeTrace's length. With
+// no dynamic policy, or dynamic policies at two or more levels,
+// ShareKey is Key.
+func (c Config) ShareKey() Key {
+	i := c.dynamicLevel()
+	if i < 0 {
+		return c.Key()
+	}
+	if i >= 2 {
+		c.Levels = slices.Clone(c.Levels)
+	}
+	p := c.policyAt(i)
+	p.MissBound, p.SizeBoundBytes, p.UpsizeHoldIntervals = 0, 0, 0
+	return c.Key()
+}
+
+// dynamicLevel returns the position of the config's only dynamically
+// resized cache in machine order — 0 the d-cache, 1 the i-cache, 2+i
+// Levels[i] — or -1 unless exactly one cache is dynamic.
+func (c *Config) dynamicLevel() int {
+	at := -1
+	for i := 0; i < 2+len(c.Levels); i++ {
+		if c.policyAt(i).Kind != PolicyDynamic {
+			continue
+		}
+		if at >= 0 {
+			return -1
+		}
+		at = i
+	}
+	return at
+}
+
+// policyAt returns the policy of the cache at machine position i (see
+// dynamicLevel).
+func (c *Config) policyAt(i int) *PolicySpec {
+	switch i {
+	case 0:
+		return &c.DCache.Policy
+	case 1:
+		return &c.ICache.Policy
+	}
+	return &c.Levels[i-2].Policy
 }
 
 // KeyBuilder accumulates explicitly ordered fields into a

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"resizecache/internal/cache"
 	"resizecache/internal/core"
@@ -242,6 +243,21 @@ func (r Result) L2() CacheReport {
 	return r.Levels[0].CacheReport
 }
 
+// clone returns a copy of r that shares no memory with it.
+func (r Result) clone() Result {
+	r.DCache.SizeTrace = slices.Clone(r.DCache.SizeTrace)
+	r.ICache.SizeTrace = slices.Clone(r.ICache.SizeTrace)
+	r.Levels = slices.Clone(r.Levels)
+	for i := range r.Levels {
+		r.Levels[i].SizeTrace = slices.Clone(r.Levels[i].SizeTrace)
+	}
+	if r.Sample != nil {
+		s := *r.Sample
+		r.Sample = &s
+	}
+	return r
+}
+
 // reportCache summarizes one built cache array; trace is the resizing
 // size trace, nil for non-resizable levels.
 func reportCache(c *cache.Cache, trace []int) CacheReport {
@@ -347,7 +363,7 @@ func validated(cfg Config) (*workload.Profile, error) {
 
 // machine is one config's built memory system — the split L1s, the
 // shared hierarchy, and the memories behind them. RunGang builds one
-// machine per member and drives them all from one engine pass.
+// machine per share group and drives them all from one engine pass.
 type machine struct {
 	dc, ic builtLevel
 	shared []builtLevel
@@ -428,6 +444,18 @@ func buildMachine(cfg Config) (*machine, error) {
 		return nil, fmt.Errorf("sim: i-cache: %w", err)
 	}
 	return &machine{dc: dc, ic: ic, shared: shared, mems: mems}, nil
+}
+
+// levelAt returns the cache at machine position i: 0 the d-cache, 1 the
+// i-cache, 2+i the shared level i (see Config.dynamicLevel).
+func (m *machine) levelAt(i int) builtLevel {
+	switch i {
+	case 0:
+		return m.dc
+	case 1:
+		return m.ic
+	}
+	return m.shared[i-2]
 }
 
 // finish finalizes the machine's levels at the run's end time and

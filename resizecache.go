@@ -647,8 +647,9 @@ type SessionOptions struct {
 	// MemoLimit bounds the in-memory memo table, evicting the least
 	// recently used results beyond it (0 = unbounded).
 	MemoLimit int
-	// GangSize bounds how many same-front-end configurations a plan's
-	// batch-enqueue pass coalesces into one gang simulation (0 =
+	// GangSize bounds how many machines each gang simulation a plan's
+	// batch-enqueue pass coalesces starts with: one per share class of
+	// same-front-end configurations (see runner.Options.GangSize; 0 =
 	// runner.DefaultGangSize, currently 8; 1 disables coalescing).
 	GangSize int
 	// Store injects a pluggable persistent backend — e.g. a
