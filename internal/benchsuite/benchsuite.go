@@ -19,6 +19,7 @@ package benchsuite
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -29,6 +30,7 @@ import (
 	"resizecache/internal/geometry"
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
+	"resizecache/internal/simd"
 	"resizecache/internal/workload"
 )
 
@@ -66,6 +68,7 @@ func All() []Bench {
 		{Name: "ConfigKey", Short: true, F: ConfigKey},
 		{Name: "SweepKey", Short: true, F: SweepKey},
 		{Name: "WarmSimulate", Short: true, F: WarmSimulate},
+		{Name: "NetStoreLookup", Short: true, F: NetStoreLookup},
 		{Name: "Table1Hybrid", F: Table1Hybrid},
 		{Name: "Figure4Organizations", F: Figure4Organizations},
 		{Name: "Figure5PerApp", F: Figure5PerApp},
@@ -349,6 +352,51 @@ func WarmSimulate(b *testing.B) {
 	for b.Loop() {
 		if _, err := s.Simulate(sc); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// NetStoreLookup times one stored-result lookup through a simd daemon
+// serving on a unix socket in this process: the request frame, the
+// daemon's store lookup, and the reply whose sealed binary StoredResult
+// NetStore decodes. The stored result is a real simulation's.
+func NetStoreLookup(b *testing.B) {
+	cfg := sim.Default("gcc")
+	cfg.Instructions = 20_000
+	res, err := sim.Run(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store := runner.NewMemStore()
+	store.Record(cfg.Key(), runner.StoredResult{Result: res})
+	srv, err := simd.New(simd.Options{Workers: 1, Store: store})
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr := "unix:" + filepath.Join(b.TempDir(), "simd.sock")
+	ln, err := simd.Listen(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	defer func() {
+		stop()
+		if err := <-served; err != nil {
+			b.Error(err)
+		}
+	}()
+	ns, err := runner.OpenNetStore(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ns.Close()
+	key := cfg.Key()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := ns.Lookup(key); !ok {
+			b.Fatal("stored result missed")
 		}
 	}
 }

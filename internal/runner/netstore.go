@@ -129,7 +129,7 @@ func (s *NetStore) Lookup(k sim.Key) (StoredResult, bool) {
 		return StoredResult{}, false
 	}
 	var sr StoredResult
-	if err := json.Unmarshal(resp.Value, &sr); err != nil {
+	if err := sr.UnmarshalBinary(resp.Value); err != nil {
 		s.errs.Add(1)
 		return StoredResult{}, false
 	}
@@ -139,11 +139,7 @@ func (s *NetStore) Lookup(k sim.Key) (StoredResult, bool) {
 
 // Record implements Store.
 func (s *NetStore) Record(k sim.Key, v StoredResult) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		s.errs.Add(1)
-		return
-	}
+	data, _ := v.MarshalBinary() // never fails
 	s.call(wire.Request{Op: wire.OpRecord, Key: k.String(), Value: data})
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"resizecache/internal/payload"
 	"resizecache/internal/sim"
 )
 
@@ -66,6 +67,32 @@ type StoredResult struct {
 	// Err, when non-empty, records that the simulation failed; the
 	// runner replays it as a StoredError instead of re-running.
 	Err string `json:"err,omitempty"`
+}
+
+// MarshalBinary returns s's wire payload: sim.Result's binary layout
+// followed by Err, sealed as a JSON string of base64 (see
+// internal/payload), so it travels inside a JSON frame. DiskStore keeps
+// its own JSON form; only the simd wire carries this one, and a layout
+// change bumps wire.ProtocolVersion.
+func (s StoredResult) MarshalBinary() ([]byte, error) {
+	var w payload.Writer
+	s.Result.AppendPayload(&w)
+	w.Str(s.Err)
+	return w.Seal(), nil
+}
+
+// UnmarshalBinary decodes a payload MarshalBinary sealed into s. A
+// malformed payload leaves s unchanged.
+func (s *StoredResult) UnmarshalBinary(data []byte) error {
+	var v StoredResult
+	rd := payload.Open(data)
+	v.Result.ReadPayload(&rd)
+	v.Err = rd.Str()
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("runner: stored result: %w", err)
+	}
+	*s = v
+	return nil
 }
 
 // StoredError is a persisted simulation failure replayed from a Store

@@ -367,15 +367,11 @@ func (s *Server) handle(ctx context.Context, c *conn, req wire.Request) {
 			reply(wire.Response{})
 			return
 		}
-		data, err := json.Marshal(sr)
-		if err != nil {
-			fail("encode stored result: %v", err)
-			return
-		}
+		data, _ := sr.MarshalBinary() // never fails
 		reply(wire.Response{Found: true, Value: data})
 	case wire.OpRecord:
 		var sr runner.StoredResult
-		if err := json.Unmarshal(req.Value, &sr); err != nil {
+		if err := sr.UnmarshalBinary(req.Value); err != nil {
 			fail("decode stored result: %v", err)
 			return
 		}
@@ -448,10 +444,8 @@ func (s *Server) handlePlan(ctx context.Context, c *conn, req wire.Request) {
 			Index: r.Index, Completed: completed, Total: total}
 		if r.Err != nil {
 			frame.Err = r.Err.Error()
-		} else if data, err := json.Marshal(r.Outcome); err != nil {
-			frame.Err = fmt.Sprintf("encode outcome: %v", err)
 		} else {
-			frame.Outcome = data
+			frame.Outcome, _ = r.Outcome.MarshalBinary() // never fails
 		}
 		c.send(frame)
 	}

@@ -10,6 +10,7 @@ package simd_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"path/filepath"
 	"reflect"
@@ -307,7 +308,8 @@ func TestProtocolVersionMismatch(t *testing.T) {
 	if resp.ID != 7 || resp.Kind != wire.KindError {
 		t.Fatalf("response = %+v, want an error frame for request 7", resp)
 	}
-	if !strings.Contains(resp.Err, "protocol version mismatch") {
-		t.Errorf("error = %q, want a protocol version mismatch", resp.Err)
+	versions := fmt.Sprintf("client v%d, server v%d", wire.ProtocolVersion+1, wire.ProtocolVersion)
+	if !strings.Contains(resp.Err, "protocol version mismatch") || !strings.Contains(resp.Err, versions) {
+		t.Errorf("error = %q, want a protocol version mismatch naming %q", resp.Err, versions)
 	}
 }

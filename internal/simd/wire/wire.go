@@ -2,7 +2,11 @@
 // JSON frames carrying a small request/response vocabulary. A frame is a
 // 4-byte big-endian payload length followed by one JSON document; the
 // encoding is symmetric, so clients and the server share ReadFrame and
-// WriteFrame.
+// WriteFrame. The two hot bodies inside a frame, a stored result
+// (Request.Value of OpRecord, Response.Value of an OpLookup reply) and a
+// scenario outcome (Response.Outcome), are sealed binary payloads: a
+// JSON string holding the base64 of a layout from internal/payload, so
+// every frame stays one JSON document.
 //
 // Two request families flow over one connection:
 //
@@ -40,8 +44,11 @@ import (
 // Version history: 1 = initial op set; 2 = OpPing health check (and the
 // reconnecting client that relies on it); 3 = plan scenarios lost the
 // deprecated per-L1 resize booleans, which a v2 client could still send
-// and a v3 server would silently drop (Sides is the only spelling).
-const ProtocolVersion = 3
+// and a v3 server would silently drop (Sides is the only spelling); 4 =
+// stored results and outcomes travel as sealed binary payloads instead
+// of JSON documents (runner.StoredResult and resizecache.Outcome
+// MarshalBinary).
+const ProtocolVersion = 4
 
 // MaxFrame bounds a single frame's payload. Plans serialize to a few
 // bytes per scenario and results to a few KB, so 64 MiB is far above any
@@ -59,7 +66,7 @@ const (
 	// stream terminates instead).
 	OpCancel = "cancel"
 	// OpLookup / OpRecord are runner.Store result operations; Value
-	// carries a runner.StoredResult document.
+	// carries a sealed runner.StoredResult payload.
 	OpLookup = "lookup"
 	OpRecord = "record"
 	// OpLookupArtifact / OpRecordArtifact are the artifact analogues;
@@ -108,8 +115,9 @@ type Request struct {
 	Target uint64 `json:"target,omitempty"`
 	// Key is the hex sim.Key of a store operation.
 	Key string `json:"key,omitempty"`
-	// Value is the store operation's payload (StoredResult document or
-	// artifact bytes).
+	// Value is the store operation's payload: an OpRecord's sealed
+	// binary runner.StoredResult (its MarshalBinary), or an
+	// OpRecordArtifact's artifact bytes (valid JSON).
 	Value json.RawMessage `json:"value,omitempty"`
 }
 
@@ -120,8 +128,9 @@ type Response struct {
 	// Kind is one of the Kind constants.
 	Kind string `json:"kind"`
 	// Index / Outcome / Err / Completed / Total populate KindResult
-	// frames: the scenario's plan-order index, its serialized
-	// resizecache.Outcome (or its isolated error), and the stream's
+	// frames: the scenario's plan-order index, its outcome as a sealed
+	// binary payload (resizecache.Outcome's MarshalBinary; absent when
+	// the scenario failed) or its isolated error, and the stream's
 	// completed-of-total progress. Err on a KindError frame carries the
 	// request-level failure.
 	Index     int             `json:"index,omitempty"`
@@ -129,7 +138,9 @@ type Response struct {
 	Err       string          `json:"err,omitempty"`
 	Completed int             `json:"completed,omitempty"`
 	Total     int             `json:"total,omitempty"`
-	// Found / Value populate KindReply frames for lookups.
+	// Found / Value populate KindReply frames for lookups: an OpLookup
+	// hit's Value is a sealed binary runner.StoredResult, an
+	// OpLookupArtifact hit's the artifact bytes.
 	Found bool            `json:"found,omitempty"`
 	Value json.RawMessage `json:"value,omitempty"`
 }

@@ -6,11 +6,7 @@
 // in separate goroutines with separate stat instances.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Counter is a monotonically increasing event counter.
 type Counter struct {
@@ -115,51 +111,4 @@ func (e EDP) Slowdown(base EDP) float64 {
 		return 0
 	}
 	return float64(e.Cycles)/float64(base.Cycles) - 1
-}
-
-// Percentile returns the p-th percentile (0..100) of the sample slice
-// using linear interpolation. The input is not modified.
-func Percentile(samples []float64, p float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := make([]float64, len(samples))
-	copy(s, samples)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	pos := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return s[lo]
-	}
-	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// GeoMean returns the geometric mean of positive samples; zero or
-// negative entries make the result 0.
-func GeoMean(samples []float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range samples {
-		if x <= 0 {
-			return 0
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(samples)))
-}
-
-// FormatPct renders a fraction as a fixed-width percentage string, e.g.
-// 0.123 -> "12.3%". Used by the experiment table printers.
-func FormatPct(frac float64) string {
-	return fmt.Sprintf("%5.1f%%", 100*frac)
 }

@@ -110,44 +110,6 @@ func TestEDPZeroBaseline(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	s := []float64{4, 1, 3, 2}
-	cases := []struct {
-		p    float64
-		want float64
-	}{{0, 1}, {100, 4}, {50, 2.5}, {25, 1.75}, {-5, 1}, {150, 4}}
-	for _, c := range cases {
-		if got := Percentile(s, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Error("empty percentile should be 0")
-	}
-	// Input must not be reordered.
-	if s[0] != 4 || s[3] != 2 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4, 16}); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("GeoMean = %v, want 4", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("empty GeoMean should be 0")
-	}
-	if GeoMean([]float64{1, 0, 2}) != 0 {
-		t.Fatal("GeoMean with zero entry should be 0")
-	}
-}
-
-func TestFormatPct(t *testing.T) {
-	if got := FormatPct(0.123); got != " 12.3%" {
-		t.Fatalf("FormatPct = %q", got)
-	}
-}
-
 // Property: a Mean's value always lies within [min, max] of its samples.
 func TestMeanBoundedProperty(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -167,30 +129,6 @@ func TestMeanBoundedProperty(t *testing.T) {
 			return true
 		}
 		return m.Value() >= lo-1e-6 && m.Value() <= hi+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: percentile is monotone in p.
-func TestPercentileMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		var s []float64
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				s = append(s, x)
-			}
-		}
-		if len(s) == 0 {
-			return true
-		}
-		pa := math.Mod(math.Abs(a), 100)
-		pb := math.Mod(math.Abs(b), 100)
-		if pa > pb {
-			pa, pb = pb, pa
-		}
-		return Percentile(s, pa) <= Percentile(s, pb)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -13,8 +13,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"time"
 
+	"resizecache/internal/payload"
 	"resizecache/internal/runner"
 	simdclient "resizecache/internal/simd/client"
 	"resizecache/internal/simd/wire"
@@ -186,7 +188,7 @@ func (s *RemoteSession) Run(ctx context.Context, plan Plan, opts ...RunOption) <
 					case f.Err != "":
 						res.Err = &RemoteError{Msg: f.Err}
 					default:
-						if uerr := json.Unmarshal(f.Outcome, &res.Outcome); uerr != nil {
+						if uerr := res.Outcome.UnmarshalBinary(f.Outcome); uerr != nil {
 							res.Err = fmt.Errorf("resizecache: decode remote outcome: %w", uerr)
 						}
 					}
@@ -236,6 +238,64 @@ func (s *RemoteSession) Run(ctx context.Context, plan Plan, opts ...RunOption) <
 		}
 	}()
 	return out
+}
+
+// MarshalBinary returns o's wire payload, the body of a daemon's result
+// frame: the five percentages, the three Chosen strings, the energy
+// shares, then Stats as a count-prefixed run of uvarints in field
+// order, sealed as a JSON string of base64 (see internal/payload). A
+// layout change, the removal of a runner.Stats counter included, bumps
+// wire.ProtocolVersion.
+func (o Outcome) MarshalBinary() ([]byte, error) {
+	var w payload.Writer
+	for _, v := range [...]float64{o.EDPReductionPct, o.SlowdownPct,
+		o.DCacheSizeReductionPct, o.ICacheSizeReductionPct, o.L2SizeReductionPct} {
+		w.F64(v)
+	}
+	w.Str(o.DChosen)
+	w.Str(o.IChosen)
+	w.Str(o.L2Chosen)
+	e := &o.Energy
+	for _, v := range [...]float64{e.CorePct, e.L1IPct, e.L1DPct, e.L2Pct, e.MemPct} {
+		w.F64(v)
+	}
+	st := reflect.ValueOf(&o.Stats).Elem()
+	w.Uvarint(uint64(st.NumField()))
+	for i := range st.NumField() {
+		w.Uvarint(st.Field(i).Uint())
+	}
+	return w.Seal(), nil
+}
+
+// UnmarshalBinary decodes a payload MarshalBinary sealed into o. A
+// malformed payload, or one whose Stats counter count differs from
+// runner.Stats', leaves o unchanged.
+func (o *Outcome) UnmarshalBinary(data []byte) error {
+	var v Outcome
+	rd := payload.Open(data)
+	for _, p := range [...]*float64{&v.EDPReductionPct, &v.SlowdownPct,
+		&v.DCacheSizeReductionPct, &v.ICacheSizeReductionPct, &v.L2SizeReductionPct} {
+		*p = rd.F64()
+	}
+	v.DChosen = rd.Str()
+	v.IChosen = rd.Str()
+	v.L2Chosen = rd.Str()
+	e := &v.Energy
+	for _, p := range [...]*float64{&e.CorePct, &e.L1IPct, &e.L1DPct, &e.L2Pct, &e.MemPct} {
+		*p = rd.F64()
+	}
+	st := reflect.ValueOf(&v.Stats).Elem()
+	if n := rd.Uvarint(); n != uint64(st.NumField()) {
+		rd.Fail("%d stats counters, want %d", n, st.NumField())
+	}
+	for i := range st.NumField() {
+		st.Field(i).SetUint(rd.Uvarint())
+	}
+	if err := rd.Done(); err != nil {
+		return fmt.Errorf("resizecache: outcome: %w", err)
+	}
+	*o = v
+	return nil
 }
 
 // Simulate runs one scenario on the daemon.
