@@ -68,6 +68,7 @@ func All() []Bench {
 		{Name: "ConfigKey", Short: true, F: ConfigKey},
 		{Name: "SweepKey", Short: true, F: SweepKey},
 		{Name: "WarmSimulate", Short: true, F: WarmSimulate},
+		{Name: "WarmPlanArtifact", Short: true, F: WarmPlanArtifact},
 		{Name: "NetStoreLookup", Short: true, F: NetStoreLookup},
 		{Name: "Table1Hybrid", F: Table1Hybrid},
 		{Name: "Figure4Organizations", F: Figure4Organizations},
@@ -354,6 +355,40 @@ func WarmSimulate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// WarmPlanArtifact times a warm Session.Artifact hit for a
+// 108-scenario plan — the BenchApps × {ways, sets, hybrid} ×
+// {static, dynamic} × {d, i, both} × {out-of-order, in-order} grid —
+// which is what a warm figure render pays before decoding its rows:
+// the plan fingerprint over every scenario's sweeps, six distinct
+// baselines among them, and one memo hit. The payload is a stub, so
+// nothing simulates.
+func WarmPlanArtifact(b *testing.B) {
+	plan, err := resizecache.Grid{
+		Benchmarks:    BenchApps,
+		Organizations: []resizecache.Organization{resizecache.SelectiveWays, resizecache.SelectiveSets, resizecache.Hybrid},
+		Strategies:    []resizecache.Strategy{resizecache.Static, resizecache.Dynamic},
+		Sides:         []resizecache.Sides{resizecache.DOnly, resizecache.IOnly, resizecache.BothSides},
+		Engines:       []resizecache.Engine{resizecache.OutOfOrderEngine, resizecache.InOrderEngine},
+		Instructions:  40_000,
+	}.Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := resizecache.NewSession()
+	ctx := context.Background()
+	compute := func(context.Context) ([]byte, error) { return []byte(`{"rows":[]}`), nil }
+	if _, err := s.Artifact(ctx, "bench", 1, plan, compute); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := s.Artifact(ctx, "bench", 1, plan, compute); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(plan.Len()), "scenarios/op")
 }
 
 // NetStoreLookup times one stored-result lookup through a simd daemon

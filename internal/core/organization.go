@@ -125,7 +125,7 @@ func (s Schedule) NeedsProvisionedTag() bool { return s.MinSets() < s.Geom.Sets(
 // to 3K alternate 4-way/3-way, and only below 3K does associativity drop
 // further.
 func BuildSchedule(g geometry.Geometry, org Organization) (Schedule, error) {
-	if err := g.Validate(); err != nil {
+	if err := ValidateSchedule(g, org); err != nil {
 		return Schedule{}, err
 	}
 	maxSets := g.Sets()
@@ -175,12 +175,26 @@ func BuildSchedule(g geometry.Geometry, org Organization) (Schedule, error) {
 			return cmp.Compare(a.Ways, b.Ways)
 		})
 		pts = slices.CompactFunc(pts, func(a, b SizePoint) bool { return a.Bytes == b.Bytes })
-	default:
-		return Schedule{}, fmt.Errorf("core: unknown organization %d", int(org))
 	}
 
-	if pts[0].Bytes != g.SizeBytes {
+	if len(pts) == 0 || pts[0].Bytes != g.SizeBytes {
 		return Schedule{}, fmt.Errorf("core: schedule for %v does not start at full size", org)
 	}
 	return Schedule{Org: org, Geom: g, Points: pts}, nil
+}
+
+// ValidateSchedule reports the error BuildSchedule returns for org over
+// g — an invalid geometry or an unknown organization — without
+// enumerating the schedule. A valid geometry and a known organization
+// always have a schedule, so a caller that only needs to know one
+// exists (a warm sweep fingerprinting itself) skips building it.
+func ValidateSchedule(g geometry.Geometry, org Organization) error {
+	if err := g.Validate(); err != nil {
+		return err
+	}
+	switch org {
+	case NonResizable, SelectiveWays, SelectiveSets, Hybrid, HybridMinWays:
+		return nil
+	}
+	return fmt.Errorf("core: unknown organization %d", int(org))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +131,36 @@ func TestBuildScheduleRejectsBadOrgAndGeometry(t *testing.T) {
 	bad.BlockBytes = 33
 	if _, err := BuildSchedule(bad, SelectiveSets); err == nil {
 		t.Fatal("invalid geometry accepted")
+	}
+}
+
+// TestValidateScheduleMatchesBuild: ValidateSchedule fails exactly
+// where BuildSchedule does, with the same error, so callers that skip
+// building a schedule keep rejecting everything a build would.
+func TestValidateScheduleMatchesBuild(t *testing.T) {
+	checked, rejected := 0, 0
+	for _, size := range []int{0, 3 << 10, 32 << 10, 512 << 10} {
+		for assoc := -1; assoc <= 40; assoc++ {
+			for _, block := range []int{0, 16, 32, 33, 64} {
+				for _, sub := range []int{0, 512, 1 << 10, 4 << 10, 3000} {
+					g := geometry.Geometry{SizeBytes: size, Assoc: assoc, BlockBytes: block, SubarrayBytes: sub}
+					for org := Organization(-1); org <= HybridMinWays+1; org++ {
+						_, berr := BuildSchedule(g, org)
+						verr := ValidateSchedule(g, org)
+						if fmt.Sprint(berr) != fmt.Sprint(verr) {
+							t.Fatalf("%+v %v: BuildSchedule error %v, ValidateSchedule error %v", g, org, berr, verr)
+						}
+						checked++
+						if verr != nil {
+							rejected++
+						}
+					}
+				}
+			}
+		}
+	}
+	if rejected == 0 || rejected == checked {
+		t.Fatalf("%d of %d cases rejected: the grid does not exercise both outcomes", rejected, checked)
 	}
 }
 

@@ -23,6 +23,8 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"iter"
+	"slices"
 	"strings"
 
 	"resizecache/internal/core"
@@ -208,7 +210,7 @@ func applySide(cfg *sim.Config, side Side, spec sim.CacheSpec) {
 }
 
 // sideGeom returns the geometry of the cache a side resizes.
-func sideGeom(cfg sim.Config, side Side) (geometry.Geometry, error) {
+func sideGeom(cfg *sim.Config, side Side) (geometry.Geometry, error) {
 	switch side {
 	case ISide:
 		return cfg.ICache.Geom, nil
@@ -259,6 +261,11 @@ type SweepSpec struct {
 	Org     core.Organization
 	Dynamic bool
 	Base    sim.Config
+
+	// baseline is the fingerprinted Baseline the spec was made from
+	// (Baseline.Spec), if any; Resolve reuses its fingerprint while
+	// Base is still its config.
+	baseline *Baseline
 }
 
 // NewSweepSpec builds the spec for one (app, side, org, assoc) sweep
@@ -271,8 +278,44 @@ func NewSweepSpec(app string, side Side, org core.Organization, assoc int, dynam
 		Base: baseConfig(app, opts.Engine, opts.Instructions, assoc, assoc)}
 }
 
+// Baseline is a baseline config fingerprinted once. The sweeps of one
+// scenario (its d-, i- and L2-cache sweeps) and the scenarios of a plan
+// that share a benchmark, engine, budget and hierarchy all run over one
+// baseline; specs made from one Baseline (Spec) reuse its fingerprint
+// instead of hashing the same config once per sweep. Its config and
+// fingerprint are unexported, so they always belong together.
+type Baseline struct {
+	cfg sim.Config
+	key sim.Key
+}
+
+// NewBaseline fingerprints a baseline config. The Baseline keeps its
+// own copy of cfg's hierarchy, so later writes through the caller's
+// Levels cannot make the config and its fingerprint disagree.
+func NewBaseline(cfg sim.Config) *Baseline {
+	cfg.Levels = slices.Clone(cfg.Levels)
+	return &Baseline{cfg: cfg, key: cfg.Key()}
+}
+
+// Spec makes the spec of one sweep over the baseline: Base is the
+// baseline's config, and Resolve takes the baseline's fingerprint for
+// it as long as Base still equals that config (sim.Config.Equal) — a
+// caller that edits Base gets a fingerprint of the edited config.
+func (b *Baseline) Spec(app string, side Side, org core.Organization, dynamic bool) SweepSpec {
+	return SweepSpec{App: app, Side: side, Org: org, Dynamic: dynamic, Base: b.cfg, baseline: b}
+}
+
+// baseKey is Base's fingerprint: the one of the Baseline the spec was
+// made from while Base is still its config, hashed afresh otherwise.
+func (s *SweepSpec) baseKey() sim.Key {
+	if b := s.baseline; b != nil && b.cfg.Equal(&s.Base) {
+		return b.key
+	}
+	return s.Base.Key()
+}
+
 // kind is the artifact-cache namespace of the sweep.
-func (s SweepSpec) kind() string {
+func (s *SweepSpec) kind() string {
 	if s.Dynamic {
 		return "best-dynamic"
 	}
@@ -291,69 +334,81 @@ func (s SweepSpec) kind() string {
 // invalidate together with the sweep tier. It is Resolve's key, and
 // errors where Resolve does.
 func (s SweepSpec) ArtifactKey() (sim.Key, error) {
-	sw, err := s.Resolve()
-	return sw.key, err
+	if err := s.check(); err != nil {
+		return sim.Key{}, err
+	}
+	return s.artifactKey(), nil
 }
 
-// Sweep is a SweepSpec resolved for execution: its side checked, the
-// resized cache's schedule built, and its artifact fingerprint computed
-// — once. A plan resolves each spec once and hands the same Sweep to
-// the batch-enqueue pass (EnqueueSweeps) and to its gather (Best). The
-// []sim.Config batch is built only on the cold path. Obtain a Sweep
-// from Resolve.
+// Sweep is a SweepSpec resolved for execution: its side, organization
+// and resized geometry checked and its artifact fingerprint computed —
+// once. A plan resolves each spec once and hands the same Sweep to the
+// batch-enqueue pass (EnqueueSweeps) and to its gather (Best). The
+// resized cache's schedule and the []sim.Config batch are built only on
+// the cold path. Obtain a Sweep from Resolve.
 type Sweep struct {
-	spec  SweepSpec
-	sched core.Schedule
-	key   sim.Key
+	spec SweepSpec
+	key  sim.Key
 }
 
-// Resolve checks the spec's side, builds the resized cache's schedule
-// and fingerprints the sweep.
+// Resolve checks that the spec's sweep can run — a single resized
+// side, a known organization, a valid geometry for the resized cache —
+// and fingerprints it. It builds nothing a warm sweep does not read:
+// the schedule waits for the cold path, and a spec made from a
+// Baseline takes the baseline's fingerprint instead of hashing Base.
 func (s SweepSpec) Resolve() (Sweep, error) {
+	if err := s.check(); err != nil {
+		return Sweep{}, err
+	}
+	return Sweep{spec: s, key: s.artifactKey()}, nil
+}
+
+// check rejects a spec whose sweep cannot run: one that does not
+// resize exactly one cache, or whose resized cache has no schedule.
+func (s *SweepSpec) check() error {
 	if err := checkSweepSide(s.Side); err != nil {
-		return Sweep{}, err
+		return err
 	}
-	geom, err := sideGeom(s.Base, s.Side)
+	geom, err := sideGeom(&s.Base, s.Side)
 	if err != nil {
-		return Sweep{}, err
+		return err
 	}
-	sched, err := core.BuildSchedule(geom, s.Org)
-	if err != nil {
-		return Sweep{}, err
-	}
-	sw := Sweep{spec: s, sched: sched}
-	sw.key = sw.artifactKey()
-	return sw, nil
+	return core.ValidateSchedule(geom, s.Org)
 }
 
 // Spec returns the spec the sweep was resolved from.
 func (sw Sweep) Spec() SweepSpec { return sw.spec }
 
-// policies yields every candidate's policy for the resized cache, in
-// batch order (the baseline, which runs first, has none).
-func (sw Sweep) policies(yield func(sim.PolicySpec) bool) {
-	if !sw.spec.Dynamic {
-		for i := range sw.sched.Points {
-			if !yield(sim.PolicySpec{Kind: sim.PolicyStatic, StaticIndex: i}) {
-				return
-			}
-		}
-		return
-	}
-	dynamicCandidates(sw.sched, sw.spec.Side == L2Side, yield)
+// schedule builds the resized cache's schedule for the cold path.
+// BuildSchedule rejects only what Resolve already checked
+// (core.ValidateSchedule), so a resolved sweep always has one.
+func (sw Sweep) schedule() core.Schedule {
+	geom, _ := sideGeom(&sw.spec.Base, sw.spec.Side)
+	sched, _ := core.BuildSchedule(geom, sw.spec.Org)
+	return sched
 }
 
-// candidate is the resized cache's spec under one candidate policy.
-func (sw Sweep) candidate(p sim.PolicySpec) sim.CacheSpec {
-	return sim.CacheSpec{Geom: sw.sched.Geom, Org: sw.spec.Org, Policy: p}
+// policies yields every candidate's policy for the resized cache, in
+// batch order (the baseline, which runs first, has none).
+func (sw Sweep) policies(sched core.Schedule) iter.Seq[sim.PolicySpec] {
+	return func(yield func(sim.PolicySpec) bool) {
+		if !sw.spec.Dynamic {
+			for i := range sched.Points {
+				if !yield(sim.PolicySpec{Kind: sim.PolicyStatic, StaticIndex: i}) {
+					return
+				}
+			}
+			return
+		}
+		dynamicCandidates(sched, sw.spec.Side == L2Side, yield)
+	}
 }
 
 // artifactKey fingerprints the sweep by its definition; see
-// SweepSpec.ArtifactKey.
-func (sw Sweep) artifactKey() sim.Key {
-	s := sw.spec
+// ArtifactKey.
+func (s *SweepSpec) artifactKey() sim.Key {
 	return sim.NewKeyBuilder("experiment/sweep").Int(artifactVersion).Str(s.kind()).
-		Str(s.App).Int(int(s.Side)).Int(int(s.Org)).RawKey(s.Base.Key()).Sum()
+		Str(s.App).Int(int(s.Side)).Int(int(s.Org)).RawKey(s.baseKey()).Sum()
 }
 
 // Configs materializes the batch the sweep runs — the baseline followed
@@ -361,28 +416,34 @@ func (sw Sweep) artifactKey() sim.Key {
 // calls it: the compute of an artifact miss, and EnqueueSweeps for a
 // sweep it finds cold.
 func (sw Sweep) Configs() ([]sim.Config, []sim.PolicySpec) {
+	return sw.batch(sw.schedule())
+}
+
+// batch is Configs over an already built schedule.
+func (sw Sweep) batch(sched core.Schedule) ([]sim.Config, []sim.PolicySpec) {
 	n := 0
-	for range sw.policies {
+	for range sw.policies(sched) {
 		n++
 	}
+	base := sw.spec.Base
 	cfgs := make([]sim.Config, 1, 1+n)
-	cfgs[0] = sw.spec.Base
+	cfgs[0] = base
 	pols := make([]sim.PolicySpec, 0, n)
-	for p := range sw.policies {
-		cfg := sw.spec.Base
-		applySide(&cfg, sw.spec.Side, sw.candidate(p))
+	for p := range sw.policies(sched) {
+		cfg := base
+		applySide(&cfg, sw.spec.Side, sim.CacheSpec{Geom: sched.Geom, Org: sw.spec.Org, Policy: p})
 		cfgs = append(cfgs, cfg)
 		pols = append(pols, p)
 	}
 	return cfgs, pols
 }
 
-// describe names a candidate policy for Best.Desc.
-func (sw Sweep) describe(p sim.PolicySpec) string {
+// describe names a candidate policy of a schedule for Best.Desc.
+func describe(sched core.Schedule, p sim.PolicySpec) string {
 	if p.Kind == sim.PolicyDynamic {
 		return fmt.Sprintf("dynamic mb=%d sb=%s", p.MissBound, geometry.FormatSize(p.SizeBoundBytes))
 	}
-	return fmt.Sprintf("static %v", sw.sched.Points[p.StaticIndex])
+	return fmt.Sprintf("static %v", sched.Points[p.StaticIndex])
 }
 
 // Best is the sweep core: it runs (or resolves) the sweep's batch and
@@ -395,7 +456,8 @@ func (sw Sweep) describe(p sim.PolicySpec) string {
 // enqueued up front by a plan gathers by joining the in-flight work.
 func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 	return cachedBest(ctx, opts.runner(), sw.key, func(ctx context.Context) (Best, error) {
-		cfgs, pols := sw.Configs()
+		sched := sw.schedule()
+		cfgs, pols := sw.batch(sched)
 		res, err := opts.runner().RunAll(ctx, cfgs)
 		if err != nil {
 			return Best{}, err
@@ -404,7 +466,7 @@ func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 		p := pols[bestIdx-1]
 		return Best{
 			App: sw.spec.App, Side: sw.spec.Side, Org: sw.spec.Org,
-			Desc: sw.describe(p), Spec: p,
+			Desc: describe(sched, p), Spec: p,
 			Chosen: res[bestIdx],
 			Base:   res[0],
 		}, nil
@@ -518,7 +580,7 @@ func CombinedBests(ctx context.Context, base sim.Config, parts []Best, opts Opti
 	descs := make([]string, 0, len(parts))
 	resized := make([]Side, 0, len(parts))
 	for _, p := range parts {
-		geom, err := sideGeom(cfg, p.Side)
+		geom, err := sideGeom(&cfg, p.Side)
 		if err != nil {
 			return Best{}, err
 		}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -623,5 +624,68 @@ func TestSweepSpecArtifactKey(t *testing.T) {
 	bad.Base.Levels = nil
 	if _, err := bad.ArtifactKey(); err == nil {
 		t.Error("L2 sweep over an empty hierarchy produced a key")
+	}
+	// Resolve builds no schedule, but still rejects every spec a
+	// schedule build would: an unknown organization and a geometry the
+	// resized cache cannot have.
+	unknown := st
+	unknown.Org = core.Organization(42)
+	if _, err := unknown.ArtifactKey(); err == nil {
+		t.Error("sweep of an unknown organization produced a key")
+	}
+	odd := st
+	odd.Base.DCache.Geom.Assoc = 3
+	if _, err := odd.ArtifactKey(); err == nil {
+		t.Error("sweep over a 3-way 32K d-cache produced a key")
+	}
+}
+
+// TestBaselineSpecKeysMatchPlainSpecs: a spec made from a Baseline
+// fingerprints exactly as a plain spec over the same config, and one
+// whose Base was edited afterwards fingerprints the edited config — a
+// baseline's hash never stands in for a config it was not computed
+// for. Nor do writes through the caller's Levels reach the baseline.
+func TestBaselineSpecKeysMatchPlainSpecs(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Instructions = 100_000
+	cfg := BaseConfig("gcc", 2, opts)
+	b := NewBaseline(cfg)
+	key := func(s SweepSpec) sim.Key {
+		t.Helper()
+		k, err := s.ArtifactKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
+	}
+	plain := SweepSpec{App: "gcc", Side: L2Side, Org: core.SelectiveWays, Dynamic: true, Base: cfg}
+	made := b.Spec("gcc", L2Side, core.SelectiveWays, true)
+	if key(made) != key(plain) {
+		t.Fatal("a spec made from a Baseline fingerprints differently from a plain spec over its config")
+	}
+
+	edited, plainEdited := made, plain
+	edited.Base.Sampling = sim.DefaultSampling()
+	plainEdited.Base.Sampling = sim.DefaultSampling()
+	if key(edited) != key(plainEdited) || key(edited) == key(made) {
+		t.Error("a spec whose Base was edited kept its baseline's fingerprint")
+	}
+	edited = made
+	edited.Base.Levels = slices.Clone(edited.Base.Levels)
+	edited.Base.Levels[0].Geom.Assoc = 8
+	if key(edited) == key(made) {
+		t.Error("a spec whose hierarchy was edited kept its baseline's fingerprint")
+	}
+
+	cfg.Levels[0].Geom.Assoc = 8 // the caller's slice, not the baseline's
+	after := b.Spec("gcc", L2Side, core.SelectiveWays, true)
+	fresh := SweepSpec{App: after.App, Side: after.Side, Org: after.Org, Dynamic: after.Dynamic,
+		Base: after.Base}
+	fresh.Base.Levels = slices.Clone(after.Base.Levels)
+	if after.Base.Levels[0].Geom.Assoc == 8 || key(after) != key(fresh) {
+		t.Error("a write through the caller's Levels reached the Baseline")
+	}
+	if n := testing.AllocsPerRun(20, func() { key(made) }); n != 0 {
+		t.Errorf("fingerprinting a spec made from a Baseline makes %v allocations, want 0", n)
 	}
 }

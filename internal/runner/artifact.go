@@ -38,15 +38,14 @@ type artifactEntry struct {
 // fingerprint for later live contexts.
 //
 // Payloads must be valid JSON (the Store contract embeds them in JSON
-// documents). The returned slice is the caller's to keep: it never
-// aliases the cache, so mutating it cannot corrupt later hits.
+// documents). The returned slice is a read-only view of the cached
+// payload, like Store.LookupArtifact's: every hit shares it, so the
+// caller must not modify it, and a hit costs no copy. compute hands
+// its result over the same way: the cache keeps the slice it returns.
 func (r *Runner) Artifact(ctx context.Context, key sim.Key, compute func(context.Context) ([]byte, error)) ([]byte, error) {
 	for {
 		data, err, retry := r.artifactOnce(ctx, key, compute)
 		if !retry {
-			if data != nil {
-				data = append([]byte(nil), data...)
-			}
 			return data, err
 		}
 	}

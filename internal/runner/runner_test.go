@@ -510,6 +510,34 @@ func TestArtifactMemoizesAndPersists(t *testing.T) {
 	}
 }
 
+// TestArtifactHitsShareThePayload pins Artifact's read-only contract:
+// a hit hands out the cached payload itself, the slice compute returned
+// and every later hit alike, without copying it.
+func TestArtifactHitsShareThePayload(t *testing.T) {
+	r := New(Options{Workers: 1})
+	key := sim.NewKeyBuilder("runner-test").Str("shared").Sum()
+	computed := []byte(`{"v":1}`)
+	compute := func(context.Context) ([]byte, error) { return computed, nil }
+	a, err := r.Artifact(context.Background(), key, compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.Artifact(context.Background(), key, compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a[0] != &computed[0] || &b[0] != &computed[0] {
+		t.Error("Artifact copied the cached payload; hits are read-only views of it")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := r.Artifact(context.Background(), key, compute); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm Artifact hit makes %v allocations, want 0", n)
+	}
+}
+
 func TestArtifactErrorsAreNotMemoized(t *testing.T) {
 	r := New(Options{Workers: 1})
 	key := sim.NewKeyBuilder("runner-test").Str("flaky").Sum()

@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 
+	"resizecache/internal/energy"
 	"resizecache/internal/geometry"
 )
 
@@ -158,6 +159,51 @@ func (c Config) Key() Key {
 // 100-byte benchmark name still fit.
 const keyBufBytes = 1024
 
+// Equal reports whether two configs are identical: every field equal,
+// the hierarchy level by level, and the energy models bit for bit as
+// Key encodes them (so +0 and -0 differ). Identical configs have equal
+// Keys, which lets a caller holding one config's Key reuse it for an
+// Equal config instead of hashing it — the experiment layer does, for
+// the sweeps of one baseline — at a small fraction of Key's cost.
+// TestConfigEqualCoversEveryField fails when a field is missing here.
+func (c *Config) Equal(o *Config) bool {
+	return c.Benchmark == o.Benchmark && c.Instructions == o.Instructions && c.Engine == o.Engine &&
+		c.CPU == o.CPU && c.DCache == o.DCache && c.ICache == o.ICache &&
+		slices.Equal(c.Levels, o.Levels) && c.MSHREntries == o.MSHREntries &&
+		c.WritebackEntries == o.WritebackEntries && c.Sampling == o.Sampling &&
+		sameEnergy(&c.Energy, &o.Energy) && sameCore(&c.Core, &o.Core)
+}
+
+// sameBits compares two floats as Key encodes them.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameEnergy(a, b *geometry.EnergyModel) bool {
+	return sameBits(a.PrechargePJPerBit, b.PrechargePJPerBit) &&
+		sameBits(a.BitlinePJPerBit, b.BitlinePJPerBit) &&
+		sameBits(a.WordlinePJPerBit, b.WordlinePJPerBit) &&
+		sameBits(a.SensePJPerBit, b.SensePJPerBit) &&
+		sameBits(a.DecodePJPerSubarray, b.DecodePJPerSubarray) &&
+		sameBits(a.ComparePJPerBit, b.ComparePJPerBit) &&
+		sameBits(a.OutputPJPerBit, b.OutputPJPerBit) &&
+		sameBits(a.ClockPJPerSubarray, b.ClockPJPerSubarray) &&
+		sameBits(a.LeakagePJPerBytePerCycle, b.LeakagePJPerBytePerCycle)
+}
+
+func sameCore(a, b *energy.CoreEnergies) bool {
+	return sameBits(a.DecodePJ, b.DecodePJ) &&
+		sameBits(a.ROBWritePJ, b.ROBWritePJ) &&
+		sameBits(a.LSQWritePJ, b.LSQWritePJ) &&
+		sameBits(a.RegReadPJ, b.RegReadPJ) &&
+		sameBits(a.RegWritePJ, b.RegWritePJ) &&
+		sameBits(a.IntALUPJ, b.IntALUPJ) &&
+		sameBits(a.FPALUPJ, b.FPALUPJ) &&
+		sameBits(a.BpredPJ, b.BpredPJ) &&
+		sameBits(a.BTBPJ, b.BTBPJ) &&
+		sameBits(a.RASPJ, b.RASPJ) &&
+		sameBits(a.ResultBusPJ, b.ResultBusPJ) &&
+		sameBits(a.ClockPJ, b.ClockPJ)
+}
+
 // FrontKey fingerprints the config's shared simulation front-end: the
 // projection of the config that determines workload generation and the
 // engine's functional stepping (benchmark, instruction budget, engine
@@ -249,17 +295,28 @@ func (c *Config) policyAt(i int) *PolicySpec {
 // config the sweep would run — so one versioning scheme invalidates
 // both per-config results and derived artifacts together.
 //
-// Fields are encoded into a block buffer inside the builder and handed
-// to the hash a full block at a time, so appending a field never
-// allocates; a fingerprint costs the builder and its hash state. The
-// bytes hashed are the plain concatenation of the field encodings,
-// unchanged byte for byte from the earlier field-at-a-time builder.
+// Fields are encoded into a block buffer inside the builder. A
+// fingerprint whose fields fit the buffer (a sweep key, a warmup
+// checkpoint key) is hashed with one sha256.Sum256 and, since the
+// builder never leaks, costs no allocation at all; a longer one (a
+// whole plan's) spills full blocks to a hash state allocated on the
+// first overflow. The bytes hashed are the plain concatenation of the
+// field encodings either way, unchanged byte for byte from the earlier
+// field-at-a-time builder.
 //
 // A builder is single-use: construct with NewKeyBuilder, append fields,
 // call Sum once.
 type KeyBuilder struct {
-	h     hash.Hash
 	n     int // encoded bytes pending in block
+	block [keyBlockBytes]byte
+	spill *keySpill // nil until the fields outgrow block
+}
+
+// keySpill is a KeyBuilder's overflow path: the hash state and a copy
+// of each full block handed to it. Hashing the copy, not the builder's
+// own buffer, keeps the builder itself off the heap.
+type keySpill struct {
+	h     hash.Hash
 	block [keyBlockBytes]byte
 }
 
@@ -269,18 +326,33 @@ const keyBlockBytes = 512
 // NewKeyBuilder starts a fingerprint in a named domain; distinct
 // domains never collide even over identical field sequences.
 func NewKeyBuilder(domain string) *KeyBuilder {
-	b := &KeyBuilder{h: sha256.New()}
-	return b.U64(keyVersion).Str(domain)
+	b := new(KeyBuilder)
+	b.start(domain)
+	return b
 }
+
+// start writes the prefix every fingerprint shares. It is out of line
+// so NewKeyBuilder stays small enough to inline, which lets the
+// builder live on its caller's stack.
+func (b *KeyBuilder) start(domain string) { b.U64(keyVersion).Str(domain) }
 
 // reserve returns an encoder appending at the end of the pending bytes,
 // first handing them to the hash unless need more bytes fit behind them.
 func (b *KeyBuilder) reserve(need int) keyEnc {
 	if b.n+need > len(b.block) {
-		b.h.Write(b.block[:b.n])
-		b.n = 0
+		b.flush()
 	}
 	return b.block[b.n:b.n]
+}
+
+// flush hands the pending bytes to the spill hash state.
+func (b *KeyBuilder) flush() {
+	if b.spill == nil {
+		b.spill = &keySpill{h: sha256.New()}
+	}
+	n := copy(b.spill.block[:], b.block[:b.n])
+	b.spill.h.Write(b.spill.block[:n])
+	b.n = 0
 }
 
 // U64 appends an unsigned integer field.
@@ -309,11 +381,13 @@ func (b *KeyBuilder) RawKey(k Key) *KeyBuilder {
 
 // Sum finalizes the fingerprint.
 func (b *KeyBuilder) Sum() Key {
-	b.h.Write(b.block[:b.n])
-	b.n = 0
-	// The block is free again: let the hash append the digest to it.
+	if b.spill == nil {
+		return sha256.Sum256(b.block[:b.n])
+	}
+	b.flush()
+	// The spill block is free again: let the hash append the digest to it.
 	var k Key
-	copy(k[:], b.h.Sum(b.block[:0]))
+	copy(k[:], b.spill.h.Sum(b.spill.block[:0]))
 	return k
 }
 

@@ -2,6 +2,11 @@ package sim
 
 import (
 	"crypto/sha256"
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"resizecache/internal/analysis/keycomplete"
@@ -275,6 +280,120 @@ func TestKeyBuilderNoAliasing(t *testing.T) {
 	b := NewKeyBuilder("d").Str("a").Str("bc").Sum()
 	if a == b {
 		t.Fatal("string fields alias across boundaries")
+	}
+}
+
+// TestKeyBuilderSpillMatchesOneShot: a fingerprint longer than the
+// builder's block hashes, through the spill path, exactly the bytes a
+// one-shot SHA-256 of the concatenated field encodings does, wherever
+// the fields happen to straddle a block boundary.
+func TestKeyBuilderSpillMatchesOneShot(t *testing.T) {
+	for _, strLen := range []int{0, 1, 7, 100, keyBlockBytes - 1, keyBlockBytes, 3*keyBlockBytes + 5} {
+		s := strings.Repeat("x", strLen)
+		b := NewKeyBuilder("spill")
+		want := keyEnc(nil).u64(keyVersion).str("spill")
+		for i := range 40 {
+			b.Int(i).Str(s).RawKey(Key{byte(i)})
+			k := Key{byte(i)}
+			want = want.i(i).str(s).u64(uint64(len(k)))
+			want = append(want, k[:]...)
+		}
+		if got := b.Sum(); got != Key(sha256.Sum256(want)) {
+			t.Errorf("%d-byte strings: builder key %s differs from the one-shot hash of its %d encoded bytes",
+				strLen, got, len(want))
+		}
+	}
+}
+
+// TestKeyBuilderAllocs: a fingerprint that fits the builder's block —
+// every sweep and warmup checkpoint key — allocates nothing; a longer
+// one allocates only its spill state, however long it grows.
+func TestKeyBuilderAllocs(t *testing.T) {
+	k := Default("gcc").Key()
+	short := testing.AllocsPerRun(100, func() {
+		NewKeyBuilder("d").Int(4).Str("gcc").RawKey(k).Sum()
+	})
+	long := testing.AllocsPerRun(100, func() {
+		b := NewKeyBuilder("d")
+		for range 100 {
+			b.RawKey(k)
+		}
+		b.Sum()
+	})
+	if short != 0 || long > 2 {
+		t.Errorf("KeyBuilder allocations: %v for one block, %v for 8 KB; want 0 and at most 2", short, long)
+	}
+}
+
+// TestConfigEqualCoversEveryField: Equal holds for a copy whose
+// hierarchy is a distinct but equal slice, and tells apart two configs
+// that differ in any one leaf reachable from Config — every field of
+// every nested struct, each level of the hierarchy and its length, and
+// a float's sign of zero. A field Equal skipped would let one config
+// borrow another's Key.
+func TestConfigEqualCoversEveryField(t *testing.T) {
+	base := Default("gcc")
+	base.Levels = append(base.Levels, base.Levels[0])
+	clone := func() Config {
+		c := base
+		c.Levels = slices.Clone(base.Levels)
+		return c
+	}
+	if a, b := clone(), clone(); !a.Equal(&b) {
+		t.Fatal("Equal rejects an identical config")
+	}
+
+	type edit struct {
+		name  string
+		apply func(a, b *Config) // a starts and b starts as base
+	}
+	var edits []edit
+	var walk func(path string, typ reflect.Type, at func(*Config) reflect.Value)
+	walk = func(path string, typ reflect.Type, at func(*Config) reflect.Value) {
+		only := func(name string, set func(v reflect.Value)) {
+			edits = append(edits, edit{name, func(_, b *Config) { set(at(b)) }})
+		}
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type,
+					func(c *Config) reflect.Value { return at(c).Field(i) })
+			}
+		case reflect.Slice:
+			for j := range at(&base).Len() {
+				walk(fmt.Sprintf("%s[%d]", path, j), typ.Elem(),
+					func(c *Config) reflect.Value { return at(c).Index(j) })
+			}
+			only(path+" length", func(v reflect.Value) { v.Set(reflect.Append(v, v.Index(0))) })
+		case reflect.String:
+			only(path, func(v reflect.Value) { v.SetString(v.String() + "x") })
+		case reflect.Bool:
+			only(path, func(v reflect.Value) { v.SetBool(!v.Bool()) })
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			only(path, func(v reflect.Value) { v.SetInt(v.Int() + 1) })
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			only(path, func(v reflect.Value) { v.SetUint(v.Uint() + 1) })
+		case reflect.Float32, reflect.Float64:
+			only(path, func(v reflect.Value) { v.SetFloat(v.Float() + 1) })
+			edits = append(edits, edit{path + " sign of zero", func(a, b *Config) {
+				at(a).SetFloat(0)
+				at(b).SetFloat(math.Copysign(0, -1))
+			}})
+		default:
+			t.Fatalf("%s: no perturbation for a %v field; teach this test and Config.Equal about it", path, typ.Kind())
+		}
+	}
+	walk("Config", reflect.TypeFor[Config](), func(c *Config) reflect.Value { return reflect.ValueOf(c).Elem() })
+
+	for _, e := range edits {
+		a, b := clone(), clone()
+		e.apply(&a, &b)
+		if a.Equal(&b) || b.Equal(&a) {
+			t.Errorf("Equal misses a difference in %s", e.name)
+		}
+	}
+	if len(edits) < 80 {
+		t.Fatalf("only %d perturbations: the walk missed most of Config", len(edits))
 	}
 }
 

@@ -601,17 +601,27 @@ func (s *socket) call(ctx context.Context, req wire.Request) (wire.Response, err
 	if err != nil {
 		return wire.Response{}, err
 	}
-	select {
-	case resp := <-ch:
+	reply := func(resp wire.Response) (wire.Response, error) {
 		if resp.Kind == wire.KindError {
 			return wire.Response{}, &RemoteError{Msg: resp.Err}
 		}
 		return resp, nil
+	}
+	select {
+	case resp := <-ch:
+		return reply(resp)
 	case <-ctx.Done():
 		s.forget(id)
 		return wire.Response{}, ctx.Err()
 	case <-s.closed:
-		return wire.Response{}, s.fatal()
+		// The read loop queues every frame before it closes s.closed, so
+		// a reply that arrived before the connection died is waiting.
+		select {
+		case resp := <-ch:
+			return reply(resp)
+		default:
+			return wire.Response{}, s.fatal()
+		}
 	}
 }
 
@@ -636,37 +646,53 @@ func (s *socket) stream(ctx context.Context, req wire.Request, frame func(wire.R
 		_ = wire.WriteFrame(s.nc, wire.Request{V: wire.ProtocolVersion, Op: wire.OpCancel, Target: id})
 		s.wmu.Unlock()
 	}
+	// handle consumes one frame; ended reports a terminal frame, and err
+	// is then the exchange's outcome.
+	handle := func(resp wire.Response) (ended bool, err error) {
+		switch resp.Kind {
+		case wire.KindDone:
+			return true, cause
+		case wire.KindError:
+			if cause != nil {
+				return true, cause
+			}
+			return true, &RemoteError{Msg: resp.Err}
+		}
+		if cause == nil { // after cancellation, drain without delivering
+			if err := frame(resp); err != nil {
+				abandon(err)
+			}
+		}
+		return false, nil
+	}
 	for {
 		select {
 		case resp := <-ch:
-			switch resp.Kind {
-			case wire.KindDone:
-				if cause != nil {
-					return cause
-				}
-				return nil
-			case wire.KindError:
-				if cause != nil {
-					return cause
-				}
-				return &RemoteError{Msg: resp.Err}
-			default:
-				if cause != nil {
-					continue // draining after cancellation
-				}
-				if err := frame(resp); err != nil {
-					abandon(err)
-				}
+			if ended, err := handle(resp); ended {
+				return err
 			}
 		case <-done:
 			abandon(ctx.Err())
 			// Keep draining: the terminal frame (or connection close)
 			// ends the loop.
 		case <-s.closed:
-			if cause != nil {
-				return cause
+			// The read loop queues every frame before it closes s.closed,
+			// so the frames that arrived before the connection died are
+			// all in ch: deliver them first. A terminal frame among them
+			// ends the exchange as if the connection had stayed up.
+			for {
+				select {
+				case resp := <-ch:
+					if ended, err := handle(resp); ended {
+						return err
+					}
+				default:
+					if cause != nil {
+						return cause
+					}
+					return s.fatal()
+				}
 			}
-			return s.fatal()
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -180,4 +181,90 @@ func TestCallFailsFastOnRemoteError(t *testing.T) {
 	if len(requests) != 1 {
 		t.Errorf("server saw %d requests, want 1 (no retry of a rejection)", len(requests))
 	}
+}
+
+// closingServer answers one request per connection and hangs up right
+// after its last frame: a plan request gets results frames result
+// frames and KindDone, anything else one KindReply. requests counts the
+// requests it read.
+func closingServer(t *testing.T, results int, requests *atomic.Int64) (addr string) {
+	t.Helper()
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "closing.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer nc.Close()
+				var req wire.Request
+				if wire.ReadFrame(nc, &req) != nil {
+					return
+				}
+				requests.Add(1)
+				if req.Op != wire.OpPlan {
+					wire.WriteFrame(nc, wire.Response{ID: req.ID, Kind: wire.KindReply})
+					return
+				}
+				for i := range results {
+					wire.WriteFrame(nc, wire.Response{ID: req.ID, Kind: wire.KindResult, Index: i})
+				}
+				wire.WriteFrame(nc, wire.Response{ID: req.ID, Kind: wire.KindDone})
+			}()
+		}
+	}()
+	return "unix:" + ln.Addr().String()
+}
+
+// TestExchangeOutlivesDaemonClose: a daemon that closes the connection
+// right after an exchange's last frames has still answered it. The
+// client's read loop queues those frames before it reports the close,
+// so every run must deliver them — a plan stream all its results and a
+// clean end, a call its one reply without a retry.
+func TestExchangeOutlivesDaemonClose(t *testing.T) {
+	const runs, results = 200, 4
+	t.Run("stream", func(t *testing.T) {
+		var requests atomic.Int64
+		addr := closingServer(t, results, &requests)
+		lost := 0
+		for range runs {
+			c, err := client.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			err = c.Stream(context.Background(), wire.Request{Op: wire.OpPlan},
+				func(wire.Response) error { got++; return nil })
+			c.Close()
+			if err != nil || got != results {
+				lost++
+			}
+		}
+		if lost > 0 {
+			t.Errorf("%d of %d plan streams lost frames the daemon sent before closing", lost, runs)
+		}
+	})
+	t.Run("call", func(t *testing.T) {
+		var requests atomic.Int64
+		addr := closingServer(t, results, &requests)
+		for range runs {
+			c, err := client.Dial(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = c.Ping(context.Background())
+			c.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := requests.Load(); n != runs {
+			t.Errorf("%d calls reached the daemon %d times: replies sent before a close were dropped and retried", runs, n)
+		}
+	})
 }

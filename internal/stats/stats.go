@@ -1,5 +1,5 @@
 // Package stats provides small statistical helpers used throughout the
-// simulator: event counters, running means, and energy-delay arithmetic.
+// simulator: event counters and energy-delay arithmetic.
 //
 // The simulator is single-threaded per run, so none of these types are
 // synchronized; experiment-level parallelism runs independent simulations
@@ -29,54 +29,6 @@ func (c *Counter) Ratio(other *Counter) float64 {
 	}
 	return float64(c.n) / float64(other.n)
 }
-
-// Mean tracks a running arithmetic mean without storing samples
-// (Welford's algorithm, which is numerically stable for long runs).
-type Mean struct {
-	count uint64
-	mean  float64
-	m2    float64
-}
-
-// Observe adds one sample.
-func (m *Mean) Observe(x float64) {
-	m.count++
-	d := x - m.mean
-	m.mean += d / float64(m.count)
-	m.m2 += d * (x - m.mean)
-}
-
-// ObserveWeighted adds a sample with an integral weight, equivalent to
-// observing x weight times.
-func (m *Mean) ObserveWeighted(x float64, weight uint64) {
-	if weight == 0 {
-		return
-	}
-	// Chan et al. parallel-merge form for a constant block.
-	wc := float64(weight)
-	tc := float64(m.count) + wc
-	d := x - m.mean
-	m.mean += d * wc / tc
-	m.m2 += d * d * float64(m.count) * wc / tc
-	m.count += weight
-}
-
-// Count returns the number of samples observed.
-func (m *Mean) Count() uint64 { return m.count }
-
-// Value returns the mean of the observed samples (0 with no samples).
-func (m *Mean) Value() float64 { return m.mean }
-
-// Variance returns the population variance (0 with fewer than 2 samples).
-func (m *Mean) Variance() float64 {
-	if m.count < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.count)
-}
-
-// StdDev returns the population standard deviation.
-func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
 // EDP is an energy-delay product measurement for one simulation.
 type EDP struct {

@@ -251,12 +251,14 @@ func (s *Session) Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan 
 	}
 
 	// Resolve every scenario's sweeps once: the enqueue pass and the
-	// scenario's gather share them, so each sweep is fingerprinted once.
+	// scenario's gather share them, so each sweep is fingerprinted once,
+	// and each distinct baseline once per plan.
 	sweeps := make([][]experiment.Sweep, plan.Len())
 	errs := make([]error, plan.Len())
 	var all []experiment.Sweep
+	bases := make(baselines)
 	for i, sc := range plan.scenarios {
-		sweeps[i], errs[i] = sc.sweeps()
+		sweeps[i], errs[i] = sc.sweeps(bases)
 		all = append(all, sweeps[i]...)
 	}
 	enqCtx, stopEnqueue := context.WithCancel(ctx)

@@ -40,7 +40,6 @@ package resizecache
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"resizecache/internal/core"
 	"resizecache/internal/energy"
@@ -311,7 +310,7 @@ func (sc Scenario) normalize() (Scenario, error) {
 	if sc.Benchmark == "" {
 		return Scenario{}, fmt.Errorf("resizecache: benchmark required (one of %v)", Benchmarks())
 	}
-	if !slices.Contains(Benchmarks(), sc.Benchmark) {
+	if _, err := workload.Get(sc.Benchmark); err != nil {
 		return Scenario{}, fmt.Errorf("resizecache: unknown benchmark %q (valid: %v)",
 			sc.Benchmark, Benchmarks())
 	}
@@ -417,31 +416,69 @@ func (sc Scenario) normalize() (Scenario, error) {
 	return sc, nil
 }
 
-// experimentOptions translates a normalized scenario into the experiment
-// layer's sweep options.
-func (sc Scenario) experimentOptions(r *runner.Runner) experiment.Options {
-	opts := experiment.DefaultOptions()
-	opts.Instructions = sc.Instructions
-	opts.Runner = r // nil selects the shared default runner
-	if sc.InOrder {
-		opts.Engine = sim.InOrder
-	}
-	return opts
+// baseID is what a normalized scenario's non-resizable baseline
+// depends on: its benchmark, L1 associativity, engine, instruction
+// budget, sampling schedule and shared hierarchy. Scenarios with equal
+// baseIDs profile over one baseline config, so a plan-wide pass builds
+// and fingerprints it once per distinct baseID (see baselines).
+type baseID struct {
+	benchmark    string
+	assoc        int
+	inOrder      bool
+	instructions uint64
+	sampling     SamplingSpec
+	hierarchy    Hierarchy
+	l2Assoc      int
 }
 
-// baseSimConfig builds the normalized scenario's non-resizable baseline
-// config: L1s at the scenario's associativity over the hierarchy's
-// level stack. Every profiling sweep and the combined run derive from
-// it, so their fingerprints agree by construction.
-func (sc Scenario) baseSimConfig(opts experiment.Options) (sim.Config, error) {
-	base := experiment.BaseConfig(sc.Benchmark, sc.Assoc, opts)
-	levels, err := sc.Hierarchy.levelSpecs(sc.L2.Assoc)
+// baseID projects the normalized scenario onto the fields its baseline
+// is built from.
+func (sc Scenario) baseID() baseID {
+	return baseID{benchmark: sc.Benchmark, assoc: sc.Assoc, inOrder: sc.InOrder,
+		instructions: sc.Instructions, sampling: sc.Sampling,
+		hierarchy: sc.Hierarchy, l2Assoc: sc.L2.Assoc}
+}
+
+// baseline builds the fingerprinted non-resizable baseline config: L1s
+// at the associativity over the hierarchy's level stack. It reads
+// nothing but the baseID, so every profiling sweep and the combined run
+// of every scenario sharing it derive from one config, and their
+// fingerprints agree by construction. The error is non-nil only for a
+// scenario that bypassed normalize (an invalid hierarchy).
+func (id baseID) baseline() (*experiment.Baseline, error) {
+	opts := experiment.DefaultOptions()
+	opts.Instructions = id.instructions
+	if id.inOrder {
+		opts.Engine = sim.InOrder
+	}
+	base := experiment.BaseConfig(id.benchmark, id.assoc, opts)
+	levels, err := id.hierarchy.levelSpecs(id.l2Assoc)
 	if err != nil {
-		return sim.Config{}, err
+		return nil, err
 	}
 	base.Levels = levels
-	base.Sampling = sc.Sampling
-	return base, nil
+	base.Sampling = id.sampling
+	return experiment.NewBaseline(base), nil
+}
+
+// baselines holds, for one plan-wide pass, the baseline of each
+// distinct baseID the pass has met, so a plan whose scenarios share a
+// handful of baselines builds and hashes each once instead of once per
+// scenario. It lives no longer than the pass.
+type baselines map[baseID]*experiment.Baseline
+
+// of returns the scenario's baseline, building it on first use; a nil
+// baselines builds it for this one scenario.
+func (m baselines) of(sc Scenario) (*experiment.Baseline, error) {
+	id := sc.baseID()
+	if b, ok := m[id]; ok {
+		return b, nil
+	}
+	b, err := id.baseline()
+	if err == nil && m != nil {
+		m[id] = b
+	}
+	return b, err
 }
 
 // resizesD / resizesI / resizesL2 report which caches the normalized
@@ -450,43 +487,37 @@ func (sc Scenario) resizesD() bool  { return sc.Sides == BothSides || sc.Sides =
 func (sc Scenario) resizesI() bool  { return sc.Sides == BothSides || sc.Sides == IOnly }
 func (sc Scenario) resizesL2() bool { return sc.L2.Organization != NonResizable }
 
-// sweepSpecs lists the profiling sweeps a normalized scenario gathers —
-// one per resized cache. The error is non-nil only for a scenario that
-// bypassed normalize (an invalid hierarchy).
-func (sc Scenario) sweepSpecs() ([]experiment.SweepSpec, error) {
-	opts := sc.experimentOptions(nil)
-	base, err := sc.baseSimConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	var specs []experiment.SweepSpec
+// appendSweepSpecs appends to dst the profiling sweeps a normalized
+// scenario gathers over base — one per resized cache, at most three, so
+// a caller passing a three-element buffer allocates nothing.
+func (sc Scenario) appendSweepSpecs(dst []experiment.SweepSpec, base *experiment.Baseline) []experiment.SweepSpec {
 	if sc.resizesD() {
-		specs = append(specs, experiment.SweepSpec{App: sc.Benchmark, Side: experiment.DSide,
-			Org: sc.Organization, Dynamic: sc.Strategy == Dynamic, Base: base})
+		dst = append(dst, base.Spec(sc.Benchmark, experiment.DSide, sc.Organization, sc.Strategy == Dynamic))
 	}
 	if sc.resizesI() {
-		specs = append(specs, experiment.SweepSpec{App: sc.Benchmark, Side: experiment.ISide,
-			Org: sc.Organization, Dynamic: sc.Strategy == Dynamic, Base: base})
+		dst = append(dst, base.Spec(sc.Benchmark, experiment.ISide, sc.Organization, sc.Strategy == Dynamic))
 	}
 	if sc.resizesL2() {
-		specs = append(specs, experiment.SweepSpec{App: sc.Benchmark, Side: experiment.L2Side,
-			Org: sc.L2.Organization, Dynamic: sc.L2.Strategy == Dynamic, Base: base})
+		dst = append(dst, base.Spec(sc.Benchmark, experiment.L2Side, sc.L2.Organization, sc.L2.Strategy == Dynamic))
 	}
-	return specs, nil
+	return dst
 }
 
-// sweeps resolves the scenario's sweepSpecs, fingerprinting each once.
+// sweeps resolves the scenario's profiling sweeps over its baseline
+// from bases (nil for a lone scenario), fingerprinting each sweep once.
 // Plan execution hands the same resolved sweeps to its enqueue pass and
 // to the scenario's gather, so the two agree by construction and a warm
 // sweep is fingerprinted once per plan.
-func (sc Scenario) sweeps() ([]experiment.Sweep, error) {
-	specs, err := sc.sweepSpecs()
+func (sc Scenario) sweeps(bases baselines) ([]experiment.Sweep, error) {
+	base, err := bases.of(sc)
 	if err != nil {
 		return nil, err
 	}
+	var buf [3]experiment.SweepSpec
+	specs := sc.appendSweepSpecs(buf[:0], base)
 	sweeps := make([]experiment.Sweep, len(specs))
-	for i, spec := range specs {
-		if sweeps[i], err = spec.Resolve(); err != nil {
+	for i := range specs {
+		if sweeps[i], err = specs[i].Resolve(); err != nil {
 			return nil, err
 		}
 	}
@@ -706,8 +737,11 @@ func (s *Session) Stats() runner.Stats { return s.r.Stats() }
 // artifact fingerprints of its profiling sweeps (which cover the
 // experiment layer's schema version and each sweep's definition) — so
 // anything that changes any underlying simulation, the winner-selection
-// machinery, or the set of scenarios moves the key.
+// machinery, or the set of scenarios moves the key. A figure's plan has
+// many scenarios over few baselines, so each distinct baseline is built
+// and fingerprinted once per call.
 func planArtifactKey(domain string, version int, plan Plan) sim.Key {
+	bases := make(baselines)
 	b := sim.NewKeyBuilder("facade/plan-artifact")
 	b.Str(domain)
 	b.Int(version)
@@ -732,15 +766,17 @@ func planArtifactKey(domain string, version int, plan Plan) sim.Key {
 		b.U64(sc.Sampling.DetailedInstructions)
 		b.U64(sc.Sampling.FastForwardInstructions)
 		b.U64(sc.Sampling.SkipInstructions)
-		specs, err := sc.sweepSpecs()
+		base, err := bases.of(sc)
 		if err != nil {
 			// Only reachable for a scenario that bypassed normalize; give
 			// it a key that cannot collide with any valid plan's.
 			b.Str("invalid-scenario: " + err.Error())
 			continue
 		}
-		for _, spec := range specs {
-			k, err := spec.ArtifactKey()
+		var buf [3]experiment.SweepSpec
+		specs := sc.appendSweepSpecs(buf[:0], base)
+		for i := range specs {
+			k, err := specs[i].ArtifactKey()
 			if err != nil {
 				b.Str("invalid-sweep: " + err.Error())
 				continue
@@ -758,9 +794,15 @@ func planArtifactKey(domain string, version int, plan Plan) sim.Key {
 // warm fingerprint returns the cached payload without touching the
 // plan's sweeps at all; a cold one runs compute once, with concurrent
 // calls for the same fingerprint joining it. Payloads must be valid
-// JSON (the store embeds them in JSON documents).
+// JSON (the store embeds them in JSON documents). The returned slice is
+// the caller's to keep: it is a copy, so mutating it cannot corrupt
+// later hits.
 func (s *Session) Artifact(ctx context.Context, domain string, version int, plan Plan, compute func(context.Context) ([]byte, error)) ([]byte, error) {
-	return s.r.Artifact(ctx, planArtifactKey(domain, version, plan), compute)
+	data, err := s.r.Artifact(ctx, planArtifactKey(domain, version, plan), compute)
+	if data != nil {
+		data = append([]byte(nil), data...)
+	}
+	return data, err
 }
 
 // PutArtifact force-installs a payload under Artifact's fingerprint,
@@ -775,7 +817,7 @@ func simulate(ctx context.Context, sc Scenario, r *runner.Runner) (Outcome, erro
 	if err != nil {
 		return Outcome{}, err
 	}
-	sweeps, err := sc.sweeps()
+	sweeps, err := sc.sweeps(nil)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -790,17 +832,14 @@ func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runn
 		exec = runner.Default()
 	}
 	before := exec.Stats()
-
-	opts := sc.experimentOptions(r)
-	base, err := sc.baseSimConfig(opts)
-	if err != nil {
-		return Outcome{}, err
-	}
+	opts := experiment.Options{Runner: r} // nil selects the shared default runner
 
 	// Profile each resizing cache alone (the paper's decoupled-profiling
 	// protocol, extended over the hierarchy), recording the per-cache
 	// outcome fields as the sweeps complete.
 	var out Outcome
+	// parts lives on the heap: a Best is 952 bytes, and a bigger frame
+	// here costs Session.Run's per-scenario goroutines a stack copy.
 	parts := make([]experiment.Best, 0, len(sweeps))
 	for _, sw := range sweeps {
 		best, err := sw.Best(ctx, opts)
@@ -830,7 +869,7 @@ func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runn
 		out.EDPReductionPct = parts[0].EDPReductionPct()
 		out.SlowdownPct = parts[0].SlowdownPct()
 	} else {
-		comb, err := experiment.CombinedBests(ctx, base, parts, opts)
+		comb, err := experiment.CombinedBests(ctx, sweeps[0].Spec().Base, parts, opts)
 		if err != nil {
 			return Outcome{}, err
 		}
