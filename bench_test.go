@@ -64,6 +64,7 @@ func BenchmarkConfigKey(b *testing.B)           { benchsuite.ConfigKey(b) }
 func BenchmarkSweepKey(b *testing.B)            { benchsuite.SweepKey(b) }
 func BenchmarkWarmSimulate(b *testing.B)        { benchsuite.WarmSimulate(b) }
 func BenchmarkWarmPlanArtifact(b *testing.B)    { benchsuite.WarmPlanArtifact(b) }
+func BenchmarkColdPlan(b *testing.B)            { benchsuite.ColdPlan(b) }
 func BenchmarkNetStoreLookup(b *testing.B)      { benchsuite.NetStoreLookup(b) }
 
 // BenchmarkPlanBatchVsSequential quantifies the tentpole property of

@@ -19,6 +19,7 @@ package benchsuite
 
 import (
 	"context"
+	"flag"
 	"path/filepath"
 	"testing"
 	"time"
@@ -69,6 +70,7 @@ func All() []Bench {
 		{Name: "SweepKey", Short: true, F: SweepKey},
 		{Name: "WarmSimulate", Short: true, F: WarmSimulate},
 		{Name: "WarmPlanArtifact", Short: true, F: WarmPlanArtifact},
+		{Name: "ColdPlan", Short: true, F: ColdPlan},
 		{Name: "NetStoreLookup", Short: true, F: NetStoreLookup},
 		{Name: "Table1Hybrid", F: Table1Hybrid},
 		{Name: "Figure4Organizations", F: Figure4Organizations},
@@ -357,22 +359,56 @@ func WarmSimulate(b *testing.B) {
 	}
 }
 
-// WarmPlanArtifact times a warm Session.Artifact hit for a
-// 108-scenario plan — the BenchApps × {ways, sets, hybrid} ×
-// {static, dynamic} × {d, i, both} × {out-of-order, in-order} grid —
-// which is what a warm figure render pays before decoding its rows:
-// the plan fingerprint over every scenario's sweeps, six distinct
-// baselines among them, and one memo hit. The payload is a stub, so
-// nothing simulates.
-func WarmPlanArtifact(b *testing.B) {
-	plan, err := resizecache.Grid{
+// PlanGrid is the 108-scenario grid the plan benchmarks run — the
+// BenchApps × {ways, sets, hybrid} × {static, dynamic} × {d, i, both}
+// × {out-of-order, in-order} design space at 40K instructions, the grid
+// of perfbench's sweep workloads.
+func PlanGrid() resizecache.Grid {
+	return resizecache.Grid{
 		Benchmarks:    BenchApps,
 		Organizations: []resizecache.Organization{resizecache.SelectiveWays, resizecache.SelectiveSets, resizecache.Hybrid},
 		Strategies:    []resizecache.Strategy{resizecache.Static, resizecache.Dynamic},
 		Sides:         []resizecache.Sides{resizecache.DOnly, resizecache.IOnly, resizecache.BothSides},
 		Engines:       []resizecache.Engine{resizecache.OutOfOrderEngine, resizecache.InOrderEngine},
 		Instructions:  40_000,
-	}.Expand()
+	}
+}
+
+// ColdPlan times one cold PlanGrid plan on a fresh two-worker session
+// over a MemStore, the way perfbench's sweep-cold workload runs a
+// request: every profiling sweep, baseline and combined run simulates.
+// Under go test -short the grid shrinks to its first app's 36
+// scenarios.
+func ColdPlan(b *testing.B) {
+	g := PlanGrid()
+	if flag.Lookup("test.short") != nil && testing.Short() {
+		g.Benchmarks = g.Benchmarks[:1]
+	}
+	plan, err := g.Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	for b.Loop() {
+		s, err := resizecache.NewSessionWith(resizecache.SessionOptions{Workers: 2, Store: runner.NewMemStore()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := resizecache.Collect(s.Run(ctx, plan)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(plan.Len()), "scenarios/op")
+}
+
+// WarmPlanArtifact times a warm Session.Artifact hit for the PlanGrid
+// plan, which is what a warm figure render pays before decoding its
+// rows: the plan fingerprint over every scenario's sweeps, six distinct
+// baselines among them, and one memo hit. The payload is a stub, so
+// nothing simulates.
+func WarmPlanArtifact(b *testing.B) {
+	plan, err := PlanGrid().Expand()
 	if err != nil {
 		b.Fatal(err)
 	}

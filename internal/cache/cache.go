@@ -174,6 +174,31 @@ func (c *Cache) Release() {
 	}
 }
 
+// CopyFrom makes c's state a copy of src's: the frames, the effective
+// configuration, the MSHRs and writeback buffer, the statistics and the
+// energy and size integrals. c must have been built from the same
+// Config as src; it keeps its own next level and its own buffers, so
+// copying every level of a hierarchy into one built from the same
+// configs copies the whole memory system. Gang forks use it to snapshot
+// a machine (internal/sim).
+//
+//simlint:coldpath gang forks copy a machine a few times per interval
+func (c *Cache) CopyFrom(src *Cache) {
+	next, lines, mshr, wb := c.next, c.lines, c.mshr, c.wb
+	*c = *src
+	c.next, c.lines, c.mshr, c.wb = next, lines, mshr, wb
+	copy(c.lines, src.lines)
+	if mshr != nil {
+		copy(mshr.blocks, src.mshr.blocks)
+		copy(mshr.readyAt, src.mshr.readyAt)
+		mshr.maxReady = src.mshr.maxReady
+	}
+	if wb != nil {
+		copy(wb.drainAt, src.wb.drainAt)
+		wb.pending = src.wb.pending
+	}
+}
+
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 

@@ -68,8 +68,24 @@ type DynamicPolicy struct {
 	hold      int
 	intervals int // boundaries seen
 
-	followers []*DynamicPolicy
-	split     Split // where this follower left its leader; zero while attached
+	followers []*DynamicPolicy // the attached ones
+	split     Split            // where this follower left its leader; zero while attached
+	fork      ForkHook         // nil unless a gang forks this leader's machine at splits
+}
+
+// ForkHook lets a gang fork a leader's machine where its followers
+// split, instead of re-running them from the start (internal/sim).
+// Both calls come from inside an access to the leader's cache.
+type ForkHook interface {
+	// Arm: the next access to the cache ends an interval at which some
+	// attached follower may decide differently from the leader. That
+	// access is the only one of its instruction to this cache, so the
+	// gang can snapshot the machine before the instruction.
+	Arm()
+	// Split: followers detached at the boundary this access ended;
+	// Detached reports their splits, and the leader no longer carries
+	// them.
+	Split()
 }
 
 // Split is where a follower left its leader: the interval boundary,
@@ -92,6 +108,33 @@ func (d *DynamicPolicy) IntervalLength() uint64 { return d.Interval }
 // Follow attaches f as a follower of d. f must share d's Interval and
 // schedule; it is never bound to a cache of its own.
 func (d *DynamicPolicy) Follow(f *DynamicPolicy) { d.followers = append(d.followers, f) }
+
+// SetForkHook has d, bound and leading, report to h where its machine
+// may fork (see ForkHook); nil stops the reports.
+func (d *DynamicPolicy) SetForkHook(h ForkHook) {
+	d.fork = h
+	d.r.retrigger()
+}
+
+// Fork makes fs — followers that detached from one leader at the
+// boundary it just passed, all to one target — a new share group over
+// r, a copy of the leader's cache from before the instruction that
+// crossed the boundary: fs[0] leads it, reporting to h, and the rest
+// follow. Replaying that instruction on r brings fs[0] to the boundary
+// as a leader in exactly the state it would have reached leading from
+// the start: a follower that agreed through every earlier boundary has
+// kept its own hold count, and r's trajectory was its own.
+func Fork(r *ResizableCache, fs []*DynamicPolicy, h ForkHook) {
+	lead := fs[0]
+	lead.intervals = lead.split.Boundary - 1
+	for _, f := range fs {
+		f.split = Split{}
+	}
+	lead.followers = append(lead.followers[:0], fs[1:]...)
+	lead.r = r
+	r.policy = lead
+	lead.SetForkHook(h)
+}
 
 // Detached reports where a follower left its leader, and false while it
 // is still attached (its run equals the leader's).
@@ -125,7 +168,8 @@ func (d *DynamicPolicy) decide(points []SizePoint, idx int, misses uint64, hold 
 // OnInterval implements Policy: it applies its own decision, then has
 // every attached follower decide on the same inputs. A move that fails
 // to apply keeps the old hold count, for the leader and its followers
-// alike.
+// alike. Followers that decide differently detach here, and the fork
+// hook, if any, hears of it.
 func (d *DynamicPolicy) OnInterval(now uint64, misses uint64) {
 	points := d.r.Sched.Points
 	idx := d.r.Index()
@@ -135,16 +179,39 @@ func (d *DynamicPolicy) OnInterval(now uint64, misses uint64) {
 		d.hold = hold
 	}
 	d.intervals++
+	kept := d.followers[:0]
 	for _, f := range d.followers {
-		if f.split.Boundary > 0 {
+		ft, fh := f.decide(points, idx, misses, f.hold)
+		if ft != target {
+			f.split = Split{Boundary: d.intervals, Target: ft}
 			continue
 		}
-		ft, fh := f.decide(points, idx, misses, f.hold)
-		switch {
-		case ft != target:
-			f.split = Split{Boundary: d.intervals, Target: ft}
-		case applied:
+		if applied {
 			f.hold = fh
+		}
+		kept = append(kept, f)
+	}
+	split := len(kept) < len(d.followers)
+	clear(d.followers[len(kept):])
+	d.followers = kept
+	if split && d.fork != nil {
+		d.fork.Split()
+	}
+}
+
+// beforeBoundary is called when the next access to d's cache ends an
+// interval that has seen misses so far: the boundary will see misses or
+// misses+1. It arms the fork hook when, for either count, some attached
+// follower's target differs from d's.
+func (d *DynamicPolicy) beforeBoundary(misses uint64) {
+	points, idx := d.r.Sched.Points, d.r.Index()
+	for m := misses; m <= misses+1; m++ {
+		target, _ := d.decide(points, idx, m, d.hold)
+		for _, f := range d.followers {
+			if ft, _ := f.decide(points, idx, m, f.hold); ft != target {
+				d.fork.Arm()
+				return
+			}
 		}
 	}
 }

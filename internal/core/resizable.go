@@ -29,6 +29,11 @@ type ResizableCache struct {
 	intervalLen      uint64
 	intervalAccesses uint64
 	intervalMisses   uint64
+	// trigger is the interval access count at which Access leaves its
+	// fast path (see tick): the interval length, one less while a fork
+	// hook listens for the access before each boundary, or never when
+	// no policy monitors intervals.
+	trigger uint64
 
 	// SizeTrace records the schedule index at each interval boundary;
 	// experiments use it to classify behaviour (constant / varying /
@@ -57,7 +62,43 @@ func Wrap(c *cache.Cache, sched Schedule, p Policy) (*ResizableCache, error) {
 		p.Bind(r)
 		r.intervalLen = p.IntervalLength()
 	}
+	r.retrigger()
 	return r, nil
+}
+
+// retrigger recomputes trigger from the interval length and the
+// policy's fork hook.
+func (r *ResizableCache) retrigger() {
+	switch {
+	case r.intervalLen == 0:
+		r.trigger = ^uint64(0)
+	case r.forkHooked() != nil:
+		r.trigger = r.intervalLen - 1
+	default:
+		r.trigger = r.intervalLen
+	}
+}
+
+// forkHooked returns the policy when it is a dynamic one with a fork
+// hook, nil otherwise.
+func (r *ResizableCache) forkHooked() *DynamicPolicy {
+	if d, ok := r.policy.(*DynamicPolicy); ok && d.fork != nil {
+		return d
+	}
+	return nil
+}
+
+// CopyFrom makes r's state a copy of src's: the cache array
+// (cache.Cache.CopyFrom), the schedule index, the interval counters and
+// the size trace. r keeps its own policy and next level; it must have
+// been built from the same options as src.
+//
+//simlint:coldpath gang forks copy a machine a few times per interval
+func (r *ResizableCache) CopyFrom(src *ResizableCache) {
+	r.C.CopyFrom(src.C)
+	r.idx = src.idx
+	r.intervalAccesses, r.intervalMisses = src.intervalAccesses, src.intervalMisses
+	r.SizeTrace = append(r.SizeTrace[:0], src.SizeTrace...)
 }
 
 // Policy returns the attached resizing policy (nil when none).
@@ -93,13 +134,29 @@ func (r *ResizableCache) Access(now uint64, addr uint64, write bool) uint64 {
 	if r.C.Stat.Misses.Value() != missesBefore {
 		r.intervalMisses++
 	}
-	if r.intervalLen > 0 && r.intervalAccesses >= r.intervalLen {
+	if r.intervalAccesses >= r.trigger {
+		r.tick(now)
+	}
+	return done
+}
+
+// tick is Access past its trigger: at an interval boundary it has the
+// policy decide, records the size and starts the next interval; one
+// access before a boundary it lets a fork-hooked policy look ahead.
+//
+//simlint:coldpath at most twice per policy interval, never per access
+func (r *ResizableCache) tick(now uint64) {
+	if r.intervalAccesses >= r.intervalLen {
 		r.policy.OnInterval(now, r.intervalMisses)
-		r.SizeTrace = append(r.SizeTrace, r.idx) //simlint:allow amortized: one append per policy interval, not per access
+		r.SizeTrace = append(r.SizeTrace, r.idx)
 		r.intervalAccesses = 0
 		r.intervalMisses = 0
 	}
-	return done
+	if r.intervalAccesses == r.intervalLen-1 {
+		if d := r.forkHooked(); d != nil {
+			d.beforeBoundary(r.intervalMisses)
+		}
+	}
 }
 
 // Warm implements cache.Level: functional accesses advance the array's

@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"fmt"
+	"slices"
+
 	"resizecache/internal/bpred"
 	"resizecache/internal/cache"
 	"resizecache/internal/workload"
@@ -41,6 +44,10 @@ const window = 64
 type GangMember struct {
 	IC cache.Level
 	DC cache.Level
+	// Snapshot saves the member's memory system for a fork; the gang
+	// calls it at the start of the member's armed instruction (see
+	// Arm). Members that are never armed leave it nil.
+	Snapshot func()
 }
 
 // Gang is one timing model — out-of-order or in-order — driving every
@@ -48,11 +55,66 @@ type GangMember struct {
 // front-end survives across calls, so detailed windows (RunWindow) and
 // fast-forward windows (FastForward) can alternate over one workload
 // stream; pipeline timing state (ROB/LSQ rings, clocks) is per window.
+//
+// Members can fork mid-pass. Gang members that differ only in the
+// thresholds of one L1's dynamic controller share a machine while their
+// decisions agree (internal/sim). When the machine's L1 is one access
+// short of an interval boundary at which they may disagree, the member
+// is armed (Arm): the gang snapshots its timing state at the start of
+// the instruction that makes that access, the member saves its memory
+// system, and members forked from the snapshot at the boundary (Join)
+// replay the instruction in the same member loop and run on from there.
 type Gang struct {
 	cfg     Config
 	inOrder bool
 	front   frontEnd
 	members []GangMember
+
+	// The per-member timing state of the window in progress, kept here
+	// so that Join can extend it: the running engine's arrays, and
+	// lanes, which lists them with their per-member widths.
+	ooo   oooTiming
+	ino   inOrderTiming
+	lanes []lane
+
+	// arms are the armed members, waiting for their armed instruction or
+	// inside it. The engines test for them once per instruction.
+	arms []arm
+}
+
+// oooTiming is the out-of-order engine's per-member timing state,
+// struct-of-arrays: member m's ROB ring is rob[m*robN : (m+1)*robN],
+// and the scalar clocks live in parallel slices so the member loop
+// walks contiguous memory.
+type oooTiming struct {
+	rob, retire, lsqRetire               []uint64
+	fetchTime, lastRetire, retireInCycle []uint64
+}
+
+// inOrderTiming is the in-order engine's per-member timing state:
+// member m's scoreboard of recent completion times is
+// completed[m*window : (m+1)*window].
+type inOrderTiming struct {
+	completed                                       []uint64
+	fetchTime, issueTime, issueInCycle, maxComplete []uint64
+}
+
+// lane is one per-member timing array and the words it holds per
+// member.
+type lane struct {
+	s *[]uint64
+	w int
+}
+
+// arm is one armed member: m's next access to its d-cache (dside) or
+// i-cache may fork it. Once the instruction making that access starts,
+// taken is set and snap holds m's timing state from before it, lane
+// after lane.
+type arm struct {
+	m     int
+	dside bool
+	taken bool
+	snap  []uint64
 }
 
 // NewGangOutOfOrder builds the 4-wide out-of-order engine with a
@@ -90,7 +152,133 @@ func newGang(cfg Config, inOrder bool, bp bpred.Predictor, members []GangMember)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Gang{cfg: cfg, inOrder: inOrder, front: newFrontEnd(bp, cfg.Width), members: members}, nil
+	g := &Gang{cfg: cfg, inOrder: inOrder, front: newFrontEnd(bp, cfg.Width), members: members}
+	if inOrder {
+		t := &g.ino
+		g.lanes = []lane{{&t.completed, window}, {&t.fetchTime, 1}, {&t.issueTime, 1},
+			{&t.issueInCycle, 1}, {&t.maxComplete, 1}}
+	} else {
+		t := &g.ooo
+		g.lanes = []lane{{&t.rob, cfg.ROBEntries}, {&t.retire, cfg.ROBEntries},
+			{&t.lsqRetire, cfg.LSQEntries}, {&t.fetchTime, 1}, {&t.lastRetire, 1}, {&t.retireInCycle, 1}}
+	}
+	return g, nil
+}
+
+// startWindow empties every member's timing state for a new window and
+// starts the given clocks at base (cycle zero when base is nil).
+//
+//simlint:coldpath once per window
+func (g *Gang) startWindow(base []uint64, clocks ...*[]uint64) {
+	n := len(g.members)
+	for _, l := range g.lanes {
+		s := *l.s
+		if cap(s) < n*l.w {
+			s = make([]uint64, n*l.w)
+		}
+		s = s[:n*l.w]
+		clear(s)
+		*l.s = s
+	}
+	if base != nil {
+		for _, c := range clocks {
+			copy(*c, base)
+		}
+	}
+}
+
+// Arm has the gang snapshot member m before the instruction that makes
+// its next access to its d-cache (dside) or i-cache: it saves m's
+// timing state and calls m's Snapshot. While that instruction runs,
+// members forked from the snapshot may Join.
+func (g *Gang) Arm(m int, dside bool) {
+	g.arms = append(g.arms, arm{m: m, dside: dside})
+}
+
+// snapshotArmed runs before an instruction's member loop while members
+// are armed. It retires the arms whose instruction has passed, and
+// takes the snapshot of each member whose armed access this
+// instruction makes: its i-cache access when the instruction opens a
+// fetch group, its d-cache access when it is a memop. It then reserves
+// room for the members that may fork from the snapshots, so that Join
+// never moves the arrays the member loop is working in.
+//
+//simlint:coldpath runs only while a member is armed: a few instructions per policy interval
+func (g *Gang) snapshotArmed(newGroup, isMem bool) {
+	kept := g.arms[:0]
+	taken := 0
+	for _, a := range g.arms {
+		if a.taken {
+			continue
+		}
+		if a.dside && isMem || !a.dside && newGroup {
+			a.taken = true
+			a.snap = a.snap[:0]
+			for _, l := range g.lanes {
+				a.snap = append(a.snap, (*l.s)[a.m*l.w:(a.m+1)*l.w]...)
+			}
+			g.members[a.m].Snapshot()
+			taken++
+		}
+		kept = append(kept, a)
+	}
+	clear(g.arms[len(kept):])
+	g.arms = kept
+	if taken > 0 {
+		// A boundary offers the leader's target and at most two others
+		// (one step up or down, or staying), so each snapshot forks at
+		// most two members.
+		g.members = slices.Grow(g.members, 2*taken)
+		for _, l := range g.lanes {
+			*l.s = slices.Grow(*l.s, 2*taken*l.w)
+		}
+	}
+}
+
+// takenArm returns the arm of member m whose instruction is in
+// progress, or nil.
+func (g *Gang) takenArm(m int) *arm {
+	for i := range g.arms {
+		if a := &g.arms[i]; a.m == m && a.taken {
+			return a
+		}
+	}
+	return nil
+}
+
+// Forking reports whether member m's armed instruction is in progress,
+// so that members forked from its snapshot may Join.
+func (g *Gang) Forking(m int) bool { return g.takenArm(m) != nil }
+
+// Join adds a member forked from member parent while parent's armed
+// instruction is in progress (Forking). The new member's memory system
+// must be a copy of parent's from that instruction's start; its timing
+// state is parent's from the same point. The member loop reaches it
+// after every member before it and runs the instruction for it, so it
+// replays the instruction and runs on from there. Join returns its
+// index.
+func (g *Gang) Join(parent int, gm GangMember) int {
+	a := g.takenArm(parent)
+	if a == nil {
+		panic(fmt.Sprintf("cpu: member %d joins from member %d, which has no armed instruction in progress", len(g.members), parent))
+	}
+	// Appending past the room snapshotArmed reserved would move arrays
+	// the member loop is writing through.
+	full := len(g.members) == cap(g.members)
+	for _, l := range g.lanes {
+		full = full || cap(*l.s)-len(*l.s) < l.w
+	}
+	if full {
+		panic(fmt.Sprintf("cpu: more than two members fork from member %d at one instruction", parent))
+	}
+	m := len(g.members)
+	g.members = append(g.members, gm)
+	off := 0
+	for _, l := range g.lanes {
+		*l.s = append(*l.s, a.snap[off:off+l.w]...)
+		off += l.w
+	}
+	return m
 }
 
 // Run executes up to maxInstr instructions (or until the source is
@@ -256,9 +444,9 @@ func (g *Gang) results(instr uint64, act Activity, cycles []uint64) []Result {
 func (g *Gang) runOutOfOrder(src workload.Source, maxInstr uint64, base []uint64) []Result {
 	cfg := g.cfg
 	front := &g.front
-	members := g.members
 	front.groupLeft = 0
-	n := len(members)
+	t := &g.ooo
+	g.startWindow(base, &t.fetchTime, &t.lastRetire)
 	var (
 		act   Activity
 		instr uint64
@@ -267,7 +455,7 @@ func (g *Gang) runOutOfOrder(src workload.Source, maxInstr uint64, base []uint64
 		robN      = cfg.ROBEntries
 		lsqN      = cfg.LSQEntries
 		decodeLat = cfg.DecodeLatency
-		width     = cfg.Width
+		width     = uint64(cfg.Width)
 
 		// Shared functional ring cursors (identical across members).
 		// robIdx == i % robN and lsqIdx == memopCount % lsqN throughout.
@@ -275,20 +463,12 @@ func (g *Gang) runOutOfOrder(src workload.Source, maxInstr uint64, base []uint64
 		lsqIdx     int
 		memopCount uint64
 
-		// Per-member timing state, struct-of-arrays: member m's ROB ring
-		// is rob[m*robN : (m+1)*robN], and the scalar clocks live in
-		// parallel slices so the member loop walks contiguous memory.
-		rob           = make([]uint64, n*robN) //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		retire        = make([]uint64, n*robN) //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		lsqRetire     = make([]uint64, n*lsqN) //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		fetchTime     = make([]uint64, n)      //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		lastRetire    = make([]uint64, n)      //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		retireInCycle = make([]int, n)         //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
+		// The member loop works on local copies of the member list and
+		// the timing arrays; only an armed instruction can change them.
+		members                              = g.members
+		rob, retire, lsqRetire               = t.rob, t.retire, t.lsqRetire
+		fetchTime, lastRetire, retireInCycle = t.fetchTime, t.lastRetire, t.retireInCycle
 	)
-	if base != nil {
-		copy(fetchTime, base)
-		copy(lastRetire, base)
-	}
 
 	for instr < maxInstr && src.Next(&ev) {
 		i := instr
@@ -337,101 +517,118 @@ func (g *Gang) runOutOfOrder(src workload.Source, maxInstr uint64, base []uint64
 			execLat = uint64(ev.Lat)
 		}
 
-		for m := 0; m < n; m++ {
-			// Fetch: one i-cache access per fetch group; an i-miss stalls
-			// fetch for its full latency.
-			ft := fetchTime[m]
-			if newGroup {
-				ft++
-				if done := members[m].IC.Access(ft, ev.PC, false); done > ft+1 {
-					ft = done
-				}
+		armed := len(g.arms) != 0
+		if armed {
+			g.snapshotArmed(newGroup, isMem)
+		}
+		for lo := 0; ; lo = len(members) {
+			if armed {
+				// snapshotArmed and Join may move or extend the arrays.
+				members = g.members
+				rob, retire, lsqRetire = t.rob, t.retire, t.lsqRetire
+				fetchTime, lastRetire, retireInCycle = t.fetchTime, t.lastRetire, t.retireInCycle
 			}
-
-			// Dispatch: needs decode plus a free ROB entry (the
-			// instruction ROBEntries back must have retired).
-			dispatch := ft + decodeLat
-			mrob := rob[m*robN : (m+1)*robN]
-			mretire := retire[m*robN : (m+1)*robN]
-			if i >= uint64(robN) {
-				if t := mretire[robIdx]; t > dispatch {
-					dispatch = t
-				}
-			}
-
-			// Issue: producers must have completed.
-			ready := dispatch
-			if dep1 {
-				j := robIdx - int(ev.Dep1)
-				if j < 0 {
-					j += robN
-				}
-				if t := mrob[j]; t > ready {
-					ready = t
-				}
-			}
-			if dep2 {
-				j := robIdx - int(ev.Dep2)
-				if j < 0 {
-					j += robN
-				}
-				if t := mrob[j]; t > ready {
-					ready = t
-				}
-			}
-
-			var complete uint64
-			if isMem {
-				// LSQ slot: the memop LSQEntries back must have retired.
-				if lsqClamp {
-					if t := lsqRetire[m*lsqN+lsqIdx]; t > ready {
-						ready = t
+			for m := lo; m < len(members); m++ {
+				// Fetch: one i-cache access per fetch group; an i-miss stalls
+				// fetch for its full latency.
+				ft := fetchTime[m]
+				if newGroup {
+					ft++
+					if done := members[m].IC.Access(ft, ev.PC, false); done > ft+1 {
+						ft = done
 					}
 				}
-				done := members[m].DC.Access(ready, ev.Addr, isStore)
-				if isStore {
-					// Stores retire from the store buffer: their miss
-					// latency is not on the dependence path, but the access
-					// still occupies MSHR/writeback resources.
-					complete = ready + 1
+
+				// Dispatch: needs decode plus a free ROB entry (the
+				// instruction ROBEntries back must have retired).
+				dispatch := ft + decodeLat
+				mrob := rob[m*robN : (m+1)*robN]
+				mretire := retire[m*robN : (m+1)*robN]
+				if i >= uint64(robN) {
+					if r := mretire[robIdx]; r > dispatch {
+						dispatch = r
+					}
+				}
+
+				// Issue: producers must have completed.
+				ready := dispatch
+				if dep1 {
+					j := robIdx - int(ev.Dep1)
+					if j < 0 {
+						j += robN
+					}
+					if r := mrob[j]; r > ready {
+						ready = r
+					}
+				}
+				if dep2 {
+					j := robIdx - int(ev.Dep2)
+					if j < 0 {
+						j += robN
+					}
+					if r := mrob[j]; r > ready {
+						ready = r
+					}
+				}
+
+				var complete uint64
+				if isMem {
+					// LSQ slot: the memop LSQEntries back must have retired.
+					if lsqClamp {
+						if r := lsqRetire[m*lsqN+lsqIdx]; r > ready {
+							ready = r
+						}
+					}
+					done := members[m].DC.Access(ready, ev.Addr, isStore)
+					if isStore {
+						// Stores retire from the store buffer: their miss
+						// latency is not on the dependence path, but the access
+						// still occupies MSHR/writeback resources.
+						complete = ready + 1
+					} else {
+						complete = done
+					}
 				} else {
-					complete = done
+					complete = ready + execLat
 				}
-			} else {
-				complete = ready + execLat
-			}
 
-			switch action {
-			case ctrlRedirectBTBMiss:
-				// fetchTime + penalty > fetchTime always.
-				ft += front.btbMissPenalty
-			case ctrlRedirectMispredict:
-				if at := complete + cfg.MispredictPenalty; at > ft {
-					ft = at
+				switch action {
+				case ctrlRedirectBTBMiss:
+					// fetchTime + penalty > fetchTime always.
+					ft += front.btbMissPenalty
+				case ctrlRedirectMispredict:
+					if at := complete + cfg.MispredictPenalty; at > ft {
+						ft = at
+					}
+				}
+				fetchTime[m] = ft
+
+				mrob[robIdx] = complete
+
+				// In-order, width-limited retirement.
+				rt := complete
+				if rt < lastRetire[m] {
+					rt = lastRetire[m]
+				}
+				if rt == lastRetire[m] {
+					retireInCycle[m]++
+					if retireInCycle[m] >= width {
+						rt++
+						retireInCycle[m] = 0
+					}
+				} else {
+					retireInCycle[m] = 1
+				}
+				lastRetire[m] = rt
+				mretire[robIdx] = rt
+				if isMem {
+					lsqRetire[m*lsqN+lsqIdx] = rt
 				}
 			}
-			fetchTime[m] = ft
-
-			mrob[robIdx] = complete
-
-			// In-order, width-limited retirement.
-			rt := complete
-			if rt < lastRetire[m] {
-				rt = lastRetire[m]
-			}
-			if rt == lastRetire[m] {
-				retireInCycle[m]++
-				if retireInCycle[m] >= width {
-					rt++
-					retireInCycle[m] = 0
-				}
-			} else {
-				retireInCycle[m] = 1
-			}
-			lastRetire[m] = rt
-			mretire[robIdx] = rt
-			if isMem {
-				lsqRetire[m*lsqN+lsqIdx] = rt
+			// Members forked during the loop (Join) joined its end: run
+			// this instruction for them too, from their snapshots.
+			if !armed || len(members) == len(g.members) {
+				break
 			}
 		}
 
@@ -446,10 +643,10 @@ func (g *Gang) runOutOfOrder(src workload.Source, maxInstr uint64, base []uint64
 		}
 	}
 
-	for m := range lastRetire {
-		lastRetire[m]++
+	for m := range t.lastRetire {
+		t.lastRetire[m]++
 	}
-	return g.results(instr, act, lastRetire)
+	return g.results(instr, act, t.lastRetire)
 }
 
 // runInOrder is RunWindow for the in-order engine.
@@ -458,27 +655,20 @@ func (g *Gang) runOutOfOrder(src workload.Source, maxInstr uint64, base []uint64
 func (g *Gang) runInOrder(src workload.Source, maxInstr uint64, base []uint64) []Result {
 	cfg := g.cfg
 	front := &g.front
-	members := g.members
 	front.groupLeft = 0
-	n := len(members)
+	t := &g.ino
+	g.startWindow(base, &t.fetchTime, &t.issueTime, &t.maxComplete)
+	width := uint64(cfg.Width)
 	var (
 		act   Activity
 		instr uint64
 		ev    workload.Event
 
-		// Per-member timing state: member m's scoreboard of recent
-		// completion times is completed[m*window : (m+1)*window].
-		completed    = make([]uint64, n*window) //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		fetchTime    = make([]uint64, n)        //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		issueTime    = make([]uint64, n)        //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		issueInCycle = make([]int, n)           //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
-		maxComplete  = make([]uint64, n)        //simlint:allow once-per-run prologue/epilogue, outside the per-instruction loop
+		// The member loop works on local copies of the member list and
+		// the timing arrays; only an armed instruction can change them.
+		members, completed                              = g.members, t.completed
+		fetchTime, issueTime, issueInCycle, maxComplete = t.fetchTime, t.issueTime, t.issueInCycle, t.maxComplete
 	)
-	if base != nil {
-		copy(fetchTime, base)
-		copy(issueTime, base)
-		copy(maxComplete, base)
-	}
 
 	for instr < maxInstr && src.Next(&ev) {
 		i := instr
@@ -517,76 +707,92 @@ func (g *Gang) runInOrder(src workload.Source, maxInstr uint64, base []uint64) [
 			execLat = uint64(ev.Lat)
 		}
 
-		for m := 0; m < n; m++ {
-			ft := fetchTime[m]
-			if newGroup {
-				ft++
-				if done := members[m].IC.Access(ft, ev.PC, false); done > ft+1 {
-					ft = done
-				}
+		armed := len(g.arms) != 0
+		if armed {
+			g.snapshotArmed(newGroup, isMem)
+		}
+		for lo := 0; ; lo = len(members) {
+			if armed {
+				// snapshotArmed and Join may move or extend the arrays.
+				members, completed = g.members, t.completed
+				fetchTime, issueTime, issueInCycle, maxComplete = t.fetchTime, t.issueTime, t.issueInCycle, t.maxComplete
 			}
+			for m := lo; m < len(members); m++ {
+				ft := fetchTime[m]
+				if newGroup {
+					ft++
+					if done := members[m].IC.Access(ft, ev.PC, false); done > ft+1 {
+						ft = done
+					}
+				}
 
-			// In order: no issue before the previous instruction, and at
-			// most width issues per cycle.
-			issue := ft + cfg.DecodeLatency
-			if issue < issueTime[m] {
-				issue = issueTime[m]
-			}
-			if issue == issueTime[m] {
-				issueInCycle[m]++
-				if issueInCycle[m] >= cfg.Width {
-					issue++
-					issueInCycle[m] = 0
+				// In order: no issue before the previous instruction, and at
+				// most width issues per cycle.
+				issue := ft + cfg.DecodeLatency
+				if issue < issueTime[m] {
+					issue = issueTime[m]
 				}
-			} else {
-				issueInCycle[m] = 1
-			}
+				if issue == issueTime[m] {
+					issueInCycle[m]++
+					if issueInCycle[m] >= width {
+						issue++
+						issueInCycle[m] = 0
+					}
+				} else {
+					issueInCycle[m] = 1
+				}
 
-			// Dependence stalls: producers must complete before issue.
-			sb := completed[m*window : (m+1)*window]
-			if dep1 {
-				if t := sb[(i-uint64(ev.Dep1))%uint64(window)]; t > issue {
-					issue = t
+				// Dependence stalls: producers must complete before issue.
+				sb := completed[m*window : (m+1)*window]
+				if dep1 {
+					if r := sb[(i-uint64(ev.Dep1))%uint64(window)]; r > issue {
+						issue = r
+					}
 				}
-			}
-			if dep2 {
-				if t := sb[(i-uint64(ev.Dep2))%uint64(window)]; t > issue {
-					issue = t
+				if dep2 {
+					if r := sb[(i-uint64(ev.Dep2))%uint64(window)]; r > issue {
+						issue = r
+					}
 				}
-			}
 
-			var complete uint64
-			if isMem {
-				complete = members[m].DC.Access(issue, ev.Addr, isStore)
-				// Blocking d-cache: nothing issues until the access
-				// completes.
-				if complete > issue+1 {
-					issue = complete - 1
+				var complete uint64
+				if isMem {
+					complete = members[m].DC.Access(issue, ev.Addr, isStore)
+					// Blocking d-cache: nothing issues until the access
+					// completes.
+					if complete > issue+1 {
+						issue = complete - 1
+					}
+				} else {
+					complete = issue + execLat
 				}
-			} else {
-				complete = issue + execLat
-			}
 
-			switch action {
-			case ctrlRedirectBTBMiss:
-				ft += front.btbMissPenalty
-			case ctrlRedirectMispredict:
-				if at := complete + cfg.MispredictPenalty; at > ft {
-					ft = at
+				switch action {
+				case ctrlRedirectBTBMiss:
+					ft += front.btbMissPenalty
+				case ctrlRedirectMispredict:
+					if at := complete + cfg.MispredictPenalty; at > ft {
+						ft = at
+					}
+				}
+				fetchTime[m] = ft
+
+				sb[i%uint64(window)] = complete
+				issueTime[m] = issue
+				if complete > maxComplete[m] {
+					maxComplete[m] = complete
 				}
 			}
-			fetchTime[m] = ft
-
-			sb[i%uint64(window)] = complete
-			issueTime[m] = issue
-			if complete > maxComplete[m] {
-				maxComplete[m] = complete
+			// Members forked during the loop (Join) joined its end: run
+			// this instruction for them too, from their snapshots.
+			if !armed || len(members) == len(g.members) {
+				break
 			}
 		}
 	}
 
-	for m := range maxComplete {
-		maxComplete[m]++
+	for m := range t.maxComplete {
+		t.maxComplete[m]++
 	}
-	return g.results(instr, act, maxComplete)
+	return g.results(instr, act, t.maxComplete)
 }

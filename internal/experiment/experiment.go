@@ -349,6 +349,20 @@ func (s SweepSpec) ArtifactKey() (sim.Key, error) {
 type Sweep struct {
 	spec SweepSpec
 	key  sim.Key
+	// cold is the batch EnqueueSweeps enqueued for the sweep, which
+	// Best then runs without building or fingerprinting it again; nil
+	// until then.
+	cold *coldBatch
+}
+
+// coldBatch is a cold sweep's batch: its configs — the baseline, then
+// every candidate — their runner jobs, and the candidates' policies over
+// the resized cache's schedule.
+type coldBatch struct {
+	sched core.Schedule
+	cfgs  []sim.Config
+	jobs  []runner.Job
+	pols  []sim.PolicySpec
 }
 
 // Resolve checks that the spec's sweep can run — a single resized
@@ -419,6 +433,23 @@ func (sw Sweep) Configs() ([]sim.Config, []sim.PolicySpec) {
 	return sw.batch(sw.schedule())
 }
 
+// coldBatch returns the batch EnqueueSweeps recorded for the sweep, or
+// builds and fingerprints it. The baseline takes the spec's fingerprint
+// (baseKey), which a spec made from a Baseline does not recompute.
+func (sw Sweep) coldBatch() *coldBatch {
+	if sw.cold != nil {
+		return sw.cold
+	}
+	b := &coldBatch{sched: sw.schedule()}
+	b.cfgs, b.pols = sw.batch(b.sched)
+	b.jobs = make([]runner.Job, len(b.cfgs))
+	b.jobs[0] = runner.Job{Cfg: &b.cfgs[0], Key: sw.spec.baseKey()}
+	for i := 1; i < len(b.cfgs); i++ {
+		b.jobs[i] = runner.Job{Cfg: &b.cfgs[i], Key: b.cfgs[i].Key()}
+	}
+	return b
+}
+
 // batch is Configs over an already built schedule.
 func (sw Sweep) batch(sched core.Schedule) ([]sim.Config, []sim.PolicySpec) {
 	n := 0
@@ -456,17 +487,16 @@ func describe(sched core.Schedule, p sim.PolicySpec) string {
 // enqueued up front by a plan gathers by joining the in-flight work.
 func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 	return cachedBest(ctx, opts.runner(), sw.key, func(ctx context.Context) (Best, error) {
-		sched := sw.schedule()
-		cfgs, pols := sw.batch(sched)
-		res, err := opts.runner().RunAll(ctx, cfgs)
+		b := sw.coldBatch()
+		res, err := opts.runner().RunAll(ctx, b.jobs)
 		if err != nil {
 			return Best{}, err
 		}
 		bestIdx := pickBest(res)
-		p := pols[bestIdx-1]
+		p := b.pols[bestIdx-1]
 		return Best{
 			App: sw.spec.App, Side: sw.spec.Side, Org: sw.spec.Org,
-			Desc: describe(sched, p), Spec: p,
+			Desc: describe(b.sched, p), Spec: p,
 			Chosen: res[bestIdx],
 			Base:   res[0],
 		}, nil
@@ -476,34 +506,46 @@ func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 // EnqueueSweeps submits the simulations of every cold sweep to the
 // runner in one batched, non-blocking pass: sweeps whose artifact is
 // already cached (either tier) are skipped outright, the rest have their
-// configs materialized, deduplicated by fingerprint (sweeps of one plan
-// share baselines) and handed to Runner.Enqueue in one call. The later
-// per-sweep gathers (Sweep.Best) then join the in-flight work, so a
-// multi-scenario plan's simulations interleave freely on the shared
-// pool instead of running one sweep's batch at a time. Returns the
-// number of configs enqueued and a wait function with Runner.Enqueue's
-// semantics (cancel ctx, then wait, before flushing a store out from
-// under abandoned stragglers).
+// batches built and fingerprinted once — a sweep listed twice shares
+// one — deduplicated by fingerprint (sweeps of one plan share
+// baselines) and handed to Runner.Enqueue in one call. Each cold
+// sweep's element of sweeps records its batch, so the later per-sweep
+// gather (Best on that element) joins the in-flight work without
+// building or hashing anything again, and a multi-scenario plan's
+// simulations interleave freely on the shared pool instead of running
+// one sweep's batch at a time. Returns the number of configs enqueued
+// and a wait function with Runner.Enqueue's semantics (cancel ctx, then
+// wait, before flushing a store out from under abandoned stragglers).
 func EnqueueSweeps(ctx context.Context, sweeps []Sweep, opts Options) (int, func()) {
 	r := opts.runner()
-	seen := make(map[sim.Key]bool)
-	var cfgs []sim.Config
-	for _, sw := range sweeps {
+	var batches map[sim.Key]*coldBatch // made by the first cold sweep
+	var seen map[sim.Key]bool
+	var jobs []runner.Job
+	for i := range sweeps {
+		sw := &sweeps[i]
+		if b, ok := batches[sw.key]; ok {
+			sw.cold = b
+			continue
+		}
 		if r.HasArtifact(sw.key) {
 			continue
 		}
-		scfgs, _ := sw.Configs()
-		for i := range scfgs {
-			if k := scfgs[i].Key(); !seen[k] {
-				seen[k] = true
-				cfgs = append(cfgs, scfgs[i])
+		if batches == nil {
+			batches, seen = make(map[sim.Key]*coldBatch), make(map[sim.Key]bool)
+		}
+		b := sw.coldBatch()
+		batches[sw.key], sw.cold = b, b
+		for _, j := range b.jobs {
+			if !seen[j.Key] {
+				seen[j.Key] = true
+				jobs = append(jobs, j)
 			}
 		}
 	}
-	if len(cfgs) == 0 {
+	if len(jobs) == 0 {
 		return 0, func() {}
 	}
-	return r.Enqueue(ctx, cfgs)
+	return r.Enqueue(ctx, jobs)
 }
 
 // resolveAll resolves every spec, failing on the first that cannot run.
@@ -565,38 +607,64 @@ func dynamicCandidates(sched core.Schedule, lowTraffic bool, yield func(sim.Poli
 	}
 }
 
-// CombinedBests is the decoupled-profiling protocol generalized over
-// the hierarchy: one simulation with every profiled winner applied to
-// its side of base — any subset of {d-cache, i-cache, L2}. The paper's
-// Figure 9 combines the two L1 winners: the additivity of d- and
-// i-cache resizing lets each be profiled alone. Each part carries its
-// own side, organization, and policy from its sweep; the returned Best
-// compares against the parts' shared non-resizable baseline.
-func CombinedBests(ctx context.Context, base sim.Config, parts []Best, opts Options) (Best, error) {
+// Combination is a combined run: one simulation with every profiled
+// winner applied to its side of a base config — any subset of
+// {d-cache, i-cache, L2}. The paper's Figure 9 combines the two L1
+// winners: the additivity of d- and i-cache resizing lets each be
+// profiled alone. Each part carries its own side, organization, and
+// policy from its sweep.
+type Combination struct {
+	// Cfg is the combined run's config.
+	Cfg   sim.Config
+	parts []Best
+}
+
+// Combine applies every part's winner to base, its parts' shared
+// non-resizable baseline.
+func Combine(base sim.Config, parts []Best) (Combination, error) {
 	if len(parts) == 0 {
-		return Best{}, fmt.Errorf("experiment: no profiled parts to combine")
+		return Combination{}, fmt.Errorf("experiment: no profiled parts to combine")
 	}
 	cfg := base
-	descs := make([]string, 0, len(parts))
-	resized := make([]Side, 0, len(parts))
 	for _, p := range parts {
 		geom, err := sideGeom(&cfg, p.Side)
 		if err != nil {
-			return Best{}, err
+			return Combination{}, err
 		}
 		applySide(&cfg, p.Side, sim.CacheSpec{Geom: geom, Org: p.Org, Policy: p.Spec})
+	}
+	return Combination{Cfg: cfg, parts: parts}, nil
+}
+
+// Best is the combination's outcome given its run's result, compared
+// against the parts' shared baseline.
+func (c Combination) Best(res sim.Result) Best {
+	descs := make([]string, 0, len(c.parts))
+	resized := make([]Side, 0, len(c.parts))
+	for _, p := range c.parts {
 		descs = append(descs, p.Desc)
 		resized = append(resized, p.Side)
 	}
-	res, err := opts.runner().Run(ctx, cfg)
+	return Best{
+		App: c.parts[0].App, Side: BothSides, Org: c.parts[0].Org,
+		Desc:    "both: " + strings.Join(descs, " + "),
+		Chosen:  res,
+		Base:    c.parts[0].Base,
+		Resized: resized,
+	}
+}
+
+// CombinedBests is the decoupled-profiling protocol generalized over
+// the hierarchy: the Combination of parts over base, run on the
+// options' runner.
+func CombinedBests(ctx context.Context, base sim.Config, parts []Best, opts Options) (Best, error) {
+	c, err := Combine(base, parts)
 	if err != nil {
 		return Best{}, err
 	}
-	return Best{
-		App: parts[0].App, Side: BothSides, Org: parts[0].Org,
-		Desc:    "both: " + strings.Join(descs, " + "),
-		Chosen:  res,
-		Base:    parts[0].Base,
-		Resized: resized,
-	}, nil
+	res, err := opts.runner().Run(ctx, c.Cfg)
+	if err != nil {
+		return Best{}, err
+	}
+	return c.Best(res), nil
 }

@@ -165,7 +165,7 @@ func TestRunAllPropagatesErrors(t *testing.T) {
 	cfgs[0].Instructions = 1000
 	opts := DefaultOptions()
 	opts.Runner = runner.New(runner.Options{Workers: 2})
-	if _, err := opts.runner().RunAll(context.Background(), cfgs); err == nil {
+	if _, err := opts.runner().RunAll(context.Background(), runner.Jobs(cfgs)); err == nil {
 		t.Fatal("bad config did not surface")
 	}
 }

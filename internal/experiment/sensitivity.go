@@ -7,6 +7,7 @@ import (
 
 	"resizecache/internal/core"
 	"resizecache/internal/geometry"
+	"resizecache/internal/runner"
 	"resizecache/internal/sim"
 )
 
@@ -120,7 +121,7 @@ func IntervalSensitivity(ctx context.Context, opts Options) ([]SensitivityRow, e
 			batch = append(batch, base, cfg)
 		}
 	}
-	res, err := opts.runner().RunAll(ctx, batch)
+	res, err := opts.runner().RunAll(ctx, runner.Jobs(batch))
 	if err != nil {
 		return nil, err
 	}

@@ -81,7 +81,7 @@ func TestEnqueueCoalescesGangs(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
 	}
-	n, wait := r.Enqueue(ctx, cfgs)
+	n, wait := r.Enqueue(ctx, Jobs(cfgs))
 	wait()
 	if n != 10 {
 		t.Fatalf("enqueued %d, want 10", n)
@@ -120,7 +120,7 @@ func TestEnqueueGangsOnlyWithinFrontGroups(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cfgs = append(cfgs, gangCfgN("gcc", i), gangCfgN("vpr", i))
 	}
-	_, wait := r.Enqueue(context.Background(), cfgs)
+	_, wait := r.Enqueue(context.Background(), Jobs(cfgs))
 	wait()
 
 	if got := rec.sizes(); !reflect.DeepEqual(got, []int{3, 3}) {
@@ -144,7 +144,7 @@ func TestEnqueueSingletonGroupsRunSolo(t *testing.T) {
 	r := New(Options{Workers: 2, RunGang: rec.run})
 	// Three distinct fronts, one config each: nothing to coalesce.
 	cfgs := []sim.Config{cfgN(1), cfgN(2), cfgN(3)}
-	_, wait := r.Enqueue(context.Background(), cfgs)
+	_, wait := r.Enqueue(context.Background(), Jobs(cfgs))
 	wait()
 	if len(rec.sizes()) != 0 {
 		t.Errorf("gang dispatched for singleton groups: %v", rec.sizes())
@@ -164,7 +164,7 @@ func TestGangSizeOneDisablesCoalescing(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
 	}
-	_, wait := r.Enqueue(context.Background(), cfgs)
+	_, wait := r.Enqueue(context.Background(), Jobs(cfgs))
 	wait()
 	if len(rec.sizes()) != 0 || rec.alone() != 4 {
 		t.Errorf("gang batches %v, solo %d; want none ganged, 4 solo",
@@ -188,7 +188,7 @@ func TestGangErrorFallsBackToSolo(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
 	}
-	_, wait := r.Enqueue(ctx, cfgs)
+	_, wait := r.Enqueue(ctx, Jobs(cfgs))
 	wait()
 	if got := solo.Load(); got != 3 {
 		t.Errorf("%d solo fallback simulations, want 3", got)
@@ -216,7 +216,7 @@ func TestGangSkipsStoreHits(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
 	}
-	_, wait := r.Enqueue(context.Background(), cfgs)
+	_, wait := r.Enqueue(context.Background(), Jobs(cfgs))
 	wait()
 
 	if got := rec.sizes(); !reflect.DeepEqual(got, []int{3}) {
@@ -244,7 +244,7 @@ func TestRealGangThroughRunner(t *testing.T) {
 		c.DCache.Geom.SizeBytes = kb << 10
 		cfgs = append(cfgs, c)
 	}
-	_, wait := r.Enqueue(ctx, cfgs)
+	_, wait := r.Enqueue(ctx, Jobs(cfgs))
 	wait()
 	if st := r.Stats(); st.Ganged != 3 || st.GangBatches != 1 {
 		t.Fatalf("stats = %+v, want 3 ganged in 1 batch", st)
@@ -280,7 +280,7 @@ func TestRunAllGangsColdBatch(t *testing.T) {
 		cfgs = append(cfgs, c)
 	}
 	r := New(Options{Workers: 2})
-	res, err := r.RunAll(ctx, cfgs)
+	res, err := r.RunAll(ctx, Jobs(cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +318,7 @@ func TestEnqueueKeepsSharedClassesWhole(t *testing.T) {
 	rec := &gangRecorder{}
 	r := New(Options{Workers: 2, GangSize: 2, RunGang: rec.run})
 	ctx := context.Background()
-	res, err := r.RunAll(ctx, cfgs)
+	res, err := r.RunAll(ctx, Jobs(cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestRunAllGoroutinesBoundedByGangs(t *testing.T) {
 	base := runtime.NumGoroutine()
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunAll(context.Background(), cfgs)
+		_, err := r.RunAll(context.Background(), Jobs(cfgs))
 		done <- err
 	}()
 	<-started
@@ -445,7 +445,7 @@ func TestRunAllFailureCancelsAndDrains(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunAll(context.Background(), cfgs)
+		_, err := r.RunAll(context.Background(), Jobs(cfgs))
 		done <- err
 	}()
 	// Release the running simulation once everything queued behind it

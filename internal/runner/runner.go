@@ -60,9 +60,10 @@ type Options struct {
 	// GangSize bounds how many machines one gang simulation
 	// (sim.RunGang) that Enqueue coalesces starts with: a gang takes up
 	// to GangSize share classes of same-front-end configs
-	// (sim.Config.ShareKey), whole, and runs one machine per class until
-	// the class's dynamic controllers disagree. 0 means DefaultGangSize;
-	// 1 disables coalescing.
+	// (sim.Config.ShareKey), whole, and runs one machine per class. Where
+	// a class's dynamic controllers disagree the machine forks, so the
+	// gang can end with more machines than it started with. 0 means
+	// DefaultGangSize; 1 disables coalescing.
 	GangSize int
 	// RunGang overrides the simulation entry point (nil = sim.RunGang
 	// over the runner's recorded workload streams). It returns one
@@ -341,15 +342,37 @@ func (r *Runner) Stats() Stats {
 	}
 }
 
+// Job is one config to run and its fingerprint (sim.Config.Key),
+// computed once by whoever built the config. Cfg points into the
+// caller's configs: the runner reads it until the job's work is done,
+// so the caller must not modify it meanwhile.
+type Job struct {
+	Cfg *sim.Config
+	Key sim.Key
+}
+
+// Jobs fingerprints cfgs into jobs that point into it.
+func Jobs(cfgs []sim.Config) []Job {
+	jobs := make([]Job, len(cfgs))
+	for i := range cfgs {
+		jobs[i] = Job{Cfg: &cfgs[i], Key: cfgs[i].Key()}
+	}
+	return jobs
+}
+
 // Run executes (or resolves from memo/store/in-flight work) one config.
 // Identical configs are only ever simulated once per Runner; errors are
 // memoized like results, except cancellation errors, which evict the
 // entry so a later live context can retry.
 func (r *Runner) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+	return r.run(ctx, Job{Cfg: &cfg, Key: cfg.Key()})
+}
+
+// run is Run for a fingerprinted config.
+func (r *Runner) run(ctx context.Context, j Job) (sim.Result, error) {
 	r.submitted.Add(1)
-	key := cfg.Key()
 	for {
-		res, err, retry := r.runKey(ctx, key, cfg)
+		res, err, retry := r.runKey(ctx, j.Key, j.Cfg)
 		if !retry {
 			return res, err
 		}
@@ -359,7 +382,7 @@ func (r *Runner) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 // runKey resolves one fingerprint. retry is true when the entry it
 // waited on was evicted after a cancellation that does not apply to this
 // caller's still-live context.
-func (r *Runner) runKey(ctx context.Context, key sim.Key, cfg sim.Config) (sim.Result, error, bool) {
+func (r *Runner) runKey(ctx context.Context, key sim.Key, cfg *sim.Config) (sim.Result, error, bool) {
 	if err := ctx.Err(); err != nil {
 		return sim.Result{}, err, false
 	}
@@ -401,20 +424,9 @@ func (r *Runner) runKey(ctx context.Context, key sim.Key, cfg sim.Config) (sim.R
 // publishes the outcome. Both Run owners and Enqueue goroutines funnel
 // through here, so enqueued work persists, counts, and cancels exactly
 // like directly submitted work.
-func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Config) (sim.Result, error) {
-	if r.store != nil {
-		if sr, ok := r.store.Lookup(key); ok {
-			r.storeHits.Add(1)
-			var err error
-			if sr.Err != "" {
-				// Replay the persisted failure instead of re-simulating a
-				// config known to fail.
-				err = &StoredError{Msg: sr.Err}
-				r.errs.Add(1)
-			}
-			r.complete(key, e, sr.Result, err)
-			return sr.Result, err
-		}
+func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg *sim.Config) (sim.Result, error) {
+	if res, err, ok := r.fromStore(key, e); ok {
+		return res, err
 	}
 
 	// Acquire a worker slot, simulate, publish.
@@ -425,7 +437,7 @@ func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Con
 		return sim.Result{}, ctx.Err()
 	}
 	var res sim.Result
-	out, err := r.runGang([]sim.Config{cfg})
+	out, err := r.runGang([]sim.Config{*cfg})
 	<-r.sem
 	if err == nil {
 		res = out[0]
@@ -446,7 +458,79 @@ func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Con
 	return res, err
 }
 
-// Enqueue submits a batch of configs without waiting for their results:
+// fromStore completes entry e for key from the persistent store, if
+// the store holds it; ok reports whether it did.
+func (r *Runner) fromStore(key sim.Key, e *entry) (res sim.Result, err error, ok bool) {
+	if r.store == nil {
+		return sim.Result{}, nil, false
+	}
+	sr, ok := r.store.Lookup(key)
+	if !ok {
+		return sim.Result{}, nil, false
+	}
+	res, err = r.completeStored(key, e, sr)
+	return res, err, true
+}
+
+// completeStored completes entry e for key with a stored outcome. A
+// stored failure replays as a StoredError instead of re-simulating a
+// config known to fail.
+func (r *Runner) completeStored(key sim.Key, e *entry, sr StoredResult) (sim.Result, error) {
+	r.storeHits.Add(1)
+	var err error
+	if sr.Err != "" {
+		err = &StoredError{Msg: sr.Err}
+		r.errs.Add(1)
+	}
+	r.complete(key, e, sr.Result, err)
+	return sr.Result, err
+}
+
+// Resolve answers a submission of key at once when it can — from a
+// completed memo entry, or from the persistent store — and counts it
+// exactly as Run would. It never simulates and never waits: ok is false
+// for a fingerprint that is unknown or in flight, and the caller goes
+// on to run it.
+func (r *Runner) Resolve(key sim.Key) (res sim.Result, err error, ok bool) {
+	r.mu.Lock()
+	if e, known := r.entries[key]; known {
+		select {
+		case <-e.done:
+			if e.elem != nil {
+				r.lru.MoveToFront(e.elem)
+			}
+			r.mu.Unlock()
+			r.submitted.Add(1)
+			r.memoHits.Add(1)
+			return e.res, e.err, true
+		default:
+			r.mu.Unlock()
+			return sim.Result{}, nil, false
+		}
+	}
+	r.mu.Unlock()
+	if r.store == nil {
+		return sim.Result{}, nil, false
+	}
+	sr, stored := r.store.Lookup(key)
+	if !stored {
+		return sim.Result{}, nil, false
+	}
+	r.mu.Lock()
+	if _, known := r.entries[key]; known {
+		// Another submission got there first: the caller joins it.
+		r.mu.Unlock()
+		return sim.Result{}, nil, false
+	}
+	e := &entry{done: make(chan struct{})}
+	r.entries[key] = e
+	r.mu.Unlock()
+	r.submitted.Add(1)
+	res, err = r.completeStored(key, e, sr)
+	return res, err, true
+}
+
+// Enqueue submits a batch of jobs without waiting for their results:
 // fingerprints not yet known to the runner are registered synchronously
 // — before Enqueue returns, a later Run/RunAll of the same config joins
 // the in-flight work instead of simulating it again — and execute on
@@ -454,12 +538,14 @@ func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Con
 // memoized or executing are skipped. Outcomes land in the memo table
 // and persistent store exactly as if Run had been called; cancelling
 // ctx abandons work that has not started, leaving those fingerprints
-// retryable. Returns the number of configs actually enqueued.
+// retryable. Returns the number of jobs actually enqueued.
 //
 // Enqueue is the batch-scheduling primitive behind RunAll and plan
 // execution: a multi-sweep plan enqueues every profiling simulation in
 // one pass, so the pool interleaves across sweeps and scenarios instead
-// of draining one sweep's batch at a time.
+// of draining one sweep's batch at a time. It takes each job's key as
+// given and its config by pointer, so a plan's configs are hashed once
+// and copied only into the gangs that run them.
 //
 // The returned wait function blocks until every goroutine this call
 // spawned has published its outcome (to the memo table and, when
@@ -474,23 +560,22 @@ func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg sim.Con
 // instead of one pass each; a class is never split across gangs.
 // Coalescing is invisible to waiters — outcomes publish to the same
 // entries — and is accounted by the Ganged/GangBatches counters.
-func (r *Runner) Enqueue(ctx context.Context, cfgs []sim.Config) (int, func()) {
-	if len(cfgs) == 0 || ctx.Err() != nil {
+func (r *Runner) Enqueue(ctx context.Context, jobs []Job) (int, func()) {
+	if len(jobs) == 0 || ctx.Err() != nil {
 		return 0, func() {}
 	}
 	var wg sync.WaitGroup
 	var fresh []gangItem
-	for i := range cfgs {
-		key := cfgs[i].Key()
+	for _, j := range jobs {
 		r.mu.Lock()
-		if _, ok := r.entries[key]; ok {
+		if _, ok := r.entries[j.Key]; ok {
 			r.mu.Unlock()
 			continue
 		}
 		e := &entry{done: make(chan struct{})}
-		r.entries[key] = e
+		r.entries[j.Key] = e
 		r.mu.Unlock()
-		fresh = append(fresh, gangItem{cfg: cfgs[i], key: key, e: e})
+		fresh = append(fresh, gangItem{Job: j, e: e})
 	}
 	if len(fresh) == 0 {
 		return 0, func() {}
@@ -502,7 +587,7 @@ func (r *Runner) Enqueue(ctx context.Context, cfgs []sim.Config) (int, func()) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.execute(ctx, it.key, it.e, it.cfg)
+			r.execute(ctx, it.Key, it.e, it.Cfg)
 		}()
 	}
 
@@ -516,8 +601,9 @@ func (r *Runner) Enqueue(ctx context.Context, cfgs []sim.Config) (int, func()) {
 	// Group the fresh entries by shared front-end, and each front group
 	// by share class (sim.Config.ShareKey), both in order of first
 	// appearance. A front group dispatches as gangs of up to gangSize
-	// whole classes — a gang runs one machine per class until the
-	// class's controllers disagree — and a lone straggler solo.
+	// whole classes — a gang starts one machine per class and forks it
+	// where the class's controllers disagree — and a lone straggler
+	// solo.
 	for _, g := range groupBy(fresh, sim.Config.FrontKey) {
 		classes := groupBy(g, sim.Config.ShareKey)
 		for lo := 0; lo < len(classes); lo += r.gangSize {
@@ -542,7 +628,7 @@ func groupBy(items []gangItem, key func(sim.Config) sim.Key) [][]gangItem {
 	at := make(map[sim.Key]int)
 	var groups [][]gangItem
 	for _, it := range items {
-		k := key(it.cfg)
+		k := key(*it.Cfg)
 		n, ok := at[k]
 		if !ok {
 			n = len(groups)
@@ -556,9 +642,8 @@ func groupBy(items []gangItem, key func(sim.Config) sim.Key) [][]gangItem {
 
 // gangItem is one fresh Enqueue registration awaiting execution.
 type gangItem struct {
-	cfg sim.Config
-	key sim.Key
-	e   *entry
+	Job
+	e *entry
 }
 
 // executeGang owns a batch of same-front entries: members found in the
@@ -569,38 +654,28 @@ type gangItem struct {
 func (r *Runner) executeGang(ctx context.Context, batch []gangItem) {
 	live := batch[:0]
 	for _, it := range batch {
-		if r.store != nil {
-			if sr, ok := r.store.Lookup(it.key); ok {
-				r.storeHits.Add(1)
-				var err error
-				if sr.Err != "" {
-					err = &StoredError{Msg: sr.Err}
-					r.errs.Add(1)
-				}
-				r.complete(it.key, it.e, sr.Result, err)
-				continue
-			}
+		if _, _, ok := r.fromStore(it.Key, it.e); !ok {
+			live = append(live, it)
 		}
-		live = append(live, it)
 	}
 	switch len(live) {
 	case 0:
 		return
 	case 1:
-		r.execute(ctx, live[0].key, live[0].e, live[0].cfg)
+		r.execute(ctx, live[0].Key, live[0].e, live[0].Cfg)
 		return
 	}
 
 	gangCfgs := make([]sim.Config, len(live))
 	for i, it := range live {
-		gangCfgs[i] = it.cfg
+		gangCfgs[i] = *it.Cfg
 	}
 
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
 		for _, it := range live {
-			r.complete(it.key, it.e, sim.Result{}, ctx.Err())
+			r.complete(it.Key, it.e, sim.Result{}, ctx.Err())
 		}
 		return
 	}
@@ -611,7 +686,7 @@ func (r *Runner) executeGang(ctx context.Context, batch []gangItem) {
 		// The gang entry point rejects the whole batch on any member's
 		// error; re-run each member alone so it gets its own outcome.
 		for _, it := range live {
-			r.execute(ctx, it.key, it.e, it.cfg)
+			r.execute(ctx, it.Key, it.e, it.Cfg)
 		}
 		return
 	}
@@ -620,9 +695,9 @@ func (r *Runner) executeGang(ctx context.Context, batch []gangItem) {
 		r.runs.Add(1)
 		r.ganged.Add(1)
 		if r.store != nil {
-			r.store.Record(it.key, StoredResult{Result: results[i]})
+			r.store.Record(it.Key, StoredResult{Result: results[i]})
 		}
-		r.complete(it.key, it.e, results[i], nil)
+		r.complete(it.Key, it.e, results[i], nil)
 	}
 }
 
@@ -653,23 +728,23 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunAll executes a batch and returns results in submission order. It
-// enqueues the batch — so same-front-end configs coalesce into gangs
-// and the pool runs them without a goroutine per config — then gathers
-// each result in order with Run. The first failing config (by
+// RunAll executes a batch of jobs and returns results in submission
+// order. It enqueues the batch — so same-front-end configs coalesce
+// into gangs and the pool runs them without a goroutine per config —
+// then gathers each result in order. The first failing config (by
 // submission index) determines the returned error; before returning,
 // RunAll cancels whatever it enqueued that is still pending and waits
 // for it, so no simulation it started outlives the call. Concurrency is
 // bounded by the Runner's shared worker pool.
-func (r *Runner) RunAll(ctx context.Context, cfgs []sim.Config) ([]sim.Result, error) {
+func (r *Runner) RunAll(ctx context.Context, jobs []Job) ([]sim.Result, error) {
 	enqCtx, stop := context.WithCancel(ctx)
-	_, wait := r.Enqueue(enqCtx, cfgs)
+	_, wait := r.Enqueue(enqCtx, jobs)
 	defer func() { stop(); wait() }()
-	results := make([]sim.Result, len(cfgs))
-	for i := range cfgs {
-		res, err := r.Run(ctx, cfgs[i])
+	results := make([]sim.Result, len(jobs))
+	for i, j := range jobs {
+		res, err := r.run(ctx, j)
 		if err != nil {
-			return nil, fmt.Errorf("runner: config %d (%s): %w", i, cfgs[i].Benchmark, err)
+			return nil, fmt.Errorf("runner: config %d (%s): %w", i, j.Cfg.Benchmark, err)
 		}
 		results[i] = res
 	}

@@ -82,7 +82,7 @@ func TestRunAllDeterministicOrderAndBaselineDedup(t *testing.T) {
 	// A sweep-shaped batch: baseline duplicated at both ends plus three
 	// distinct candidates.
 	cfgs := []sim.Config{cfgN(0), cfgN(1), cfgN(2), cfgN(3), cfgN(0)}
-	res, err := r.RunAll(context.Background(), cfgs)
+	res, err := r.RunAll(context.Background(), Jobs(cfgs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestContextCancellationMidSweep(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunAll(ctx, cfgs)
+		_, err := r.RunAll(ctx, Jobs(cfgs))
 		done <- err
 	}()
 	<-started // first simulation occupies the single worker
@@ -237,7 +237,7 @@ func TestDiskStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := New(Options{Workers: 2, Store: store, RunGang: each(runSim)})
-	if _, err := r1.RunAll(context.Background(), []sim.Config{cfgN(0), cfgN(1)}); err != nil {
+	if _, err := r1.RunAll(context.Background(), Jobs([]sim.Config{cfgN(0), cfgN(1)})); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Flush(); err != nil {
@@ -635,7 +635,7 @@ func TestEnqueueRegistersSynchronouslyAndJoins(t *testing.T) {
 		return stubResult(cfg), nil
 	})})
 	cfgs := []sim.Config{cfgN(0), cfgN(1), cfgN(2)}
-	if n, _ := r.Enqueue(context.Background(), cfgs); n != 3 {
+	if n, _ := r.Enqueue(context.Background(), Jobs(cfgs)); n != 3 {
 		t.Fatalf("enqueued %d configs, want 3", n)
 	}
 	// Entries are registered before Enqueue returns, so a batch gather of
@@ -643,7 +643,7 @@ func TestEnqueueRegistersSynchronouslyAndJoins(t *testing.T) {
 	// no extra simulations.
 	done := make(chan error, 1)
 	go func() {
-		_, err := r.RunAll(context.Background(), cfgs)
+		_, err := r.RunAll(context.Background(), Jobs(cfgs))
 		done <- err
 	}()
 	close(release)
@@ -658,7 +658,7 @@ func TestEnqueueRegistersSynchronouslyAndJoins(t *testing.T) {
 		t.Errorf("enqueue stats = %+v, want 3 enqueued in 1 pass", st)
 	}
 	// A second Enqueue of the same batch finds everything memoized.
-	if n, _ := r.Enqueue(context.Background(), cfgs); n != 0 {
+	if n, _ := r.Enqueue(context.Background(), Jobs(cfgs)); n != 0 {
 		t.Errorf("warm Enqueue submitted %d configs, want 0", n)
 	}
 }
@@ -672,7 +672,7 @@ func TestEnqueueCancellationLeavesRetryable(t *testing.T) {
 		return stubResult(cfg), nil
 	})})
 	ctx, cancel := context.WithCancel(context.Background())
-	r.Enqueue(ctx, []sim.Config{cfgN(0), cfgN(1)})
+	r.Enqueue(ctx, Jobs([]sim.Config{cfgN(0), cfgN(1)}))
 	<-started // first owner occupies the single worker; second queues
 	cancel()
 	close(release)
@@ -770,7 +770,7 @@ func TestEnqueueWaitDrainsStragglersBeforeFlush(t *testing.T) {
 		return stubResult(cfg), nil
 	})})
 	ctx, cancel := context.WithCancel(context.Background())
-	n, wait := r.Enqueue(ctx, []sim.Config{cfgN(0), cfgN(1)})
+	n, wait := r.Enqueue(ctx, Jobs([]sim.Config{cfgN(0), cfgN(1)}))
 	if n != 2 {
 		t.Fatalf("enqueued %d, want 2", n)
 	}
@@ -843,5 +843,52 @@ func TestStaleKeyEncodingInvalidatesCleanly(t *testing.T) {
 	}
 	if _, ok := store3.Lookup(cfgN(0).Key()); !ok {
 		t.Fatal("fresh result not persisted under the current key")
+	}
+}
+
+// TestResolveNeverRunsOrWaits: Resolve answers a memoized or stored
+// fingerprint at once and counts it as Run would; an unknown or
+// in-flight one it leaves to the caller, without running or waiting.
+func TestResolveNeverRunsOrWaits(t *testing.T) {
+	store := NewMemStore()
+	store.Record(cfgN(1).Key(), StoredResult{Result: stubResult(cfgN(1))})
+	release := make(chan struct{})
+	var calls atomic.Int32
+	r := New(Options{Workers: 2, Store: store, RunGang: each(func(cfg sim.Config) (sim.Result, error) {
+		calls.Add(1)
+		if cfg.Instructions == cfgN(2).Instructions {
+			<-release
+		}
+		return stubResult(cfg), nil
+	})})
+	ctx := context.Background()
+	if _, err := r.Run(ctx, cfgN(0)); err != nil {
+		t.Fatal(err)
+	}
+	before := r.Stats()
+
+	if res, err, ok := r.Resolve(cfgN(0).Key()); !ok || err != nil || res.CPU != stubResult(cfgN(0)).CPU {
+		t.Errorf("memoized config: ok=%v err=%v res=%+v", ok, err, res.CPU)
+	}
+	if res, err, ok := r.Resolve(cfgN(1).Key()); !ok || err != nil || res.CPU != stubResult(cfgN(1)).CPU {
+		t.Errorf("stored config: ok=%v err=%v res=%+v", ok, err, res.CPU)
+	}
+	if _, _, ok := r.Resolve(cfgN(3).Key()); ok {
+		t.Error("unknown config resolved")
+	}
+	_, wait := r.Enqueue(ctx, Jobs([]sim.Config{cfgN(2)}))
+	if _, _, ok := r.Resolve(cfgN(2).Key()); ok {
+		t.Error("in-flight config resolved")
+	}
+	close(release)
+	wait()
+
+	d := r.Stats().Delta(before)
+	if d.Submitted != 2 || d.MemoHits != 1 || d.StoreHits != 1 || calls.Load() != 2 {
+		t.Errorf("Resolve counted %+v with %d simulations, want 2 submitted, 1 memo hit, 1 store hit, 2 simulations", d, calls.Load())
+	}
+	// The stored outcome now answers from the memo.
+	if _, err := r.Run(ctx, cfgN(1)); err != nil || r.Stats().MemoHits != before.MemoHits+2 {
+		t.Errorf("stored config not memoized after Resolve: %v, %+v", err, r.Stats())
 	}
 }

@@ -120,7 +120,7 @@ func TestRunnerGangWarmupCheckpoint(t *testing.T) {
 		cfgs[i] = base
 		cfgs[i].DCache.Geom.Assoc = 1 << i
 	}
-	n, wait := r.Enqueue(context.Background(), cfgs)
+	n, wait := r.Enqueue(context.Background(), Jobs(cfgs))
 	if n != len(cfgs) {
 		t.Fatalf("enqueued %d of %d", n, len(cfgs))
 	}

@@ -16,8 +16,9 @@ import (
 // its own: a replay of the memoized recording when there is one, or
 // else its own generator, since generation is deterministic.
 // Runner-built gangs start with at most the configured gang size
-// (default 8) of machines; only a later pass whose controllers split
-// many ways can chunk.
+// (default 8) of machines, and forks grow a pass past gangChunk without
+// chunking it; only a later pass over a dynamic shared level's
+// followers can chunk.
 const gangChunk = 32
 
 // RunGang executes N simulations in one workload+engine pass. All
@@ -29,9 +30,11 @@ const gangChunk = 32
 // hierarchy depth, MSHRs, and energy models may all differ per member.
 // Members that differ only in the thresholds of their one dynamic
 // policy (equal ShareKeys) share one machine until their controllers
-// disagree; the ones that split off re-run from the start in a later
-// pass, so the gang builds one machine per distinct decision
-// trajectory.
+// disagree. Where followers split from their leader at a boundary of a
+// dynamic L1, the machine forks there, in the same pass, and each new
+// machine runs on from the boundary; followers of a dynamic shared
+// level re-run from the start in a later pass instead. Either way the
+// gang builds one machine per distinct decision trajectory.
 //
 // Every simulation runs here: Run is a gang of one. Each member's Result
 // is bit-identical to Run on the same config, whatever the member order
@@ -73,26 +76,32 @@ func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, War
 				cfgs[0].Benchmark, cfgs[0].Instructions, cfgs[0].Engine, cfgs[0].CPU, cfgs[0].Sampling)
 		}
 	}
-	return runGangOver(cfgs, prof, cs, streams)
+	return runGangOver(cfgs, prof, cs, streams, nil)
 }
 
 // runGangOver runs a validated gang over prof's stream. Configs with
 // equal ShareKeys form one group that runs on one machine, led by its
 // first config: the leader's dynamic policy carries the others as
 // followers, and a follower still attached when the run ends gets a
-// copy of the leader's Result. The followers that detached, grouped by
-// leader and split point, are the groups of the next pass over the
-// stream. A regrouped follower agrees with its new leader through the
-// boundary it split at, so every later split comes strictly later and
-// the passes end. Each pass drives its machines in chunks of gangChunk.
-func runGangOver(cfgs []Config, prof *workload.Profile, cs CheckpointStore, streams *Streams) ([]Result, WarmupStats, error) {
+// copy of the leader's Result. Followers that split from their leader
+// at a boundary of a dynamic L1 fork a machine there, in the same
+// pass (shareRun.Split). The re-run loop below is left only for what a
+// fork cannot take exactly: the followers of a dynamic shared level,
+// which one instruction can reach more than once. Those that detached,
+// grouped by leader and split point, are the groups of the next pass
+// over the stream. A regrouped follower agrees with its new leader
+// through the boundary it split at, so every later split comes
+// strictly later and the passes end. Each pass starts its machines in
+// chunks of gangChunk. tr, when non-nil, records the passes and forks
+// (tests).
+func runGangOver(cfgs []Config, prof *workload.Profile, cs CheckpointStore, streams *Streams, tr *gangTrace) ([]Result, WarmupStats, error) {
 	var ws WarmupStats
 	out := make([]Result, len(cfgs))
 	chunkWS := &ws
 	for groups := shareGroups(cfgs); len(groups) > 0; {
 		var next [][]int
 		for lo := 0; lo < len(groups); lo += gangChunk {
-			split, err := runChunk(cfgs, groups[lo:min(lo+gangChunk, len(groups))], prof, cs, streams, chunkWS, out)
+			split, err := runChunk(cfgs, groups[lo:min(lo+gangChunk, len(groups))], prof, cs, streams, chunkWS, out, tr)
 			if err != nil {
 				return nil, ws, err
 			}
@@ -106,6 +115,20 @@ func runGangOver(cfgs []Config, prof *workload.Profile, cs CheckpointStore, stre
 		groups = next
 	}
 	return out, ws, nil
+}
+
+// gangTrace records what runGangOver did, for tests: one entry per
+// engine pass with the machines it ended with, and every fork.
+type gangTrace struct {
+	passMachines []int
+	forks        []forkEvent
+}
+
+// forkEvent is one fork: the boundary at which followers left a
+// machine, how many new machines they formed, and the machine's fork
+// generation (0 for a machine a pass started with).
+type forkEvent struct {
+	boundary, machines, gen int
 }
 
 // shareGroups partitions cfgs' indices by ShareKey, in order of first
@@ -128,63 +151,60 @@ func shareGroups(cfgs []Config) [][]int {
 
 // runChunk runs one engine pass over groups of cfgs' indices, leader
 // first, writing every attached member's Result to out, and returns the
-// groups its detached followers form.
-func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs CheckpointStore, streams *Streams, ws *WarmupStats, out []Result) ([][]int, error) {
-	leaders := make([]Config, len(groups))
-	machines := make([]*machine, len(groups))
+// groups its detached followers form. Followers that split at a
+// boundary of a dynamic L1 fork a machine of their own inside the pass
+// (see shareRun.Split) and are done with it; only the followers of a
+// dynamic shared level are left for a later pass.
+func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs CheckpointStore, streams *Streams, ws *WarmupStats, out []Result, tr *gangTrace) ([][]int, error) {
+	p := &pass{cfgs: cfgs, trace: tr}
 	members := make([]cpu.GangMember, len(groups))
-	// followers[j][k] is the policy following on behalf of groups[j][k+1];
-	// nil for a config identical to its leader, which never detaches.
-	followers := make([][]*core.DynamicPolicy, len(groups))
 	for j, g := range groups {
-		cfg := cfgs[g[0]]
-		m, err := buildMachine(cfg)
+		sr, err := p.addRun(g)
 		if err != nil {
-			return nil, memberErr(cfgs, g[0], err)
+			return nil, err
 		}
-		leaders[j], machines[j] = cfg, m
-		members[j] = cpu.GangMember{IC: m.ic.level, DC: m.dc.level}
-		followers[j] = make([]*core.DynamicPolicy, len(g)-1)
-		if at := cfg.dynamicLevel(); at >= 0 && len(g) > 1 {
-			lead := m.levelAt(at).r.Policy().(*core.DynamicPolicy)
-			for k, i := range g[1:] {
-				f := cfgs[i].policyAt(at).build().(*core.DynamicPolicy)
-				lead.Follow(f)
-				followers[j][k] = f
-			}
-		}
+		members[j] = sr.member()
 	}
 
-	cfg0 := leaders[0]
+	cfg0 := cfgs[groups[0][0]]
 	eng, err := newEngine(cfg0, members)
 	if err != nil {
 		return nil, err
 	}
-	res := make([]Result, len(groups))
+	p.eng = eng
+	for _, sr := range p.runs {
+		sr.hook()
+	}
+	var res []Result
 	st := streams.stream(prof, cfg0.Instructions, cfg0.Sampling)
 	if cfg0.Sampling.Enabled() {
-		if err := runSampled(leaders, prof, st, machines, eng, cs, ws, res); err != nil {
-			return nil, err
-		}
+		res, err = p.runSampled(prof, st, cs, ws)
 	} else {
-		for j, r := range eng.RunWindow(st.src, cfg0.Instructions, nil) {
-			res[j] = machines[j].finish(leaders[j], r)
+		rs := eng.RunWindow(st.src, cfg0.Instructions, nil)
+		res = make([]Result, len(rs))
+		for j, r := range rs {
+			sr := p.runs[j]
+			res[j] = sr.m.finish(cfgs[sr.lead], r)
 		}
+	}
+	p.release()
+	if err != nil {
+		return nil, err
+	}
+	if tr != nil {
+		tr.passMachines = append(tr.passMachines, len(p.runs))
 	}
 
 	var next [][]int
-	for j, g := range groups {
-		out[g[0]] = res[j]
-		// This group's splits, parallel to the groups it appends to next.
+	for j, sr := range p.runs {
+		out[sr.lead] = res[j]
+		// This run's splits, parallel to the groups it appends to next.
 		var splits []core.Split
 		first := len(next)
-		for k, i := range g[1:] {
-			s, detached := core.Split{}, false
-			if f := followers[j][k]; f != nil {
-				s, detached = f.Detached()
-			}
+		for _, f := range sr.follow {
+			s, detached := f.detached()
 			if !detached {
-				out[i] = res[j].clone()
+				out[f.i] = res[j].clone()
 				continue
 			}
 			n := slices.Index(splits, s)
@@ -193,7 +213,7 @@ func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs Checkpoi
 				splits = append(splits, s)
 				next = append(next, nil)
 			}
-			next[first+n] = append(next[first+n], i)
+			next[first+n] = append(next[first+n], f.i)
 		}
 	}
 	return next, nil

@@ -240,7 +240,7 @@ func (c Config) FrontKey() Key {
 // Key of the config with that policy's MissBound, SizeBoundBytes and
 // UpsizeHoldIntervals zeroed. Such configs make the same resize
 // decisions until their controllers first disagree, so a gang runs
-// them on one machine until then (see RunGang). Interval stays in the
+// them on one machine until then, and forks it there (see RunGang). Interval stays in the
 // key: it sets the boundaries, and with them SizeTrace's length. With
 // no dynamic policy, or dynamic policies at two or more levels,
 // ShareKey is Key.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"resizecache/internal/cpu"
 	"resizecache/internal/stats"
@@ -254,6 +255,16 @@ type windowAccum struct {
 	firstPJ     float64
 }
 
+// fork is a copy of w for a machine forked from w's mid-window: the
+// windows measured so far are the fork's too.
+func (w *windowAccum) fork(m *machine) windowAccum {
+	f := *w
+	f.m = m
+	f.cpi = slices.Clone(w.cpi)
+	f.epi = slices.Clone(w.epi)
+	return f
+}
+
 // observe folds one detailed window's result in. Window energy is the
 // machine's energy delta (after integrating background energy to the
 // window's end cycle) plus the core energy of the window's activity.
@@ -441,50 +452,47 @@ func sampleSchedule(spec SamplingSpec, budget, at uint64, st sampleSteps) uint64
 	return total
 }
 
-// chunkSteps are a sampled chunk's moves: detailed windows measured into
-// every member's windowAccum, skips on the stream, fast-forwards through
-// the engine.
-type chunkSteps struct {
-	cfgs []Config
-	eng  *cpu.Gang
-	src  workload.SkipSource
-	accs []windowAccum
-	base []uint64
-}
-
-func (c *chunkSteps) window(n uint64) uint64 {
-	rs := c.eng.RunWindow(c.src, n, c.base)
+// window, skip and fastForward are a sampled pass's moves: detailed
+// windows measured into every machine's windowAccum, skips on the
+// stream, fast-forwards through the engine.
+func (p *pass) window(n uint64) uint64 {
+	rs := p.eng.RunWindow(p.src, n, p.base)
 	if rs[0].Instructions == 0 {
 		return 0
 	}
-	for i := range c.accs {
-		c.accs[i].observe(c.cfgs[i], rs[i])
-		c.base[i] = rs[i].Cycles
+	// Machines forked during the window joined accs and base with
+	// their parents' windows so far.
+	for i := range p.accs {
+		sr := p.runs[i]
+		p.accs[i].observe(p.cfgs[sr.lead], rs[i])
+		p.base[i] = rs[i].Cycles
 	}
 	return rs[0].Instructions
 }
 
-func (c *chunkSteps) skip(n uint64) uint64        { return c.src.Skip(n) }
-func (c *chunkSteps) fastForward(n uint64) uint64 { return c.eng.FastForward(c.src, n) }
+func (p *pass) skip(n uint64) uint64        { return p.src.Skip(n) }
+func (p *pass) fastForward(n uint64) uint64 { return p.eng.FastForward(p.src, n) }
 
-// runSampled runs one chunk of a sampled gang over st: the warmup
-// prefix (checkpointed), then the sampling schedule, writing member i's
-// Result to out[i].
-func runSampled(cfgs []Config, prof *workload.Profile, st stream, machines []*machine, eng *cpu.Gang, cs CheckpointStore, ws *WarmupStats, out []Result) error {
-	cfg0 := cfgs[0]
-	consumed := warmupWithCheckpoint(cfg0, prof, eng, st, cs, ws)
-	c := &chunkSteps{cfgs: cfgs, eng: eng, src: st.src,
-		accs: make([]windowAccum, len(cfgs)), base: make([]uint64, len(cfgs))}
-	for i := range c.accs {
-		c.accs[i].m = machines[i]
+// runSampled runs a sampled pass over st: the warmup prefix
+// (checkpointed), then the sampling schedule. It returns each machine's
+// Result in engine member order.
+func (p *pass) runSampled(prof *workload.Profile, st stream, cs CheckpointStore, ws *WarmupStats) ([]Result, error) {
+	cfg0 := p.cfgs[p.runs[0].lead]
+	consumed := warmupWithCheckpoint(cfg0, prof, p.eng, st, cs, ws)
+	p.src = st.src
+	p.accs = make([]windowAccum, len(p.runs))
+	p.base = make([]uint64, len(p.runs))
+	for i, sr := range p.runs {
+		p.accs[i].m = sr.m
 	}
-	total := sampleSchedule(cfg0.Sampling, cfg0.Instructions, consumed, c)
-	for i := range c.accs {
-		res, err := c.accs[i].finish(cfgs[i], total, consumed)
+	total := sampleSchedule(cfg0.Sampling, cfg0.Instructions, consumed, p)
+	out := make([]Result, len(p.accs))
+	for i := range p.accs {
+		res, err := p.accs[i].finish(p.cfgs[p.runs[i].lead], total, consumed)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out[i] = res
 	}
-	return nil
+	return out, nil
 }

@@ -10,13 +10,6 @@ import (
 	"resizecache/internal/workload"
 )
 
-// Positions of the resized cache in a sweep batch (see policyAt).
-const (
-	dPos  = 0
-	iPos  = 1
-	l2Pos = 2
-)
-
 // sweepBase is the non-resizable baseline a profiling sweep derives its
 // candidates from, built as internal/experiment builds it: 32K 2-way
 // L1s and the default L2.

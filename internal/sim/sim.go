@@ -446,6 +446,58 @@ func buildMachine(cfg Config) (*machine, error) {
 	return &machine{dc: dc, ic: ic, shared: shared, mems: mems}, nil
 }
 
+// blankMachine builds a fresh machine of cfg's shape for a snapshot or
+// a fork to copy a running one into (copyFrom). cfg built a machine
+// before, so building it again cannot fail.
+func blankMachine(cfg Config) *machine {
+	m, err := buildMachine(cfg)
+	if err != nil {
+		panic("sim: rebuilding a machine failed: " + err.Error())
+	}
+	return m
+}
+
+// copyFrom makes m's state a copy of src's, level by level; both must
+// have been built from configs of one share class. Policies stay put:
+// each machine keeps its own.
+func (m *machine) copyFrom(src *machine) {
+	m.dc.copyFrom(src.dc)
+	m.ic.copyFrom(src.ic)
+	for i := range m.shared {
+		m.shared[i].copyFrom(src.shared[i])
+	}
+	for i, mem := range m.mems {
+		*mem = *src.mems[i]
+	}
+}
+
+// copyFrom copies src's state into b.
+func (b builtLevel) copyFrom(src builtLevel) {
+	if b.r != nil {
+		b.r.CopyFrom(src.r)
+		return
+	}
+	b.c.CopyFrom(src.c)
+}
+
+// release returns the machine's frame arrays for reuse; the machine is
+// dead afterwards, though its reports stay readable.
+func (m *machine) release() {
+	m.dc.c.Release()
+	m.ic.c.Release()
+	for _, b := range m.shared {
+		b.c.Release()
+	}
+}
+
+// Machine positions of the caches (see levelAt): the d-cache, the
+// i-cache and the outermost shared level, the L2.
+const (
+	dPos  = 0
+	iPos  = 1
+	l2Pos = 2
+)
+
 // levelAt returns the cache at machine position i: 0 the d-cache, 1 the
 // i-cache, 2+i the shared level i (see Config.dynamicLevel).
 func (m *machine) levelAt(i int) builtLevel {
@@ -494,11 +546,7 @@ func (m *machine) finish(cfg Config, res cpu.Result) Result {
 		ICache: m.ic.report().CacheReport,
 		Levels: levelReports,
 	}
-	m.dc.c.Release()
-	m.ic.c.Release()
-	for _, b := range m.shared {
-		b.c.Release()
-	}
+	m.release()
 	return out
 }
 

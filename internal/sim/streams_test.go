@@ -221,11 +221,11 @@ func TestBackToBackRunsBitIdentical(t *testing.T) {
 // replayed a recording.
 func warmReplay(t *testing.T, s *Streams, gang []Config, prof *workload.Profile, cs CheckpointStore) ([]Result, WarmupStats) {
 	t.Helper()
-	if _, _, err := runGangOver(gang, prof, nil, s); err != nil {
+	if _, _, err := runGangOver(gang, prof, nil, s, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := s.replays.Load()
-	got, ws, err := runGangOver(gang, prof, cs, s)
+	got, ws, err := runGangOver(gang, prof, cs, s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestStreamsSampledReplayRunsDry(t *testing.T) {
 					ILevels: []workload.WSLevel{{Blocks: 64, Frac: 1}}},
 			},
 		}
-		want, _, err := runGangOver(gang, prof, nil, nil)
+		want, _, err := runGangOver(gang, prof, nil, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestStreamsSampledReplayRunsDry(t *testing.T) {
 		for _, cs := range []CheckpointStore{nil, newMapStore()} {
 			got, _ := warmReplay(t, s, gang, prof, cs)
 			// A second replay restores the checkpoint the first saved.
-			again, ws, err := runGangOver(gang, prof, cs, s)
+			again, ws, err := runGangOver(gang, prof, cs, s, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -404,7 +404,7 @@ func TestStreamsReplayCheckpointMatchesLive(t *testing.T) {
 	if a, b := live.m[cfg.WarmKey()], replayed.m[cfg.WarmKey()]; !bytes.Equal(a, b) {
 		t.Errorf("replay saved a %d-byte checkpoint, live run %d bytes; they differ", len(b), len(a))
 	}
-	restored, ws, err := runGangOver([]Config{cfg}, prof, live, s)
+	restored, ws, err := runGangOver([]Config{cfg}, prof, live, s, nil)
 	if err != nil || !ws.CheckpointHit {
 		t.Fatalf("replay over the live checkpoint: err=%v stats=%+v, want a hit", err, ws)
 	}
@@ -442,7 +442,7 @@ func TestStreamsReplayCheckpointWrongConsumed(t *testing.T) {
 		for _, streams := range []*Streams{nil, s} {
 			store := newMapStore()
 			store.RecordArtifact(cfg.WarmKey(), data)
-			res, ws, err := runGangOver([]Config{cfg}, prof, store, streams)
+			res, ws, err := runGangOver([]Config{cfg}, prof, store, streams, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

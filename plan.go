@@ -17,6 +17,8 @@ import (
 	"sync"
 
 	"resizecache/internal/experiment"
+	"resizecache/internal/runner"
+	"resizecache/internal/sim"
 )
 
 // Grid declares a design-space sweep as axes over Scenario fields.
@@ -251,17 +253,27 @@ func (s *Session) Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan 
 	}
 
 	// Resolve every scenario's sweeps once: the enqueue pass and the
-	// scenario's gather share them, so each sweep is fingerprinted once,
-	// and each distinct baseline once per plan.
+	// scenario's gather share them — each scenario gathers over its own
+	// span of all, in which the enqueue pass records the cold sweeps'
+	// batches — so each sweep is built and fingerprinted once, and each
+	// distinct baseline once per plan.
 	sweeps := make([][]experiment.Sweep, plan.Len())
 	errs := make([]error, plan.Len())
 	var all []experiment.Sweep
 	bases := make(baselines)
+	enqCtx, stopEnqueue := context.WithCancel(ctx)
+	comb := &combiner{r: s.r, ctx: enqCtx}
 	for i, sc := range plan.scenarios {
 		sweeps[i], errs[i] = sc.sweeps(bases)
 		all = append(all, sweeps[i]...)
+		if errs[i] == nil && len(sweeps[i]) > 1 {
+			comb.pending++
+		}
 	}
-	enqCtx, stopEnqueue := context.WithCancel(ctx)
+	for i, at := 0, 0; i < len(sweeps); i++ {
+		n := len(sweeps[i])
+		sweeps[i], at = all[at:at+n:at+n], at+n
+	}
 	_, waitEnqueued := experiment.EnqueueSweeps(enqCtx, all, experiment.Options{Runner: s.r})
 
 	total := plan.Len()
@@ -274,7 +286,7 @@ func (s *Session) Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan 
 			defer wg.Done()
 			res := Result{Index: i, Scenario: sc, Err: errs[i]}
 			if res.Err == nil {
-				res.Outcome, res.Err = gather(ctx, sc, sweeps[i], s.r)
+				res.Outcome, res.Err = gather(ctx, sc, sweeps[i], s.r, comb)
 			}
 			mu.Lock()
 			completed++
@@ -292,9 +304,86 @@ func (s *Session) Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan 
 		// Flush right after could race their store writes and lose them.
 		stopEnqueue()
 		waitEnqueued()
+		comb.waitEnqueued()
 		close(out)
 	}()
 	return out
+}
+
+// combiner batches a plan's combined runs, the one simulation each
+// scenario that resizes several caches makes after its sweeps, so that
+// same-front combined configs gang as the sweeps' candidates do. A
+// scenario's combined config that the memo or the store already holds
+// resolves at once (a warm plan never waits here); a cold one joins the
+// batch, and its scenario waits until every scenario counted in pending
+// has either joined, resolved, or failed. The last to arrive enqueues
+// the batch, and each waiting scenario then gathers its result by
+// joining the in-flight work.
+type combiner struct {
+	r   *runner.Runner
+	ctx context.Context // the plan's enqueue context
+
+	mu      sync.Mutex
+	pending int // scenarios that have yet to arrive
+	jobs    []runner.Job
+	ready   chan struct{} // closed once the batch is enqueued
+	wait    func()        // the batch's Enqueue wait
+}
+
+// run resolves or batches the combined config cfg and returns its
+// result; it counts as its scenario's arrival.
+func (c *combiner) run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+	key := cfg.Key()
+	if res, err, ok := c.r.Resolve(key); ok {
+		c.arrive(nil)
+		return res, err
+	}
+	return c.runCold(ctx, cfg, key)
+}
+
+// runCold adds a cold combined config to the batch, waits until the
+// batch is enqueued and joins its run. The batch keeps cfg, so it lives
+// on the heap; a warm run never gets here.
+func (c *combiner) runCold(ctx context.Context, cfg sim.Config, key sim.Key) (sim.Result, error) {
+	ready := c.arrive(&runner.Job{Cfg: &cfg, Key: key})
+	select {
+	case <-ready:
+	case <-ctx.Done():
+		return sim.Result{}, ctx.Err()
+	}
+	return c.r.Run(ctx, cfg)
+}
+
+// arrive records one counted scenario's arrival, with its cold combined
+// job if it has one, and returns the channel that closes once the batch
+// is enqueued. The last arrival enqueues it.
+func (c *combiner) arrive(j *runner.Job) <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ready == nil {
+		c.ready = make(chan struct{})
+	}
+	if j != nil {
+		c.jobs = append(c.jobs, *j)
+	}
+	if c.pending--; c.pending == 0 {
+		if len(c.jobs) > 0 {
+			_, c.wait = c.r.Enqueue(c.ctx, c.jobs)
+		}
+		close(c.ready)
+	}
+	return c.ready
+}
+
+// waitEnqueued waits for the batch's stragglers, as Runner.Enqueue's
+// wait does.
+func (c *combiner) waitEnqueued() {
+	c.mu.Lock()
+	wait := c.wait
+	c.mu.Unlock()
+	if wait != nil {
+		wait()
+	}
 }
 
 // Collect drains a Run stream and returns every result in plan order.

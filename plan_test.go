@@ -614,3 +614,49 @@ func TestLargeGangsMatchSoloSession(t *testing.T) {
 		t.Error("large-gang session outcomes differ from the solo session's")
 	}
 }
+
+// TestPlanGangsCombinedRuns: a cold plan's combined runs (one per
+// scenario that resizes both L1s) are enqueued as one batch once every
+// such scenario has profiled its sides, so same-front combined configs
+// gang like the sweeps' candidates and nothing runs alone; the outcomes
+// are Simulate's. A warm rerun resolves every combined config at once
+// from the memo: nothing is enqueued or simulated.
+func TestPlanGangsCombinedRuns(t *testing.T) {
+	scenarios := []Scenario{
+		{Benchmark: "m88ksim", Organization: SelectiveSets, Sides: BothSides, Instructions: 30_000},
+		{Benchmark: "m88ksim", Organization: SelectiveWays, Sides: BothSides, Instructions: 30_000},
+		{Benchmark: "m88ksim", Organization: Hybrid, Sides: BothSides, Instructions: 30_000},
+	}
+	plan, err := PlanOf(scenarios...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession()
+	ctx := context.Background()
+	got, err := Collect(s.Run(ctx, plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := s.Stats()
+	if cold.Runs == 0 || cold.Ganged != cold.Runs {
+		t.Errorf("%d of %d simulations ran alone: combined runs did not gang (%+v)", cold.Runs-cold.Ganged, cold.Runs, cold)
+	}
+	for i, r := range got {
+		want, err := NewSession().Simulate(scenarios[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Stats, r.Outcome.Stats = runner.Stats{}, runner.Stats{}
+		if !reflect.DeepEqual(r.Outcome, want) {
+			t.Errorf("scenario %d: plan outcome %+v, Simulate %+v", i, r.Outcome, want)
+		}
+	}
+
+	if _, err := Collect(s.Run(ctx, plan)); err != nil {
+		t.Fatal(err)
+	}
+	warm := s.Stats().Delta(cold)
+	if warm.Runs != 0 || warm.Enqueued != 0 || warm.EnqueueBatches != 0 || warm.MemoHits < uint64(len(scenarios)) {
+		t.Errorf("warm plan did fresh work or missed the memo: %+v", warm)
+	}
+}
