@@ -202,14 +202,14 @@ func BenchmarkAblationFreeFlush(b *testing.B) {
 }
 
 // staticBest runs the static profiling sweep for one (app, side, org,
-// assoc) cell.
-func staticBest(b *testing.B, app string, side experiment.Side, org core.Organization, assoc int, opts experiment.Options) experiment.Best {
+// assoc) cell on r.
+func staticBest(b *testing.B, r *runner.Runner, app string, side experiment.Side, org core.Organization, assoc int, opts experiment.Options) experiment.Best {
 	b.Helper()
 	sw, err := experiment.NewSweepSpec(app, side, org, assoc, false, opts).Resolve()
 	if err != nil {
 		b.Fatal(err)
 	}
-	best, err := sw.Best(context.Background(), opts)
+	best, err := sw.Best(context.Background(), r)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -220,10 +220,11 @@ func staticBest(b *testing.B, app string, side experiment.Side, org core.Organiz
 // prefer-highest-associativity rule versus preferring the fewest ways.
 func BenchmarkAblationHybridTieBreak(b *testing.B) {
 	opts := benchOpts()
+	r := runner.New(runner.Options{})
 	var maxAssoc, minWays float64
 	for i := 0; i < b.N; i++ {
-		ba := staticBest(b, "vpr", experiment.DSide, core.Hybrid, 4, opts)
-		bw := staticBest(b, "vpr", experiment.DSide, core.HybridMinWays, 4, opts)
+		ba := staticBest(b, r, "vpr", experiment.DSide, core.Hybrid, 4, opts)
+		bw := staticBest(b, r, "vpr", experiment.DSide, core.HybridMinWays, 4, opts)
 		maxAssoc = ba.EDPReductionPct()
 		minWays = bw.EDPReductionPct()
 	}
@@ -280,23 +281,23 @@ func BenchmarkRunnerMemoization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := benchOpts()
 		opts.Apps = []string{"m88ksim"}
-		opts.Runner = runner.New(runner.Options{})
+		r := runner.New(runner.Options{})
 		sweep := func() {
 			for _, org := range orgs {
-				staticBest(b, "m88ksim", experiment.DSide, org, 4, opts)
+				staticBest(b, r, "m88ksim", experiment.DSide, org, 4, opts)
 			}
 		}
 		start := time.Now()
 		sweep()
 		cold := time.Since(start)
-		afterCold := opts.Runner.Stats()
+		afterCold := r.Stats()
 		if afterCold.Hits() < 1 {
 			b.Fatalf("cold sweep scored no memo hits: %+v", afterCold)
 		}
 		start = time.Now()
 		sweep()
 		warm := time.Since(start)
-		st := opts.Runner.Stats()
+		st := r.Stats()
 		if st.Runs != afterCold.Runs {
 			b.Fatalf("warm sweep re-simulated: %d -> %d runs", afterCold.Runs, st.Runs)
 		}

@@ -68,7 +68,6 @@ func realMain() int {
 		instr    = flag.Uint64("instr", 1_500_000, "instructions per simulation")
 		apps     = flag.String("apps", "", "comma-separated benchmark subset (default all twelve)")
 		par      = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		gang     = flag.Int("gang", 0, "max same-front configs coalesced into one simulation pass (0 = default 8, 1 = no coalescing)")
 		resume   = flag.String("resume", "", "JSON result/artifact-store path for cross-process resume")
 		server   = flag.String("server", "", "run plans on a simd daemon at this address (unix:<path> or host:port; a comma-separated list fails over) instead of in-process")
 		stats    = flag.Bool("stats", false, "print runner hit/miss statistics to stderr")
@@ -121,7 +120,7 @@ func realMain() int {
 			fmt.Fprintln(os.Stderr, "figures: -server is not supported for sensitivity experiments (they bypass the plan protocol)")
 			return 1
 		}
-		if err := runSens(ctx, *exp, *instr, appList, *par, *gang, *resume, *memo, *stats); err != nil {
+		if err := runSens(ctx, *exp, *instr, appList, *par, *resume, *memo, *stats); err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			return 1
 		}
@@ -145,7 +144,7 @@ func realMain() int {
 		session = remote
 	} else {
 		local, err := resizecache.NewSessionWith(resizecache.SessionOptions{
-			Workers: *par, GangSize: *gang, StorePath: *resume, MemoLimit: *memo})
+			Workers: *par, StorePath: *resume, MemoLimit: *memo})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			return 1
@@ -289,8 +288,8 @@ func sensExperiment(exp string) bool {
 }
 
 // runSens runs the extension sensitivity sweeps on the experiment layer.
-func runSens(ctx context.Context, exp string, instr uint64, apps []string, par, gang int, resume string, memo int, stats bool) error {
-	ropts := runner.Options{Workers: par, GangSize: gang, MemoLimit: memo}
+func runSens(ctx context.Context, exp string, instr uint64, apps []string, par int, resume string, memo int, stats bool) error {
+	ropts := runner.Options{Workers: par, MemoLimit: memo}
 	var store *runner.DiskStore
 	if resume != "" {
 		var err error
@@ -305,27 +304,26 @@ func runSens(ctx context.Context, exp string, instr uint64, apps []string, par, 
 	opts := experiment.DefaultOptions()
 	opts.Instructions = instr
 	opts.Apps = apps
-	opts.Runner = r
 
 	sens := func(name string) bool { return exp == "sens" || exp == name }
 	var err error
 	if err == nil && sens("sens-subarray") {
 		var rows []experiment.SensitivityRow
-		if rows, err = experiment.SubarraySensitivity(ctx, opts); err == nil {
+		if rows, err = experiment.SubarraySensitivity(ctx, r, opts); err == nil {
 			fmt.Println(experiment.RenderSensitivity(
 				"Sensitivity: subarray granularity (static selective-sets d-cache)", rows))
 		}
 	}
 	if err == nil && sens("sens-interval") {
 		var rows []experiment.SensitivityRow
-		if rows, err = experiment.IntervalSensitivity(ctx, opts); err == nil {
+		if rows, err = experiment.IntervalSensitivity(ctx, r, opts); err == nil {
 			fmt.Println(experiment.RenderSensitivity(
 				"Sensitivity: dynamic interval (in-order engine, d-cache)", rows))
 		}
 	}
 	if err == nil && sens("sens-l2") {
 		var rows []experiment.SensitivityRow
-		if rows, err = experiment.L2Sensitivity(ctx, opts); err == nil {
+		if rows, err = experiment.L2Sensitivity(ctx, r, opts); err == nil {
 			fmt.Println(experiment.RenderSensitivity(
 				"Sensitivity: L2 capacity (static selective-sets d-cache)", rows))
 		}

@@ -139,7 +139,6 @@ func realMain() int {
 		l2assoc   = flag.Int("l2assoc", 0, "L2 set-associativity (0 = the hierarchy default, 4)")
 
 		stats  = flag.Bool("stats", false, "print runner hit/miss statistics to stderr")
-		gang   = flag.Int("gang", 0, "max same-front configs coalesced into one simulation pass (0 = default 8, 1 = no coalescing)")
 		server = flag.String("server", "", "share the memo store of a simd daemon at this address (unix:<path> or host:port; a comma-separated list fails over); simulations still run locally")
 
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -165,7 +164,7 @@ func realMain() int {
 		}
 	}()
 
-	sopts := resizecache.SessionOptions{GangSize: *gang}
+	var sopts resizecache.SessionOptions
 	if *server != "" {
 		// Simulations run in this process, but results and profiling
 		// artifacts round-trip to the daemon's store — so detached

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	simd -listen unix:/tmp/simd.sock -store results.json
-//	simd -listen tcp:127.0.0.1:9821 -workers 8 -gang 8
+//	simd -listen tcp:127.0.0.1:9821 -workers 8
 //
 // Clients connect with resizecache.Dial (figures -server, respcache
 // -server) or runner.OpenNetStore. The first SIGINT/SIGTERM drains
@@ -40,7 +40,6 @@ func realMain() int {
 	var (
 		listen  = flag.String("listen", "tcp:127.0.0.1:9821", "listen address: unix:<path> or tcp:<host:port> (a bare path or host:port also works)")
 		workers = flag.Int("workers", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		gang    = flag.Int("gang", 0, "max same-front configs coalesced into one simulation pass (0 = default 8, 1 = no coalescing)")
 		store   = flag.String("store", "", "JSON result/artifact-store path backing the daemon (empty = in-memory only)")
 		memo    = flag.Int("memolimit", 65536, "max in-memory memoized results, LRU-evicted beyond (0 = unbounded)")
 		idle    = flag.Duration("idletimeout", 5*time.Minute, "close connections idle (no frames, no in-flight requests) this long; clients keep-alive with pings (0 = never)")
@@ -48,8 +47,7 @@ func realMain() int {
 	)
 	flag.Parse()
 
-	opts := simd.Options{Workers: *workers, GangSize: *gang, MemoLimit: *memo,
-		IdleTimeout: *idle}
+	opts := simd.Options{Workers: *workers, MemoLimit: *memo, IdleTimeout: *idle}
 	if *store != "" {
 		diskStore, err := runner.OpenDiskStore(*store)
 		if err != nil {
@@ -92,8 +90,8 @@ func realMain() int {
 		srv.Abort()
 	}()
 
-	fmt.Fprintf(os.Stderr, "simd: listening on %s (workers=%d, gang=%d, store=%q)\n",
-		*listen, *workers, *gang, *store)
+	fmt.Fprintf(os.Stderr, "simd: listening on %s (workers=%d, store=%q)\n",
+		*listen, *workers, *store)
 	serveErr := srv.Serve(ctx, ln)
 	fmt.Fprintln(os.Stderr, "simd:", srv.Stats())
 	if serveErr != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 func main() {
-	out, err := resizecache.Simulate(resizecache.Scenario{
+	out, err := resizecache.NewSession().Simulate(resizecache.Scenario{
 		Benchmark:    "m88ksim",
 		Organization: resizecache.SelectiveSets,
 		Strategy:     resizecache.Static,

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"resizecache/internal/experiment"
+	"resizecache/internal/runner"
 )
 
 func main() {
@@ -17,8 +18,9 @@ func main() {
 	opts.Instructions = 500_000
 	opts.Apps = []string{"ammp", "vpr"}
 	ctx := context.Background()
+	r := runner.New(runner.Options{})
 
-	rows, err := experiment.SubarraySensitivity(ctx, opts)
+	rows, err := experiment.SubarraySensitivity(ctx, r, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func main() {
 	fmt.Println("points, so small-working-set apps keep gaining; coarser subarrays")
 	fmt.Println("throw that opportunity away.")
 
-	rows, err = experiment.IntervalSensitivity(ctx, opts)
+	rows, err = experiment.IntervalSensitivity(ctx, r, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

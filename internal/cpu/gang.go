@@ -139,6 +139,8 @@ func NewGangInOrder(cfg Config, bp bpred.Predictor, members []GangMember) (*Gang
 }
 
 // NewOutOfOrder builds a one-member out-of-order engine over ic and dc.
+// Only tests and the benchmark harness call it and NewInOrder; both go
+// with the next benchmark change.
 func NewOutOfOrder(cfg Config, ic, dc cache.Level, bp bpred.Predictor) (*Gang, error) {
 	return NewGangOutOfOrder(cfg, bp, []GangMember{{IC: ic, DC: dc}})
 }

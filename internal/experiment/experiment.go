@@ -1,17 +1,18 @@
 // Package experiment defines the paper's evaluation machinery: offline
 // profiling sweeps that select static sizes and dynamic parameters by
 // minimum energy-delay product (a SweepSpec resolved into a Sweep whose
-// Best picks the winner, and CombinedBests for several sides at once),
+// Best picks the winner, and a Combination for several sides at once),
 // plus the extension sensitivity studies. The table/figure drivers
 // themselves live in the public figures package, built on the facade's
 // Grid/Plan/Session.Run batch API.
 //
 // All simulation execution goes through the run-orchestration layer
-// (internal/runner): sweeps submit batches of configs to a shared
-// memoizing worker pool, so repeated configurations — most prominently
-// the non-resizable baseline every sweep compares against — simulate at
-// most once per runner, and a plan's sweeps can be enqueued up front in
-// one batched pass (EnqueueSweeps) so gathers join in-flight work. On
+// (internal/runner): every driver takes the *runner.Runner to run on,
+// and sweeps submit batches of configs to its memoizing worker pool, so
+// repeated configurations — most prominently the non-resizable baseline
+// every sweep compares against — simulate at most once per runner, and
+// a plan's sweeps can be enqueued up front in one batched pass
+// (EnqueueSweeps) so gathers join in-flight work. On
 // top of that, every winner-selection sweep (Sweep.Best and the
 // sensitivity variants) memoizes its outcome as a sweep-level artifact
 // keyed by the sweep's definition (see artifact.go), so a driver
@@ -63,7 +64,9 @@ func (s Side) String() string {
 }
 
 // Options control sweep scale; the defaults regenerate the paper's
-// figures at full fidelity.
+// figures at full fidelity. The runner a sweep executes on is passed
+// beside them. Options stays a struct of these three fields, which the
+// benchmark harness spells by name, until the next benchmark change.
 type Options struct {
 	// Instructions per simulation.
 	Instructions uint64
@@ -72,10 +75,6 @@ type Options struct {
 	// Engine is the processor model (Figures 4-6 and 9 use the
 	// out-of-order base configuration).
 	Engine sim.EngineKind
-	// Runner executes the simulations (nil = the process-wide shared
-	// runner). Passing a dedicated runner makes a sweep hermetic; passing
-	// one with a DiskStore makes it resumable across processes.
-	Runner *runner.Runner
 }
 
 // DefaultOptions returns full-fidelity settings.
@@ -88,13 +87,6 @@ func (o Options) apps() []string {
 		return o.Apps
 	}
 	return workload.Names()
-}
-
-func (o Options) runner() *runner.Runner {
-	if o.Runner != nil {
-		return o.Runner
-	}
-	return runner.Default()
 }
 
 // l1Geom returns the experiments' 32K L1 geometry at a set-associativity.
@@ -134,7 +126,7 @@ type Best struct {
 	Spec   sim.PolicySpec
 	Chosen sim.Result
 	Base   sim.Result
-	// Resized lists the sides a combined run (CombinedBests) resized;
+	// Resized lists the sides a combined run (Combination.Best) resized;
 	// empty for single-sweep Bests, where Side alone identifies the
 	// cache. SizeReductionPct computes over these when set.
 	Resized []Side `json:",omitempty"`
@@ -159,7 +151,7 @@ func (b Best) sideReport(side Side) sim.CacheReport {
 // SizeReductionPct is the percent reduction in average enabled capacity
 // of the resized cache(s): the single resized cache for sweep Bests,
 // the combined d+i capacity for the paper's BothSides experiment, and
-// the combined capacity of every resized side for a CombinedBests
+// the combined capacity of every resized side for a Combination's
 // result (which records them in Resized).
 func (b Best) SizeReductionPct() float64 {
 	sides := b.Resized
@@ -188,7 +180,7 @@ func (b Best) SlowdownPct() float64 { return 100 * b.Chosen.EDP.Slowdown(b.Base.
 
 // applySide sets the resizable side of a config. Only DSide, ISide, and
 // L2Side are valid: combined resizing is a distinct protocol
-// (CombinedBests), not a sweep parameter — sweeps must reject BothSides
+// (Combine), not a sweep parameter — sweeps must reject BothSides
 // via checkSweepSide. For L2Side only the level's geometry,
 // organization, and policy are replaced: the base level keeps its
 // structural knobs (precharge mode, MSHR and writeback sizing) and its
@@ -229,7 +221,7 @@ func sideGeom(cfg *sim.Config, side Side) (geometry.Geometry, error) {
 // while reporting combined d+i metrics.
 func checkSweepSide(side Side) error {
 	if side != DSide && side != ISide && side != L2Side {
-		return fmt.Errorf("experiment: profiling sweeps resize one cache (got %v); use CombinedBests for several", side)
+		return fmt.Errorf("experiment: profiling sweeps resize one cache (got %v); use Combine for several", side)
 	}
 	return nil
 }
@@ -272,7 +264,8 @@ type SweepSpec struct {
 // under opts: the static sweep over every schedule point of org (the
 // paper's static strategy: run each offered size offline, pick the
 // minimum-EDP one), or with dynamic the dynamic controller's parameter
-// grid.
+// grid. The benchmark harness calls it with this signature, which stays
+// until the next benchmark change.
 func NewSweepSpec(app string, side Side, org core.Organization, assoc int, dynamic bool, opts Options) SweepSpec {
 	return SweepSpec{App: app, Side: side, Org: org, Dynamic: dynamic,
 		Base: baseConfig(app, opts.Engine, opts.Instructions, assoc, assoc)}
@@ -477,18 +470,18 @@ func describe(sched core.Schedule, p sim.PolicySpec) string {
 	return fmt.Sprintf("static %v", sched.Points[p.StaticIndex])
 }
 
-// Best is the sweep core: it runs (or resolves) the sweep's batch and
-// selects the minimum-EDP winner versus the baseline. The whole sweep
-// memoizes as one artifact through the runner's artifact cache, keyed
+// Best is the sweep core: it runs (or resolves) the sweep's batch on r
+// and selects the minimum-EDP winner versus the baseline. The whole
+// sweep memoizes as one artifact through r's artifact cache, keyed
 // by the sweep's definition — so a repeated sweep (the same grid cell
 // in a later figure, or a resumed process with a persistent store)
 // resolves without submitting a single simulation. A cold sweep runs
 // its batch through RunAll, which gangs same-front candidates; a sweep
 // enqueued up front by a plan gathers by joining the in-flight work.
-func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
-	return cachedBest(ctx, opts.runner(), sw.key, func(ctx context.Context) (Best, error) {
+func (sw Sweep) Best(ctx context.Context, r *runner.Runner) (Best, error) {
+	return cachedBest(ctx, r, sw.key, func(ctx context.Context) (Best, error) {
 		b := sw.coldBatch()
-		res, err := opts.runner().RunAll(ctx, b.jobs)
+		res, err := r.RunAll(ctx, b.jobs)
 		if err != nil {
 			return Best{}, err
 		}
@@ -503,8 +496,8 @@ func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 	})
 }
 
-// EnqueueSweeps submits the simulations of every cold sweep to the
-// runner in one batched, non-blocking pass: sweeps whose artifact is
+// EnqueueSweeps submits the simulations of every cold sweep to r in
+// one batched, non-blocking pass: sweeps whose artifact is
 // already cached (either tier) are skipped outright, the rest have their
 // batches built and fingerprinted once — a sweep listed twice shares
 // one — deduplicated by fingerprint (sweeps of one plan share
@@ -516,8 +509,7 @@ func (sw Sweep) Best(ctx context.Context, opts Options) (Best, error) {
 // one sweep's batch at a time. Returns the number of configs enqueued
 // and a wait function with Runner.Enqueue's semantics (cancel ctx, then
 // wait, before flushing a store out from under abandoned stragglers).
-func EnqueueSweeps(ctx context.Context, sweeps []Sweep, opts Options) (int, func()) {
-	r := opts.runner()
+func EnqueueSweeps(ctx context.Context, sweeps []Sweep, r *runner.Runner) (int, func()) {
 	var batches map[sim.Key]*coldBatch // made by the first cold sweep
 	var seen map[sim.Key]bool
 	var jobs []runner.Job
@@ -652,19 +644,4 @@ func (c Combination) Best(res sim.Result) Best {
 		Base:    c.parts[0].Base,
 		Resized: resized,
 	}
-}
-
-// CombinedBests is the decoupled-profiling protocol generalized over
-// the hierarchy: the Combination of parts over base, run on the
-// options' runner.
-func CombinedBests(ctx context.Context, base sim.Config, parts []Best, opts Options) (Best, error) {
-	c, err := Combine(base, parts)
-	if err != nil {
-		return Best{}, err
-	}
-	res, err := opts.runner().Run(ctx, c.Cfg)
-	if err != nil {
-		return Best{}, err
-	}
-	return c.Best(res), nil
 }

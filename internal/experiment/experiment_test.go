@@ -17,6 +17,10 @@ import (
 	"resizecache/internal/workload"
 )
 
+// testRunner runs every fastOpts and sensOpts sweep, so the claim and
+// sensitivity tests memoize the baselines and sweeps they share.
+var testRunner = runner.New(runner.Options{})
+
 // fastOpts trades fidelity for test speed; claim tests use tolerant
 // thresholds accordingly. Full-fidelity numbers come from cmd/figures.
 func fastOpts() Options {
@@ -28,31 +32,47 @@ func fastOpts() Options {
 	return o
 }
 
-// runSweep resolves spec and runs its sweep, failing the test on an
-// error.
-func runSweep(t *testing.T, spec SweepSpec, opts Options) Best {
+// runSweep resolves spec and runs its sweep on r, failing the test on
+// an error.
+func runSweep(t *testing.T, r *runner.Runner, spec SweepSpec) Best {
 	t.Helper()
 	sw, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := sw.Best(context.Background(), opts)
+	best, err := sw.Best(context.Background(), r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return best
 }
 
-// staticBest runs the static sweep NewSweepSpec builds for the
+// staticBest runs on r the static sweep NewSweepSpec builds for the
 // arguments: every schedule point of org, minimum EDP wins.
-func staticBest(t *testing.T, app string, side Side, org core.Organization, assoc int, opts Options) Best {
+func staticBest(t *testing.T, r *runner.Runner, app string, side Side, org core.Organization, assoc int, opts Options) Best {
 	t.Helper()
-	return runSweep(t, NewSweepSpec(app, side, org, assoc, false, opts), opts)
+	return runSweep(t, r, NewSweepSpec(app, side, org, assoc, false, opts))
+}
+
+// combined runs the Combination of parts over base on r and returns its
+// outcome, as the facade does for a scenario that resizes several
+// caches.
+func combined(t *testing.T, r *runner.Runner, base sim.Config, parts []Best) Best {
+	t.Helper()
+	c, err := Combine(base, parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.Run(context.Background(), c.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Best(res)
 }
 
 func TestStaticSweepPicksProfiledMinimum(t *testing.T) {
 	opts := fastOpts()
-	best := staticBest(t, "m88ksim", DSide, core.SelectiveSets, 2, opts)
+	best := staticBest(t, testRunner, "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	// m88ksim's tiny working set must downsize substantially and win EDP.
 	if best.SizeReductionPct() < 40 {
 		t.Errorf("m88ksim size reduction %.1f%%, want >= 40%%", best.SizeReductionPct())
@@ -72,8 +92,7 @@ func TestSoloSweepGangsCandidates(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Instructions = 60_000
 	r := runner.New(runner.Options{})
-	opts.Runner = r
-	staticBest(t, "m88ksim", DSide, core.SelectiveSets, 2, opts)
+	staticBest(t, r, "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	st := r.Stats()
 	if st.EnqueueBatches == 0 || st.Enqueued == 0 {
 		t.Fatalf("solo sweep bypassed Enqueue: %+v", st)
@@ -86,7 +105,7 @@ func TestSoloSweepGangsCandidates(t *testing.T) {
 func TestSwimNeverDownsizes(t *testing.T) {
 	opts := fastOpts()
 	for _, org := range []core.Organization{core.SelectiveWays, core.SelectiveSets} {
-		best := staticBest(t, "swim", DSide, org, 4, opts)
+		best := staticBest(t, testRunner, "swim", DSide, org, 4, opts)
 		if best.SizeReductionPct() > 1 {
 			t.Errorf("swim downsized %.1f%% under %v; paper: working set fills 32K",
 				best.SizeReductionPct(), org)
@@ -98,8 +117,8 @@ func TestCompressFavorsWaysGranularity(t *testing.T) {
 	// compress's ~20K working set needs the 24K point only selective-ways
 	// offers at 4-way (paper §4.1).
 	opts := fastOpts()
-	w := staticBest(t, "compress", DSide, core.SelectiveWays, 4, opts)
-	s := staticBest(t, "compress", DSide, core.SelectiveSets, 4, opts)
+	w := staticBest(t, testRunner, "compress", DSide, core.SelectiveWays, 4, opts)
+	s := staticBest(t, testRunner, "compress", DSide, core.SelectiveSets, 4, opts)
 	if w.EDPReductionPct() <= s.EDPReductionPct() {
 		t.Errorf("compress: ways %.1f%% should beat sets %.1f%%",
 			w.EDPReductionPct(), s.EDPReductionPct())
@@ -116,8 +135,8 @@ func TestConflictAppsFavorSets(t *testing.T) {
 	// behaviour (Fig. 7) instead — see EXPERIMENTS.md deviations.
 	opts := fastOpts()
 	for _, app := range []string{"apsi", "vpr", "tomcatv"} {
-		w := staticBest(t, app, DSide, core.SelectiveWays, 4, opts)
-		s := staticBest(t, app, DSide, core.SelectiveSets, 4, opts)
+		w := staticBest(t, testRunner, app, DSide, core.SelectiveWays, 4, opts)
+		s := staticBest(t, testRunner, app, DSide, core.SelectiveSets, 4, opts)
 		if s.EDPReductionPct() <= w.EDPReductionPct() {
 			t.Errorf("%s: sets %.1f%% should beat ways %.1f%%",
 				app, s.EDPReductionPct(), w.EDPReductionPct())
@@ -131,12 +150,9 @@ func TestCombinedResizingIsAdditive(t *testing.T) {
 	}
 	opts := fastOpts()
 	app := "m88ksim"
-	dBest := staticBest(t, app, DSide, core.SelectiveSets, 2, opts)
-	iBest := staticBest(t, app, ISide, core.SelectiveSets, 2, opts)
-	both, err := CombinedBests(context.Background(), BaseConfig(app, 2, opts), []Best{dBest, iBest}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dBest := staticBest(t, testRunner, app, DSide, core.SelectiveSets, 2, opts)
+	iBest := staticBest(t, testRunner, app, ISide, core.SelectiveSets, 2, opts)
+	both := combined(t, testRunner, BaseConfig(app, 2, opts), []Best{dBest, iBest})
 	sum := dBest.EDPReductionPct() + iBest.EDPReductionPct()
 	got := both.EDPReductionPct()
 	if got < 0.7*sum || got > 1.3*sum+2 {
@@ -152,7 +168,7 @@ func TestSlowdownEnvelopeHolds(t *testing.T) {
 	opts := fastOpts()
 	for _, app := range []string{"ammp", "compress", "gcc", "swim"} {
 		for _, org := range []core.Organization{core.SelectiveWays, core.SelectiveSets} {
-			best := staticBest(t, app, DSide, org, 4, opts)
+			best := staticBest(t, testRunner, app, DSide, org, 4, opts)
 			if best.SlowdownPct() > 6 {
 				t.Errorf("%s/%v: slowdown %.1f%% exceeds 6%%", app, org, best.SlowdownPct())
 			}
@@ -163,9 +179,8 @@ func TestSlowdownEnvelopeHolds(t *testing.T) {
 func TestRunAllPropagatesErrors(t *testing.T) {
 	cfgs := []sim.Config{sim.Default("gcc"), sim.Default("nosuch")}
 	cfgs[0].Instructions = 1000
-	opts := DefaultOptions()
-	opts.Runner = runner.New(runner.Options{Workers: 2})
-	if _, err := opts.runner().RunAll(context.Background(), runner.Jobs(cfgs)); err == nil {
+	r := runner.New(runner.Options{Workers: 2})
+	if _, err := r.RunAll(context.Background(), runner.Jobs(cfgs)); err == nil {
 		t.Fatal("bad config did not surface")
 	}
 }
@@ -213,12 +228,11 @@ func TestDynamicCandidatesDeduplicated(t *testing.T) {
 
 // tinyArtifactOpts runs one app at minimal fidelity on a private runner
 // — enough to exercise caching plumbing without a full-fidelity sweep.
-func tinyArtifactOpts() Options {
+func tinyArtifactOpts() (Options, *runner.Runner) {
 	opts := DefaultOptions()
 	opts.Instructions = 60_000
 	opts.Apps = []string{"m88ksim"}
-	opts.Runner = runner.New(runner.Options{})
-	return opts
+	return opts, runner.New(runner.Options{})
 }
 
 // TestCombinedUsesProfiledSpecs guards the Figure 9 plumbing: the
@@ -226,7 +240,7 @@ func tinyArtifactOpts() Options {
 // profiled winners' Spec.StaticIndex — not points re-derived from
 // average sizes, which can mispick between near-equal entries.
 func TestCombinedUsesProfiledSpecs(t *testing.T) {
-	opts := tinyArtifactOpts()
+	opts, r := tinyArtifactOpts()
 	sched, err := core.BuildSchedule(l1Geom(2), core.SelectiveSets)
 	if err != nil {
 		t.Fatal(err)
@@ -239,11 +253,8 @@ func TestCombinedUsesProfiledSpecs(t *testing.T) {
 		return Best{App: "m88ksim", Side: side, Org: core.SelectiveSets,
 			Spec: sim.PolicySpec{Kind: sim.PolicyStatic, StaticIndex: idx}}
 	}
-	comb, err := CombinedBests(context.Background(), BaseConfig("m88ksim", 2, opts),
-		[]Best{mkBest(DSide, dIdx), mkBest(ISide, iIdx)}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	comb := combined(t, r, BaseConfig("m88ksim", 2, opts),
+		[]Best{mkBest(DSide, dIdx), mkBest(ISide, iIdx)})
 	check := func(name string, avg float64, idx int) {
 		want := float64(sched.Points[idx].Bytes)
 		if avg < 0.99*want || avg > 1.01*want {
@@ -260,19 +271,19 @@ func TestCombinedUsesProfiledSpecs(t *testing.T) {
 // resolve as whole-sweep artifact hits, and re-running the first grid
 // must submit zero configs.
 func TestSweepArtifactWarmsAcrossDrivers(t *testing.T) {
-	opts := tinyArtifactOpts()
+	opts, r := tinyArtifactOpts()
 	grid := func(orgs ...core.Organization) {
 		t.Helper()
 		for _, side := range []Side{DSide, ISide} {
 			for _, org := range orgs {
 				for _, app := range opts.apps() {
-					staticBest(t, app, side, org, 2, opts)
+					staticBest(t, r, app, side, org, 2, opts)
 				}
 			}
 		}
 	}
 	grid(core.SelectiveWays, core.SelectiveSets) // Figure 4's cells
-	cold := opts.Runner.Stats()
+	cold := r.Stats()
 	if cold.ArtifactComputes != 4 { // 2 sides x 2 orgs x 1 app
 		t.Fatalf("cold grid computed %d artifacts, want 4", cold.ArtifactComputes)
 	}
@@ -281,7 +292,7 @@ func TestSweepArtifactWarmsAcrossDrivers(t *testing.T) {
 	}
 
 	grid(core.Hybrid, core.SelectiveWays, core.SelectiveSets) // Figure 6 repeats them
-	warm := opts.Runner.Stats()
+	warm := r.Stats()
 	if got := warm.ArtifactHits - cold.ArtifactHits; got != 4 {
 		t.Errorf("repeated cells scored %d artifact hits, want 4", got)
 	}
@@ -290,7 +301,7 @@ func TestSweepArtifactWarmsAcrossDrivers(t *testing.T) {
 	}
 
 	grid(core.SelectiveWays, core.SelectiveSets) // fully warm
-	again := opts.Runner.Stats()
+	again := r.Stats()
 	if again.Submitted != warm.Submitted || again.Runs != warm.Runs {
 		t.Errorf("fully warm grid submitted configs: %d -> %d submitted, %d -> %d runs",
 			warm.Submitted, again.Submitted, warm.Runs, again.Runs)
@@ -306,9 +317,8 @@ func TestSweepArtifactResumesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := tinyArtifactOpts()
-	opts.Runner = runner.New(runner.Options{Store: store})
-	first := staticBest(t, "m88ksim", DSide, core.SelectiveSets, 2, opts)
+	opts, _ := tinyArtifactOpts()
+	first := staticBest(t, runner.New(runner.Options{Store: store}), "m88ksim", DSide, core.SelectiveSets, 2, opts)
 	if err := store.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -317,9 +327,9 @@ func TestSweepArtifactResumesFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Runner = runner.New(runner.Options{Store: store2})
-	second := staticBest(t, "m88ksim", DSide, core.SelectiveSets, 2, opts)
-	st := opts.Runner.Stats()
+	r2 := runner.New(runner.Options{Store: store2})
+	second := staticBest(t, r2, "m88ksim", DSide, core.SelectiveSets, 2, opts)
+	st := r2.Stats()
 	if st.ArtifactStoreHits != 1 || st.Submitted != 0 || st.Runs != 0 {
 		t.Errorf("resumed sweep stats = %+v, want 1 artifact store hit, 0 submitted, 0 runs", st)
 	}
@@ -472,7 +482,7 @@ func TestBestAccessorsOnSides(t *testing.T) {
 // a second pass, and enqueue nothing once the sweeps' artifacts are
 // warm.
 func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
-	opts := tinyArtifactOpts()
+	opts, r := tinyArtifactOpts()
 	ctx := context.Background()
 	specs := []SweepSpec{
 		NewSweepSpec("m88ksim", DSide, core.SelectiveSets, 2, false, opts),
@@ -482,16 +492,16 @@ func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _ := EnqueueSweeps(ctx, sweeps, opts)
+	n, _ := EnqueueSweeps(ctx, sweeps, r)
 	if n == 0 {
 		t.Fatal("cold sweeps enqueued nothing")
 	}
 	for _, sw := range sweeps {
-		if _, err := sw.Best(ctx, opts); err != nil {
+		if _, err := sw.Best(ctx, r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := opts.Runner.Stats()
+	st := r.Stats()
 	if st.EnqueueBatches != 1 || st.Enqueued != uint64(n) {
 		t.Errorf("enqueue stats = %+v, want one pass of %d configs", st, n)
 	}
@@ -499,10 +509,10 @@ func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
 		t.Errorf("ran %d configs, want the %d enqueued (dedup broken?)", st.Runs, n)
 	}
 	// Warm: artifacts exist, so the batch pass skips everything.
-	if again, _ := EnqueueSweeps(ctx, sweeps, opts); again != 0 {
+	if again, _ := EnqueueSweeps(ctx, sweeps, r); again != 0 {
 		t.Errorf("warm sweeps enqueued %d configs, want 0", again)
 	}
-	if st := opts.Runner.Stats(); st.EnqueueBatches != 1 {
+	if st := r.Stats(); st.EnqueueBatches != 1 {
 		t.Errorf("warm pass still called Enqueue: %+v", st)
 	}
 }
@@ -513,10 +523,9 @@ func TestEnqueueSweepsBatchesColdAndSkipsWarm(t *testing.T) {
 func TestL2SideSweep(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Instructions = 150_000
-	opts.Runner = runner.New(runner.Options{})
 	base := BaseConfig("m88ksim", 2, opts)
-	best := runSweep(t, SweepSpec{App: "m88ksim", Side: L2Side,
-		Org: core.SelectiveWays, Base: base}, opts)
+	best := runSweep(t, runner.New(runner.Options{}), SweepSpec{App: "m88ksim", Side: L2Side,
+		Org: core.SelectiveWays, Base: base})
 	if best.Side != L2Side {
 		t.Fatalf("side = %v", best.Side)
 	}
@@ -539,21 +548,18 @@ func TestL2SideSweep(t *testing.T) {
 	}
 }
 
-// TestCombinedBestsAppliesEverySide: the generalized combined run holds
+// TestCombinationAppliesEverySide: the generalized combined run holds
 // each profiled winner — including the L2's — in one simulation.
-func TestCombinedBestsAppliesEverySide(t *testing.T) {
+func TestCombinationAppliesEverySide(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Instructions = 150_000
-	opts.Runner = runner.New(runner.Options{})
+	r := runner.New(runner.Options{})
 	base := BaseConfig("m88ksim", 2, opts)
-	d := runSweep(t, SweepSpec{App: "m88ksim", Side: DSide,
-		Org: core.SelectiveSets, Base: base}, opts)
-	l2 := runSweep(t, SweepSpec{App: "m88ksim", Side: L2Side,
-		Org: core.SelectiveWays, Base: base}, opts)
-	comb, err := CombinedBests(context.Background(), base, []Best{d, l2}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := runSweep(t, r, SweepSpec{App: "m88ksim", Side: DSide,
+		Org: core.SelectiveSets, Base: base})
+	l2 := runSweep(t, r, SweepSpec{App: "m88ksim", Side: L2Side,
+		Org: core.SelectiveWays, Base: base})
+	comb := combined(t, r, base, []Best{d, l2})
 	if comb.Chosen.DCache.AvgBytes >= 32<<10 {
 		t.Errorf("combined run left the d-cache at full size: %+v", comb.Chosen.DCache)
 	}
@@ -569,7 +575,7 @@ func TestCombinedBestsAppliesEverySide(t *testing.T) {
 	if got := comb.SizeReductionPct(); got <= 50 {
 		t.Errorf("combined size reduction %.1f%% ignores the resized L2", got)
 	}
-	if _, err := CombinedBests(context.Background(), base, nil, opts); err == nil {
+	if _, err := Combine(base, nil); err == nil {
 		t.Error("empty parts accepted")
 	}
 }

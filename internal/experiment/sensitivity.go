@@ -16,10 +16,11 @@ import (
 // granularity (which sets the resizing floor and step), the dynamic
 // controller's interval, and the L2 size backing the resized L1s.
 //
-// Each driver batch-schedules its whole parameter grid: every cold
-// sweep (or raw config pair) is enqueued on the runner in one pass
-// before any gathering starts, so the worker pool interleaves across
-// parameter points instead of draining one point at a time.
+// Each driver runs on the runner it is given and batch-schedules its
+// whole parameter grid: every cold sweep (or raw config pair) is
+// enqueued on that runner in one pass before any gathering starts, so
+// the worker pool interleaves across parameter points instead of
+// draining one point at a time.
 
 // SensitivityRow is one parameter point of a sensitivity sweep.
 type SensitivityRow struct {
@@ -32,7 +33,7 @@ type SensitivityRow struct {
 // 32K 2-way selective-sets d-cache. Smaller subarrays offer smaller
 // minimum sizes (512B subarray -> 1K minimum at 2-way), larger ones
 // coarser schedules.
-func SubarraySensitivity(ctx context.Context, opts Options) ([]SensitivityRow, error) {
+func SubarraySensitivity(ctx context.Context, r *runner.Runner, opts Options) ([]SensitivityRow, error) {
 	apps := opts.apps()
 	var points []sensPoint
 	for _, sub := range []int{512, 1 << 10, 2 << 10, 4 << 10} {
@@ -54,7 +55,7 @@ func SubarraySensitivity(ctx context.Context, opts Options) ([]SensitivityRow, e
 		}
 		points = append(points, p)
 	}
-	return sweepRows(ctx, points, opts)
+	return sweepRows(ctx, r, points)
 }
 
 // sensPoint is one parameter point of a sweep-based sensitivity study:
@@ -69,7 +70,7 @@ type sensPoint struct {
 // winner of its sweeps. On an early error return it cancels and drains
 // the stragglers, so a caller flushing a store right after cannot race
 // their result writes.
-func sweepRows(ctx context.Context, points []sensPoint, opts Options) ([]SensitivityRow, error) {
+func sweepRows(ctx context.Context, r *runner.Runner, points []sensPoint) ([]SensitivityRow, error) {
 	var all []SweepSpec
 	for _, p := range points {
 		all = append(all, p.specs...)
@@ -79,13 +80,13 @@ func sweepRows(ctx context.Context, points []sensPoint, opts Options) ([]Sensiti
 		return nil, err
 	}
 	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	_, wait := EnqueueSweeps(enqCtx, sweeps, opts)
+	_, wait := EnqueueSweeps(enqCtx, sweeps, r)
 	defer func() { stopEnqueue(); wait() }()
 	var out []SensitivityRow
 	for _, p := range points {
 		var edp, size float64
 		for range p.specs {
-			best, err := sweeps[0].Best(ctx, opts)
+			best, err := sweeps[0].Best(ctx, r)
 			if err != nil {
 				return nil, err
 			}
@@ -103,7 +104,7 @@ func sweepRows(ctx context.Context, points []sensPoint, opts Options) ([]Sensiti
 // IntervalSensitivity sweeps the dynamic controller's interval for a
 // fixed miss-bound fraction and size bound, on the in-order engine where
 // adaptation lag is most exposed.
-func IntervalSensitivity(ctx context.Context, opts Options) ([]SensitivityRow, error) {
+func IntervalSensitivity(ctx context.Context, r *runner.Runner, opts Options) ([]SensitivityRow, error) {
 	opts.Engine = sim.InOrder
 	apps := opts.apps()
 	intervals := []uint64{2048, 8192, 32768, 131072}
@@ -121,7 +122,7 @@ func IntervalSensitivity(ctx context.Context, opts Options) ([]SensitivityRow, e
 			batch = append(batch, base, cfg)
 		}
 	}
-	res, err := opts.runner().RunAll(ctx, runner.Jobs(batch))
+	res, err := r.RunAll(ctx, runner.Jobs(batch))
 	if err != nil {
 		return nil, err
 	}
@@ -147,7 +148,7 @@ func IntervalSensitivity(ctx context.Context, opts Options) ([]SensitivityRow, e
 // L2Sensitivity sweeps the L2 capacity to test the paper's claim that L1
 // resizing has minimal impact on the L2 footprint: the resizing gain
 // should be stable across L2 sizes.
-func L2Sensitivity(ctx context.Context, opts Options) ([]SensitivityRow, error) {
+func L2Sensitivity(ctx context.Context, r *runner.Runner, opts Options) ([]SensitivityRow, error) {
 	apps := opts.apps()
 	var points []sensPoint
 	for _, l2kb := range []int{256, 512, 1024} {
@@ -164,7 +165,7 @@ func L2Sensitivity(ctx context.Context, opts Options) ([]SensitivityRow, error) 
 		}
 		points = append(points, p)
 	}
-	return sweepRows(ctx, points, opts)
+	return sweepRows(ctx, r, points)
 }
 
 // RenderSensitivity formats a sweep as a text table.

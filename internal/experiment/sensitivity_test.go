@@ -17,7 +17,7 @@ func TestSubarraySensitivityShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	rows, err := SubarraySensitivity(context.Background(), sensOpts())
+	rows, err := SubarraySensitivity(context.Background(), testRunner, sensOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestIntervalSensitivityRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	rows, err := IntervalSensitivity(context.Background(), sensOpts())
+	rows, err := IntervalSensitivity(context.Background(), testRunner, sensOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestL2SensitivityStability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep in -short mode")
 	}
-	rows, err := L2Sensitivity(context.Background(), sensOpts())
+	rows, err := L2Sensitivity(context.Background(), testRunner, sensOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,21 +157,6 @@ func TestEnqueueSingletonGroupsRunSolo(t *testing.T) {
 	}
 }
 
-func TestGangSizeOneDisablesCoalescing(t *testing.T) {
-	rec := &gangRecorder{}
-	r := New(Options{Workers: 2, GangSize: 1, RunGang: rec.run})
-	cfgs := make([]sim.Config, 4)
-	for i := range cfgs {
-		cfgs[i] = gangCfgN("gcc", i)
-	}
-	_, wait := r.Enqueue(context.Background(), Jobs(cfgs))
-	wait()
-	if len(rec.sizes()) != 0 || rec.alone() != 4 {
-		t.Errorf("gang batches %v, solo %d; want none ganged, 4 solo",
-			rec.sizes(), rec.alone())
-	}
-}
-
 func TestGangErrorFallsBackToSolo(t *testing.T) {
 	var solo atomic.Int32
 	r := New(Options{Workers: 2,
@@ -302,21 +287,21 @@ func TestRunAllGangsColdBatch(t *testing.T) {
 // TestEnqueueKeepsSharedClassesWhole: same-front configs that differ
 // only in the thresholds of their dynamic policy (one share class,
 // sim.Config.ShareKey) gang together whatever their submission order,
-// no class is split across gangs, a gang takes at most GangSize
+// no class is split across gangs, a gang takes at most gangSize
 // classes, and each result equals the config's own Run.
 func TestEnqueueKeepsSharedClassesWhole(t *testing.T) {
-	const classes, perClass = 3, 40
+	const classes, perClass = 2*gangSize + 3, 5
 	var cfgs []sim.Config
 	for i := 0; i < classes*perClass; i++ {
 		c := gangCfgN("gcc", 0)
 		c.DCache.Org = core.SelectiveSets
-		// Interleaved: submission order alternates between the classes.
+		// Interleaved: submission order cycles through the classes.
 		c.DCache.Policy = sim.PolicySpec{Kind: sim.PolicyDynamic,
-			Interval: 1024 << (i % classes), MissBound: uint64(i), UpsizeHoldIntervals: i % 2}
+			Interval: 1024 * uint64(1+i%classes), MissBound: uint64(i), UpsizeHoldIntervals: i % 2}
 		cfgs = append(cfgs, c)
 	}
 	rec := &gangRecorder{}
-	r := New(Options{Workers: 2, GangSize: 2, RunGang: rec.run})
+	r := New(Options{Workers: 2, RunGang: rec.run})
 	ctx := context.Background()
 	res, err := r.RunAll(ctx, Jobs(cfgs))
 	if err != nil {
@@ -327,6 +312,7 @@ func TestEnqueueKeepsSharedClassesWhole(t *testing.T) {
 	batches := rec.batches
 	rec.mu.Unlock()
 	batchOf := make(map[sim.Key]int) // share key → the batch that ran it
+	var perBatch []int
 	ran := 0
 	for b, batch := range batches {
 		seen := make(map[sim.Key]bool)
@@ -338,16 +324,18 @@ func TestEnqueueKeepsSharedClassesWhole(t *testing.T) {
 			batchOf[k] = b
 			seen[k] = true
 		}
-		if len(seen) > 2 {
-			t.Errorf("batch %d holds %d share classes, want at most 2", b, len(seen))
-		}
+		perBatch = append(perBatch, len(seen))
 		ran += len(batch)
+	}
+	sort.Ints(perBatch)
+	if want := []int{3, gangSize, gangSize}; !reflect.DeepEqual(perBatch, want) {
+		t.Errorf("batches hold %v share classes, want %v", perBatch, want)
 	}
 	if ran != len(cfgs) || len(batchOf) != classes {
 		t.Errorf("ran %d configs in %d classes, want %d in %d", ran, len(batchOf), len(cfgs), classes)
 	}
-	if st := r.Stats(); st.Runs != uint64(len(cfgs)) || st.Ganged != uint64(len(cfgs)) {
-		t.Errorf("stats = %+v, want every config counted as a ganged run", st)
+	if st := r.Stats(); st.Runs != uint64(len(cfgs)) || st.Ganged != uint64(len(cfgs)) || st.GangBatches != 3 {
+		t.Errorf("stats = %+v, want every config counted as a ganged run in 3 batches", st)
 	}
 
 	alone := New(Options{Workers: 1, RunGang: (&gangRecorder{}).run})
@@ -397,7 +385,7 @@ func TestRunAllGoroutinesBoundedByGangs(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if limit := n/DefaultGangSize + 8; peak-base >= limit {
+	if limit := n/gangSize + 8; peak-base >= limit {
 		t.Errorf("goroutines grew by %d while blocked, want < %d", peak-base, limit)
 	}
 	if st := r.Stats(); st.Ganged != n {
@@ -477,4 +465,82 @@ func TestRunAllFailureCancelsAndDrains(t *testing.T) {
 	if st := r.Stats(); st.Runs != 1 {
 		t.Errorf("simulated %d configs, want only the one already running", st.Runs)
 	}
+}
+
+// TestExecuteAccounting pins what each way into the one execute path
+// counts: a simulation that runs alone — a lone Run, an Enqueue
+// straggler, a gang member re-run after its gang failed, or the one
+// member of a gang the store did not answer — adds to Runs (and Errors
+// when it fails) but not to Ganged or GangBatches; a live gang of N adds
+// N to Runs and Ganged and 1 to GangBatches.
+func TestExecuteAccounting(t *testing.T) {
+	// failing shares the other configs' front end, so it gangs with them.
+	failing := gangCfgN("gcc", 99)
+	fails := func(c sim.Config) bool { return c.MSHREntries == failing.MSHREntries }
+	run := func(cfgs []sim.Config) ([]sim.Result, error) {
+		for _, c := range cfgs {
+			if fails(c) {
+				return nil, errors.New("refused")
+			}
+		}
+		return (&gangRecorder{}).run(cfgs)
+	}
+	gang := func(n int) []sim.Config {
+		cfgs := make([]sim.Config, n)
+		for i := range cfgs {
+			cfgs[i] = gangCfgN("gcc", i)
+		}
+		return cfgs
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name        string
+		stored      int // leading configs the store already holds
+		submit      func(r *Runner, cfgs []sim.Config)
+		cfgs        []sim.Config
+		runs, errs  uint64
+		ganged, gbs uint64
+	}{
+		{"lone Run", 0, runEach, gang(1), 1, 0, 0, 0},
+		{"lone failing Run", 0, runEach, []sim.Config{failing}, 1, 1, 0, 0},
+		{"Enqueue straggler", 0, enqueue, gang(1), 1, 0, 0, 0},
+		{"failing Enqueue straggler", 0, enqueue, []sim.Config{failing}, 1, 1, 0, 0},
+		{"gang-error fallback", 0, enqueue, append(gang(3), failing), 4, 1, 0, 0},
+		{"one live member after store hits", 3, enqueue, gang(4), 1, 0, 0, 0},
+		{"live gang", 0, enqueue, gang(5), 5, 0, 5, 1},
+		{"live gang after a store hit", 1, enqueue, gang(5), 4, 0, 4, 1},
+	} {
+		store := NewMemStore()
+		for _, c := range tc.cfgs[:tc.stored] {
+			store.Record(c.Key(), StoredResult{Result: stubResult(c)})
+		}
+		r := New(Options{Workers: 2, Store: store, RunGang: run})
+		tc.submit(r, tc.cfgs)
+		st := r.Stats()
+		if st.Runs != tc.runs || st.Errors != tc.errs || st.Ganged != tc.ganged || st.GangBatches != tc.gbs {
+			t.Errorf("%s: runs %d, errors %d, ganged %d, gang batches %d; want %d, %d, %d, %d",
+				tc.name, st.Runs, st.Errors, st.Ganged, st.GangBatches, tc.runs, tc.errs, tc.ganged, tc.gbs)
+		}
+		if st.StoreHits != uint64(tc.stored) {
+			t.Errorf("%s: %d store hits, want %d", tc.name, st.StoreHits, tc.stored)
+		}
+		for i, c := range tc.cfgs {
+			if _, err := r.Run(ctx, c); (err != nil) != fails(c) {
+				t.Errorf("%s: config %d: err = %v, want failure %v", tc.name, i, err, fails(c))
+			}
+		}
+	}
+}
+
+// runEach submits each config through Run.
+func runEach(r *Runner, cfgs []sim.Config) {
+	for _, c := range cfgs {
+		r.Run(context.Background(), c)
+	}
+}
+
+// enqueue submits the configs as one Enqueue batch and waits for it.
+func enqueue(r *Runner, cfgs []sim.Config) {
+	_, wait := r.Enqueue(context.Background(), Jobs(cfgs))
+	wait()
 }

@@ -24,9 +24,9 @@
 //     same-front-end configs, so later Run/RunAll calls join the
 //     in-flight work and the pool interleaves across sweeps.
 //
-// Callers either share the process-wide Default() runner (cross-sweep
-// memoization for free) or construct private runners (hermetic sessions,
-// tests, persistent stores).
+// Every caller constructs its Runner with New and passes it to whatever
+// runs simulations on it, so memoization is shared exactly as far as
+// the runner is.
 package runner
 
 import (
@@ -57,14 +57,6 @@ type Options struct {
 	// beyond it (0 = unbounded). Evicted configs re-simulate on the next
 	// submission unless a Store still holds them.
 	MemoLimit int
-	// GangSize bounds how many machines one gang simulation
-	// (sim.RunGang) that Enqueue coalesces starts with: a gang takes up
-	// to GangSize share classes of same-front-end configs
-	// (sim.Config.ShareKey), whole, and runs one machine per class. Where
-	// a class's dynamic controllers disagree the machine forks, so the
-	// gang can end with more machines than it started with. 0 means
-	// DefaultGangSize; 1 disables coalescing.
-	GangSize int
 	// RunGang overrides the simulation entry point (nil = sim.RunGang
 	// over the runner's recorded workload streams). It returns one
 	// Result per config, in order; a single config runs as a gang of
@@ -72,11 +64,15 @@ type Options struct {
 	RunGang func([]sim.Config) ([]sim.Result, error)
 }
 
-// DefaultGangSize is the gang bound when Options.GangSize is zero. Eight
-// machines amortize the shared front-end well past the 2× mark while
-// keeping a gang's machine state compact and the pool's units of work
-// evenly sized.
-const DefaultGangSize = 8
+// gangSize bounds how many machines one gang simulation (sim.RunGang)
+// that Enqueue coalesces starts with: a gang takes up to gangSize share
+// classes of same-front-end configs (sim.Config.ShareKey), whole, and
+// runs one machine per class. Where a class's dynamic controllers
+// disagree the machine forks, so the gang can end with more machines
+// than it started with. Eight machines amortize the shared front-end
+// well past the 2× mark while keeping a gang's machine state compact
+// and the pool's units of work evenly sized.
+const gangSize = 8
 
 // Stats is a snapshot of a Runner's scheduling counters.
 type Stats struct {
@@ -210,13 +206,12 @@ type entry struct {
 }
 
 // Runner schedules simulations; see the package comment. The zero value
-// is not usable — construct with New or share Default.
+// is not usable — construct with New.
 type Runner struct {
 	sem       chan struct{}
 	store     Store
 	memoLimit int
 	runGang   func([]sim.Config) ([]sim.Result, error)
-	gangSize  int
 
 	mu      sync.Mutex
 	entries map[sim.Key]*entry
@@ -260,19 +255,11 @@ func New(opts Options) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	gangSize := opts.GangSize
-	if gangSize == 0 {
-		gangSize = DefaultGangSize
-	}
-	if gangSize < 1 {
-		gangSize = 1
-	}
 	r := &Runner{
 		sem:       make(chan struct{}, workers),
 		store:     opts.Store,
 		memoLimit: opts.MemoLimit,
 		runGang:   opts.RunGang,
-		gangSize:  gangSize,
 		entries:   make(map[sim.Key]*entry),
 		lru:       list.New(),
 		artifacts: make(map[sim.Key]*artifactEntry),
@@ -294,18 +281,6 @@ func New(opts Options) *Runner {
 		}
 	}
 	return r
-}
-
-var (
-	defaultOnce   sync.Once
-	defaultRunner *Runner
-)
-
-// Default returns the process-wide shared Runner (GOMAXPROCS workers, no
-// persistent store). Sweeps that share it memoize across each other.
-func Default() *Runner {
-	defaultOnce.Do(func() { defaultRunner = New(Options{}) })
-	return defaultRunner
 }
 
 // Stats snapshots the counters. When the store is a remote tier
@@ -415,47 +390,8 @@ func (r *Runner) runKey(ctx context.Context, key sim.Key, cfg *sim.Config) (sim.
 	r.entries[key] = e
 	r.mu.Unlock()
 
-	res, err := r.execute(ctx, key, e, cfg)
-	return res, err, false
-}
-
-// execute owns entry e for key: it resolves the config against the
-// persistent store or simulates it under the worker-pool semaphore, then
-// publishes the outcome. Both Run owners and Enqueue goroutines funnel
-// through here, so enqueued work persists, counts, and cancels exactly
-// like directly submitted work.
-func (r *Runner) execute(ctx context.Context, key sim.Key, e *entry, cfg *sim.Config) (sim.Result, error) {
-	if res, err, ok := r.fromStore(key, e); ok {
-		return res, err
-	}
-
-	// Acquire a worker slot, simulate, publish.
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		r.complete(key, e, sim.Result{}, ctx.Err())
-		return sim.Result{}, ctx.Err()
-	}
-	var res sim.Result
-	out, err := r.runGang([]sim.Config{*cfg})
-	<-r.sem
-	if err == nil {
-		res = out[0]
-	}
-
-	r.runs.Add(1)
-	if err != nil {
-		r.errs.Add(1)
-	}
-	if r.store != nil && !isCancellation(err) {
-		sr := StoredResult{Result: res}
-		if err != nil {
-			sr.Err = err.Error()
-		}
-		r.store.Record(key, sr)
-	}
-	r.complete(key, e, res, err)
-	return res, err
+	r.execute(ctx, []gangItem{{Job: Job{Cfg: cfg, Key: key}, e: e}})
+	return e.res, e.err, false
 }
 
 // fromStore completes entry e for key from the persistent store, if
@@ -556,7 +492,7 @@ func (r *Runner) Resolve(key sim.Key) (res sim.Result, err error, ok bool) {
 // Enqueue additionally coalesces the batch's memo-miss configs into
 // gangs: configs sharing a front-end fingerprint (sim.Config.FrontKey —
 // same benchmark, budget, engine, pipeline) run through one gang
-// simulation of up to GangSize share classes (sim.Config.ShareKey)
+// simulation of up to eight share classes (sim.Config.ShareKey)
 // instead of one pass each; a class is never split across gangs.
 // Coalescing is invisible to waiters — outcomes publish to the same
 // entries — and is accounted by the Ganged/GangBatches counters.
@@ -583,40 +519,21 @@ func (r *Runner) Enqueue(ctx context.Context, jobs []Job) (int, func()) {
 	r.enqueueBatches.Add(1)
 	r.enqueued.Add(uint64(len(fresh)))
 
-	solo := func(it gangItem) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.execute(ctx, it.Key, it.e, it.Cfg)
-		}()
-	}
-
-	if r.gangSize <= 1 {
-		for _, it := range fresh {
-			solo(it)
-		}
-		return len(fresh), wg.Wait
-	}
-
 	// Group the fresh entries by shared front-end, and each front group
 	// by share class (sim.Config.ShareKey), both in order of first
 	// appearance. A front group dispatches as gangs of up to gangSize
 	// whole classes — a gang starts one machine per class and forks it
-	// where the class's controllers disagree — and a lone straggler
-	// solo.
+	// where the class's controllers disagree — and a lone straggler as a
+	// gang of one.
 	for _, g := range groupBy(fresh, sim.Config.FrontKey) {
 		classes := groupBy(g, sim.Config.ShareKey)
-		for lo := 0; lo < len(classes); lo += r.gangSize {
-			batch := slices.Concat(classes[lo:min(lo+r.gangSize, len(classes))]...)
-			if len(batch) == 1 {
-				solo(batch[0])
-				continue
-			}
+		for lo := 0; lo < len(classes); lo += gangSize {
+			batch := slices.Concat(classes[lo:min(lo+gangSize, len(classes))]...)
 			wg.Add(1)
-			go func(batch []gangItem) {
+			go func() {
 				defer wg.Done()
-				r.executeGang(ctx, batch)
-			}(batch)
+				r.execute(ctx, batch)
+			}()
 		}
 	}
 	return len(fresh), wg.Wait
@@ -640,64 +557,80 @@ func groupBy(items []gangItem, key func(sim.Config) sim.Key) [][]gangItem {
 	return groups
 }
 
-// gangItem is one fresh Enqueue registration awaiting execution.
+// gangItem is one registered entry awaiting execution: its job and the
+// memo-table entry its owner publishes to.
 type gangItem struct {
 	Job
 	e *entry
 }
 
-// executeGang owns a batch of same-front entries: members found in the
-// persistent store resolve individually, and the rest run as one gang
-// pass under a single worker slot. A gang-level error falls back to
-// running each member as a gang of one, so each member's error outcome
-// is the one it gets when submitted alone.
-func (r *Runner) executeGang(ctx context.Context, batch []gangItem) {
-	live := batch[:0]
-	for _, it := range batch {
+// execute owns a batch of registered same-front entries: members found
+// in the persistent store resolve from it, and the rest run as one gang
+// pass under a single worker slot, then publish to their entries and
+// the store. A gang of several that fails re-runs each member alone, so
+// each member's error outcome is the one it gets when submitted alone.
+// Run owners, Enqueue's gangs and lone stragglers, and that fallback all
+// funnel through here, so every simulation persists, counts and cancels
+// the same way. Ganged and GangBatches count only passes that ran more
+// than one member live.
+func (r *Runner) execute(ctx context.Context, batch []gangItem) {
+	// live holds the positions in batch of the members the store did not
+	// answer. Positions, not a filtered copy of the items: storing an
+	// item would move a lone Run's config to the heap.
+	live := make([]int, 0, gangSize)
+	for i, it := range batch {
 		if _, _, ok := r.fromStore(it.Key, it.e); !ok {
-			live = append(live, it)
+			live = append(live, i)
 		}
 	}
-	switch len(live) {
-	case 0:
+	if len(live) == 0 {
 		return
-	case 1:
-		r.execute(ctx, live[0].Key, live[0].e, live[0].Cfg)
-		return
-	}
-
-	gangCfgs := make([]sim.Config, len(live))
-	for i, it := range live {
-		gangCfgs[i] = *it.Cfg
 	}
 
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
-		for _, it := range live {
-			r.complete(it.Key, it.e, sim.Result{}, ctx.Err())
+		for _, i := range live {
+			r.complete(batch[i].Key, batch[i].e, sim.Result{}, ctx.Err())
 		}
 		return
 	}
-	results, err := r.runGang(gangCfgs)
+	cfgs := make([]sim.Config, len(live))
+	for k, i := range live {
+		cfgs[k] = *batch[i].Cfg
+	}
+	results, err := r.runGang(cfgs)
 	<-r.sem
 
-	if err != nil {
-		// The gang entry point rejects the whole batch on any member's
-		// error; re-run each member alone so it gets its own outcome.
-		for _, it := range live {
-			r.execute(ctx, it.Key, it.e, it.Cfg)
+	if len(live) > 1 {
+		if err != nil {
+			// The gang entry point rejects the whole batch on any member's
+			// error; re-run each member alone so it gets its own outcome.
+			for _, i := range live {
+				r.execute(ctx, batch[i:i+1])
+			}
+			return
 		}
-		return
+		r.gangBatches.Add(1)
+		r.ganged.Add(uint64(len(live)))
 	}
-	r.gangBatches.Add(1)
-	for i, it := range live {
-		r.runs.Add(1)
-		r.ganged.Add(1)
-		if r.store != nil {
-			r.store.Record(it.Key, StoredResult{Result: results[i]})
+	for k, i := range live {
+		it := batch[i]
+		var res sim.Result
+		if err == nil {
+			res = results[k]
+		} else {
+			r.errs.Add(1)
 		}
-		r.complete(it.Key, it.e, results[i], nil)
+		r.runs.Add(1)
+		if r.store != nil && !isCancellation(err) {
+			sr := StoredResult{Result: res}
+			if err != nil {
+				sr.Err = err.Error()
+			}
+			r.store.Record(it.Key, sr)
+		}
+		r.complete(it.Key, it.e, res, err)
 	}
 }
 

@@ -219,6 +219,8 @@ func New(addr string, opts Options) (*Conn, error) {
 // Dial connects to a simd daemon. addr is a comma-separated failover
 // list; each address is tried once (no backoff), so an unreachable
 // fabric fails fast at dial time. See ParseAddr for address forms.
+// Outside tests only the benchmark harness calls it rather than
+// DialWith; it goes with the next benchmark change.
 func Dial(addr string) (*Conn, error) { return DialWith(addr, Options{}) }
 
 // DialWith is Dial with explicit Options.

@@ -35,12 +35,12 @@ import (
 	"resizecache/internal/simd/wire"
 )
 
-// Options configures a Server.
+// Options configures a Server. Workers, MemoLimit and Store configure
+// the runner of the daemon's one shared session; its plans coalesce
+// into gangs as every session's do.
 type Options struct {
 	// Workers bounds concurrent simulations (0 = GOMAXPROCS).
 	Workers int
-	// GangSize bounds gang coalescing (0 = runner.DefaultGangSize).
-	GangSize int
 	// MemoLimit bounds the in-memory memo table (0 = unbounded).
 	MemoLimit int
 	// Store is the backing persistent store shared by the daemon's
@@ -81,8 +81,7 @@ func New(opts Options) (*Server, error) {
 		store = runner.NewMemStore()
 	}
 	session, err := resizecache.NewSessionWith(resizecache.SessionOptions{
-		Workers: opts.Workers, GangSize: opts.GangSize,
-		MemoLimit: opts.MemoLimit, Store: store})
+		Workers: opts.Workers, MemoLimit: opts.MemoLimit, Store: store})
 	if err != nil {
 		return nil, err
 	}

@@ -274,7 +274,7 @@ func (s *Session) Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan 
 		n := len(sweeps[i])
 		sweeps[i], at = all[at:at+n:at+n], at+n
 	}
-	_, waitEnqueued := experiment.EnqueueSweeps(enqCtx, all, experiment.Options{Runner: s.r})
+	_, waitEnqueued := experiment.EnqueueSweeps(enqCtx, all, s.r)
 
 	total := plan.Len()
 	var wg sync.WaitGroup

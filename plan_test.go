@@ -560,59 +560,6 @@ func TestGridPlanUsesGangs(t *testing.T) {
 	if st.Ganged > st.Runs {
 		t.Errorf("ganged %d exceeds runs %d", st.Ganged, st.Runs)
 	}
-
-	// GangSize 1 opts a session out; the same plan then runs solo only.
-	off, err := NewSessionWith(SessionOptions{GangSize: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Collect(off.Run(context.Background(), plan)); err != nil {
-		t.Fatal(err)
-	}
-	if st := off.Stats(); st.Ganged != 0 {
-		t.Errorf("GangSize=1 session still ganged: %+v", st)
-	}
-}
-
-// TestLargeGangsMatchSoloSession: a session whose gang bound lets a
-// plan's same-front groups run as gangs of more than 32 members — past
-// the engine's chunk size, so chunks each replay the session's recorded
-// stream — returns exactly the outcomes of a session that runs every
-// simulation on its own.
-func TestLargeGangsMatchSoloSession(t *testing.T) {
-	plan, err := Grid{
-		Benchmarks:    []string{"m88ksim", "vpr"},
-		Organizations: []Organization{SelectiveWays, SelectiveSets, Hybrid},
-		Strategies:    []Strategy{Static, Dynamic},
-		Sides:         []Sides{DOnly, IOnly},
-		Engines:       []Engine{OutOfOrderEngine, InOrderEngine},
-		Instructions:  20_000,
-	}.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(gangSize int) ([]Result, runner.Stats) {
-		s, err := NewSessionWith(SessionOptions{GangSize: gangSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := Collect(s.Run(context.Background(), plan))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range results {
-			results[i].Outcome.Stats = runner.Stats{}
-		}
-		return results, s.Stats()
-	}
-	big, st := run(64)
-	if st.GangBatches == 0 || st.Ganged <= 32*st.GangBatches {
-		t.Fatalf("no gang above 32 members: %d ganged in %d batches", st.Ganged, st.GangBatches)
-	}
-	solo, _ := run(1)
-	if !reflect.DeepEqual(big, solo) {
-		t.Error("large-gang session outcomes differ from the solo session's")
-	}
 }
 
 // TestPlanGangsCombinedRuns: a cold plan's combined runs (one per

@@ -298,7 +298,8 @@ func (o *Outcome) UnmarshalBinary(data []byte) error {
 	return nil
 }
 
-// Simulate runs one scenario on the daemon.
+// Simulate runs one scenario on the daemon. It stays beside
+// SimulateContext until the next benchmark change, as on Session.
 func (s *RemoteSession) Simulate(sc Scenario) (Outcome, error) {
 	return s.SimulateContext(context.Background(), sc)
 }

@@ -22,7 +22,7 @@
 //
 // Quick start:
 //
-//	res, err := resizecache.Simulate(resizecache.Scenario{
+//	res, err := resizecache.NewSession().Simulate(resizecache.Scenario{
 //	    Benchmark:    "gcc",
 //	    Organization: resizecache.SelectiveSets,
 //	    Strategy:     resizecache.Dynamic,
@@ -626,31 +626,15 @@ type Outcome struct {
 	// difference between the executing runner's counters after and
 	// before the scenario ran. A warm repeat therefore shows zero Runs
 	// and positive ArtifactHits rather than an ever-growing cumulative
-	// snapshot. On a shared runner (the process-wide one, or a Session
-	// running a concurrent plan) the window also includes work submitted
-	// by overlapping callers; Session.Stats has the cumulative view.
+	// snapshot. On a Session running a concurrent plan the window also
+	// includes work submitted by overlapping callers; Session.Stats has
+	// the cumulative view.
 	Stats runner.Stats
 }
 
 // Benchmarks lists the available workload names (the paper's twelve SPEC
 // applications).
 func Benchmarks() []string { return workload.Names() }
-
-// Simulate runs a scenario: it profiles the requested strategy per the
-// paper's methodology (offline sweep, minimum energy-delay product) and
-// returns the outcome. All simulations execute through the process-wide
-// shared runner, so repeated Simulate calls memoize against each other;
-// use a Session for an isolated memo store, or SimulateContext for
-// cancellation.
-func Simulate(sc Scenario) (Outcome, error) {
-	return SimulateContext(context.Background(), sc)
-}
-
-// SimulateContext is Simulate with cancellation: a cancelled context
-// stops the scenario's profiling sweeps between simulations.
-func SimulateContext(ctx context.Context, sc Scenario) (Outcome, error) {
-	return simulate(ctx, sc, nil)
-}
 
 // Executor is the execution surface shared by the in-process Session
 // and the daemon-backed RemoteSession (see Dial): everything the figure
@@ -661,7 +645,8 @@ func SimulateContext(ctx context.Context, sc Scenario) (Outcome, error) {
 type Executor interface {
 	// Run executes a plan and streams results; see Session.Run.
 	Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan Result
-	// Simulate / SimulateContext run one scenario.
+	// Simulate / SimulateContext run one scenario. The twins stay until
+	// the next benchmark change, whose harness calls Simulate.
 	Simulate(sc Scenario) (Outcome, error)
 	SimulateContext(ctx context.Context, sc Scenario) (Outcome, error)
 	// Artifact / PutArtifact memoize plan-level derived payloads; see
@@ -680,8 +665,9 @@ var _ Executor = (*Session)(nil)
 
 // Session shares one run-orchestration layer (worker pool, memoized
 // result store, and sweep-level artifact cache; see internal/runner)
-// across many Simulate and Run calls while staying isolated from the
-// process-wide shared runner. Scenarios that overlap — the same
+// across many Simulate and Run calls; every simulation the facade runs
+// goes through a Session's (or a daemon's) runner, and Sessions share
+// nothing but a persistent store. Scenarios that overlap — the same
 // benchmark under different strategies, or single- and dual-cache
 // resizing of the same organization — re-use each other's simulations
 // (including the non-resizable baselines) and whole profiling sweeps;
@@ -710,12 +696,6 @@ type SessionOptions struct {
 	// MemoLimit bounds the in-memory memo table, evicting the least
 	// recently used results beyond it (0 = unbounded).
 	MemoLimit int
-	// GangSize bounds how many machines each gang simulation a plan's
-	// batch-enqueue pass coalesces starts with: one per share class of
-	// same-front-end configurations, each forking where its dynamic
-	// controllers disagree (see runner.Options.GangSize; 0 =
-	// runner.DefaultGangSize, currently 8; 1 disables coalescing).
-	GangSize int
 	// Store injects a pluggable persistent backend — e.g. a
 	// runner.NetStore dialled to a simd daemon, so this session's
 	// simulations run locally but share the daemon's memo fabric.
@@ -728,8 +708,7 @@ func NewSessionWith(opts SessionOptions) (*Session, error) {
 	if opts.Store != nil && opts.StorePath != "" {
 		return nil, fmt.Errorf("resizecache: SessionOptions.Store and StorePath are mutually exclusive")
 	}
-	ropts := runner.Options{Workers: opts.Workers, MemoLimit: opts.MemoLimit,
-		GangSize: opts.GangSize}
+	ropts := runner.Options{Workers: opts.Workers, MemoLimit: opts.MemoLimit}
 	store := opts.Store
 	if opts.StorePath != "" {
 		diskStore, err := runner.OpenDiskStore(opts.StorePath)
@@ -750,14 +729,27 @@ func (s *Session) Flush() error {
 	return s.store.Flush()
 }
 
-// Simulate is Session-scoped Simulate.
+// Simulate runs a scenario: it profiles the requested strategy per the
+// paper's methodology (offline sweep, minimum energy-delay product) and
+// returns the outcome. Repeated calls memoize against each other and
+// against the session's plans. It stays beside SimulateContext until the
+// next benchmark change, whose harness calls it.
 func (s *Session) Simulate(sc Scenario) (Outcome, error) {
 	return s.SimulateContext(context.Background(), sc)
 }
 
-// SimulateContext is Session-scoped SimulateContext.
+// SimulateContext is Simulate with cancellation: a cancelled context
+// stops the scenario's profiling sweeps between simulations.
 func (s *Session) SimulateContext(ctx context.Context, sc Scenario) (Outcome, error) {
-	return simulate(ctx, sc, s.r)
+	sc, err := sc.normalize()
+	if err != nil {
+		return Outcome{}, err
+	}
+	sweeps, err := sc.sweeps(nil)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return gather(ctx, sc, sweeps, s.r, nil)
 }
 
 // Stats reports the session's scheduling counters: how many simulations
@@ -845,30 +837,13 @@ func (s *Session) PutArtifact(domain string, version int, plan Plan, payload []b
 	s.r.PutArtifact(planArtifactKey(domain, version, plan), payload)
 }
 
-func simulate(ctx context.Context, sc Scenario, r *runner.Runner) (Outcome, error) {
-	sc, err := sc.normalize()
-	if err != nil {
-		return Outcome{}, err
-	}
-	sweeps, err := sc.sweeps(nil)
-	if err != nil {
-		return Outcome{}, err
-	}
-	return gather(ctx, sc, sweeps, r, nil)
-}
-
 // gather runs (or resolves) a normalized scenario's resolved sweeps and
 // combines their winners into its Outcome. Within a plan, comb batches
 // the combined run of a scenario that resizes several caches, and such
 // a scenario is one of comb's pending arrivals; a lone scenario passes
 // nil and runs its combined config directly.
 func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runner.Runner, comb *combiner) (Outcome, error) {
-	exec := r
-	if exec == nil {
-		exec = runner.Default()
-	}
-	before := exec.Stats()
-	opts := experiment.Options{Runner: r} // nil selects the shared default runner
+	before := r.Stats()
 	if len(sweeps) < 2 {
 		comb = nil
 	}
@@ -889,7 +864,7 @@ func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runn
 	// here costs Session.Run's per-scenario goroutines a stack copy.
 	parts := make([]experiment.Best, 0, len(sweeps))
 	for _, sw := range sweeps {
-		best, err := sw.Best(ctx, opts)
+		best, err := sw.Best(ctx, r)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -925,7 +900,7 @@ func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runn
 			arrived = true
 			res, err = comb.run(ctx, c.Cfg)
 		} else {
-			res, err = exec.Run(ctx, c.Cfg)
+			res, err = r.Run(ctx, c.Cfg)
 		}
 		if err != nil {
 			return Outcome{}, err
@@ -945,6 +920,6 @@ func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runn
 		}
 	}
 	out.Energy = sharesOf(chosen.Energy)
-	out.Stats = exec.Stats().Delta(before)
+	out.Stats = r.Stats().Delta(before)
 	return out, nil
 }

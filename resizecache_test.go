@@ -10,6 +10,10 @@ import (
 	"resizecache/internal/runner"
 )
 
+// testSession runs the tests that need no session of their own, so
+// scenarios they share memoize across tests.
+var testSession = NewSession()
+
 func TestBenchmarksList(t *testing.T) {
 	b := Benchmarks()
 	if len(b) != 12 {
@@ -18,14 +22,14 @@ func TestBenchmarksList(t *testing.T) {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate(Scenario{}); err == nil {
+	if _, err := testSession.Simulate(Scenario{}); err == nil {
 		t.Fatal("empty scenario accepted")
 	}
-	if _, err := Simulate(Scenario{Benchmark: "gcc"}); err == nil {
+	if _, err := testSession.Simulate(Scenario{Benchmark: "gcc"}); err == nil {
 		t.Fatal("non-resizable organization accepted")
 	}
 	err := func() error {
-		_, err := Simulate(Scenario{Benchmark: "nosuch", Organization: SelectiveSets})
+		_, err := testSession.Simulate(Scenario{Benchmark: "nosuch", Organization: SelectiveSets})
 		return err
 	}()
 	if err == nil {
@@ -42,7 +46,7 @@ func TestSimulateRejectsUnsupportedAssoc(t *testing.T) {
 	// Associativities the geometry layer cannot build must fail fast with
 	// a clear error instead of profiling a degenerate config.
 	for _, assoc := range []int{-1, 3, 5, 64} {
-		_, err := Simulate(Scenario{Benchmark: "gcc", Organization: SelectiveSets, Assoc: assoc})
+		_, err := testSession.Simulate(Scenario{Benchmark: "gcc", Organization: SelectiveSets, Assoc: assoc})
 		if err == nil {
 			t.Errorf("assoc %d accepted", assoc)
 			continue
@@ -86,7 +90,7 @@ func TestSidesNormalization(t *testing.T) {
 func TestSimulateContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SimulateContext(ctx, Scenario{
+	_, err := testSession.SimulateContext(ctx, Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
 		Sides:        DOnly,
@@ -220,7 +224,7 @@ func TestStrategyString(t *testing.T) {
 }
 
 func TestSimulateSingleCache(t *testing.T) {
-	out, err := Simulate(Scenario{
+	out, err := testSession.Simulate(Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
 		Sides:        DOnly,
@@ -244,7 +248,7 @@ func TestSimulateBothCachesDefault(t *testing.T) {
 	if testing.Short() {
 		t.Skip("combined sweep in -short mode")
 	}
-	out, err := Simulate(Scenario{
+	out, err := testSession.Simulate(Scenario{
 		Benchmark:    "ammp",
 		Organization: SelectiveSets,
 		Instructions: 300_000,
@@ -331,7 +335,7 @@ func TestL2ScenarioNormalization(t *testing.T) {
 }
 
 func TestSimulateL2Only(t *testing.T) {
-	out, err := Simulate(Scenario{
+	out, err := testSession.Simulate(Scenario{
 		Benchmark:    "m88ksim",
 		Sides:        L2Only,
 		L2:           L2Spec{Organization: SelectiveWays},
@@ -360,7 +364,7 @@ func TestSimulateL1PlusL2Combined(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two profiling sweeps plus a combined run in -short mode")
 	}
-	out, err := Simulate(Scenario{
+	out, err := testSession.Simulate(Scenario{
 		Benchmark:    "m88ksim",
 		Organization: SelectiveSets,
 		Sides:        DOnly,
@@ -386,7 +390,7 @@ func TestSimulateHierarchies(t *testing.T) {
 		t.Skip("hierarchy sweep in -short mode")
 	}
 	for _, h := range []Hierarchy{NoL2, SmallL2, DeepL2L3} {
-		out, err := Simulate(Scenario{
+		out, err := testSession.Simulate(Scenario{
 			Benchmark:    "m88ksim",
 			Organization: SelectiveSets,
 			Sides:        DOnly,
