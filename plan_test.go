@@ -562,6 +562,43 @@ func TestGridPlanUsesGangs(t *testing.T) {
 	}
 }
 
+// TestLargeGangsMatchSoloSession: a plan whose same-front groups run as
+// gangs of more than 32 members — past the engine's chunk size, so
+// chunks each replay the session's recorded stream — returns exactly
+// the outcomes each scenario gets from a session of its own, where its
+// gangs hold only its own sweep's candidates.
+func TestLargeGangsMatchSoloSession(t *testing.T) {
+	plan, err := Grid{
+		Benchmarks:    []string{"m88ksim", "vpr"},
+		Organizations: []Organization{SelectiveWays, SelectiveSets, Hybrid},
+		Strategies:    []Strategy{Static, Dynamic},
+		Sides:         []Sides{DOnly, IOnly},
+		Engines:       []Engine{OutOfOrderEngine, InOrderEngine},
+		Instructions:  20_000,
+	}.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSession()
+	got, err := Collect(s.Run(context.Background(), plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.GangBatches == 0 || st.Ganged <= 32*st.GangBatches {
+		t.Fatalf("no gang above 32 members: %d ganged in %d batches", st.Ganged, st.GangBatches)
+	}
+	for i, r := range got {
+		want, err := NewSession().Simulate(r.Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Stats, r.Outcome.Stats = runner.Stats{}, runner.Stats{}
+		if !reflect.DeepEqual(r.Outcome, want) {
+			t.Errorf("scenario %d (%+v): plan outcome differs from its solo session's", i, r.Scenario)
+		}
+	}
+}
+
 // TestPlanGangsCombinedRuns: a cold plan's combined runs (one per
 // scenario that resizes both L1s) are enqueued as one batch once every
 // such scenario has profiled its sides, so same-front combined configs
