@@ -1,7 +1,9 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -394,6 +396,87 @@ func TestDiskStoreCorruptAndVersionMismatch(t *testing.T) {
 	}
 	if _, ok := s2.Lookup(cfgN(0).Key()); !ok {
 		t.Error("rewritten store lost the fresh result")
+	}
+}
+
+// TestDiskStoreFileIsTheMarshalledDocument pins the streamed file
+// format: Flush writes exactly the bytes json.Marshal gives the store's
+// document, and a load reads back every entry of that document.
+func TestDiskStoreFileIsTheMarshalledDocument(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "store.json")
+	s, err := OpenDiskStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 5 {
+		s.Record(cfgN(i).Key(), StoredResult{Result: stubResult(cfgN(i))})
+	}
+	s.Record(cfgN(5).Key(), StoredResult{Err: "boom <&>"})
+	s.RecordArtifact(cfgN(6).Key(), []byte(`{ "spaced" : [1, 2] }`))
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(diskFile{Version: storeVersion, Results: s.results, Artifacts: s.artifacts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("flushed file differs from the marshalled document:\n got %s\nwant %s", got, want)
+	}
+
+	re, err := OpenDiskStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f diskFile
+	if err := json.Unmarshal(got, &f); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := json.Marshal(diskFile{Version: storeVersion, Results: re.results, Artifacts: re.artifacts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reloaded, want) {
+		t.Errorf("reloaded store differs from the file:\n got %s\nwant %s", reloaded, want)
+	}
+	if len(re.results) != len(f.Results) || len(re.artifacts) != len(f.Artifacts) {
+		t.Errorf("reloaded %d results and %d artifacts, the file holds %d and %d",
+			len(re.results), len(re.artifacts), len(f.Results), len(f.Artifacts))
+	}
+
+	// Unknown fields and any member order load; anything but an object
+	// where the document or a section belongs, and trailing data, fail.
+	for _, c := range []struct {
+		doc string
+		ok  bool
+		n   int
+	}{
+		{`{"version":2,"results":{"k":{"err":"x"}},"extra":[1,{"a":2}]}`, true, 1},
+		{`{"results":{"k":{"err":"x"}},"version":2}`, true, 1},
+		{`{"version":1,"results":{"k":{"err":"x"}}}`, true, 0},
+		{`{"version":2,"results":{}} x`, false, 0},
+		{`{"version":2,"results":{}}{}`, false, 0},
+		{`[]`, false, 0},
+		{`null`, false, 0},
+		{`{"version":2,"results":[]}`, false, 0},
+		{`{"version":2,"results":{"k":{"err":"x"}}`, false, 0},
+	} {
+		p := filepath.Join(t.TempDir(), "doc.json")
+		if err := os.WriteFile(p, []byte(c.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenDiskStore(p)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: OpenDiskStore error %v, want ok=%v", c.doc, err, c.ok)
+			continue
+		}
+		if c.ok && s.Len() != c.n {
+			t.Errorf("%s: loaded %d results, want %d", c.doc, s.Len(), c.n)
+		}
 	}
 }
 

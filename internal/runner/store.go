@@ -1,10 +1,14 @@
 package runner
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"resizecache/internal/payload"
@@ -145,15 +149,16 @@ func OpenDiskStore(path string) (*DiskStore, error) {
 		results:   make(map[string]StoredResult),
 		artifacts: make(map[string]json.RawMessage),
 	}
-	data, err := os.ReadFile(path)
+	file, err := os.Open(path)
 	if os.IsNotExist(err) {
 		return s, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("runner: open store %s: %w", path, err)
 	}
-	var f diskFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	defer file.Close()
+	f, err := readDiskFile(bufio.NewReader(file))
+	if err != nil {
 		return nil, fmt.Errorf("runner: parse store %s: %w", path, err)
 	}
 	if f.Version == storeVersion {
@@ -165,6 +170,65 @@ func OpenDiskStore(path string) (*DiskStore, error) {
 		}
 	}
 	return s, nil
+}
+
+// readDiskFile decodes a diskFile document one entry at a time, so a
+// load never holds the whole file, or a buffer the size of it, in
+// memory. Unknown fields are skipped, as json.Unmarshal skips them.
+func readDiskFile(r io.Reader) (f diskFile, err error) {
+	dec := json.NewDecoder(r)
+	err = readObject(dec, func(name string) error {
+		var err error
+		switch name {
+		case "version":
+			err = dec.Decode(&f.Version)
+		case "results":
+			f.Results, err = readEntries[StoredResult](dec)
+		case "artifacts":
+			f.Artifacts, err = readEntries[json.RawMessage](dec)
+		default:
+			err = dec.Decode(new(json.RawMessage))
+		}
+		return err
+	})
+	if _, end := dec.Token(); err == nil && end != io.EOF {
+		err = fmt.Errorf("data after the store document")
+	}
+	return f, err
+}
+
+// readEntries decodes one section of a diskFile, entry by entry.
+func readEntries[V any](dec *json.Decoder) (map[string]V, error) {
+	m := make(map[string]V)
+	return m, readObject(dec, func(k string) error {
+		var v V
+		err := dec.Decode(&v)
+		m[k] = v
+		return err
+	})
+}
+
+// readObject reads one JSON object from dec, calling member to decode
+// the value of each member it names.
+func readObject(dec *json.Decoder, member func(name string) error) error {
+	open, err := dec.Token()
+	if err != nil {
+		return err
+	}
+	if open != json.Delim('{') {
+		return fmt.Errorf("store holds %v where an object belongs", open)
+	}
+	for dec.More() {
+		name, err := dec.Token()
+		if err == nil {
+			err = member(name.(string))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	_, err = dec.Token()
+	return err
 }
 
 // Len returns the number of stored results.
@@ -234,17 +298,12 @@ func (s *DiskStore) Flush() error {
 	if !s.dirty {
 		return nil
 	}
-	data, err := json.Marshal(diskFile{Version: storeVersion,
-		Results: s.results, Artifacts: s.artifacts})
-	if err != nil {
-		return fmt.Errorf("runner: encode store: %w", err)
-	}
 	dir := filepath.Dir(s.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(s.path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("runner: flush store: %w", err)
 	}
-	_, err = tmp.Write(data)
+	err = s.writeDiskFile(tmp)
 	if err == nil {
 		err = tmp.Sync()
 	}
@@ -264,6 +323,44 @@ func (s *DiskStore) Flush() error {
 	}
 	s.dirty = false
 	return nil
+}
+
+// writeDiskFile writes the store as the bytes json.Marshal gives its
+// diskFile, one entry at a time, so a flush never holds the whole
+// document, or a buffer the size of it, in memory.
+func (s *DiskStore) writeDiskFile(out io.Writer) error {
+	w := bufio.NewWriter(out)
+	fmt.Fprintf(w, `{"version":%d,"results":`, storeVersion)
+	err := writeEntries(w, s.results)
+	if err == nil && len(s.artifacts) > 0 {
+		w.WriteString(`,"artifacts":`)
+		err = writeEntries(w, s.artifacts)
+	}
+	if err != nil {
+		return fmt.Errorf("runner: encode store: %w", err)
+	}
+	w.WriteByte('}')
+	return w.Flush()
+}
+
+// writeEntries writes m as a JSON object in sorted key order, as
+// json.Marshal does.
+func writeEntries[V any](w *bufio.Writer, m map[string]V) error {
+	w.WriteByte('{')
+	for i, k := range slices.Sorted(maps.Keys(m)) {
+		key, _ := json.Marshal(k) // a string always marshals
+		v, err := json.Marshal(m[k])
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			w.WriteByte(',')
+		}
+		w.Write(key)
+		w.WriteByte(':')
+		w.Write(v)
+	}
+	return w.WriteByte('}')
 }
 
 // syncDir makes a rename inside dir durable.
