@@ -98,13 +98,18 @@ const figureVersion = 1
 // (same session, or a persistent store) returns without probing a
 // single per-cell sweep; a cold one expands and runs the plan once and
 // caches the aggregate. A cached payload that no longer decodes (e.g. a
-// store written by a foreign build) falls back to the direct run and
-// repairs the cache.
+// store written by a foreign build) is a miss: the figure re-aggregates
+// once and the fresh payload replaces it.
 func cachedFigure[T any](ctx context.Context, s resizecache.Executor, domain string, g resizecache.Grid, o Options, aggregate func(map[cell]resizecache.Outcome) (T, error)) (T, error) {
 	var zero T
 	plan, err := g.Expand()
 	if err != nil {
 		return zero, err
+	}
+	var out T
+	decode := func(data []byte) error {
+		out = zero // a rejected payload may have half-filled it
+		return json.Unmarshal(data, &out)
 	}
 	compute := func(ctx context.Context) ([]byte, error) {
 		outs, err := collect(ctx, s, plan, o)
@@ -117,24 +122,10 @@ func cachedFigure[T any](ctx context.Context, s resizecache.Executor, domain str
 		}
 		return json.Marshal(agg)
 	}
-	data, err := s.Artifact(ctx, domain, figureVersion, plan, compute)
-	if err != nil {
+	if err := s.Artifact(ctx, domain, figureVersion, plan, decode, compute); err != nil {
 		return zero, err
 	}
-	var out T
-	if err := json.Unmarshal(data, &out); err == nil {
-		return out, nil
-	}
-	data, err = compute(ctx)
-	if err != nil {
-		return zero, err
-	}
-	s.PutArtifact(domain, figureVersion, plan, data)
-	var fresh T
-	if err := json.Unmarshal(data, &fresh); err != nil {
-		return zero, err
-	}
-	return fresh, nil
+	return out, nil
 }
 
 // ---------------------------------------------------------------------

@@ -1,11 +1,18 @@
 package figures
 
 import (
+	"bytes"
 	"context"
+	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"resizecache"
+	"resizecache/internal/runner"
+	"resizecache/internal/sim"
+	"resizecache/internal/simd"
 )
 
 // fastOpts trades fidelity for test speed; claim tests use tolerant
@@ -224,6 +231,147 @@ func TestFigureLevelArtifactCache(t *testing.T) {
 	}
 	if len(second.DCache) != len(first.DCache) || second.DCache[0] != first.DCache[0] {
 		t.Errorf("cached figure differs: %+v vs %+v", second, first)
+	}
+}
+
+// figureKeyStore notes the key of every figure aggregate recorded
+// through it. Figure payloads are JSON objects; the sweep Bests beside
+// them are sealed strings.
+type figureKeyStore struct {
+	runner.Store
+	mu   sync.Mutex
+	keys []sim.Key
+}
+
+func (s *figureKeyStore) RecordArtifact(k sim.Key, data []byte) {
+	if bytes.HasPrefix(data, []byte("{")) {
+		s.mu.Lock()
+		s.keys = append(s.keys, k)
+		s.mu.Unlock()
+	}
+	s.Store.RecordArtifact(k, data)
+}
+
+// planCounter counts the plans a figure driver runs through it.
+type planCounter struct {
+	resizecache.Executor
+	plans int
+}
+
+func (c *planCounter) Run(ctx context.Context, plan resizecache.Plan, opts ...resizecache.RunOption) <-chan resizecache.Result {
+	c.plans++
+	return c.Executor.Run(ctx, plan, opts...)
+}
+
+// startDaemon serves a simd daemon over store on a unix socket until
+// the test ends.
+func startDaemon(t *testing.T, store runner.Store) string {
+	t.Helper()
+	srv, err := simd.New(simd.Options{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := "unix:" + filepath.Join(t.TempDir(), "s.sock")
+	ln, err := simd.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ctx, ln) }()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	return addr
+}
+
+// TestUndecodableFigureArtifactRecomputesOnce: a stored figure
+// aggregate that no longer decodes is a miss, on a Session and on a
+// daemon-backed RemoteSession alike. The render re-aggregates once from
+// the warm sweeps, simulating nothing, and records the fresh aggregate,
+// so a fresh executor on the same store hits.
+func TestUndecodableFigureArtifactRecomputesOnce(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		// over returns a constructor of fresh executors sharing store.
+		over func(t *testing.T, store runner.Store) func() resizecache.Executor
+	}{
+		{"session", func(t *testing.T, store runner.Store) func() resizecache.Executor {
+			return func() resizecache.Executor {
+				s, err := resizecache.NewSessionWith(resizecache.SessionOptions{Store: store})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+		}},
+		{"remote", func(t *testing.T, store runner.Store) func() resizecache.Executor {
+			addr := startDaemon(t, store)
+			return func() resizecache.Executor {
+				s, err := resizecache.Dial(addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				return s
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := runner.NewMemStore()
+			store := &figureKeyStore{Store: mem}
+			fresh := tc.over(t, store)
+			first, err := Figure4(ctx, fresh(), tinyOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(store.keys) != 1 {
+				t.Fatalf("cold figure recorded %d figure aggregates, want 1", len(store.keys))
+			}
+			key := store.keys[0]
+			mem.RecordArtifact(key, []byte("[1,2,3]")) // valid JSON, not a Fig4Result
+
+			repair := &planCounter{Executor: fresh()}
+			before := repair.Stats()
+			got, err := Figure4(ctx, repair, tinyOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := repair.Stats().Delta(before)
+			if repair.plans != 1 || d.Runs != 0 {
+				t.Errorf("repair ran %d plans and %d simulations, want 1 plan over warm sweeps and 0 simulations", repair.plans, d.Runs)
+			}
+			if _, local := repair.Executor.(*resizecache.Session); local && d.ArtifactComputes != 1 {
+				t.Errorf("repair computed %d artifacts, want 1 (the figure)", d.ArtifactComputes)
+			}
+			if !reflect.DeepEqual(got, first) {
+				t.Errorf("repaired figure differs:\n got %+v\nwant %+v", got, first)
+			}
+			if data, _ := mem.LookupArtifact(key); string(data) == "[1,2,3]" {
+				t.Error("the undecodable aggregate is still stored")
+			}
+
+			warm := &planCounter{Executor: fresh()}
+			before = warm.Stats()
+			again, err := Figure4(ctx, warm, tinyOpts())
+			if err != nil {
+				t.Fatal(err)
+			}
+			d = warm.Stats().Delta(before)
+			if warm.plans != 0 || d.Runs != 0 {
+				t.Errorf("fresh executor after the repair ran %d plans and %d simulations, want 0", warm.plans, d.Runs)
+			}
+			if _, local := warm.Executor.(*resizecache.Session); local && (d.ArtifactStoreHits != 1 || d.ArtifactComputes != 0) {
+				t.Errorf("fresh session after the repair: %+v, want 1 artifact store hit and no computes", d)
+			}
+			if !reflect.DeepEqual(again, first) {
+				t.Errorf("figure after the repair differs:\n got %+v\nwant %+v", again, first)
+			}
+		})
 	}
 }
 

@@ -405,8 +405,8 @@ func ColdPlan(b *testing.B) {
 // WarmPlanArtifact times a warm Session.Artifact hit for the PlanGrid
 // plan, which is what a warm figure render pays before decoding its
 // rows: the plan fingerprint over every scenario's sweeps, six distinct
-// baselines among them, and one memo hit. The payload is a stub, so
-// nothing simulates.
+// baselines among them, and one memo hit. The payload is a stub and
+// decode a no-op, so nothing simulates or decodes.
 func WarmPlanArtifact(b *testing.B) {
 	plan, err := PlanGrid().Expand()
 	if err != nil {
@@ -414,13 +414,14 @@ func WarmPlanArtifact(b *testing.B) {
 	}
 	s := resizecache.NewSession()
 	ctx := context.Background()
+	decode := func([]byte) error { return nil }
 	compute := func(context.Context) ([]byte, error) { return []byte(`{"rows":[]}`), nil }
-	if _, err := s.Artifact(ctx, "bench", 1, plan, compute); err != nil {
+	if err := s.Artifact(ctx, "bench", 1, plan, decode, compute); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := s.Artifact(ctx, "bench", 1, plan, compute); err != nil {
+		if err := s.Artifact(ctx, "bench", 1, plan, decode, compute); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -35,31 +35,24 @@ const artifactVersion = 4
 
 // cachedBest resolves a sweep's Best through the runner's artifact
 // cache under its fingerprint, running compute only on a cold key. A
-// payload that no longer decodes (e.g. a store written by a foreign
-// build) falls back to the direct sweep and repairs both cache tiers
-// with the fresh payload, so the broken bytes cost one recompute, not
-// one per call.
+// cached payload that no longer decodes (e.g. a store written by a
+// foreign build) is a miss: the runner recomputes it once and records
+// the fresh payload in both tiers.
 func cachedBest(ctx context.Context, r *runner.Runner, key sim.Key, compute func(context.Context) (Best, error)) (Best, error) {
-	data, err := r.Artifact(ctx, key, func(ctx context.Context) ([]byte, error) {
-		best, err := compute(ctx)
+	var best Best
+	err := r.Artifact(ctx, key, func(data []byte) (err error) {
+		best, err = decodeBest(data)
+		return err
+	}, func(ctx context.Context) ([]byte, error) {
+		fresh, err := compute(ctx)
 		if err != nil {
 			return nil, err
 		}
-		best = stripTraces(best)
-		return encodeBest(&best), nil
+		fresh = stripTraces(fresh)
+		return encodeBest(&fresh), nil
 	})
 	if err != nil {
 		return Best{}, err
-	}
-	best, err := decodeBest(data)
-	if err != nil {
-		fresh, cerr := compute(ctx)
-		if cerr != nil {
-			return Best{}, cerr
-		}
-		fresh = stripTraces(fresh)
-		r.PutArtifact(key, encodeBest(&fresh))
-		return fresh, nil
 	}
 	return best, nil
 }

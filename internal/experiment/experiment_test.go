@@ -8,7 +8,10 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"resizecache/internal/core"
 	"resizecache/internal/geometry"
@@ -395,6 +398,60 @@ func TestCachedBestRepairsUndecodablePayload(t *testing.T) {
 		if again.Desc != want.Desc {
 			t.Errorf("%s: repaired store returned %+v", name, again)
 		}
+	}
+}
+
+// TestConcurrentUndecodableArtifactRecomputesOnce: concurrent callers
+// that all find an undecodable stored payload recompute it once, under
+// the runner's single flight, and all get the fresh Best.
+func TestConcurrentUndecodableArtifactRecomputesOnce(t *testing.T) {
+	const callers = 8
+	key, err := NewSweepSpec("gcc", DSide, core.SelectiveSets, 2, false, fastOpts()).ArtifactKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := runner.NewMemStore()
+	store.RecordArtifact(key, []byte("[1,2,3]"))
+	r := runner.New(runner.Options{Store: store})
+
+	want := Best{App: "gcc", Desc: "static 8K/2-way"}
+	release := make(chan struct{})
+	var computes atomic.Int32
+	compute := func(context.Context) (Best, error) {
+		computes.Add(1)
+		<-release
+		return want, nil
+	}
+	var wg sync.WaitGroup
+	got := make([]Best, callers)
+	errs := make([]error, callers)
+	for i := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = cachedBest(context.Background(), r, key, compute)
+		}()
+	}
+	// Hold the first compute until every caller has had time to reach
+	// the payload and, were it repaired outside the single flight, to
+	// start a compute of its own.
+	deadline := time.Now().Add(5 * time.Second)
+	for computes.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	for i := range callers {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if got[i].App != want.App || got[i].Desc != want.Desc {
+			t.Errorf("caller %d got %+v, want %+v", i, got[i], want)
+		}
+	}
+	if n := computes.Load(); n != 1 {
+		t.Errorf("computed %d times, want 1", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"sync/atomic"
 
 	"resizecache/internal/sim"
 )
@@ -21,88 +22,59 @@ import (
 // owns the schema (and versions it inside its fingerprints), which keeps
 // the dependency arrow pointing from experiment to runner.
 
-// artifactEntry is one artifact fingerprint's slot: the owner computes
-// and closes done; concurrent callers of the same fingerprint wait.
-type artifactEntry struct {
-	done chan struct{}
-	data []byte
-	err  error
-}
-
 // Artifact resolves a sweep-level artifact: the in-memory tier first,
-// then the persistent store, then compute. Concurrent calls for the
-// same key run compute once (the others wait for it). Successful
-// payloads are memoized in memory and recorded to the store; errors are
-// never memoized — the per-config memo table underneath already replays
-// stored failures cheaply, and caching a cancellation would poison the
+// then the persistent store, then compute. decode is called on the
+// payload the call accepts, and must not keep the slice: every hit
+// shares it. A cached payload that decode rejects, from either tier, is
+// a miss: it is dropped and recomputed. Concurrent calls for the same
+// key run the store lookup and compute once, the others waiting for
+// it. A computed payload that decode accepts is memoized in memory and
+// recorded to the store; errors, and payloads decode rejects, are never
+// memoized: the per-config memo table underneath already replays stored
+// failures cheaply, and caching a cancellation would poison the
 // fingerprint for later live contexts.
 //
 // Payloads must be valid JSON (the Store contract embeds them in JSON
-// documents). The returned slice is a read-only view of the cached
-// payload, like Store.LookupArtifact's: every hit shares it, so the
-// caller must not modify it, and a hit costs no copy. compute hands
-// its result over the same way: the cache keeps the slice it returns.
-func (r *Runner) Artifact(ctx context.Context, key sim.Key, compute func(context.Context) ([]byte, error)) ([]byte, error) {
-	for {
-		data, err, retry := r.artifactOnce(ctx, key, compute)
-		if !retry {
-			return data, err
+// documents). The cache keeps the slice compute returns.
+func (r *Runner) Artifact(ctx context.Context, key sim.Key, decode func([]byte) error, compute func(context.Context) ([]byte, error)) error {
+	accept := func(a artifact) error {
+		err := decode(a.data)
+		if err == nil && a.storeHit != nil && !a.storeHit.Swap(true) {
+			r.artStoreHits.Add(1)
 		}
+		return err
 	}
-}
-
-// artifactOnce mirrors runKey's resolve-or-own protocol for one artifact
-// fingerprint. retry is true when the entry it waited on failed in a way
-// that does not apply to this caller (the owner erred or was cancelled;
-// the entry has been evicted, so this caller can take ownership).
-func (r *Runner) artifactOnce(ctx context.Context, key sim.Key, compute func(context.Context) ([]byte, error)) ([]byte, error, bool) {
-	if err := ctx.Err(); err != nil {
-		return nil, err, false
-	}
-
-	r.artMu.Lock()
-	if e, ok := r.artifacts[key]; ok {
-		select {
-		case <-e.done: // completed: only successes stay in the table
-			r.artMu.Unlock()
-			r.artHits.Add(1)
-			return e.data, nil, false
-		default: // computing: join it
-			r.artMu.Unlock()
-			select {
-			case <-e.done:
-				if e.err != nil {
-					if ctx.Err() == nil {
-						return nil, nil, true // owner failed; retry with our context
-					}
-					return nil, ctx.Err(), false
-				}
-				r.artHits.Add(1)
-				return e.data, nil, false
-			case <-ctx.Done():
-				return nil, ctx.Err(), false
+	_, err, from := r.artifacts.do(ctx, key, accept, func(s *slot[artifact]) {
+		if r.store != nil {
+			if data, ok := r.store.LookupArtifact(key); ok && decode(data) == nil {
+				r.artStoreHits.Add(1)
+				r.artifacts.publish(key, s, artifact{data: data}, nil)
+				return
 			}
 		}
-	}
-	e := &artifactEntry{done: make(chan struct{})}
-	r.artifacts[key] = e
-	r.artMu.Unlock()
-
-	if r.store != nil {
-		if data, ok := r.store.LookupArtifact(key); ok {
-			r.artStoreHits.Add(1)
-			r.artifactComplete(key, e, data, nil)
-			return data, nil, false
+		r.artComputes.Add(1)
+		data, err := compute(ctx)
+		if err == nil {
+			err = decode(data)
 		}
+		if err == nil && r.store != nil {
+			r.store.RecordArtifact(key, data)
+		}
+		r.artifacts.publish(key, s, artifact{data: data}, err)
+	})
+	if err == nil && from != owned {
+		r.artHits.Add(1)
 	}
+	return err
+}
 
-	r.artComputes.Add(1)
-	data, err := compute(ctx)
-	if err == nil && r.store != nil {
-		r.store.RecordArtifact(key, data)
-	}
-	r.artifactComplete(key, e, data, err)
-	return data, err, false
+// artifact is one artifact table value. storeHit is non-nil for a
+// payload HasArtifact moved in from the store: the first decode to
+// accept it sets it and counts the store hit, so a promoted payload that
+// turns out stale counts only as the compute that replaces it.
+type artifact struct {
+	data     []byte
+	storeHit *atomic.Bool
 }
 
 // HasArtifact reports whether an artifact fingerprint would resolve
@@ -110,14 +82,14 @@ func (r *Runner) artifactOnce(ctx context.Context, key sim.Key, compute func(con
 // in-memory tier, or present in the persistent store. Batch schedulers
 // probe it before enqueueing a sweep's simulations, so warm sweeps cost
 // nothing — not even redundant submissions that would immediately
-// memo-hit. A store hit is promoted into the in-memory tier (and counted
-// as an artifact store hit), so the gather that follows the probe
-// resolves from memory instead of fetching the payload a second time.
+// memo-hit. A store hit is promoted into the in-memory tier, so the
+// gather that follows the probe resolves from memory instead of fetching
+// the payload a second time. HasArtifact does not decode: the gather's
+// first decode that accepts the promoted payload counts it as an
+// artifact store hit, and a promoted payload the decode rejects is a
+// miss there.
 func (r *Runner) HasArtifact(key sim.Key) bool {
-	r.artMu.Lock()
-	_, ok := r.artifacts[key]
-	r.artMu.Unlock()
-	if ok {
+	if s, _ := r.artifacts.peek(key); s != nil {
 		return true
 	}
 	if r.store == nil {
@@ -127,41 +99,8 @@ func (r *Runner) HasArtifact(key sim.Key) bool {
 	if !ok {
 		return false
 	}
-	r.artMu.Lock()
-	if _, raced := r.artifacts[key]; !raced {
-		e := &artifactEntry{done: make(chan struct{}), data: data}
-		close(e.done)
-		r.artifacts[key] = e
-		r.artStoreHits.Add(1)
+	if s, from := r.artifacts.claim(key, false); from == owned {
+		r.artifacts.publish(key, s, artifact{data: data, storeHit: new(atomic.Bool)}, nil)
 	}
-	r.artMu.Unlock()
 	return true
-}
-
-// PutArtifact force-installs an artifact payload in both tiers,
-// replacing whatever either held. Cache layers above use it to repair a
-// fingerprint whose stored payload no longer decodes — without it the
-// undecodable bytes would keep hitting and force a recompute on every
-// call, in every process, forever.
-func (r *Runner) PutArtifact(key sim.Key, data []byte) {
-	e := &artifactEntry{done: make(chan struct{}), data: append([]byte(nil), data...)}
-	close(e.done)
-	r.artMu.Lock()
-	r.artifacts[key] = e
-	r.artMu.Unlock()
-	if r.store != nil {
-		r.store.RecordArtifact(key, data)
-	}
-}
-
-// artifactComplete publishes an artifact outcome; failed computations
-// are evicted so the fingerprint can be retried.
-func (r *Runner) artifactComplete(key sim.Key, e *artifactEntry, data []byte, err error) {
-	e.data, e.err = data, err
-	if err != nil {
-		r.artMu.Lock()
-		delete(r.artifacts, key)
-		r.artMu.Unlock()
-	}
-	close(e.done)
 }

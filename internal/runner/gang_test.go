@@ -441,9 +441,9 @@ func TestRunAllFailureCancelsAndDrains(t *testing.T) {
 	// one keep an entry. Give up after a while so a runner that never
 	// cancels fails below instead of hanging.
 	for end := time.Now().Add(2 * time.Second); time.Now().Before(end); time.Sleep(time.Millisecond) {
-		r.mu.Lock()
-		left := len(r.entries)
-		r.mu.Unlock()
+		r.results.mu.Lock()
+		left := len(r.results.slots)
+		r.results.mu.Unlock()
 		if left == 4 && active.Load() == 1 {
 			break
 		}

@@ -12,7 +12,9 @@
 //     so parallel sweeps sharing a baseline do not race to re-run it;
 //   - memoizes sweep-level artifacts (serialized winner selections, see
 //     Artifact) so whole sweeps — not just individual configs — resolve
-//     without re-running when a later figure driver repeats them;
+//     without re-running when a later figure driver repeats them; a
+//     cached payload the caller's decode rejects is a miss, recomputed
+//     once;
 //   - bounds concurrency with one shared semaphore instead of a pool
 //     per sweep, so nested experiment drivers cannot oversubscribe;
 //   - optionally bounds the in-memory memo table with LRU eviction, so
@@ -24,13 +26,17 @@
 //     same-front-end configs, so later Run/RunAll calls join the
 //     in-flight work and the pool interleaves across sweeps.
 //
+// Results and artifacts share one single-flight table type (memo, in
+// memo.go): claim-or-join, publish with keep-or-evict, a joined waiter
+// that claims again when its owner's outcome left the table, and the
+// optional LRU bound.
+//
 // Every caller constructs its Runner with New and passes it to whatever
 // runs simulations on it, so memoization is shared exactly as far as
 // the runner is.
 package runner
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -194,37 +200,24 @@ func (s Stats) Delta(prev Stats) Stats {
 	}
 }
 
-// entry is one fingerprint's slot in the memo table. The owner (the
-// goroutine that created the entry) simulates and closes done; waiters
-// block on done. Completed entries stay in the table as the memo store,
-// tracked by the LRU list when a memo limit is set.
-type entry struct {
-	done chan struct{}
-	res  sim.Result
-	err  error
-	elem *list.Element // LRU position once completed (nil if unbounded)
-}
-
 // Runner schedules simulations; see the package comment. The zero value
 // is not usable — construct with New.
 type Runner struct {
-	sem       chan struct{}
-	store     Store
-	memoLimit int
-	runGang   func([]sim.Config) ([]sim.Result, error)
+	sem     chan struct{}
+	store   Store
+	runGang func([]sim.Config) ([]sim.Result, error)
 
-	mu      sync.Mutex
-	entries map[sim.Key]*entry
-	lru     *list.List // of sim.Key; front = most recently used
+	// results memoizes simulation outcomes, bounded by MemoLimit; a
+	// cancellation leaves it. artifacts memoizes artifact payloads,
+	// unbounded; any error leaves it.
+	results   *memo[sim.Result]
+	artifacts *memo[artifact]
 
-	artMu     sync.Mutex
-	artifacts map[sim.Key]*artifactEntry
-
-	submitted, memoHits, storeHits, dedups, runs, errs atomic.Uint64
-	evictions, artHits, artStoreHits, artComputes      atomic.Uint64
-	enqueued, enqueueBatches                           atomic.Uint64
-	ganged, gangBatches                                atomic.Uint64
-	warmupHits, warmupSaves                            atomic.Uint64
+	submitted, memoHits, storeHits, runs, errs atomic.Uint64
+	artHits, artStoreHits, artComputes         atomic.Uint64
+	enqueued, enqueueBatches                   atomic.Uint64
+	ganged, gangBatches                        atomic.Uint64
+	warmupHits, warmupSaves                    atomic.Uint64
 }
 
 // noteWarmup folds one simulation's warmup-checkpoint outcome into the
@@ -258,11 +251,9 @@ func New(opts Options) *Runner {
 	r := &Runner{
 		sem:       make(chan struct{}, workers),
 		store:     opts.Store,
-		memoLimit: opts.MemoLimit,
 		runGang:   opts.RunGang,
-		entries:   make(map[sim.Key]*entry),
-		lru:       list.New(),
-		artifacts: make(map[sim.Key]*artifactEntry),
+		results:   newMemo[sim.Result](opts.MemoLimit, isCancellation),
+		artifacts: newMemo[artifact](0, func(error) bool { return true }),
 	}
 	if r.runGang == nil {
 		// The default entry point replays each repeated workload stream,
@@ -301,10 +292,10 @@ func (r *Runner) Stats() Stats {
 		Submitted:         r.submitted.Load(),
 		MemoHits:          r.memoHits.Load(),
 		StoreHits:         r.storeHits.Load(),
-		InFlightDedups:    r.dedups.Load(),
+		InFlightDedups:    r.results.joins.Load(),
 		Runs:              r.runs.Load(),
 		Errors:            r.errs.Load(),
-		Evictions:         r.evictions.Load(),
+		Evictions:         r.results.evictions.Load(),
 		Enqueued:          r.enqueued.Load(),
 		Ganged:            r.ganged.Load(),
 		GangBatches:       r.gangBatches.Load(),
@@ -346,57 +337,18 @@ func (r *Runner) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 // run is Run for a fingerprinted config.
 func (r *Runner) run(ctx context.Context, j Job) (sim.Result, error) {
 	r.submitted.Add(1)
-	for {
-		res, err, retry := r.runKey(ctx, j.Key, j.Cfg)
-		if !retry {
-			return res, err
-		}
+	res, err, from := r.results.do(ctx, j.Key, nil, func(s *slot[sim.Result]) {
+		r.execute(ctx, []gangItem{{Job: j, s: s}})
+	})
+	if from == hit {
+		r.memoHits.Add(1)
 	}
+	return res, err
 }
 
-// runKey resolves one fingerprint. retry is true when the entry it
-// waited on was evicted after a cancellation that does not apply to this
-// caller's still-live context.
-func (r *Runner) runKey(ctx context.Context, key sim.Key, cfg *sim.Config) (sim.Result, error, bool) {
-	if err := ctx.Err(); err != nil {
-		return sim.Result{}, err, false
-	}
-
-	r.mu.Lock()
-	if e, ok := r.entries[key]; ok {
-		select {
-		case <-e.done: // completed: memo hit
-			if e.elem != nil {
-				r.lru.MoveToFront(e.elem)
-			}
-			r.mu.Unlock()
-			r.memoHits.Add(1)
-			return e.res, e.err, false
-		default: // executing: join it
-			r.mu.Unlock()
-			r.dedups.Add(1)
-			select {
-			case <-e.done:
-				if e.err != nil && isCancellation(e.err) && ctx.Err() == nil {
-					return sim.Result{}, nil, true // owner was cancelled, we are not
-				}
-				return e.res, e.err, false
-			case <-ctx.Done():
-				return sim.Result{}, ctx.Err(), false
-			}
-		}
-	}
-	e := &entry{done: make(chan struct{})}
-	r.entries[key] = e
-	r.mu.Unlock()
-
-	r.execute(ctx, []gangItem{{Job: Job{Cfg: cfg, Key: key}, e: e}})
-	return e.res, e.err, false
-}
-
-// fromStore completes entry e for key from the persistent store, if
-// the store holds it; ok reports whether it did.
-func (r *Runner) fromStore(key sim.Key, e *entry) (res sim.Result, err error, ok bool) {
+// fromStore publishes slot s for key from the persistent store, if the
+// store holds it; ok reports whether it did.
+func (r *Runner) fromStore(key sim.Key, s *slot[sim.Result]) (res sim.Result, err error, ok bool) {
 	if r.store == nil {
 		return sim.Result{}, nil, false
 	}
@@ -404,21 +356,21 @@ func (r *Runner) fromStore(key sim.Key, e *entry) (res sim.Result, err error, ok
 	if !ok {
 		return sim.Result{}, nil, false
 	}
-	res, err = r.completeStored(key, e, sr)
+	res, err = r.completeStored(key, s, sr)
 	return res, err, true
 }
 
-// completeStored completes entry e for key with a stored outcome. A
+// completeStored publishes slot s for key with a stored outcome. A
 // stored failure replays as a StoredError instead of re-simulating a
 // config known to fail.
-func (r *Runner) completeStored(key sim.Key, e *entry, sr StoredResult) (sim.Result, error) {
+func (r *Runner) completeStored(key sim.Key, s *slot[sim.Result], sr StoredResult) (sim.Result, error) {
 	r.storeHits.Add(1)
 	var err error
 	if sr.Err != "" {
 		err = &StoredError{Msg: sr.Err}
 		r.errs.Add(1)
 	}
-	r.complete(key, e, sr.Result, err)
+	r.results.publish(key, s, sr.Result, err)
 	return sr.Result, err
 }
 
@@ -428,23 +380,14 @@ func (r *Runner) completeStored(key sim.Key, e *entry, sr StoredResult) (sim.Res
 // for a fingerprint that is unknown or in flight, and the caller goes
 // on to run it.
 func (r *Runner) Resolve(key sim.Key) (res sim.Result, err error, ok bool) {
-	r.mu.Lock()
-	if e, known := r.entries[key]; known {
-		select {
-		case <-e.done:
-			if e.elem != nil {
-				r.lru.MoveToFront(e.elem)
-			}
-			r.mu.Unlock()
-			r.submitted.Add(1)
-			r.memoHits.Add(1)
-			return e.res, e.err, true
-		default:
-			r.mu.Unlock()
+	if s, published := r.results.peek(key); s != nil {
+		if !published {
 			return sim.Result{}, nil, false
 		}
+		r.submitted.Add(1)
+		r.memoHits.Add(1)
+		return s.val, s.err, true
 	}
-	r.mu.Unlock()
 	if r.store == nil {
 		return sim.Result{}, nil, false
 	}
@@ -452,17 +395,13 @@ func (r *Runner) Resolve(key sim.Key) (res sim.Result, err error, ok bool) {
 	if !stored {
 		return sim.Result{}, nil, false
 	}
-	r.mu.Lock()
-	if _, known := r.entries[key]; known {
+	s, from := r.results.claim(key, false)
+	if from != owned {
 		// Another submission got there first: the caller joins it.
-		r.mu.Unlock()
 		return sim.Result{}, nil, false
 	}
-	e := &entry{done: make(chan struct{})}
-	r.entries[key] = e
-	r.mu.Unlock()
 	r.submitted.Add(1)
-	res, err = r.completeStored(key, e, sr)
+	res, err = r.completeStored(key, s, sr)
 	return res, err, true
 }
 
@@ -503,15 +442,9 @@ func (r *Runner) Enqueue(ctx context.Context, jobs []Job) (int, func()) {
 	var wg sync.WaitGroup
 	var fresh []gangItem
 	for _, j := range jobs {
-		r.mu.Lock()
-		if _, ok := r.entries[j.Key]; ok {
-			r.mu.Unlock()
-			continue
+		if s, from := r.results.claim(j.Key, false); from == owned {
+			fresh = append(fresh, gangItem{Job: j, s: s})
 		}
-		e := &entry{done: make(chan struct{})}
-		r.entries[j.Key] = e
-		r.mu.Unlock()
-		fresh = append(fresh, gangItem{Job: j, e: e})
 	}
 	if len(fresh) == 0 {
 		return 0, func() {}
@@ -557,11 +490,11 @@ func groupBy(items []gangItem, key func(sim.Config) sim.Key) [][]gangItem {
 	return groups
 }
 
-// gangItem is one registered entry awaiting execution: its job and the
-// memo-table entry its owner publishes to.
+// gangItem is one claimed slot awaiting execution: its job and the
+// memo-table slot its owner publishes to.
 type gangItem struct {
 	Job
-	e *entry
+	s *slot[sim.Result]
 }
 
 // execute owns a batch of registered same-front entries: members found
@@ -579,7 +512,7 @@ func (r *Runner) execute(ctx context.Context, batch []gangItem) {
 	// item would move a lone Run's config to the heap.
 	live := make([]int, 0, gangSize)
 	for i, it := range batch {
-		if _, _, ok := r.fromStore(it.Key, it.e); !ok {
+		if _, _, ok := r.fromStore(it.Key, it.s); !ok {
 			live = append(live, i)
 		}
 	}
@@ -591,7 +524,7 @@ func (r *Runner) execute(ctx context.Context, batch []gangItem) {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
 		for _, i := range live {
-			r.complete(batch[i].Key, batch[i].e, sim.Result{}, ctx.Err())
+			r.results.publish(batch[i].Key, batch[i].s, sim.Result{}, ctx.Err())
 		}
 		return
 	}
@@ -630,31 +563,8 @@ func (r *Runner) execute(ctx context.Context, batch []gangItem) {
 			}
 			r.store.Record(it.Key, sr)
 		}
-		r.complete(it.Key, it.e, res, err)
+		r.results.publish(it.Key, it.s, res, err)
 	}
-}
-
-// complete publishes an entry's outcome. Cancellation outcomes are
-// evicted from the table so the fingerprint can be retried later; other
-// outcomes join the LRU list when a memo limit is set, evicting the
-// least recently used completed entries beyond the bound.
-func (r *Runner) complete(key sim.Key, e *entry, res sim.Result, err error) {
-	e.res, e.err = res, err
-	r.mu.Lock()
-	switch {
-	case err != nil && isCancellation(err):
-		delete(r.entries, key)
-	case r.memoLimit > 0:
-		e.elem = r.lru.PushFront(key)
-		for r.lru.Len() > r.memoLimit {
-			oldest := r.lru.Back()
-			r.lru.Remove(oldest)
-			delete(r.entries, oldest.Value.(sim.Key))
-			r.evictions.Add(1)
-		}
-	}
-	r.mu.Unlock()
-	close(e.done)
 }
 
 func isCancellation(err error) bool {

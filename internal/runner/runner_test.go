@@ -548,6 +548,42 @@ func TestMemoLRUEviction(t *testing.T) {
 	}
 }
 
+// TestEnqueueLeavesMemoRecencyAlone: Enqueue skips a memoized config
+// without counting it as used, so the LRU bound still evicts it first.
+func TestEnqueueLeavesMemoRecencyAlone(t *testing.T) {
+	var calls atomic.Int32
+	r := New(Options{Workers: 1, MemoLimit: 2, RunGang: each(func(cfg sim.Config) (sim.Result, error) {
+		calls.Add(1)
+		return stubResult(cfg), nil
+	})})
+	ctx := context.Background()
+	for i := range 2 {
+		if _, err := r.Run(ctx, cfgN(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := r.Enqueue(ctx, Jobs([]sim.Config{cfgN(0)})); n != 0 {
+		t.Fatalf("enqueued %d memoized configs, want 0", n)
+	}
+	for _, i := range []int{2, 1} { // admitting cfg 2 evicts cfg 0, the least recently used
+		if _, err := r.Run(ctx, cfgN(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls.Load() != 3 {
+		t.Errorf("simulated %d times, want 3: Enqueue refreshed cfg 0's recency", calls.Load())
+	}
+}
+
+// decodeTo returns an Artifact decode that accepts any payload and
+// copies it into *out.
+func decodeTo(out *string) func([]byte) error {
+	return func(data []byte) error {
+		*out = string(data)
+		return nil
+	}
+}
+
 func TestArtifactMemoizesAndPersists(t *testing.T) {
 	store := NewMemStore()
 	r := New(Options{Workers: 1, Store: store})
@@ -558,12 +594,11 @@ func TestArtifactMemoizesAndPersists(t *testing.T) {
 		return []byte(`{"v":1}`), nil
 	}
 	ctx := context.Background()
-	a, err := r.Artifact(ctx, key, compute)
-	if err != nil {
+	var a, b, c string
+	if err := r.Artifact(ctx, key, decodeTo(&a), compute); err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Artifact(ctx, key, compute)
-	if err != nil {
+	if err := r.Artifact(ctx, key, decodeTo(&b), compute); err != nil {
 		t.Fatal(err)
 	}
 	if string(a) != `{"v":1}` || string(b) != string(a) {
@@ -578,8 +613,7 @@ func TestArtifactMemoizesAndPersists(t *testing.T) {
 
 	// A fresh runner sharing the store resolves from the persistent tier.
 	r2 := New(Options{Workers: 1, Store: store})
-	c, err := r2.Artifact(ctx, key, compute)
-	if err != nil {
+	if err := r2.Artifact(ctx, key, decodeTo(&c), compute); err != nil {
 		t.Fatal(err)
 	}
 	if string(c) != string(a) {
@@ -601,19 +635,18 @@ func TestArtifactHitsShareThePayload(t *testing.T) {
 	key := sim.NewKeyBuilder("runner-test").Str("shared").Sum()
 	computed := []byte(`{"v":1}`)
 	compute := func(context.Context) ([]byte, error) { return computed, nil }
-	a, err := r.Artifact(context.Background(), key, compute)
-	if err != nil {
+	var a, b []byte
+	if err := r.Artifact(context.Background(), key, func(data []byte) error { a = data; return nil }, compute); err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Artifact(context.Background(), key, compute)
-	if err != nil {
+	if err := r.Artifact(context.Background(), key, func(data []byte) error { b = data; return nil }, compute); err != nil {
 		t.Fatal(err)
 	}
 	if &a[0] != &computed[0] || &b[0] != &computed[0] {
 		t.Error("Artifact copied the cached payload; hits are read-only views of it")
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := r.Artifact(context.Background(), key, compute); err != nil {
+		if err := r.Artifact(context.Background(), key, func([]byte) error { return nil }, compute); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -627,12 +660,13 @@ func TestArtifactErrorsAreNotMemoized(t *testing.T) {
 	boom := errors.New("boom")
 	fail := true
 	ctx := context.Background()
-	if _, err := r.Artifact(ctx, key, func(context.Context) ([]byte, error) {
+	var data string
+	if err := r.Artifact(ctx, key, decodeTo(&data), func(context.Context) ([]byte, error) {
 		return nil, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
-	data, err := r.Artifact(ctx, key, func(context.Context) ([]byte, error) {
+	err := r.Artifact(ctx, key, decodeTo(&data), func(context.Context) ([]byte, error) {
 		fail = false
 		return []byte("ok"), nil
 	})
@@ -651,13 +685,13 @@ func TestArtifactInFlightDedup(t *testing.T) {
 	release := make(chan struct{})
 	var computes atomic.Int32
 	var wg sync.WaitGroup
-	outs := make([][]byte, waiters)
+	outs := make([]string, waiters)
 	errs := make([]error, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = r.Artifact(context.Background(), key, func(context.Context) ([]byte, error) {
+			errs[i] = r.Artifact(context.Background(), key, decodeTo(&outs[i]), func(context.Context) ([]byte, error) {
 				computes.Add(1)
 				<-release
 				return []byte("shared"), nil
@@ -777,7 +811,8 @@ func TestHasArtifactBothTiers(t *testing.T) {
 	if r.HasArtifact(key) {
 		t.Fatal("cold fingerprint reported present")
 	}
-	if _, err := r.Artifact(context.Background(), key, func(context.Context) ([]byte, error) {
+	var data string
+	if err := r.Artifact(context.Background(), key, decodeTo(&data), func(context.Context) ([]byte, error) {
 		return []byte(`{"v":1}`), nil
 	}); err != nil {
 		t.Fatal(err)
@@ -818,7 +853,8 @@ func TestHasArtifactPromotesStoreHit(t *testing.T) {
 	if !r.HasArtifact(key) {
 		t.Fatal("stored artifact reported absent")
 	}
-	data, err := r.Artifact(context.Background(), key, func(context.Context) ([]byte, error) {
+	var data string
+	err := r.Artifact(context.Background(), key, decodeTo(&data), func(context.Context) ([]byte, error) {
 		t.Error("promoted artifact recomputed")
 		return nil, nil
 	})
@@ -830,6 +866,57 @@ func TestHasArtifactPromotesStoreHit(t *testing.T) {
 	}
 	if st := r.Stats(); st.ArtifactStoreHits != 1 || st.ArtifactComputes != 0 {
 		t.Errorf("stats = %+v, want 1 artifact store hit and no computes", st)
+	}
+}
+
+// TestArtifactRejectedPayloadIsAMiss: a cached payload that decode
+// rejects, whether promoted into memory or found in the store, is a
+// miss that recomputes once and is replaced in both tiers; a computed
+// payload that decode rejects is an error and is kept in neither.
+func TestArtifactRejectedPayloadIsAMiss(t *testing.T) {
+	mem := NewMemStore()
+	key := sim.NewKeyBuilder("runner-test").Str("rejected").Sum()
+	mem.RecordArtifact(key, []byte(`"stale"`))
+	r := New(Options{Workers: 1, Store: mem})
+	if !r.HasArtifact(key) { // promotes the stale payload into memory
+		t.Fatal("stored artifact reported absent")
+	}
+	errStale := errors.New("stale payload")
+	decode := func(data []byte) error {
+		if string(data) != `{"v":3}` {
+			return errStale
+		}
+		return nil
+	}
+	var computes int
+	compute := func(context.Context) ([]byte, error) {
+		computes++
+		return []byte(`{"v":3}`), nil
+	}
+	ctx := context.Background()
+	for range 2 {
+		if err := r.Artifact(ctx, key, decode, compute); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if computes != 1 {
+		t.Errorf("computed %d times, want 1", computes)
+	}
+	if data, _ := mem.LookupArtifact(key); string(data) != `{"v":3}` {
+		t.Errorf("store holds %q after the recompute", data)
+	}
+	if st := r.Stats(); st.ArtifactComputes != 1 || st.ArtifactHits != 1 || st.ArtifactStoreHits != 0 {
+		t.Errorf("stats = %+v, want 1 compute, 1 hit and no store hits", st)
+	}
+
+	bad := sim.NewKeyBuilder("runner-test").Str("rejected-fresh").Sum()
+	if err := r.Artifact(ctx, bad, decode, func(context.Context) ([]byte, error) {
+		return []byte(`"bad"`), nil
+	}); !errors.Is(err, errStale) {
+		t.Fatalf("a computed payload decode rejects: err = %v, want the decode error", err)
+	}
+	if _, ok := mem.LookupArtifact(bad); ok || r.HasArtifact(bad) {
+		t.Error("a computed payload decode rejects was kept")
 	}
 }
 
@@ -973,5 +1060,77 @@ func TestResolveNeverRunsOrWaits(t *testing.T) {
 	// The stored outcome now answers from the memo.
 	if _, err := r.Run(ctx, cfgN(1)); err != nil || r.Stats().MemoHits != before.MemoHits+2 {
 		t.Errorf("stored config not memoized after Resolve: %v, %+v", err, r.Stats())
+	}
+}
+
+// TestResolveNeverAnswersACancellation: an owner cancelled while Resolve
+// polls its key publishes a cancellation, which leaves the table and
+// applies to no other caller. Resolve must report such a key unknown or
+// in flight, never answer the cancellation as a memo hit. Each round
+// cancels a batch of owners at once while several goroutines poll their
+// keys, so publishes land between a poll's lookup and its answer.
+func TestResolveNeverAnswersACancellation(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	r := New(Options{Workers: 1, RunGang: each(func(cfg sim.Config) (sim.Result, error) {
+		close(started)
+		<-release
+		return stubResult(cfg), nil
+	})})
+	// cfgN(0) holds the only worker slot, so each owner below waits for
+	// it until its ctx is cancelled.
+	_, wait := r.Enqueue(context.Background(), Jobs([]sim.Config{cfgN(0)}))
+	defer wait()
+	defer close(release)
+	<-started
+
+	const rounds, owners, pollers = 400, 32, 4
+	for round := range rounds {
+		cfgs := make([]sim.Config, owners)
+		for k := range cfgs {
+			cfgs[k] = cfgN(1 + round*owners + k)
+		}
+		jobs := Jobs(cfgs)
+		ctx, cancel := context.WithCancel(context.Background())
+		var ran sync.WaitGroup
+		for _, j := range jobs {
+			ran.Add(1)
+			go func() {
+				defer ran.Done()
+				r.Run(ctx, *j.Cfg)
+			}()
+		}
+		done := make(chan struct{})
+		answered := make(chan error, pollers)
+		var polled sync.WaitGroup
+		for range pollers {
+			polled.Add(1)
+			go func() {
+				defer polled.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					for _, j := range jobs {
+						if _, err, ok := r.Resolve(j.Key); ok {
+							answered <- err
+							return
+						}
+					}
+				}
+			}()
+		}
+		cancel()
+		ran.Wait()
+		close(done)
+		polled.Wait()
+		close(answered)
+		if err, ok := <-answered; ok {
+			t.Fatalf("round %d: Resolve answered a cancelled key: err = %v", round, err)
+		}
+	}
+	if st := r.Stats(); st.MemoHits != 0 {
+		t.Errorf("stats = %+v, want no memo hits", st)
 	}
 }

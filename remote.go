@@ -317,40 +317,34 @@ func (s *RemoteSession) SimulateContext(ctx context.Context, sc Scenario) (Outco
 }
 
 // Artifact mirrors Session.Artifact against the daemon's store: a
-// payload cached under the plan's fingerprint is returned without
-// touching the plan's sweeps; a miss runs compute locally and records
-// the payload for every other client. Lookup failures degrade to
-// misses; a compute result that is not valid JSON is returned but not
-// recorded (the store contract).
-func (s *RemoteSession) Artifact(ctx context.Context, domain string, version int, plan Plan, compute func(context.Context) ([]byte, error)) ([]byte, error) {
+// payload cached under the plan's fingerprint that decode accepts
+// answers without touching the plan's sweeps; a miss — including a
+// cached payload decode rejects — runs compute locally and records the
+// payload for every other client. Lookup failures degrade to misses; a
+// computed payload that is not valid JSON is decoded but not recorded
+// (the store contract).
+func (s *RemoteSession) Artifact(ctx context.Context, domain string, version int, plan Plan, decode func([]byte) error, compute func(context.Context) ([]byte, error)) error {
 	key := planArtifactKey(domain, version, plan).String()
 	resp, err := s.conn.Call(ctx, wire.Request{Op: wire.OpLookupArtifact, Key: key})
-	if err == nil && resp.Found {
-		return append([]byte(nil), resp.Value...), nil
+	if err == nil && resp.Found && decode(resp.Value) == nil {
+		return nil
 	}
 	if ctx.Err() != nil {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	data, err := compute(ctx)
+	if err == nil {
+		err = decode(data)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if json.Valid(data) {
 		// Best-effort: a record failure costs the next client a
 		// recompute, never correctness.
 		s.conn.Call(ctx, wire.Request{Op: wire.OpRecordArtifact, Key: key, Value: data})
 	}
-	return data, nil
-}
-
-// PutArtifact force-installs a payload under Artifact's fingerprint on
-// the daemon (best-effort, like every store record).
-func (s *RemoteSession) PutArtifact(domain string, version int, plan Plan, payload []byte) {
-	if !json.Valid(payload) {
-		return
-	}
-	s.conn.Call(context.Background(), wire.Request{
-		Op: wire.OpRecordArtifact, Key: planArtifactKey(domain, version, plan).String(), Value: payload})
+	return nil
 }
 
 // Stats returns the daemon's cumulative scheduling counters — the

@@ -649,10 +649,9 @@ type Executor interface {
 	// the next benchmark change, whose harness calls Simulate.
 	Simulate(sc Scenario) (Outcome, error)
 	SimulateContext(ctx context.Context, sc Scenario) (Outcome, error)
-	// Artifact / PutArtifact memoize plan-level derived payloads; see
+	// Artifact memoizes a plan-level derived payload; see
 	// Session.Artifact.
-	Artifact(ctx context.Context, domain string, version int, plan Plan, compute func(context.Context) ([]byte, error)) ([]byte, error)
-	PutArtifact(domain string, version int, plan Plan, payload []byte)
+	Artifact(ctx context.Context, domain string, version int, plan Plan, decode func([]byte) error, compute func(context.Context) ([]byte, error)) error
 	// Stats reports scheduling counters. For a RemoteSession they are
 	// the daemon's cumulative counters across all clients; diff two
 	// snapshots (runner.Stats.Delta) for a per-invocation view.
@@ -816,25 +815,16 @@ func planArtifactKey(domain string, version int, plan Plan) sim.Key {
 // row set — through the session's two-tier artifact cache (in-memory,
 // plus the persistent store when the session has one), keyed by
 // (domain, version) and the full content of the plan it aggregates. A
-// warm fingerprint returns the cached payload without touching the
-// plan's sweeps at all; a cold one runs compute once, with concurrent
-// calls for the same fingerprint joining it. Payloads must be valid
-// JSON (the store embeds them in JSON documents). The returned slice is
-// the caller's to keep: it is a copy, so mutating it cannot corrupt
-// later hits.
-func (s *Session) Artifact(ctx context.Context, domain string, version int, plan Plan, compute func(context.Context) ([]byte, error)) ([]byte, error) {
-	data, err := s.r.Artifact(ctx, planArtifactKey(domain, version, plan), compute)
-	if data != nil {
-		data = append([]byte(nil), data...)
-	}
-	return data, err
-}
-
-// PutArtifact force-installs a payload under Artifact's fingerprint,
-// replacing both tiers. Callers use it to repair a cached payload that
-// no longer decodes against their current schema.
-func (s *Session) PutArtifact(domain string, version int, plan Plan, payload []byte) {
-	s.r.PutArtifact(planArtifactKey(domain, version, plan), payload)
+// warm fingerprint hands the cached payload to decode without touching
+// the plan's sweeps at all; a cold one runs compute once, with
+// concurrent calls for the same fingerprint joining it, and hands
+// decode the fresh payload. decode must not keep the slice, and must
+// fully overwrite its target: a cached payload it rejects is a miss,
+// recomputed once and recorded again, and decode then runs a second
+// time on the fresh payload. Payloads must be valid JSON (the store
+// embeds them in JSON documents).
+func (s *Session) Artifact(ctx context.Context, domain string, version int, plan Plan, decode func([]byte) error, compute func(context.Context) ([]byte, error)) error {
+	return s.r.Artifact(ctx, planArtifactKey(domain, version, plan), decode, compute)
 }
 
 // gather runs (or resolves) a normalized scenario's resolved sweeps and

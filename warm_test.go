@@ -90,29 +90,3 @@ func TestWarmSimulateAllocs(t *testing.T) {
 		t.Errorf("warm Simulate makes %v allocations, want at most %d", n, bound)
 	}
 }
-
-// TestSessionArtifactReturnsACopy pins the public Artifact contract:
-// the payload a caller gets is its own, so modifying it cannot corrupt
-// the cached payload later hits return.
-func TestSessionArtifactReturnsACopy(t *testing.T) {
-	s := stubbedStoreSession(nil)
-	plan, err := PlanOf(Scenario{Benchmark: "gcc", Organization: SelectiveSets, Instructions: 50_000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	compute := func(context.Context) ([]byte, error) { return []byte(`{"rows":[1]}`), nil }
-	first, err := s.Artifact(context.Background(), "copy-test", 1, plan, compute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range first {
-		first[i] = 'x'
-	}
-	again, err := s.Artifact(context.Background(), "copy-test", 1, plan, compute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(again) != `{"rows":[1]}` {
-		t.Errorf("a caller's write to its payload reached the cache: later hit = %q", again)
-	}
-}
