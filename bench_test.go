@@ -59,6 +59,7 @@ func BenchmarkSimRunDeepHierarchy(b *testing.B) { benchsuite.SimRunDeepHierarchy
 func BenchmarkSimInOrder(b *testing.B)          { benchsuite.SimInOrder(b) }
 func BenchmarkSweepGang(b *testing.B)           { benchsuite.SweepGang(b) }
 func BenchmarkSweepDynamic(b *testing.B)        { benchsuite.SweepDynamic(b) }
+func BenchmarkSweepDynamicL2(b *testing.B)      { benchsuite.SweepDynamicL2(b) }
 func BenchmarkWorkloadGenerator(b *testing.B)   { benchsuite.WorkloadGenerator(b) }
 func BenchmarkConfigKey(b *testing.B)           { benchsuite.ConfigKey(b) }
 func BenchmarkSweepKey(b *testing.B)            { benchsuite.SweepKey(b) }

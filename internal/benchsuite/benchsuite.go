@@ -65,6 +65,7 @@ func All() []Bench {
 		{Name: "SimInOrder", Short: true, F: SimInOrder},
 		{Name: "SweepGang", Short: true, F: SweepGang},
 		{Name: "SweepDynamic", Short: true, F: SweepDynamic},
+		{Name: "SweepDynamicL2", Short: true, F: SweepDynamicL2},
 		{Name: "WorkloadGenerator", Short: true, F: WorkloadGenerator},
 		{Name: "ConfigKey", Short: true, F: ConfigKey},
 		{Name: "SweepKey", Short: true, F: SweepKey},
@@ -278,6 +279,28 @@ func SweepGang(b *testing.B) {
 // trajectories, not the candidate count. configs/op counts the batch.
 func SweepDynamic(b *testing.B) {
 	sw, err := WarmSweepSpec().Resolve()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfgs, _ := sw.Configs()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := sim.RunGang(cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(cfgs)), "configs/op")
+}
+
+// SweepDynamicL2 times gcc's dynamic selective-ways L2 sweep batch at
+// 200K instructions — the baseline and 120 controller candidates —
+// through one sim.RunGang. The shared L2 can see three accesses in one
+// instruction, so this is the batch that measures forks of a shared
+// level's machine. configs/op counts the batch.
+func SweepDynamicL2(b *testing.B) {
+	opts := experiment.DefaultOptions()
+	opts.Instructions = 200_000
+	sw, err := experiment.NewSweepSpec("gcc", experiment.L2Side, core.SelectiveWays, 2, true, opts).Resolve()
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -451,21 +451,7 @@ func (c *Cache) Warm(addr uint64, write bool) {
 
 	// Miss: warm the next level, evict as Access would, install.
 	c.next.Warm(addr, false)
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.effWays; w++ {
-		ln := &ways[w]
-		if !ln.Valid {
-			victim = w
-			oldest = 0
-			break
-		}
-		if ln.lastUse < oldest {
-			oldest = ln.lastUse
-			victim = w
-		}
-	}
-	ln := &ways[victim]
+	ln := &ways[c.victim(ways)]
 	if ln.Valid && ln.Dirty {
 		c.next.Warm(ln.BlockAddr<<c.offBits, true)
 	}
@@ -477,23 +463,8 @@ func (c *Cache) Warm(addr uint64, write bool) {
 func (c *Cache) fetchAndFill(start uint64, addr, block uint64, set int, write bool) uint64 {
 	nextDone := c.next.Access(start, addr, false)
 
-	// Victim selection among enabled ways: prefer invalid, else LRU.
 	ways := c.setLines(set)
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	for w := 0; w < c.effWays; w++ {
-		ln := &ways[w]
-		if !ln.Valid {
-			victim = w
-			oldest = 0
-			break
-		}
-		if ln.lastUse < oldest {
-			oldest = ln.lastUse
-			victim = w
-		}
-	}
-	ln := &ways[victim]
+	ln := &ways[c.victim(ways)]
 	fillAt := nextDone
 	if ln.Valid && ln.Dirty {
 		fillAt = c.writebackVictim(nextDone, ln.BlockAddr)
@@ -502,6 +473,57 @@ func (c *Cache) fetchAndFill(start uint64, addr, block uint64, set int, write bo
 	c.Stat.Fills.Inc()
 	*ln = Line{BlockAddr: block, Valid: true, Dirty: write, lastUse: c.useClock}
 	return fillAt
+}
+
+// victim selects the frame a miss in set ways evicts, among the
+// enabled ways: an invalid one if there is one, else the least
+// recently used.
+func (c *Cache) victim(ways []Line) int {
+	victim := 0
+	oldest := ^uint64(0)
+	for w := 0; w < c.effWays; w++ {
+		ln := &ways[w]
+		if !ln.Valid {
+			return w
+		}
+		if ln.lastUse < oldest {
+			oldest = ln.lastUse
+			victim = w
+		}
+	}
+	return victim
+}
+
+// Reacher is a level that can tell, without changing any state, whether
+// an access would send traffic to a level below it.
+type Reacher interface {
+	Reaches(addr uint64, depth int) bool
+}
+
+// Reaches reports whether an access to addr, made now, would reach the
+// level depth levels below c (1 is c's next level); the levels between
+// must be Reachers. It changes no state. Only a miss leaves c: it reads
+// addr's block from the next level and, when the frame it evicts is
+// dirty, writes the victim's block there.
+//
+//simlint:coldpath gang arms probe a few instructions per policy interval
+func (c *Cache) Reaches(addr uint64, depth int) bool {
+	block := c.blockAddr(addr)
+	ways := c.setLines(c.setIndex(block))
+	for w := 0; w < c.effWays; w++ {
+		if ln := &ways[w]; ln.Valid && ln.BlockAddr == block {
+			return false
+		}
+	}
+	if depth == 1 {
+		return true
+	}
+	next := c.next.(Reacher)
+	if next.Reaches(addr, depth-1) {
+		return true
+	}
+	ln := &ways[c.victim(ways)]
+	return ln.Valid && ln.Dirty && next.Reaches(ln.BlockAddr<<c.offBits, depth-1)
 }
 
 // writebackVictim reads the victim and sends it to the next level via the

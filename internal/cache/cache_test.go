@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -541,4 +542,49 @@ func TestOccupancyBoundProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestReachesMatchesAccess: over reads and writes that miss, hit and
+// evict dirty victims in an L1 over an L2, Reaches changes no state and
+// tells exactly which accesses the next access sends to the L2 (depth
+// 1) and to the level below the L2 (depth 2).
+func TestReachesMatchesAccess(t *testing.T) {
+	below := &stubLevel{latency: 50}
+	l2 := newTestCache(t, Config{Name: "L2", HitLatency: 6,
+		Geom: geometry.Geometry{SizeBytes: 8 << 10, Assoc: 2, BlockBytes: 64, SubarrayBytes: 1 << 10}}, below)
+	l1 := newTestCache(t, Config{WritebackEntries: 2}, l2)
+	var reached [2][2]int // by depth, then outcome
+	rng := uint64(1)
+	for i := range 20_000 {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		addr := (rng >> 20) % (64 << 10)
+		write := rng>>60 < 6
+		lines := slices.Clone(l1.lines)
+		r1, r2 := l1.Reaches(addr, 1), l1.Reaches(addr, 2)
+		if l1.useClock != uint64(i) || !slices.Equal(lines, l1.lines) {
+			t.Fatalf("access %d: Reaches changed the L1", i)
+		}
+		l2Before, belowBefore := l2.Stat.Accesses.Value(), below.reads+below.writes
+		l1.Access(uint64(10*i), addr, write)
+		if got := l2.Stat.Accesses.Value() != l2Before; got != r1 {
+			t.Fatalf("access %d to %#x: reached the L2 %v, Reaches(1) %v", i, addr, got, r1)
+		}
+		if got := below.reads+below.writes != belowBefore; got != r2 {
+			t.Fatalf("access %d to %#x: reached below the L2 %v, Reaches(2) %v", i, addr, got, r2)
+		}
+		reached[0][b2i(r1)]++
+		reached[1][b2i(r2)]++
+	}
+	for d, n := range reached {
+		if n[0] == 0 || n[1] == 0 {
+			t.Errorf("depth %d: Reaches was %v for every access", d+1, n[1] > 0)
+		}
+	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

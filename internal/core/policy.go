@@ -1,5 +1,7 @@
 package core
 
+import "fmt"
+
 // Policy is a resizing strategy. Bind attaches it to the cache it
 // controls; IntervalLength returns the monitoring interval in accesses
 // (0 disables interval callbacks); OnInterval is invoked at each interval
@@ -71,21 +73,26 @@ type DynamicPolicy struct {
 	followers []*DynamicPolicy // the attached ones
 	split     Split            // where this follower left its leader; zero while attached
 	fork      ForkHook         // nil unless a gang forks this leader's machine at splits
+	reach     uint64           // the most accesses one instruction makes to the cache (SetForkHook)
+	armed     bool             // the hook is armed for the coming boundary
 }
 
-// ForkHook lets a gang fork a leader's machine where its followers
-// split, instead of re-running them from the start (internal/sim).
-// Both calls come from inside an access to the leader's cache.
+// ForkHook lets a gang fork a leader's machine inside its one pass
+// where followers split (internal/sim). Both calls come from inside an
+// access to the leader's cache.
 type ForkHook interface {
-	// Arm: the next access to the cache ends an interval at which some
-	// attached follower may decide differently from the leader. That
-	// access is the only one of its instruction to this cache, so the
-	// gang can snapshot the machine before the instruction.
+	// Arm: the cache has reach accesses left before the end of an
+	// interval at which some attached follower may decide differently
+	// from the leader. No instruction makes more than reach accesses to
+	// the cache, so the one that ends the interval has not started yet,
+	// and the gang can snapshot the machine at the start of each
+	// instruction that may reach the cache until then.
 	Arm()
-	// Split: followers detached at the boundary this access ended;
+	// Boundary: this access ended the armed interval, and the hook is
+	// disarmed. Followers that decided differently there have detached:
 	// Detached reports their splits, and the leader no longer carries
 	// them.
-	Split()
+	Boundary()
 }
 
 // Split is where a follower left its leader: the interval boundary,
@@ -110,21 +117,28 @@ func (d *DynamicPolicy) IntervalLength() uint64 { return d.Interval }
 func (d *DynamicPolicy) Follow(f *DynamicPolicy) { d.followers = append(d.followers, f) }
 
 // SetForkHook has d, bound and leading, report to h where its machine
-// may fork (see ForkHook); nil stops the reports.
-func (d *DynamicPolicy) SetForkHook(h ForkHook) {
-	d.fork = h
+// may fork (see ForkHook); nil stops the reports. reach is the most
+// accesses one instruction can make to d's cache, at least 1 and less
+// than the interval: the hook is armed that many accesses before a
+// boundary, after an access of the interval.
+func (d *DynamicPolicy) SetForkHook(h ForkHook, reach uint64) {
+	if h != nil && (reach == 0 || reach >= d.Interval) {
+		panic(fmt.Sprintf("core: fork reach %d outside [1, interval %d)", reach, d.Interval))
+	}
+	d.fork, d.reach, d.armed = h, reach, false
 	d.r.retrigger()
 }
 
 // Fork makes fs — followers that detached from one leader at the
 // boundary it just passed, all to one target — a new share group over
 // r, a copy of the leader's cache from before the instruction that
-// crossed the boundary: fs[0] leads it, reporting to h, and the rest
-// follow. Replaying that instruction on r brings fs[0] to the boundary
-// as a leader in exactly the state it would have reached leading from
-// the start: a follower that agreed through every earlier boundary has
-// kept its own hold count, and r's trajectory was its own.
-func Fork(r *ResizableCache, fs []*DynamicPolicy, h ForkHook) {
+// crossed the boundary: fs[0] leads it, reporting to h with the
+// leader's reach, and the rest follow. Replaying that instruction on r
+// brings fs[0] to the boundary as a leader in exactly the state it
+// would have reached leading from the start: a follower that agreed
+// through every earlier boundary has kept its own hold count, and r's
+// trajectory was its own.
+func Fork(r *ResizableCache, fs []*DynamicPolicy, h ForkHook, reach uint64) {
 	lead := fs[0]
 	lead.intervals = lead.split.Boundary - 1
 	for _, f := range fs {
@@ -133,7 +147,7 @@ func Fork(r *ResizableCache, fs []*DynamicPolicy, h ForkHook) {
 	lead.followers = append(lead.followers[:0], fs[1:]...)
 	lead.r = r
 	r.policy = lead
-	lead.SetForkHook(h)
+	lead.SetForkHook(h, reach)
 }
 
 // Detached reports where a follower left its leader, and false while it
@@ -194,21 +208,28 @@ func (d *DynamicPolicy) OnInterval(now uint64, misses uint64) {
 	split := len(kept) < len(d.followers)
 	clear(d.followers[len(kept):])
 	d.followers = kept
-	if split && d.fork != nil {
-		d.fork.Split()
+	switch {
+	case d.armed:
+		d.armed = false
+		d.fork.Boundary()
+	case split && d.fork != nil:
+		panic("core: followers split at a boundary the fork hook was not armed for")
 	}
 }
 
-// beforeBoundary is called when the next access to d's cache ends an
-// interval that has seen misses so far: the boundary will see misses or
-// misses+1. It arms the fork hook when, for either count, some attached
-// follower's target differs from d's.
+// beforeBoundary is called when d's cache has reach accesses left in
+// an interval that has seen misses so far: the boundary will see
+// between misses and misses+reach. It arms the fork hook when, for any
+// of those counts, some attached follower's target differs from d's.
+//
+//simlint:coldpath once per policy interval, from ResizableCache.tick
 func (d *DynamicPolicy) beforeBoundary(misses uint64) {
 	points, idx := d.r.Sched.Points, d.r.Index()
-	for m := misses; m <= misses+1; m++ {
+	for m := misses; m <= misses+d.reach; m++ {
 		target, _ := d.decide(points, idx, m, d.hold)
 		for _, f := range d.followers {
 			if ft, _ := f.decide(points, idx, m, f.hold); ft != target {
+				d.armed = true
 				d.fork.Arm()
 				return
 			}

@@ -124,3 +124,45 @@ func TestFollowersDetachOnFirstDisagreement(t *testing.T) {
 		t.Errorf("holder split = %+v, %v; want boundary 3 target 0", s, ok)
 	}
 }
+
+// recordingHook records the interval access count of the cache at each
+// fork-hook call.
+type recordingHook struct {
+	r                *ResizableCache
+	arms, boundaries []uint64
+}
+
+func (h *recordingHook) Arm()      { h.arms = append(h.arms, h.r.intervalAccesses) }
+func (h *recordingHook) Boundary() { h.boundaries = append(h.boundaries, h.r.intervalAccesses) }
+
+// TestForkHookArmsReachAhead: a hooked leader whose follower may decide
+// differently arms its hook with reach accesses left in the interval,
+// and reports the boundary at the access that ends it; once the
+// follower has split, nothing arms again.
+func TestForkHookArmsReachAhead(t *testing.T) {
+	for _, reach := range []uint64{1, 3, 9} {
+		t.Run(fmt.Sprint(reach), func(t *testing.T) {
+			// Every access misses: the leader upsizes (staying at full
+			// size), the follower would downsize.
+			leader := &DynamicPolicy{Interval: 10, MissBound: 0}
+			follower := &DynamicPolicy{Interval: 10, MissBound: 1 << 40}
+			r := buildL1(t, SelectiveSets, leader)
+			leader.Follow(follower)
+			h := &recordingHook{r: r}
+			leader.SetForkHook(h, reach)
+			for i := range 30 {
+				r.Access(uint64(i), uint64(i)<<20, false)
+			}
+			if want := []uint64{10 - reach}; fmt.Sprint(h.arms) != fmt.Sprint(want) {
+				t.Errorf("armed at interval accesses %v, want %v", h.arms, want)
+			}
+			// The boundary access resets the interval before the hook hears of it.
+			if fmt.Sprint(h.boundaries) != "[10]" {
+				t.Errorf("boundaries reported at interval accesses %v, want [10]", h.boundaries)
+			}
+			if s, ok := follower.Detached(); !ok || s.Boundary != 1 {
+				t.Errorf("follower split %+v, %v; want at boundary 1", s, ok)
+			}
+		})
+	}
+}

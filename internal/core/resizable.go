@@ -30,9 +30,9 @@ type ResizableCache struct {
 	intervalAccesses uint64
 	intervalMisses   uint64
 	// trigger is the interval access count at which Access leaves its
-	// fast path (see tick): the interval length, one less while a fork
-	// hook listens for the access before each boundary, or never when
-	// no policy monitors intervals.
+	// fast path (see tick): the interval length, the hook's reach less
+	// while a fork hook listens for the accesses before each boundary,
+	// or never when no policy monitors intervals.
 	trigger uint64
 
 	// SizeTrace records the schedule index at each interval boundary;
@@ -73,7 +73,7 @@ func (r *ResizableCache) retrigger() {
 	case r.intervalLen == 0:
 		r.trigger = ^uint64(0)
 	case r.forkHooked() != nil:
-		r.trigger = r.intervalLen - 1
+		r.trigger = r.intervalLen - r.forkHooked().reach
 	default:
 		r.trigger = r.intervalLen
 	}
@@ -141,10 +141,11 @@ func (r *ResizableCache) Access(now uint64, addr uint64, write bool) uint64 {
 }
 
 // tick is Access past its trigger: at an interval boundary it has the
-// policy decide, records the size and starts the next interval; one
-// access before a boundary it lets a fork-hooked policy look ahead.
+// policy decide, records the size and starts the next interval; the
+// hook's reach of accesses before a boundary it lets a fork-hooked
+// policy look ahead.
 //
-//simlint:coldpath at most twice per policy interval, never per access
+//simlint:coldpath the last few accesses of a policy interval, never per access
 func (r *ResizableCache) tick(now uint64) {
 	if r.intervalAccesses >= r.intervalLen {
 		r.policy.OnInterval(now, r.intervalMisses)
@@ -152,12 +153,15 @@ func (r *ResizableCache) tick(now uint64) {
 		r.intervalAccesses = 0
 		r.intervalMisses = 0
 	}
-	if r.intervalAccesses == r.intervalLen-1 {
-		if d := r.forkHooked(); d != nil {
-			d.beforeBoundary(r.intervalMisses)
-		}
+	if d := r.forkHooked(); d != nil && r.intervalAccesses == r.intervalLen-d.reach {
+		d.beforeBoundary(r.intervalMisses)
 	}
 }
+
+// Reaches implements cache.Reacher for the cache array.
+//
+//simlint:coldpath gang arms probe a few instructions per policy interval
+func (r *ResizableCache) Reaches(addr uint64, depth int) bool { return r.C.Reaches(addr, depth) }
 
 // Warm implements cache.Level: functional accesses advance the array's
 // warm state but bypass the policy's interval accounting — dynamic

@@ -48,11 +48,11 @@ func (m *forkMachine) copyFrom(src *forkMachine) {
 // forkingLevel wraps one L1 of member 0 the way a share group's
 // dynamic policy drives its gang: one access before access number at it
 // arms the member, and right after that access it joins a member
-// forked from the snapshot.
+// forked from the snapshot and disarms.
 type forkingLevel struct {
 	*cache.Cache
 	g      **Gang
-	dside  bool
+	level  int // 0 the d-cache, 1 the i-cache
 	at     int
 	n      int
 	fork   *forkMachine // the snapshot, which the fork takes over
@@ -64,9 +64,10 @@ func (l *forkingLevel) Access(now, addr uint64, write bool) uint64 {
 	l.n++
 	switch l.n {
 	case l.at - 1:
-		(*l.g).Arm(0, l.dside)
+		(*l.g).Arm(0, l.level)
 	case l.at:
 		l.joined = (*l.g).Join(0, GangMember{IC: l.fork.ic, DC: l.fork.dc})
+		(*l.g).Disarm(0)
 	}
 	return done
 }
@@ -119,9 +120,10 @@ func TestJoinReplaysArmedInstruction(t *testing.T) {
 				m := newForkMachine(t, dMSHR)
 				snap := newForkMachine(t, dMSHR)
 				var g *Gang
-				l := &forkingLevel{g: &g, dside: dside, at: 2500, fork: snap}
+				l := &forkingLevel{g: &g, level: 1, at: 2500, fork: snap}
 				member := GangMember{IC: m.ic, DC: m.dc, Snapshot: func() { snap.copyFrom(m) }}
 				if dside {
+					l.level = 0
 					l.Cache, member.DC = m.dc, l
 				} else {
 					l.Cache, member.IC = m.ic, l
@@ -152,7 +154,7 @@ func TestJoinWithoutSnapshotPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Arm(0, true)
+	g.Arm(0, 0)
 	if g.Forking(0) {
 		t.Fatal("forking before the armed instruction started")
 	}

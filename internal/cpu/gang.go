@@ -45,8 +45,9 @@ type GangMember struct {
 	IC cache.Level
 	DC cache.Level
 	// Snapshot saves the member's memory system for a fork; the gang
-	// calls it at the start of the member's armed instruction (see
-	// Arm). Members that are never armed leave it nil.
+	// calls it at the start of each instruction that may reach the
+	// member's armed cache (see Arm). Members that are never armed
+	// leave it nil.
 	Snapshot func()
 }
 
@@ -57,13 +58,15 @@ type GangMember struct {
 // stream; pipeline timing state (ROB/LSQ rings, clocks) is per window.
 //
 // Members can fork mid-pass. Gang members that differ only in the
-// thresholds of one L1's dynamic controller share a machine while their
-// decisions agree (internal/sim). When the machine's L1 is one access
-// short of an interval boundary at which they may disagree, the member
-// is armed (Arm): the gang snapshots its timing state at the start of
-// the instruction that makes that access, the member saves its memory
-// system, and members forked from the snapshot at the boundary (Join)
-// replay the instruction in the same member loop and run on from there.
+// thresholds of one cache's dynamic controller share a machine while
+// their decisions agree (internal/sim). When that cache is a few
+// accesses short of an interval boundary at which they may disagree —
+// no more than one instruction can make — the member is armed (Arm):
+// until the boundary, the gang snapshots its timing state at the start
+// of each instruction that may reach that cache, and the member saves
+// its memory system. Members forked from the snapshot at the boundary
+// (Join) replay the instruction in the same member loop and run on
+// from there.
 type Gang struct {
 	cfg     Config
 	inOrder bool
@@ -77,8 +80,9 @@ type Gang struct {
 	ino   inOrderTiming
 	lanes []lane
 
-	// arms are the armed members, waiting for their armed instruction or
-	// inside it. The engines test for them once per instruction.
+	// arms are the armed members, waiting for their boundary or inside
+	// the instruction that reached it. The engines test for them once
+	// per instruction.
 	arms []arm
 }
 
@@ -106,14 +110,16 @@ type lane struct {
 	w int
 }
 
-// arm is one armed member: m's next access to its d-cache (dside) or
-// i-cache may fork it. Once the instruction making that access starts,
-// taken is set and snap holds m's timing state from before it, lane
-// after lane.
+// arm is one armed member: an access of m's to the cache at level (see
+// Arm) may fork it. While the instruction in progress may reach that
+// cache, taken is set and snap holds m's timing state from before it,
+// lane after lane; done marks an arm whose boundary has passed, kept
+// to the end of the instruction for members forking from it.
 type arm struct {
 	m     int
-	dside bool
+	level int
 	taken bool
+	done  bool
 	snap  []uint64
 }
 
@@ -189,32 +195,44 @@ func (g *Gang) startWindow(base []uint64, clocks ...*[]uint64) {
 	}
 }
 
-// Arm has the gang snapshot member m before the instruction that makes
-// its next access to its d-cache (dside) or i-cache: it saves m's
-// timing state and calls m's Snapshot. While that instruction runs,
-// members forked from the snapshot may Join.
-func (g *Gang) Arm(m int, dside bool) {
-	g.arms = append(g.arms, arm{m: m, dside: dside})
+// Arm has the gang snapshot member m before each instruction that may
+// access m's cache at level — 0 its d-cache, 1 its i-cache, 1+n the
+// shared level n levels below them — until Disarm: it saves m's timing
+// state and calls m's Snapshot. While such an instruction runs, members
+// forked from the snapshot may Join.
+func (g *Gang) Arm(m, level int) {
+	g.arms = append(g.arms, arm{m: m, level: level})
+}
+
+// Disarm ends member m's arm at its boundary, which the instruction in
+// progress reached; members may still Join from its snapshot until the
+// instruction ends.
+func (g *Gang) Disarm(m int) {
+	for i := range g.arms {
+		if a := &g.arms[i]; a.m == m && !a.done {
+			a.done = true
+			return
+		}
+	}
 }
 
 // snapshotArmed runs before an instruction's member loop while members
-// are armed. It retires the arms whose instruction has passed, and
-// takes the snapshot of each member whose armed access this
-// instruction makes: its i-cache access when the instruction opens a
-// fetch group, its d-cache access when it is a memop. It then reserves
-// room for the members that may fork from the snapshots, so that Join
-// never moves the arrays the member loop is working in.
+// are armed. It retires the arms whose boundary has passed, and takes
+// the snapshot of each armed member that the instruction may reach the
+// armed cache of (reaches). It then reserves room for the members that
+// may fork from the snapshots, so that Join never moves the arrays the
+// member loop is working in.
 //
 //simlint:coldpath runs only while a member is armed: a few instructions per policy interval
-func (g *Gang) snapshotArmed(newGroup, isMem bool) {
+func (g *Gang) snapshotArmed(newGroup, isMem bool, ev *workload.Event) {
 	kept := g.arms[:0]
 	taken := 0
 	for _, a := range g.arms {
-		if a.taken {
+		if a.done {
 			continue
 		}
-		if a.dside && isMem || !a.dside && newGroup {
-			a.taken = true
+		a.taken = g.reaches(a, newGroup, isMem, ev)
+		if a.taken {
 			a.snap = a.snap[:0]
 			for _, l := range g.lanes {
 				a.snap = append(a.snap, (*l.s)[a.m*l.w:(a.m+1)*l.w]...)
@@ -237,6 +255,25 @@ func (g *Gang) snapshotArmed(newGroup, isMem bool) {
 	}
 }
 
+// reaches reports whether the instruction ev, which opens a fetch group
+// when newGroup and is a memop when isMem, may access a's cache. An L1
+// sees at most the one access of its side. A shared level sees only
+// L1 misses, which the L1s' tags decide without a change of state: a
+// member armed at a shared level has cache.Reacher L1s.
+//
+//simlint:coldpath runs only while a member is armed
+func (g *Gang) reaches(a arm, newGroup, isMem bool, ev *workload.Event) bool {
+	switch a.level {
+	case 0:
+		return isMem
+	case 1:
+		return newGroup
+	}
+	gm, depth := &g.members[a.m], a.level-1
+	return newGroup && gm.IC.(cache.Reacher).Reaches(ev.PC, depth) ||
+		isMem && gm.DC.(cache.Reacher).Reaches(ev.Addr, depth)
+}
+
 // takenArm returns the arm of member m whose instruction is in
 // progress, or nil.
 func (g *Gang) takenArm(m int) *arm {
@@ -248,13 +285,15 @@ func (g *Gang) takenArm(m int) *arm {
 	return nil
 }
 
-// Forking reports whether member m's armed instruction is in progress,
-// so that members forked from its snapshot may Join.
+// Forking reports whether an instruction that member m's arm took a
+// snapshot before is in progress, so that members forked from the
+// snapshot may Join.
 func (g *Gang) Forking(m int) bool { return g.takenArm(m) != nil }
 
-// Join adds a member forked from member parent while parent's armed
-// instruction is in progress (Forking). The new member's memory system
-// must be a copy of parent's from that instruction's start; its timing
+// Join adds a member forked from member parent while an instruction
+// parent's arm took a snapshot before is in progress (Forking). The new
+// member's memory system must be a copy of parent's from that
+// instruction's start; its timing
 // state is parent's from the same point. The member loop reaches it
 // after every member before it and runs the instruction for it, so it
 // replays the instruction and runs on from there. Join returns its
@@ -262,7 +301,7 @@ func (g *Gang) Forking(m int) bool { return g.takenArm(m) != nil }
 func (g *Gang) Join(parent int, gm GangMember) int {
 	a := g.takenArm(parent)
 	if a == nil {
-		panic(fmt.Sprintf("cpu: member %d joins from member %d, which has no armed instruction in progress", len(g.members), parent))
+		panic(fmt.Sprintf("cpu: member %d joins from member %d, which has no snapshot of the instruction in progress", len(g.members), parent))
 	}
 	// Appending past the room snapshotArmed reserved would move arrays
 	// the member loop is writing through.
@@ -466,7 +505,8 @@ func (g *Gang) runOutOfOrder(src workload.Source, maxInstr uint64, base []uint64
 		memopCount uint64
 
 		// The member loop works on local copies of the member list and
-		// the timing arrays; only an armed instruction can change them.
+		// the timing arrays; only an instruction with armed members can
+		// change them.
 		members                              = g.members
 		rob, retire, lsqRetire               = t.rob, t.retire, t.lsqRetire
 		fetchTime, lastRetire, retireInCycle = t.fetchTime, t.lastRetire, t.retireInCycle
@@ -521,7 +561,7 @@ func (g *Gang) runOutOfOrder(src workload.Source, maxInstr uint64, base []uint64
 
 		armed := len(g.arms) != 0
 		if armed {
-			g.snapshotArmed(newGroup, isMem)
+			g.snapshotArmed(newGroup, isMem, &ev)
 		}
 		for lo := 0; ; lo = len(members) {
 			if armed {
@@ -667,7 +707,8 @@ func (g *Gang) runInOrder(src workload.Source, maxInstr uint64, base []uint64) [
 		ev    workload.Event
 
 		// The member loop works on local copies of the member list and
-		// the timing arrays; only an armed instruction can change them.
+		// the timing arrays; only an instruction with armed members can
+		// change them.
 		members, completed                              = g.members, t.completed
 		fetchTime, issueTime, issueInCycle, maxComplete = t.fetchTime, t.issueTime, t.issueInCycle, t.maxComplete
 	)
@@ -711,7 +752,7 @@ func (g *Gang) runInOrder(src workload.Source, maxInstr uint64, base []uint64) [
 
 		armed := len(g.arms) != 0
 		if armed {
-			g.snapshotArmed(newGroup, isMem)
+			g.snapshotArmed(newGroup, isMem, &ev)
 		}
 		for lo := 0; ; lo = len(members) {
 			if armed {

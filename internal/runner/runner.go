@@ -85,10 +85,15 @@ type Stats struct {
 	// Submitted counts Run calls (RunAll counts once per config).
 	Submitted uint64
 	// MemoHits resolved against an already-completed in-memory result.
+	// A repeated submission is a memo hit or an in-flight dedup
+	// depending on whether the run it repeats finished first, so only
+	// MemoHits+InFlightDedups is reproducible across runs.
 	MemoHits uint64
 	// StoreHits resolved against the persistent store without simulating.
 	StoreHits uint64
-	// InFlightDedups joined an identical config already executing.
+	// InFlightDedups joined an identical config already executing: a
+	// repeated submission that arrived before the run it repeats
+	// finished (see MemoHits).
 	InFlightDedups uint64
 	// Runs actually executed a simulation.
 	Runs uint64

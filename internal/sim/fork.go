@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 
 	"resizecache/internal/core"
@@ -36,14 +37,13 @@ type shareRun struct {
 	m      *machine
 	follow []follower
 
-	// forkAt is the machine position of the dynamic L1 whose boundaries
-	// fork the machine (0 the d-cache, 1 the i-cache), or -1: no
-	// followers, or a dynamic shared level, whose detached followers
-	// re-run in a later pass instead (see runGangOver).
+	// forkAt is the machine position of the dynamic cache whose
+	// boundaries fork the machine (see levelAt), or -1: no followers
+	// that can split.
 	forkAt int
-	// snap is the machine as of the start of its armed instruction:
-	// built on the first arm and reused by the next, until a fork takes
-	// it over.
+	// snap is the machine as of the start of the latest instruction that
+	// may reach the armed cache: built on the first snapshot and
+	// overwritten by the next, until a fork takes it over.
 	snap *machine
 	gen  int // forks between the pass's start and this machine
 }
@@ -64,7 +64,7 @@ func (p *pass) addRun(g []int) (*shareRun, error) {
 		return nil, memberErr(p.cfgs, g[0], err)
 	}
 	sr := &shareRun{p: p, at: len(p.runs), lead: g[0], m: m, forkAt: -1}
-	at := cfg.dynamicLevel()
+	at := cfg.forkLevel()
 	for _, i := range g[1:] {
 		// A config with no dynamic policy shares only with its equals,
 		// which never detach.
@@ -75,7 +75,7 @@ func (p *pass) addRun(g []int) (*shareRun, error) {
 		}
 		sr.follow = append(sr.follow, f)
 	}
-	if (at == dPos || at == iPos) && len(g) > 1 {
+	if at >= 0 && len(g) > 1 {
 		sr.forkAt = at
 	}
 	p.runs = append(p.runs, sr)
@@ -91,38 +91,49 @@ func (sr *shareRun) member() cpu.GangMember {
 	return gm
 }
 
-// hook has the run's dynamic L1 report where the machine may fork; the
-// pass's engine must exist.
+// hook has the run's dynamic cache report where the machine may fork;
+// the pass's engine must exist.
 func (sr *shareRun) hook() {
 	if sr.forkAt >= 0 {
-		sr.m.levelAt(sr.forkAt).r.Policy().(*core.DynamicPolicy).SetForkHook(sr)
+		sr.m.levelAt(sr.forkAt).r.Policy().(*core.DynamicPolicy).SetForkHook(sr, forkReach(sr.forkAt))
 	}
 }
 
 // Arm implements core.ForkHook: the engine snapshots the machine before
-// the instruction that makes the next access to the forking L1.
-func (sr *shareRun) Arm() { sr.p.eng.Arm(sr.at, sr.forkAt == dPos) }
+// each instruction that may reach the forking cache, up to its boundary.
+func (sr *shareRun) Arm() {
+	sr.p.eng.Arm(sr.at, sr.forkAt)
+	if tr := sr.p.trace; tr != nil {
+		tr.arms++
+	}
+}
 
-// snapshot saves the machine at the start of its armed instruction.
+// snapshot saves the machine at the start of an instruction that may
+// reach its armed cache.
 func (sr *shareRun) snapshot() {
 	if sr.snap == nil {
 		sr.snap = blankMachine(sr.p.cfgs[sr.lead])
 	}
 	sr.snap.copyFrom(sr.m)
+	if tr := sr.p.trace; tr != nil {
+		tr.snapshots++
+	}
 }
 
-// Split implements core.ForkHook. The followers that detached at the
+// Boundary implements core.ForkHook. The followers that detached at the
 // boundary just crossed leave this run in groups by target, in order
 // of first appearance. Each group becomes a new run on a copy of the
 // snapshot — its first follower leading, the rest following — that
 // joins the engine and replays the instruction from its start: the
-// very run a later pass would have made for the group, without
-// replaying the prefix. Without a snapshot of this instruction (an arm
-// that missed), the followers stay detached and re-run in a later pass.
-func (sr *shareRun) Split() {
+// very run the group would have made from instruction 0, without
+// replaying the prefix. The armed cache saw at most its reach of
+// accesses since the arm, so the snapshot is of this instruction; a
+// split without one is a broken invariant, and panics.
+func (sr *shareRun) Boundary() {
 	p := sr.p
-	if !p.eng.Forking(sr.at) {
-		return
+	p.eng.Disarm(sr.at)
+	if p.trace != nil {
+		p.trace.boundaries++
 	}
 	var targets []int
 	var groups [][]follower
@@ -142,6 +153,12 @@ func (sr *shareRun) Split() {
 		groups[n] = append(groups[n], f)
 	}
 	sr.follow = kept
+	if len(groups) == 0 {
+		return
+	}
+	if !p.eng.Forking(sr.at) {
+		panic(fmt.Sprintf("sim: followers split from machine %d without a snapshot of the instruction", sr.at))
+	}
 	if p.trace != nil {
 		s, _ := groups[0][0].detached()
 		p.trace.forks = append(p.trace.forks, forkEvent{boundary: s.Boundary, machines: len(groups), gen: sr.gen})
@@ -165,7 +182,7 @@ func (sr *shareRun) Split() {
 		if len(g) > 1 {
 			fork.forkAt, h = sr.forkAt, fork
 		}
-		core.Fork(machines[k].levelAt(sr.forkAt).r, pols, h)
+		core.Fork(machines[k].levelAt(sr.forkAt).r, pols, h, forkReach(sr.forkAt))
 		fork.at = p.eng.Join(sr.at, fork.member())
 		p.runs = append(p.runs, fork)
 		if p.accs != nil {
@@ -173,6 +190,20 @@ func (sr *shareRun) Split() {
 			p.base = append(p.base, p.base[sr.at])
 		}
 	}
+}
+
+// forkReach is the most accesses one instruction can make to the cache
+// at machine position pos: one to an L1 (a fetch group's i-fetch, a
+// memop's data access); three to the L2 (an i-fill, a d-fill and the
+// write of a dirty L1d victim); and for each level further down twice
+// the level above's, a fill and a dirty victim's write per access. The
+// forking cache is its share group's only dynamic one, so no other
+// cache resizes mid-run and flushes into it.
+func forkReach(pos int) uint64 {
+	if pos < l2Pos {
+		return 1
+	}
+	return 3 << (pos - l2Pos)
 }
 
 // release returns the frame arrays of the runs' unused snapshots.

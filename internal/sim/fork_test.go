@@ -11,11 +11,27 @@ import (
 	"resizecache/internal/workload"
 )
 
-// forkBatch is a dynamic sweep batch over the L1 at pos with intervals
-// short enough for a 20K-instruction run to cross many boundaries: the
-// baseline, then every size bound and the sweep's hold counts, at
-// intervals of 512 and 2048 accesses and three of the sweep's miss-bound
-// fractions.
+// l3Pos is the machine position of Levels[1], the L3 of an L2+L3
+// hierarchy.
+const l3Pos = l2Pos + 1
+
+// withL3 is base over the l2+l3 hierarchy: its L2 backed by a 2M 8-way
+// L3.
+func withL3(base Config) Config {
+	l3 := LevelSpec{CacheSpec: CacheSpec{Org: core.NonResizable,
+		Geom: geometry.Geometry{SizeBytes: 2 << 20, Assoc: 8, BlockBytes: 64, SubarrayBytes: 4 << 10}}}
+	base.Levels = append(slices.Clone(base.Levels), l3)
+	return base
+}
+
+// forkBatch is a dynamic sweep batch over the cache at pos with
+// intervals short enough for a 20K-instruction run to cross many
+// boundaries: the baseline, then every size bound and the sweep's hold
+// counts, at two intervals and three miss-bound fractions. A shared
+// level sees only the misses of the levels above it, so its intervals
+// are shorter; the sweep's fractions for the L1s and the L2, and for
+// the L3, which misses on nearly every access of a short run, fractions
+// that let some controllers shrink.
 func forkBatch(t *testing.T, base Config, pos int, org core.Organization) []Config {
 	t.Helper()
 	spec := base.cacheAt(pos)
@@ -23,12 +39,18 @@ func forkBatch(t *testing.T, base Config, pos int, org core.Organization) []Conf
 	if err != nil {
 		t.Fatal(err)
 	}
+	intervals := map[int][]uint64{dPos: {512, 2048}, iPos: {512, 2048}, l2Pos: {128, 512}, l3Pos: {16, 64}}[pos]
+	fracs := []float64{0.005, 0.02, 0.08}
+	if pos == l3Pos {
+		fracs = []float64{0.5, 0.9, 1}
+	}
 	batch := []Config{base}
-	for _, iv := range []uint64{512, 2048} {
-		for _, mf := range []float64{0.005, 0.02, 0.08} {
+	for _, iv := range intervals {
+		for _, mf := range fracs {
 			for _, sb := range sched.Points[1:] {
 				for _, h := range []int{0, 3} {
 					cfg := base
+					cfg.Levels = slices.Clone(base.Levels)
 					c := cfg.cacheAt(pos)
 					c.Org = org
 					c.Policy = PolicySpec{Kind: PolicyDynamic, Interval: iv,
@@ -58,8 +80,7 @@ func runTraced(t *testing.T, gang []Config, cs CheckpointStore) ([]Result, *gang
 }
 
 // checkOnePass fails unless the gang ran as one engine pass: every
-// split of an L1 controller forked a machine inside the pass instead
-// of adding a pass that re-runs the split-off followers.
+// split of a controller forked a machine inside the pass.
 func checkOnePass(t *testing.T, tr *gangTrace) {
 	t.Helper()
 	if len(tr.passMachines) != 1 {
@@ -67,19 +88,59 @@ func checkOnePass(t *testing.T, tr *gangTrace) {
 	}
 }
 
-// TestForkedMembersMatchAlone: a dynamic sweep batch over either L1,
-// whose controllers split at many boundaries, runs as one engine pass,
-// and every member — on the machine it started on or on one forked
-// mid-pass, fork of a fork included — gets its gang-of-one Result,
-// over both engines and every organization, detailed and sampled.
-func TestForkedMembersMatchAlone(t *testing.T) {
-	apps := workload.Names()
-	if testing.Short() {
-		apps = []string{"m88ksim", "su2cor"}
+// checkSnapshots fails unless the forks of the cache at pos copied the
+// machine no more often than the arm's reach allows. An L1 arm sees one
+// access before its boundary, which the next instruction to reach the
+// L1 makes: one snapshot per armed boundary crossed. A shared level's
+// arm sees forkReach accesses, and the L1 probe snapshots only the
+// instructions that make one: at most forkReach snapshots per arm.
+func checkSnapshots(t *testing.T, tr *gangTrace, pos int) {
+	t.Helper()
+	if pos < l2Pos {
+		if tr.snapshots != tr.boundaries {
+			t.Errorf("%d snapshots for %d armed boundaries of an L1, want one each", tr.snapshots, tr.boundaries)
+		}
+		return
 	}
-	for _, app := range apps {
-		for _, engine := range []EngineKind{OutOfOrder, InOrder} {
-			for _, pos := range []int{dPos, iPos} {
+	if k := forkReach(pos); uint64(tr.snapshots) > k*uint64(tr.arms) {
+		t.Errorf("%d snapshots for %d arms of machine position %d, want at most %d each", tr.snapshots, tr.arms, pos, k)
+	}
+}
+
+// checkForks runs gang traced and checks it ran as one pass, within
+// the snapshot budget of the cache at pos, and gave every member its
+// Result in want.
+func checkForks(t *testing.T, gang []Config, want []Result, cs CheckpointStore, pos int) *gangTrace {
+	t.Helper()
+	got, tr := runTraced(t, gang, cs)
+	checkOnePass(t, tr)
+	checkSnapshots(t, tr, pos)
+	for i := range gang {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			diffResult(t, fmt.Sprintf("member %d", i), want[i], got[i])
+		}
+	}
+	return tr
+}
+
+// TestForkedMembersMatchAlone: a dynamic sweep batch over either L1 or
+// the L2, whose controllers split at many boundaries, runs as one
+// engine pass, and every member — on the machine it started on or on
+// one forked mid-pass, fork of a fork included — gets its gang-of-one
+// Result, over both engines and every organization, detailed and
+// sampled. The L2 rows use apps whose L2 batches split.
+func TestForkedMembersMatchAlone(t *testing.T) {
+	l1Apps := workload.Names()
+	if testing.Short() {
+		l1Apps = []string{"m88ksim", "su2cor"}
+	}
+	for _, pos := range []int{dPos, iPos, l2Pos} {
+		apps := l1Apps
+		if pos == l2Pos {
+			apps = []string{"gcc", "vpr"}
+		}
+		for _, app := range apps {
+			for _, engine := range []EngineKind{OutOfOrder, InOrder} {
 				for _, org := range sweepOrgs {
 					for _, sampled := range []bool{false, true} {
 						name := fmt.Sprintf("%s/%v/pos%d/%v/sampled=%v", app, engine, pos, org, sampled)
@@ -93,14 +154,7 @@ func TestForkedMembersMatchAlone(t *testing.T) {
 								cs = newMapStore()
 							}
 							gang := forkBatch(t, base, pos, org)
-							want := singles(t, gang)
-							got, tr := runTraced(t, gang, cs)
-							checkOnePass(t, tr)
-							for i := range gang {
-								if !reflect.DeepEqual(got[i], want[i]) {
-									diffResult(t, fmt.Sprintf("member %d", i), want[i], got[i])
-								}
-							}
+							checkForks(t, gang, singles(t, gang), cs, pos)
 						})
 					}
 				}
@@ -109,9 +163,9 @@ func TestForkedMembersMatchAlone(t *testing.T) {
 	}
 }
 
-// forkFamily is a leader that walks its 16-way L1 at pos down one size
-// per boundary, reaching the smallest at the run's last boundary, and
-// followers that split from it, and from each other, at boundaries
+// forkFamily is a leader that walks its 16-way cache at pos down one
+// size per boundary, reaching the smallest at the run's last boundary,
+// and followers that split from it, and from each other, at boundaries
 // across the run: a size bound at every offered size stops a follower
 // at that size, and miss bounds make followers upsize when an interval
 // misses more than they allow, alone or on top of a size bound. It
@@ -119,25 +173,26 @@ func TestForkedMembersMatchAlone(t *testing.T) {
 func forkFamily(t *testing.T, engine EngineKind, pos int) ([]Config, int) {
 	t.Helper()
 	geom := geometry.Geometry{SizeBytes: 32 << 10, Assoc: 16, BlockBytes: 32, SubarrayBytes: 1 << 10}
+	if pos == l2Pos {
+		geom = geometry.Geometry{SizeBytes: 512 << 10, Assoc: 16, BlockBytes: 64, SubarrayBytes: 4 << 10}
+	}
 	sched, err := core.BuildSchedule(geom, core.SelectiveWays)
 	if err != nil {
 		t.Fatal(err)
 	}
 	last := len(sched.Points) - 1
 	base := sweepBase("gcc", engine, 20_000)
+	base.Levels = slices.Clone(base.Levels)
 	*base.cacheAt(pos) = CacheSpec{Geom: geom, Org: core.NonResizable}
 	probe, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	accesses := probe.DCache.Accesses
-	if pos == iPos {
-		accesses = probe.ICache.Accesses
-	}
-	interval := accesses / uint64(last)
+	interval := cacheReport(probe, pos).Accesses / uint64(last)
 
 	member := func(missBound uint64, sizeBound, hold int) Config {
 		c := base
+		c.Levels = slices.Clone(base.Levels)
 		*c.cacheAt(pos) = CacheSpec{Geom: geom, Org: core.SelectiveWays,
 			Policy: PolicySpec{Kind: PolicyDynamic, Interval: interval,
 				MissBound: missBound, SizeBoundBytes: sizeBound, UpsizeHoldIntervals: hold}}
@@ -164,34 +219,42 @@ func forkFamily(t *testing.T, engine EngineKind, pos int) ([]Config, int) {
 	return family, last
 }
 
+// cacheReport is r's report of the cache at machine position pos.
+func cacheReport(r Result, pos int) CacheReport {
+	switch pos {
+	case dPos:
+		return r.DCache
+	case iPos:
+		return r.ICache
+	}
+	return r.Levels[pos-l2Pos].CacheReport
+}
+
 // TestForkShapes drives a family of followers that fork off a walking
 // leader at the first boundary, in the middle and at the run's last
 // boundary; two ways at once from one machine; again off machines that
 // were themselves forked; and, over the d-cache, into more machines
-// than gangChunk. The family runs as one engine pass, and every member
-// gets its gang-of-one Result. (gcc's i-stream misses too few blocks
-// per interval for its miss bounds to fork two ways at one boundary.)
+// than gangChunk. The family runs as one engine pass within its
+// snapshot budget, and every member gets its gang-of-one Result. gcc's
+// i-stream misses too few blocks per interval for its miss bounds to
+// fork two ways at one boundary. Nor can the L2's: in a short run it
+// misses on nearly every access, more than any miss bound allows, so
+// every miss-bounded follower splits at the first boundary, where an
+// upsize at full size stays put, and the later forks are size-bounded
+// followers stopping one at a time. Only the d-cache rows check that
+// the pass grows past gangChunk machines.
 func TestForkShapes(t *testing.T) {
 	for _, engine := range []EngineKind{OutOfOrder, InOrder} {
-		for _, pos := range []int{dPos, iPos} {
+		for _, pos := range []int{dPos, iPos, l2Pos} {
 			t.Run(fmt.Sprintf("%v/pos%d", engine, pos), func(t *testing.T) {
 				t.Parallel()
 				family, last := forkFamily(t, engine, pos)
 				want := singles(t, family)
-				leadTrace := want[0].DCache.SizeTrace
-				if pos == iPos {
-					leadTrace = want[0].ICache.SizeTrace
-				}
+				leadTrace := cacheReport(want[0], pos).SizeTrace
 				if len(leadTrace) != last || leadTrace[last-1] != last {
 					t.Fatalf("the leader does not reach the smallest size at its last boundary: %v", leadTrace)
 				}
-				got, tr := runTraced(t, family, nil)
-				checkOnePass(t, tr)
-				for i := range family {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						diffResult(t, fmt.Sprintf("member %d", i), want[i], got[i])
-					}
-				}
+				tr := checkForks(t, family, want, nil, pos)
 
 				shapes := []struct {
 					what string
@@ -203,7 +266,7 @@ func TestForkShapes(t *testing.T) {
 					{"off a forked machine", func(f forkEvent) bool { return f.gen > 0 }},
 					{"to two targets at once", func(f forkEvent) bool { return f.machines == 2 }},
 				}
-				if pos == iPos {
+				if pos != dPos {
 					shapes = shapes[:4]
 				}
 				for _, c := range shapes {
@@ -219,19 +282,54 @@ func TestForkShapes(t *testing.T) {
 	}
 }
 
-// TestSharedL2StillReruns: followers of a dynamic shared level, which
-// one instruction can reach more than once, do not fork; they re-run in
-// later passes and still get their gang-of-one Results.
-func TestSharedL2StillReruns(t *testing.T) {
+// TestSharedL2ForksInOnePass: gcc's dynamic L2 sweep batch, whose
+// followers split from their leaders at many boundaries of a level both
+// L1s reach, forks inside one engine pass within the L2's snapshot
+// budget, and every member gets its gang-of-one Result.
+func TestSharedL2ForksInOnePass(t *testing.T) {
 	gang := dynamicSweepBatch(t, sweepBase("gcc", OutOfOrder, 20_000), l2Pos, core.SelectiveWays)
-	want := singles(t, gang)
-	got, tr := runTraced(t, gang, nil)
-	if len(tr.forks) != 0 || len(tr.passMachines) < 2 {
-		t.Errorf("L2 followers forked (%d forks) or never re-ran (%d passes)", len(tr.forks), len(tr.passMachines))
+	tr := checkForks(t, gang, singles(t, gang), nil, l2Pos)
+	if len(tr.forks) == 0 {
+		t.Error("no L2 follower forked")
 	}
-	for i := range gang {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			diffResult(t, fmt.Sprintf("member %d", i), want[i], got[i])
+}
+
+// TestForkedL3MatchAlone: a dynamic sweep batch over the L3 of an
+// L2+L3 hierarchy, which one instruction can reach six times, forks
+// inside one engine pass within the L3's snapshot budget, and every
+// member gets its gang-of-one Result, on both engines.
+func TestForkedL3MatchAlone(t *testing.T) {
+	for _, engine := range []EngineKind{OutOfOrder, InOrder} {
+		t.Run(engine.String(), func(t *testing.T) {
+			t.Parallel()
+			gang := forkBatch(t, withL3(sweepBase("gcc", engine, 20_000)), l3Pos, core.SelectiveWays)
+			tr := checkForks(t, gang, singles(t, gang), nil, l3Pos)
+			if len(tr.forks) == 0 {
+				t.Error("no L3 follower forked")
+			}
+		})
+	}
+}
+
+// TestShortIntervalsShareNothing: a dynamic cache whose interval is not
+// longer than the accesses one instruction can make to it could cross
+// two boundaries in one instruction, so configs that differ only in
+// its thresholds do not share a machine; each still gets its gang-of-one
+// Result.
+func TestShortIntervalsShareNothing(t *testing.T) {
+	for _, pos := range []int{dPos, l2Pos} {
+		base := sweepBase("gcc", OutOfOrder, 20_000)
+		var gang []Config
+		for _, mb := range []uint64{0, 1 << 40} {
+			c := base
+			c.Levels = slices.Clone(base.Levels)
+			*c.cacheAt(pos) = CacheSpec{Geom: base.cacheAt(pos).Geom, Org: core.SelectiveWays,
+				Policy: PolicySpec{Kind: PolicyDynamic, Interval: forkReach(pos), MissBound: mb}}
+			gang = append(gang, c)
 		}
+		if gang[0].ShareKey() == gang[1].ShareKey() {
+			t.Errorf("pos %d: interval %d shares", pos, forkReach(pos))
+		}
+		checkForks(t, gang, singles(t, gang), nil, pos)
 	}
 }

@@ -2,23 +2,21 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"resizecache/internal/bpred"
-	"resizecache/internal/core"
 	"resizecache/internal/cpu"
 	"resizecache/internal/workload"
 )
 
-// gangChunk bounds how many machines one engine pass drives. Chunking
-// keeps a huge gang's per-instruction member loop within a working set
-// the data caches like. Each chunk reads the stream from the start on
-// its own: a replay of the memoized recording when there is one, or
-// else its own generator, since generation is deterministic.
+// gangChunk bounds how many machines one engine pass starts with.
+// Chunking keeps a huge gang's per-instruction member loop within a
+// working set the data caches like. Each chunk reads the stream from
+// the start on its own: a replay of the memoized recording when there
+// is one, or else its own generator, since generation is deterministic.
 // Runner-built gangs start with at most the configured gang size
 // (default 8) of machines, and forks grow a pass past gangChunk without
-// chunking it; only a later pass over a dynamic shared level's
-// followers can chunk.
+// chunking it, so only a direct RunGang call over more than gangChunk
+// share groups chunks.
 const gangChunk = 32
 
 // RunGang executes N simulations in one workload+engine pass. All
@@ -30,11 +28,11 @@ const gangChunk = 32
 // hierarchy depth, MSHRs, and energy models may all differ per member.
 // Members that differ only in the thresholds of their one dynamic
 // policy (equal ShareKeys) share one machine until their controllers
-// disagree. Where followers split from their leader at a boundary of a
-// dynamic L1, the machine forks there, in the same pass, and each new
-// machine runs on from the boundary; followers of a dynamic shared
-// level re-run from the start in a later pass instead. Either way the
-// gang builds one machine per distinct decision trajectory.
+// disagree. Where followers split from their leader at a boundary of
+// the dynamic cache, L1 or shared, the machine forks there, in the same
+// pass, and each new machine runs on from the boundary, so the gang
+// builds one machine per distinct decision trajectory and reads the
+// stream once per chunk of gangChunk share groups.
 //
 // Every simulation runs here: Run is a gang of one. Each member's Result
 // is bit-identical to Run on the same config, whatever the member order
@@ -84,44 +82,35 @@ func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, War
 // first config: the leader's dynamic policy carries the others as
 // followers, and a follower still attached when the run ends gets a
 // copy of the leader's Result. Followers that split from their leader
-// at a boundary of a dynamic L1 fork a machine there, in the same
-// pass (shareRun.Split). The re-run loop below is left only for what a
-// fork cannot take exactly: the followers of a dynamic shared level,
-// which one instruction can reach more than once. Those that detached,
-// grouped by leader and split point, are the groups of the next pass
-// over the stream. A regrouped follower agrees with its new leader
-// through the boundary it split at, so every later split comes
-// strictly later and the passes end. Each pass starts its machines in
-// chunks of gangChunk. tr, when non-nil, records the passes and forks
-// (tests).
+// fork a machine at the boundary, in the same pass (shareRun.Boundary),
+// so each chunk of gangChunk groups is exactly one engine pass. tr,
+// when non-nil, records the passes, forks and snapshots (tests).
 func runGangOver(cfgs []Config, prof *workload.Profile, cs CheckpointStore, streams *Streams, tr *gangTrace) ([]Result, WarmupStats, error) {
 	var ws WarmupStats
 	out := make([]Result, len(cfgs))
 	chunkWS := &ws
-	for groups := shareGroups(cfgs); len(groups) > 0; {
-		var next [][]int
-		for lo := 0; lo < len(groups); lo += gangChunk {
-			split, err := runChunk(cfgs, groups[lo:min(lo+gangChunk, len(groups))], prof, cs, streams, chunkWS, out, tr)
-			if err != nil {
-				return nil, ws, err
-			}
-			next = append(next, split...)
-			// The first chunk's warmup populates the checkpoint store
-			// (when one is provided), so later chunks restore it instead
-			// of re-stepping the prefix; their stats are the gang's
-			// internal traffic, not the caller's.
-			chunkWS = new(WarmupStats)
+	groups := shareGroups(cfgs)
+	for lo := 0; lo < len(groups); lo += gangChunk {
+		if err := runChunk(cfgs, groups[lo:min(lo+gangChunk, len(groups))], prof, cs, streams, chunkWS, out, tr); err != nil {
+			return nil, ws, err
 		}
-		groups = next
+		// The first chunk's warmup populates the checkpoint store (when
+		// one is provided), so later chunks restore it instead of
+		// re-stepping the prefix; their stats are the gang's internal
+		// traffic, not the caller's.
+		chunkWS = new(WarmupStats)
 	}
 	return out, ws, nil
 }
 
 // gangTrace records what runGangOver did, for tests: one entry per
-// engine pass with the machines it ended with, and every fork.
+// engine pass with the machines it ended with, every fork, and how
+// often the machines' fork hooks were armed, took a snapshot and
+// crossed an armed boundary.
 type gangTrace struct {
-	passMachines []int
-	forks        []forkEvent
+	passMachines                []int
+	forks                       []forkEvent
+	arms, snapshots, boundaries int
 }
 
 // forkEvent is one fork: the boundary at which followers left a
@@ -150,18 +139,16 @@ func shareGroups(cfgs []Config) [][]int {
 }
 
 // runChunk runs one engine pass over groups of cfgs' indices, leader
-// first, writing every attached member's Result to out, and returns the
-// groups its detached followers form. Followers that split at a
-// boundary of a dynamic L1 fork a machine of their own inside the pass
-// (see shareRun.Split) and are done with it; only the followers of a
-// dynamic shared level are left for a later pass.
-func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs CheckpointStore, streams *Streams, ws *WarmupStats, out []Result, tr *gangTrace) ([][]int, error) {
+// first, writing every member's Result to out: a follower that split
+// from its machine leads or follows a fork of it by the pass's end (see
+// shareRun.Boundary).
+func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs CheckpointStore, streams *Streams, ws *WarmupStats, out []Result, tr *gangTrace) error {
 	p := &pass{cfgs: cfgs, trace: tr}
 	members := make([]cpu.GangMember, len(groups))
 	for j, g := range groups {
 		sr, err := p.addRun(g)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		members[j] = sr.member()
 	}
@@ -169,7 +156,7 @@ func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs Checkpoi
 	cfg0 := cfgs[groups[0][0]]
 	eng, err := newEngine(cfg0, members)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	p.eng = eng
 	for _, sr := range p.runs {
@@ -189,34 +176,18 @@ func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs Checkpoi
 	}
 	p.release()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if tr != nil {
 		tr.passMachines = append(tr.passMachines, len(p.runs))
 	}
-
-	var next [][]int
 	for j, sr := range p.runs {
 		out[sr.lead] = res[j]
-		// This run's splits, parallel to the groups it appends to next.
-		var splits []core.Split
-		first := len(next)
 		for _, f := range sr.follow {
-			s, detached := f.detached()
-			if !detached {
-				out[f.i] = res[j].clone()
-				continue
-			}
-			n := slices.Index(splits, s)
-			if n < 0 {
-				n = len(splits)
-				splits = append(splits, s)
-				next = append(next, nil)
-			}
-			next[first+n] = append(next[first+n], f.i)
+			out[f.i] = res[j].clone()
 		}
 	}
-	return next, nil
+	return nil
 }
 
 // memberErr attributes a gang's failure to member i. A gang of one is

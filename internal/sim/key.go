@@ -240,12 +240,13 @@ func (c Config) FrontKey() Key {
 // Key of the config with that policy's MissBound, SizeBoundBytes and
 // UpsizeHoldIntervals zeroed. Such configs make the same resize
 // decisions until their controllers first disagree, so a gang runs
-// them on one machine until then, and forks it there (see RunGang). Interval stays in the
-// key: it sets the boundaries, and with them SizeTrace's length. With
-// no dynamic policy, or dynamic policies at two or more levels,
+// them on one machine until then, and forks it there (see RunGang).
+// Interval stays in the key: it sets the boundaries, and with them
+// SizeTrace's length. With no dynamic policy, dynamic policies at two
+// or more levels, or an interval a fork cannot take (forkLevel),
 // ShareKey is Key.
 func (c Config) ShareKey() Key {
-	i := c.dynamicLevel()
+	i := c.forkLevel()
 	if i < 0 {
 		return c.Key()
 	}
@@ -270,6 +271,18 @@ func (c *Config) dynamicLevel() int {
 			return -1
 		}
 		at = i
+	}
+	return at
+}
+
+// forkLevel is dynamicLevel for a cache whose interval is longer than
+// forkReach: no instruction crosses two of its boundaries, and the arm
+// for each falls after an access of its interval, so a gang can fork
+// its followers' machine at each. It is -1 otherwise.
+func (c *Config) forkLevel() int {
+	at := c.dynamicLevel()
+	if at < 0 || c.policyAt(at).Interval <= forkReach(at) {
+		return -1
 	}
 	return at
 }
