@@ -71,7 +71,7 @@ func BenchmarkNetStoreLookup(b *testing.B)      { benchsuite.NetStoreLookup(b) }
 // BenchmarkPlanBatchVsSequential quantifies the tentpole property of
 // the batch API: one plan over N scenarios submits its profiling sweeps
 // in one batched enqueue pass, where N sequential Simulate calls pay
-// one enqueue pass per sweep (each sweep's RunAll enqueues its own
+// one enqueue pass per sweep (each sweep's gather enqueues its own
 // batch) and drain the pool between scenarios. Both paths run the
 // identical scenario set on cold
 // sessions; the reported metrics carry the enqueue-pass counts and wall

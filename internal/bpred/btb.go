@@ -1,5 +1,10 @@
 package bpred
 
+import (
+	"math/bits"
+	"sync"
+)
+
 // btbEntry is one BTB way. Entries live in a single flat slice indexed
 // by set*ways+way, so a lookup's way probe walks one contiguous cache
 // line instead of chasing per-field slice headers.
@@ -32,7 +37,37 @@ func NewBTB(setBits, ways int) *BTB {
 		setMask:  uint64(sets - 1),
 		setShift: uint(setBits),
 		ways:     ways,
-		entries:  make([]btbEntry, sets*ways),
+		entries:  newEntries(sets * ways),
+	}
+}
+
+// btbPools recycles entry arrays between BTBs, as the cache package
+// recycles frame arrays: pool i holds arrays of exactly 1<<i entries.
+// Every gang pass builds a front end, and its BTB's array is 64 KB.
+var btbPools [bits.UintSize]sync.Pool
+
+// newEntries returns n invalid entries, reusing a released array of
+// the same length when one is pooled.
+func newEntries(n int) []btbEntry {
+	if n > 0 && n&(n-1) == 0 {
+		if p, ok := btbPools[bits.TrailingZeros(uint(n))].Get().(*[]btbEntry); ok {
+			entries := *p
+			clear(entries)
+			return entries
+		}
+	}
+	return make([]btbEntry, n)
+}
+
+// Release returns the BTB's entry array for reuse by a later NewBTB.
+// The BTB must not be used afterwards; its counters stay readable.
+// Arrays whose length is not a power of two (an associativity that is
+// not one) are left to the garbage collector.
+func (b *BTB) Release() {
+	entries := b.entries
+	b.entries = nil
+	if n := len(entries); n > 0 && n&(n-1) == 0 {
+		btbPools[bits.TrailingZeros(uint(n))].Put(&entries)
 	}
 }
 

@@ -132,3 +132,34 @@ func TestRASMatchesReferenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBTBReleaseRecyclesCleared: a released BTB's entries come back to a
+// later NewBTB of the same size invalid, so a recycled BTB predicts
+// exactly as a fresh one; the released BTB's counters stay readable.
+func TestBTBReleaseRecyclesCleared(t *testing.T) {
+	for range 3 {
+		b := NewBTB(4, 2)
+		for pc := uint64(0); pc < 256; pc += 4 {
+			b.Update(pc, pc+64)
+		}
+		if _, hit := b.Lookup(252); !hit {
+			t.Fatal("fresh BTB lost an installed target")
+		}
+		b.Release()
+		if b.Lookups != 1 || b.Hits != 1 {
+			t.Errorf("released BTB's counters = %d lookups, %d hits; want 1, 1", b.Lookups, b.Hits)
+		}
+		again := NewBTB(4, 2)
+		for i, e := range again.entries {
+			if e != (btbEntry{}) {
+				t.Fatalf("recycled entry %d = %+v, want invalid", i, e)
+			}
+		}
+		again.Release()
+	}
+	odd := NewBTB(3, 3) // 24 entries: not pooled
+	odd.Release()
+	if got := len(NewBTB(3, 3).entries); got != 24 {
+		t.Errorf("BTB of 8 sets × 3 ways has %d entries", got)
+	}
+}

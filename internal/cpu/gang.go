@@ -156,6 +156,11 @@ func NewInOrder(cfg Config, ic, dc cache.Level, bp bpred.Predictor) (*Gang, erro
 	return NewGangInOrder(cfg, bp, []GangMember{{IC: ic, DC: dc}})
 }
 
+// Release returns the front end's BTB array for reuse by a later gang
+// (bpred.BTB.Release). The gang must not run afterwards; the results it
+// returned stay valid.
+func (g *Gang) Release() { g.front.btb.Release() }
+
 func newGang(cfg Config, inOrder bool, bp bpred.Predictor, members []GangMember) (*Gang, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -20,12 +20,12 @@ import (
 // warms the next and a resumed cmd/figures run skips whole sweeps.
 
 // artifactVersion tags what a sweep fingerprint does not hash: the
-// serialized Best schema, winner selection (pickBest, describe) and
-// candidate enumeration (the static policy list, dynamicCandidates,
-// applySide). Bump it whenever any of them changes: persisted artifacts
-// from older code are then unreachable (different fingerprints) instead
-// of misapplied. TestSweepBatchesPinned fails when the enumeration
-// changes.
+// serialized Best schema, winner selection (Sweep.Best's reduction,
+// describe) and candidate enumeration (the static policy list,
+// dynamicCandidates, applySide). Bump it whenever any of them changes:
+// persisted artifacts from older code are then unreachable (different
+// fingerprints) instead of misapplied. TestSweepBatchesPinned fails
+// when the enumeration changes.
 // Version 2: sim.Result gained the per-level hierarchy reports.
 // Version 3: sweeps are keyed by their definition, not by the key of
 // every config in their batch.

@@ -226,18 +226,6 @@ func checkSweepSide(side Side) error {
 	return nil
 }
 
-// pickBest selects the minimum-EDP candidate from a sweep batch whose
-// first element is the baseline.
-func pickBest(res []sim.Result) int {
-	best := 1
-	for i := 2; i < len(res); i++ {
-		if res[i].EDP.Product() < res[best].EDP.Product() {
-			best = i
-		}
-	}
-	return best
-}
-
 // SweepSpec identifies one profiling sweep — the unit Sweep.Best
 // executes, and the unit plan-level batch scheduling enqueues up front
 // (see EnqueueSweeps). Base is the fully resolved non-resizable
@@ -475,23 +463,35 @@ func describe(sched core.Schedule, p sim.PolicySpec) string {
 // sweep memoizes as one artifact through r's artifact cache, keyed
 // by the sweep's definition — so a repeated sweep (the same grid cell
 // in a later figure, or a resumed process with a persistent store)
-// resolves without submitting a single simulation. A cold sweep runs
-// its batch through RunAll, which gangs same-front candidates; a sweep
-// enqueued up front by a plan gathers by joining the in-flight work.
+// resolves without submitting a single simulation. A cold sweep
+// gathers its batch through Runner.Gather, which gangs same-front
+// candidates, and reduces it as the results arrive: it keeps the
+// baseline and the running minimum — a strictly smaller EDP product
+// replaces the winner, so on a tie the first candidate wins — and no
+// slice of results. A sweep enqueued up front by a plan gathers by
+// joining the in-flight work.
 func (sw Sweep) Best(ctx context.Context, r *runner.Runner) (Best, error) {
 	return cachedBest(ctx, r, sw.key, func(ctx context.Context) (Best, error) {
 		b := sw.coldBatch()
-		res, err := r.RunAll(ctx, b.jobs)
+		var base, chosen sim.Result
+		bestIdx := 0
+		err := r.Gather(ctx, b.jobs, func(i int, res sim.Result) {
+			switch {
+			case i == 0:
+				base = res
+			case bestIdx == 0 || res.EDP.Product() < chosen.EDP.Product():
+				bestIdx, chosen = i, res
+			}
+		})
 		if err != nil {
 			return Best{}, err
 		}
-		bestIdx := pickBest(res)
 		p := b.pols[bestIdx-1]
 		return Best{
 			App: sw.spec.App, Side: sw.spec.Side, Org: sw.spec.Org,
 			Desc: describe(b.sched, p), Spec: p,
-			Chosen: res[bestIdx],
-			Base:   res[0],
+			Chosen: chosen,
+			Base:   base,
 		}, nil
 	})
 }

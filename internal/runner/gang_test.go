@@ -31,17 +31,20 @@ func gangCfgN(bench string, i int) sim.Config {
 type gangRecorder struct {
 	mu      sync.Mutex
 	batches [][]sim.Config
+	groups  [][][]int // each batch's share groups
 }
 
-func (g *gangRecorder) run(cfgs []sim.Config) ([]sim.Result, error) {
+func (g *gangRecorder) run(gang sim.Gang) error {
+	cfgs := make([]sim.Config, len(gang.Cfgs))
+	for i, cfg := range gang.Cfgs {
+		cfgs[i] = *cfg
+		*gang.Out[i] = stubResult(*cfg)
+	}
 	g.mu.Lock()
 	g.batches = append(g.batches, cfgs)
+	g.groups = append(g.groups, gang.Groups)
 	g.mu.Unlock()
-	out := make([]sim.Result, len(cfgs))
-	for i, cfg := range cfgs {
-		out[i] = stubResult(cfg)
-	}
-	return out, nil
+	return nil
 }
 
 // sizes returns the sizes of the coalesced gangs (batches of two or
@@ -160,13 +163,13 @@ func TestEnqueueSingletonGroupsRunSolo(t *testing.T) {
 func TestGangErrorFallsBackToSolo(t *testing.T) {
 	var solo atomic.Int32
 	r := New(Options{Workers: 2,
-		RunGang: func(cfgs []sim.Config) ([]sim.Result, error) {
+		RunGang: stub(func(cfgs []sim.Config) ([]sim.Result, error) {
 			if len(cfgs) > 1 {
 				return nil, errors.New("gang refused")
 			}
 			solo.Add(1)
 			return []sim.Result{stubResult(cfgs[0])}, nil
-		},
+		}),
 	})
 	ctx := context.Background()
 	cfgs := make([]sim.Config, 3)
@@ -324,6 +327,22 @@ func TestEnqueueKeepsSharedClassesWhole(t *testing.T) {
 			batchOf[k] = b
 			seen[k] = true
 		}
+		// The gang gets the batch's share classes as its groups: the
+		// partition by ShareKey, in order of first appearance.
+		var want [][]int
+		at := make(map[sim.Key]int)
+		for i, c := range batch {
+			n, ok := at[c.ShareKey()]
+			if !ok {
+				n = len(want)
+				at[c.ShareKey()] = n
+				want = append(want, nil)
+			}
+			want[n] = append(want[n], i)
+		}
+		if got := rec.groups[b]; !reflect.DeepEqual(got, want) {
+			t.Errorf("batch %d handed share groups %v, want %v", b, got, want)
+		}
 		perBatch = append(perBatch, len(seen))
 		ran += len(batch)
 	}
@@ -357,7 +376,7 @@ func TestRunAllGoroutinesBoundedByGangs(t *testing.T) {
 	const n = 200
 	started := make(chan struct{}, n)
 	release := make(chan struct{})
-	r := New(Options{Workers: 2, RunGang: func(cfgs []sim.Config) ([]sim.Result, error) {
+	r := New(Options{Workers: 2, RunGang: stub(func(cfgs []sim.Config) ([]sim.Result, error) {
 		started <- struct{}{}
 		<-release
 		out := make([]sim.Result, len(cfgs))
@@ -365,7 +384,7 @@ func TestRunAllGoroutinesBoundedByGangs(t *testing.T) {
 			out[i] = stubResult(cfg)
 		}
 		return out, nil
-	}})
+	})})
 	cfgs := make([]sim.Config, n)
 	for i := range cfgs {
 		cfgs[i] = gangCfgN("gcc", i)
@@ -477,13 +496,13 @@ func TestExecuteAccounting(t *testing.T) {
 	// failing shares the other configs' front end, so it gangs with them.
 	failing := gangCfgN("gcc", 99)
 	fails := func(c sim.Config) bool { return c.MSHREntries == failing.MSHREntries }
-	run := func(cfgs []sim.Config) ([]sim.Result, error) {
-		for _, c := range cfgs {
-			if fails(c) {
-				return nil, errors.New("refused")
+	run := func(g sim.Gang) error {
+		for _, c := range g.Cfgs {
+			if fails(*c) {
+				return errors.New("refused")
 			}
 		}
-		return (&gangRecorder{}).run(cfgs)
+		return (&gangRecorder{}).run(g)
 	}
 	gang := func(n int) []sim.Config {
 		cfgs := make([]sim.Config, n)

@@ -20,11 +20,16 @@
 //   - optionally bounds the in-memory memo table with LRU eviction, so
 //     very large sweeps cannot grow it without limit;
 //   - honours context cancellation between (not within) simulations;
-//   - returns batch results in deterministic submission order;
+//   - hands a batch's results to its caller one at a time, in
+//     deterministic submission order (Gather), so a sweep reduces them
+//     as they arrive instead of collecting them;
 //   - accepts whole plans up front (Enqueue): a batch of configs is
 //     registered and scheduled without waiting, coalesced into gangs of
-//     same-front-end configs, so later Run/RunAll calls join the
-//     in-flight work and the pool interleaves across sweeps.
+//     same-front-end configs, so later Run/Gather calls join the
+//     in-flight work and the pool interleaves across sweeps;
+//   - carries each config by reference from the caller's batch into the
+//     gang that simulates it, which writes the Result straight into the
+//     memo slot the runner publishes.
 //
 // Results and artifacts share one single-flight table type (memo, in
 // memo.go): claim-or-join, publish with keep-or-evict, a joined waiter
@@ -41,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -63,11 +67,11 @@ type Options struct {
 	// beyond it (0 = unbounded). Evicted configs re-simulate on the next
 	// submission unless a Store still holds them.
 	MemoLimit int
-	// RunGang overrides the simulation entry point (nil = sim.RunGang
-	// over the runner's recorded workload streams). It returns one
-	// Result per config, in order; a single config runs as a gang of
-	// one. Tests stub it to control timing and inject failures.
-	RunGang func([]sim.Config) ([]sim.Result, error)
+	// RunGang overrides the simulation entry point (nil = sim.Streams.Run
+	// over the runner's recorded workload streams). It writes each
+	// member's Result to the gang's Out; a single config runs as a gang
+	// of one. Tests stub it to control timing and inject failures.
+	RunGang func(sim.Gang) error
 }
 
 // gangSize bounds how many machines one gang simulation (sim.RunGang)
@@ -82,7 +86,7 @@ const gangSize = 8
 
 // Stats is a snapshot of a Runner's scheduling counters.
 type Stats struct {
-	// Submitted counts Run calls (RunAll counts once per config).
+	// Submitted counts Run calls (Gather counts once per config).
 	Submitted uint64
 	// MemoHits resolved against an already-completed in-memory result.
 	// A repeated submission is a memo hit or an in-flight dedup
@@ -117,7 +121,7 @@ type Stats struct {
 	// plan, or a solo sweep whose configs an earlier pass enqueued) are
 	// not counted.
 	EnqueueBatches uint64
-	// Barriers is always 0 and nothing counts it: RunAll enqueues its own
+	// Barriers is always 0 and nothing counts it: Gather enqueues its own
 	// batch, so no gather fans out per config any more. The field stays
 	// only because the JSON of a resizecache.Outcome includes its Stats,
 	// and perfbench's oracle digests that JSON; it goes with the next
@@ -210,7 +214,7 @@ func (s Stats) Delta(prev Stats) Stats {
 type Runner struct {
 	sem     chan struct{}
 	store   Store
-	runGang func([]sim.Config) ([]sim.Result, error)
+	runGang func(sim.Gang) error
 
 	// results memoizes simulation outcomes, bounded by MemoLimit; a
 	// cancellation leaves it. artifacts memoizes artifact payloads,
@@ -270,10 +274,10 @@ func New(opts Options) *Runner {
 		// front-end skip warmup — including across processes when the
 		// store persists.
 		streams := sim.NewStreams(workers)
-		r.runGang = func(cfgs []sim.Config) ([]sim.Result, error) {
-			out, ws, err := streams.RunGang(cfgs, r.checkpointTier())
+		r.runGang = func(g sim.Gang) error {
+			ws, err := streams.Run(g, r.checkpointTier())
 			r.noteWarmup(ws)
-			return out, err
+			return err
 		}
 	}
 	return r
@@ -343,7 +347,11 @@ func (r *Runner) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
 func (r *Runner) run(ctx context.Context, j Job) (sim.Result, error) {
 	r.submitted.Add(1)
 	res, err, from := r.results.do(ctx, j.Key, nil, func(s *slot[sim.Result]) {
-		r.execute(ctx, []gangItem{{Job: j, s: s}})
+		// The gang reads the config through a pointer that outlives this
+		// call; copying it here, on the cold path only, keeps Run's
+		// config on its stack when the memo answers.
+		cfg := *j.Cfg
+		r.execute(ctx, [][]gangItem{{{Job: Job{Cfg: &cfg, Key: j.Key}, s: s}}})
 	})
 	if from == hit {
 		r.memoHits.Add(1)
@@ -412,7 +420,7 @@ func (r *Runner) Resolve(key sim.Key) (res sim.Result, err error, ok bool) {
 
 // Enqueue submits a batch of jobs without waiting for their results:
 // fingerprints not yet known to the runner are registered synchronously
-// — before Enqueue returns, a later Run/RunAll of the same config joins
+// — before Enqueue returns, a later Run/Gather of the same config joins
 // the in-flight work instead of simulating it again — and execute on
 // the shared worker pool in the background. Fingerprints already
 // memoized or executing are skipped. Outcomes land in the memo table
@@ -420,12 +428,13 @@ func (r *Runner) Resolve(key sim.Key) (res sim.Result, err error, ok bool) {
 // ctx abandons work that has not started, leaving those fingerprints
 // retryable. Returns the number of jobs actually enqueued.
 //
-// Enqueue is the batch-scheduling primitive behind RunAll and plan
+// Enqueue is the batch-scheduling primitive behind Gather and plan
 // execution: a multi-sweep plan enqueues every profiling simulation in
 // one pass, so the pool interleaves across sweeps and scenarios instead
 // of draining one sweep's batch at a time. It takes each job's key as
-// given and its config by pointer, so a plan's configs are hashed once
-// and copied only into the gangs that run them.
+// given and its config by pointer, and the gang reads the config
+// through that pointer, so a plan's configs are hashed once and never
+// copied.
 //
 // The returned wait function blocks until every goroutine this call
 // spawned has published its outcome (to the memo table and, when
@@ -434,65 +443,75 @@ func (r *Runner) Resolve(key sim.Key) (res sim.Result, err error, ok bool) {
 // enqueued stragglers mid-simulation — must cancel ctx and wait before
 // flushing, or completed results can land after the flush and be lost.
 // Enqueue additionally coalesces the batch's memo-miss configs into
-// gangs: configs sharing a front-end fingerprint (sim.Config.FrontKey —
-// same benchmark, budget, engine, pipeline) run through one gang
-// simulation of up to eight share classes (sim.Config.ShareKey)
-// instead of one pass each; a class is never split across gangs.
-// Coalescing is invisible to waiters — outcomes publish to the same
-// entries — and is accounted by the Ganged/GangBatches counters.
+// gangs: it partitions them into share classes (sim.Config.ShareKey)
+// and the classes into front groups (sim.Config.FrontKey — same
+// benchmark, budget, engine, pipeline), and a front group runs as gang
+// simulations of up to eight whole classes instead of one pass each.
+// Each config's ShareKey and each class's FrontKey are hashed once
+// here, and the gang takes the classes as its share groups without
+// hashing either again. Coalescing is invisible to waiters — outcomes
+// publish to the same entries — and is accounted by the
+// Ganged/GangBatches counters.
 func (r *Runner) Enqueue(ctx context.Context, jobs []Job) (int, func()) {
 	if len(jobs) == 0 || ctx.Err() != nil {
 		return 0, func() {}
 	}
-	var wg sync.WaitGroup
-	var fresh []gangItem
+	// Claim the fresh entries into share classes, and the classes into
+	// front groups, both in order of first appearance. Equal ShareKeys
+	// imply equal FrontKeys, so a front is looked up once per class.
+	shares := make(map[sim.Key]int)
+	fronts := make(map[sim.Key]int)
+	var classes [][]gangItem
+	var byFront [][]int // each front group's classes, by index
+	fresh := 0
 	for _, j := range jobs {
-		if s, from := r.results.claim(j.Key, false); from == owned {
-			fresh = append(fresh, gangItem{Job: j, s: s})
+		s, from := r.results.claim(j.Key, false)
+		if from != owned {
+			continue
 		}
+		fresh++
+		k := j.Cfg.ShareKey()
+		n, ok := shares[k]
+		if !ok {
+			n = len(classes)
+			shares[k] = n
+			classes = append(classes, nil)
+			fk := j.Cfg.FrontKey()
+			f, ok := fronts[fk]
+			if !ok {
+				f = len(byFront)
+				fronts[fk] = f
+				byFront = append(byFront, nil)
+			}
+			byFront[f] = append(byFront[f], n)
+		}
+		classes[n] = append(classes[n], gangItem{Job: j, s: s})
 	}
-	if len(fresh) == 0 {
+	if fresh == 0 {
 		return 0, func() {}
 	}
 	r.enqueueBatches.Add(1)
-	r.enqueued.Add(uint64(len(fresh)))
+	r.enqueued.Add(uint64(fresh))
 
-	// Group the fresh entries by shared front-end, and each front group
-	// by share class (sim.Config.ShareKey), both in order of first
-	// appearance. A front group dispatches as gangs of up to gangSize
-	// whole classes — a gang starts one machine per class and forks it
-	// where the class's controllers disagree — and a lone straggler as a
-	// gang of one.
-	for _, g := range groupBy(fresh, sim.Config.FrontKey) {
-		classes := groupBy(g, sim.Config.ShareKey)
-		for lo := 0; lo < len(classes); lo += gangSize {
-			batch := slices.Concat(classes[lo:min(lo+gangSize, len(classes))]...)
+	// A front group dispatches as gangs of up to gangSize whole classes
+	// — a gang starts one machine per class and forks it where the
+	// class's controllers disagree — and a lone straggler as a gang of
+	// one.
+	var wg sync.WaitGroup
+	for _, ns := range byFront {
+		for lo := 0; lo < len(ns); lo += gangSize {
+			gang := make([][]gangItem, 0, gangSize)
+			for _, n := range ns[lo:min(lo+gangSize, len(ns))] {
+				gang = append(gang, classes[n])
+			}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				r.execute(ctx, batch)
+				r.execute(ctx, gang)
 			}()
 		}
 	}
-	return len(fresh), wg.Wait
-}
-
-// groupBy partitions items by the key of their config, in order of
-// first appearance.
-func groupBy(items []gangItem, key func(sim.Config) sim.Key) [][]gangItem {
-	at := make(map[sim.Key]int)
-	var groups [][]gangItem
-	for _, it := range items {
-		k := key(*it.Cfg)
-		n, ok := at[k]
-		if !ok {
-			n = len(groups)
-			at[k] = n
-			groups = append(groups, nil)
-		}
-		groups[n] = append(groups[n], it)
-	}
-	return groups
+	return fresh, wg.Wait
 }
 
 // gangItem is one claimed slot awaiting execution: its job and the
@@ -502,23 +521,32 @@ type gangItem struct {
 	s *slot[sim.Result]
 }
 
-// execute owns a batch of registered same-front entries: members found
-// in the persistent store resolve from it, and the rest run as one gang
-// pass under a single worker slot, then publish to their entries and
-// the store. A gang of several that fails re-runs each member alone, so
-// each member's error outcome is the one it gets when submitted alone.
-// Run owners, Enqueue's gangs and lone stragglers, and that fallback all
-// funnel through here, so every simulation persists, counts and cancels
-// the same way. Ganged and GangBatches count only passes that ran more
-// than one member live.
-func (r *Runner) execute(ctx context.Context, batch []gangItem) {
-	// live holds the positions in batch of the members the store did not
-	// answer. Positions, not a filtered copy of the items: storing an
-	// item would move a lone Run's config to the heap.
-	live := make([]int, 0, gangSize)
-	for i, it := range batch {
-		if _, _, ok := r.fromStore(it.Key, it.s); !ok {
-			live = append(live, i)
+// execute owns a gang of registered entries, given as its share
+// classes: members found in the persistent store resolve from it, and
+// the rest run as one gang pass under a single worker slot, each live
+// class one share group. The gang reads every config through its job's
+// pointer and writes every Result straight into the member's memo slot,
+// which execute then publishes and records in the store. A gang of
+// several that fails re-runs each member alone, so each member's error
+// outcome is the one it gets when submitted alone. Run owners,
+// Enqueue's gangs and lone stragglers, and that fallback all funnel
+// through here, so every simulation persists, counts and cancels the
+// same way. Ganged and GangBatches count only passes that ran more than
+// one member live.
+func (r *Runner) execute(ctx context.Context, classes [][]gangItem) {
+	// live points at the members the store did not answer; ends marks
+	// where each live class ends among them.
+	var live []*gangItem
+	var ends []int
+	for _, c := range classes {
+		lo := len(live)
+		for i := range c {
+			if _, _, ok := r.fromStore(c[i].Key, c[i].s); !ok {
+				live = append(live, &c[i])
+			}
+		}
+		if len(live) > lo {
+			ends = append(ends, len(live))
 		}
 	}
 	if len(live) == 0 {
@@ -528,47 +556,54 @@ func (r *Runner) execute(ctx context.Context, batch []gangItem) {
 	select {
 	case r.sem <- struct{}{}:
 	case <-ctx.Done():
-		for _, i := range live {
-			r.results.publish(batch[i].Key, batch[i].s, sim.Result{}, ctx.Err())
+		for _, it := range live {
+			r.results.publish(it.Key, it.s, sim.Result{}, ctx.Err())
 		}
 		return
 	}
-	cfgs := make([]sim.Config, len(live))
-	for k, i := range live {
-		cfgs[k] = *batch[i].Cfg
+	g := sim.Gang{
+		Cfgs:   make([]*sim.Config, len(live)),
+		Groups: make([][]int, len(ends)),
+		Out:    make([]*sim.Result, len(live)),
 	}
-	results, err := r.runGang(cfgs)
+	idx := make([]int, len(live))
+	for k, it := range live {
+		idx[k] = k
+		g.Cfgs[k], g.Out[k] = it.Cfg, &it.s.val
+	}
+	lo := 0
+	for n, end := range ends {
+		g.Groups[n], lo = idx[lo:end], end
+	}
+	err := r.runGang(g)
 	<-r.sem
 
 	if len(live) > 1 {
 		if err != nil {
 			// The gang entry point rejects the whole batch on any member's
 			// error; re-run each member alone so it gets its own outcome.
-			for _, i := range live {
-				r.execute(ctx, batch[i:i+1])
+			for _, it := range live {
+				r.execute(ctx, [][]gangItem{{*it}})
 			}
 			return
 		}
 		r.gangBatches.Add(1)
 		r.ganged.Add(uint64(len(live)))
 	}
-	for k, i := range live {
-		it := batch[i]
-		var res sim.Result
-		if err == nil {
-			res = results[k]
-		} else {
+	for _, it := range live {
+		if err != nil {
+			it.s.val = sim.Result{}
 			r.errs.Add(1)
 		}
 		r.runs.Add(1)
 		if r.store != nil && !isCancellation(err) {
-			sr := StoredResult{Result: res}
+			sr := StoredResult{Result: it.s.val}
 			if err != nil {
 				sr.Err = err.Error()
 			}
 			r.store.Record(it.Key, sr)
 		}
-		r.results.publish(it.Key, it.s, res, err)
+		r.results.publish(it.Key, it.s, it.s.val, err)
 	}
 }
 
@@ -576,25 +611,35 @@ func isCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// RunAll executes a batch of jobs and returns results in submission
-// order. It enqueues the batch — so same-front-end configs coalesce
-// into gangs and the pool runs them without a goroutine per config —
-// then gathers each result in order. The first failing config (by
-// submission index) determines the returned error; before returning,
-// RunAll cancels whatever it enqueued that is still pending and waits
-// for it, so no simulation it started outlives the call. Concurrency is
-// bounded by the Runner's shared worker pool.
-func (r *Runner) RunAll(ctx context.Context, jobs []Job) ([]sim.Result, error) {
+// Gather executes a batch of jobs and hands each result to each, by
+// value, in submission order, so the caller can reduce the batch as it
+// arrives instead of collecting it. It enqueues the batch — so
+// same-front-end configs coalesce into gangs and the pool runs them
+// without a goroutine per config — then waits for each result in turn.
+// The first failing config (by submission index) determines the
+// returned error, and each sees no result from it on; before
+// returning, Gather cancels whatever it enqueued that is still pending
+// and waits for it, so no simulation it started outlives the call.
+// Concurrency is bounded by the Runner's shared worker pool.
+func (r *Runner) Gather(ctx context.Context, jobs []Job, each func(i int, res sim.Result)) error {
 	enqCtx, stop := context.WithCancel(ctx)
 	_, wait := r.Enqueue(enqCtx, jobs)
 	defer func() { stop(); wait() }()
-	results := make([]sim.Result, len(jobs))
 	for i, j := range jobs {
 		res, err := r.run(ctx, j)
 		if err != nil {
-			return nil, fmt.Errorf("runner: config %d (%s): %w", i, j.Cfg.Benchmark, err)
+			return fmt.Errorf("runner: config %d (%s): %w", i, j.Cfg.Benchmark, err)
 		}
-		results[i] = res
+		each(i, res)
+	}
+	return nil
+}
+
+// RunAll is Gather collecting every result, in submission order.
+func (r *Runner) RunAll(ctx context.Context, jobs []Job) ([]sim.Result, error) {
+	results := make([]sim.Result, len(jobs))
+	if err := r.Gather(ctx, jobs, func(i int, res sim.Result) { results[i] = res }); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

@@ -26,8 +26,8 @@ func cfgN(i int) sim.Config {
 
 // each adapts a one-config stub to the runner's gang hook: it runs the
 // gang's configs one at a time and fails the gang on the first error.
-func each(run func(sim.Config) (sim.Result, error)) func([]sim.Config) ([]sim.Result, error) {
-	return func(cfgs []sim.Config) ([]sim.Result, error) {
+func each(run func(sim.Config) (sim.Result, error)) func(sim.Gang) error {
+	return stub(func(cfgs []sim.Config) ([]sim.Result, error) {
 		out := make([]sim.Result, len(cfgs))
 		for i, cfg := range cfgs {
 			res, err := run(cfg)
@@ -37,6 +37,26 @@ func each(run func(sim.Config) (sim.Result, error)) func([]sim.Config) ([]sim.Re
 			out[i] = res
 		}
 		return out, nil
+	})
+}
+
+// stub adapts a stub over a gang's configs, in order, to the gang entry
+// point: it writes the Results the stub returns to the gang's Out, and
+// nothing when the stub fails.
+func stub(run func([]sim.Config) ([]sim.Result, error)) func(sim.Gang) error {
+	return func(g sim.Gang) error {
+		cfgs := make([]sim.Config, len(g.Cfgs))
+		for i, cfg := range g.Cfgs {
+			cfgs[i] = *cfg
+		}
+		out, err := run(cfgs)
+		if err != nil {
+			return err
+		}
+		for i := range out {
+			*g.Out[i] = out[i]
+		}
+		return nil
 	}
 }
 

@@ -382,8 +382,8 @@ func syncDir(dir string) error {
 // no runner-visible semantics beyond the Store contract.
 type MemStore struct {
 	mu        sync.Mutex
-	results   map[string]StoredResult
-	artifacts map[string][]byte
+	results   map[sim.Key]StoredResult
+	artifacts map[sim.Key][]byte
 }
 
 var _ Store = (*MemStore)(nil)
@@ -391,8 +391,8 @@ var _ Store = (*MemStore)(nil)
 // NewMemStore returns an empty MemStore.
 func NewMemStore() *MemStore {
 	return &MemStore{
-		results:   make(map[string]StoredResult),
-		artifacts: make(map[string][]byte),
+		results:   make(map[sim.Key]StoredResult),
+		artifacts: make(map[sim.Key][]byte),
 	}
 }
 
@@ -400,7 +400,7 @@ func NewMemStore() *MemStore {
 func (s *MemStore) Lookup(k sim.Key) (StoredResult, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.results[k.String()]
+	v, ok := s.results[k]
 	return v, ok
 }
 
@@ -408,14 +408,14 @@ func (s *MemStore) Lookup(k sim.Key) (StoredResult, bool) {
 func (s *MemStore) Record(k sim.Key, v StoredResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.results[k.String()] = v
+	s.results[k] = v
 }
 
 // LookupArtifact implements Store.
 func (s *MemStore) LookupArtifact(k sim.Key) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data, ok := s.artifacts[k.String()]
+	data, ok := s.artifacts[k]
 	return data, ok
 }
 
@@ -429,7 +429,7 @@ func (s *MemStore) RecordArtifact(k sim.Key, data []byte) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.artifacts[k.String()] = append([]byte(nil), data...)
+	s.artifacts[k] = append([]byte(nil), data...)
 }
 
 // Flush implements Store; a MemStore has nothing to persist.

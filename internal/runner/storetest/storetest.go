@@ -193,9 +193,9 @@ func Run(t *testing.T, open func(t *testing.T) runner.Store) {
 		cfg.Instructions = 1000
 		want := sampleResult()
 		s.Record(cfg.Key(), runner.StoredResult{Result: want})
-		r := runner.New(runner.Options{Store: s, RunGang: func(cfgs []sim.Config) ([]sim.Result, error) {
+		r := runner.New(runner.Options{Store: s, RunGang: func(sim.Gang) error {
 			t.Error("stored config was re-simulated")
-			return make([]sim.Result, len(cfgs)), nil
+			return nil
 		}})
 		got, err := r.Run(context.Background(), cfg)
 		if err != nil {
@@ -214,9 +214,9 @@ func Run(t *testing.T, open func(t *testing.T) runner.Store) {
 		cfg := sim.Default("gcc")
 		cfg.Instructions = 1000
 		s.Record(cfg.Key(), runner.StoredResult{Err: "known-bad config"})
-		r := runner.New(runner.Options{Store: s, RunGang: func(cfgs []sim.Config) ([]sim.Result, error) {
+		r := runner.New(runner.Options{Store: s, RunGang: func(sim.Gang) error {
 			t.Error("stored failure was re-simulated")
-			return make([]sim.Result, len(cfgs)), nil
+			return nil
 		}})
 		_, err := r.Run(context.Background(), cfg)
 		var stored *runner.StoredError
@@ -287,8 +287,9 @@ func RunUnreachable(t *testing.T, open func(t *testing.T) runner.Store, maxPerOp
 		cfg := sim.Default("gcc")
 		cfg.Instructions = 1000
 		want := sampleResult()
-		r := runner.New(runner.Options{Store: s, RunGang: func(cfgs []sim.Config) ([]sim.Result, error) {
-			return []sim.Result{want}, nil
+		r := runner.New(runner.Options{Store: s, RunGang: func(g sim.Gang) error {
+			*g.Out[0] = want
+			return nil
 		}})
 		var got sim.Result
 		var err error

@@ -90,7 +90,7 @@ func TestRunnerWarmupCheckpointAcrossRunners(t *testing.T) {
 	// memo also hits, so drop the stored result to force a re-simulation
 	// that can only skip warmup via the checkpoint.
 	store.mu.Lock()
-	store.results = map[string]StoredResult{}
+	store.results = map[sim.Key]StoredResult{}
 	store.mu.Unlock()
 
 	r2 := New(Options{Store: store})

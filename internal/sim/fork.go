@@ -14,7 +14,8 @@ import (
 // forks it grew from them. A sampled pass also keeps each machine's
 // detailed windows, parallel to runs.
 type pass struct {
-	cfgs []Config // the whole gang's configs
+	cfgs []*Config // the whole gang's configs
+	out  []*Result // where each config's Result goes
 	eng  *cpu.Gang
 	runs []*shareRun
 
@@ -58,10 +59,10 @@ type follower struct {
 // addRun builds the machine for group g of the pass's configs (leader
 // first) and attaches the followers to the leader's dynamic policy.
 func (p *pass) addRun(g []int) (*shareRun, error) {
-	cfg := &p.cfgs[g[0]]
+	cfg := p.cfgs[g[0]]
 	m, err := buildMachine(*cfg)
 	if err != nil {
-		return nil, memberErr(p.cfgs, g[0], err)
+		return nil, memberErr(len(p.cfgs), g[0], err)
 	}
 	sr := &shareRun{p: p, at: len(p.runs), lead: g[0], m: m, forkAt: -1}
 	at := cfg.forkLevel()
@@ -112,7 +113,7 @@ func (sr *shareRun) Arm() {
 // reach its armed cache.
 func (sr *shareRun) snapshot() {
 	if sr.snap == nil {
-		sr.snap = blankMachine(sr.p.cfgs[sr.lead])
+		sr.snap = blankMachine(*sr.p.cfgs[sr.lead])
 	}
 	sr.snap.copyFrom(sr.m)
 	if tr := sr.p.trace; tr != nil {
@@ -167,7 +168,7 @@ func (sr *shareRun) Boundary() {
 	// The first group takes the snapshot over; the others copy it first.
 	machines := make([]*machine, len(groups))
 	for k := 1; k < len(groups); k++ {
-		machines[k] = blankMachine(p.cfgs[sr.lead])
+		machines[k] = blankMachine(*p.cfgs[sr.lead])
 		machines[k].copyFrom(sr.snap)
 	}
 	machines[0], sr.snap = sr.snap, nil
@@ -206,8 +207,10 @@ func forkReach(pos int) uint64 {
 	return 3 << (pos - l2Pos)
 }
 
-// release returns the frame arrays of the runs' unused snapshots.
+// release returns the frame arrays of the runs' unused snapshots, and
+// the engine's BTB array.
 func (p *pass) release() {
+	p.eng.Release()
 	for _, sr := range p.runs {
 		if sr.snap != nil {
 			sr.snap.release()

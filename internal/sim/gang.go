@@ -39,6 +39,10 @@ const gangChunk = 32
 // or chunking (TestGangMatchesGolden and TestGangChunked pin this; the
 // golden fixtures pin Run). An error that belongs to one member names
 // it, unless the gang has only that member.
+//
+// RunGang checks the front ends, groups the configs by ShareKey and
+// runs them as a Gang (Streams.Run); a caller that already holds the
+// grouping hands it over instead.
 func RunGang(cfgs []Config) ([]Result, error) {
 	out, _, err := RunGangWithCheckpoints(cfgs, nil)
 	return out, err
@@ -52,6 +56,39 @@ func RunGangWithCheckpoints(cfgs []Config, cs CheckpointStore) ([]Result, Warmup
 	return runGang(cfgs, cs, nil)
 }
 
+// Gang is a batch of simulations handed to the engine by reference:
+// Cfgs[i]'s Result is written to *Out[i], and neither is copied on the
+// way in. Its configs must share one front end (equal FrontKeys), and
+// Groups must partition Cfgs' indices by ShareKey, each group leader
+// first. RunGang builds both from a []Config; the runner hands over the
+// grouping it dispatched the batch by, so no key is hashed twice.
+type Gang struct {
+	Cfgs   []*Config
+	Groups [][]int
+	Out    []*Result
+}
+
+// Run executes g as RunGang executes its configs, with every chunk
+// replaying s's recordings (live generators when s is nil). It trusts
+// g's front ends and grouping, which RunGang checks and builds. On an
+// error, Out holds nothing the caller may use.
+func (s *Streams) Run(g Gang, cs CheckpointStore) (WarmupStats, error) {
+	if len(g.Cfgs) == 0 {
+		return WarmupStats{}, nil
+	}
+	var prof *workload.Profile
+	for i, cfg := range g.Cfgs {
+		p, err := validated(*cfg)
+		if err != nil {
+			return WarmupStats{}, memberErr(len(g.Cfgs), i, err)
+		}
+		if i == 0 {
+			prof = p
+		}
+	}
+	return s.run(g, prof, cs, nil)
+}
+
 // runGang is RunGangWithCheckpoints with every chunk's stream drawn
 // from streams (live generators when nil).
 func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, WarmupStats, error) {
@@ -60,12 +97,12 @@ func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, War
 	}
 	prof, err := validated(cfgs[0])
 	if err != nil {
-		return nil, WarmupStats{}, memberErr(cfgs, 0, err)
+		return nil, WarmupStats{}, memberErr(len(cfgs), 0, err)
 	}
 	front := cfgs[0].FrontKey()
 	for i, cfg := range cfgs[1:] {
 		if _, err := validated(cfg); err != nil {
-			return nil, WarmupStats{}, memberErr(cfgs, i+1, err)
+			return nil, WarmupStats{}, memberErr(len(cfgs), i+1, err)
 		}
 		if cfg.FrontKey() != front {
 			return nil, WarmupStats{}, fmt.Errorf(
@@ -77,22 +114,35 @@ func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, War
 	return runGangOver(cfgs, prof, cs, streams, nil)
 }
 
-// runGangOver runs a validated gang over prof's stream. Configs with
-// equal ShareKeys form one group that runs on one machine, led by its
-// first config: the leader's dynamic policy carries the others as
-// followers, and a follower still attached when the run ends gets a
-// copy of the leader's Result. Followers that split from their leader
-// fork a machine at the boundary, in the same pass (shareRun.Boundary),
-// so each chunk of gangChunk groups is exactly one engine pass. tr,
-// when non-nil, records the passes, forks and snapshots (tests).
+// runGangOver runs validated cfgs over prof's stream as one Gang,
+// grouped by ShareKey, and returns their Results in order.
 func runGangOver(cfgs []Config, prof *workload.Profile, cs CheckpointStore, streams *Streams, tr *gangTrace) ([]Result, WarmupStats, error) {
-	var ws WarmupStats
 	out := make([]Result, len(cfgs))
+	g := Gang{Cfgs: make([]*Config, len(cfgs)), Groups: shareGroups(cfgs), Out: make([]*Result, len(cfgs))}
+	for i := range cfgs {
+		g.Cfgs[i], g.Out[i] = &cfgs[i], &out[i]
+	}
+	ws, err := streams.run(g, prof, cs, tr)
+	if err != nil {
+		return nil, ws, err
+	}
+	return out, ws, nil
+}
+
+// run runs a validated gang over prof's stream. Each share group runs
+// on one machine, led by its first config: the leader's dynamic policy
+// carries the others as followers, and a follower still attached when
+// the run ends gets a copy of the leader's Result. Followers that split
+// from their leader fork a machine at the boundary, in the same pass
+// (shareRun.Boundary), so each chunk of gangChunk groups is exactly one
+// engine pass. tr, when non-nil, records the passes, forks and
+// snapshots (tests).
+func (s *Streams) run(g Gang, prof *workload.Profile, cs CheckpointStore, tr *gangTrace) (WarmupStats, error) {
+	var ws WarmupStats
 	chunkWS := &ws
-	groups := shareGroups(cfgs)
-	for lo := 0; lo < len(groups); lo += gangChunk {
-		if err := runChunk(cfgs, groups[lo:min(lo+gangChunk, len(groups))], prof, cs, streams, chunkWS, out, tr); err != nil {
-			return nil, ws, err
+	for lo := 0; lo < len(g.Groups); lo += gangChunk {
+		if err := runChunk(g, g.Groups[lo:min(lo+gangChunk, len(g.Groups))], prof, cs, s, chunkWS, tr); err != nil {
+			return ws, err
 		}
 		// The first chunk's warmup populates the checkpoint store (when
 		// one is provided), so later chunks restore it instead of
@@ -100,10 +150,10 @@ func runGangOver(cfgs []Config, prof *workload.Profile, cs CheckpointStore, stre
 		// traffic, not the caller's.
 		chunkWS = new(WarmupStats)
 	}
-	return out, ws, nil
+	return ws, nil
 }
 
-// gangTrace records what runGangOver did, for tests: one entry per
+// gangTrace records what a gang run did, for tests: one entry per
 // engine pass with the machines it ended with, every fork, and how
 // often the machines' fork hooks were armed, took a snapshot and
 // crossed an armed boundary.
@@ -138,22 +188,22 @@ func shareGroups(cfgs []Config) [][]int {
 	return groups
 }
 
-// runChunk runs one engine pass over groups of cfgs' indices, leader
-// first, writing every member's Result to out: a follower that split
+// runChunk runs one engine pass over groups of g's indices, leader
+// first, writing every member's Result to g.Out: a follower that split
 // from its machine leads or follows a fork of it by the pass's end (see
 // shareRun.Boundary).
-func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs CheckpointStore, streams *Streams, ws *WarmupStats, out []Result, tr *gangTrace) error {
-	p := &pass{cfgs: cfgs, trace: tr}
+func runChunk(g Gang, groups [][]int, prof *workload.Profile, cs CheckpointStore, streams *Streams, ws *WarmupStats, tr *gangTrace) error {
+	p := &pass{cfgs: g.Cfgs, out: g.Out, trace: tr}
 	members := make([]cpu.GangMember, len(groups))
-	for j, g := range groups {
-		sr, err := p.addRun(g)
+	for j, grp := range groups {
+		sr, err := p.addRun(grp)
 		if err != nil {
 			return err
 		}
 		members[j] = sr.member()
 	}
 
-	cfg0 := cfgs[groups[0][0]]
+	cfg0 := g.Cfgs[groups[0][0]]
 	eng, err := newEngine(cfg0, members)
 	if err != nil {
 		return err
@@ -162,16 +212,13 @@ func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs Checkpoi
 	for _, sr := range p.runs {
 		sr.hook()
 	}
-	var res []Result
 	st := streams.stream(prof, cfg0.Instructions, cfg0.Sampling)
 	if cfg0.Sampling.Enabled() {
-		res, err = p.runSampled(prof, st, cs, ws)
+		err = p.runSampled(prof, st, cs, ws)
 	} else {
-		rs := eng.RunWindow(st.src, cfg0.Instructions, nil)
-		res = make([]Result, len(rs))
-		for j, r := range rs {
+		for j, r := range eng.RunWindow(st.src, cfg0.Instructions, nil) {
 			sr := p.runs[j]
-			res[j] = sr.m.finish(cfgs[sr.lead], r)
+			*g.Out[sr.lead] = sr.m.finish(g.Cfgs[sr.lead], r)
 		}
 	}
 	p.release()
@@ -181,26 +228,25 @@ func runChunk(cfgs []Config, groups [][]int, prof *workload.Profile, cs Checkpoi
 	if tr != nil {
 		tr.passMachines = append(tr.passMachines, len(p.runs))
 	}
-	for j, sr := range p.runs {
-		out[sr.lead] = res[j]
+	for _, sr := range p.runs {
 		for _, f := range sr.follow {
-			out[f.i] = res[j].clone()
+			*g.Out[f.i] = g.Out[sr.lead].clone()
 		}
 	}
 	return nil
 }
 
-// memberErr attributes a gang's failure to member i. A gang of one is
+// memberErr attributes a failure of a gang of n to member i. A gang of one is
 // Run, whose errors name no member.
-func memberErr(cfgs []Config, i int, err error) error {
-	if len(cfgs) == 1 {
+func memberErr(n, i int, err error) error {
+	if n == 1 {
 		return err
 	}
 	return fmt.Errorf("sim: gang member %d: %w", i, err)
 }
 
 // newEngine builds the config's timing model over members.
-func newEngine(cfg Config, members []cpu.GangMember) (*cpu.Gang, error) {
+func newEngine(cfg *Config, members []cpu.GangMember) (*cpu.Gang, error) {
 	if cfg.Engine == InOrder {
 		return cpu.NewGangInOrder(cfg.CPU, bpred.NewDefault(), members)
 	}

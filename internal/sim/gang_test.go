@@ -3,8 +3,11 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"resizecache/internal/core"
 )
 
 // gangSiblings builds a gang around cfg: the config itself plus members
@@ -226,6 +229,55 @@ func TestFrontKeyProjection(t *testing.T) {
 		mutate(&c)
 		if c.FrontKey() != k {
 			t.Errorf("FrontKey sensitive to per-member field %s", name)
+		}
+	}
+}
+
+// TestGangByReference: Streams.Run over configs handed by pointer, with
+// the caller's share groups, in an order of its choosing, writes each
+// member's RunGang Result where its Out points and leaves the configs
+// as they were — detailed and sampled, replayed and live.
+func TestGangByReference(t *testing.T) {
+	for _, sampled := range []bool{false, true} {
+		base := sweepBase("m88ksim", OutOfOrder, 20_000)
+		if sampled {
+			base.Instructions = 40_000
+			base.Sampling = sharedSampling()
+		}
+		batch := dynamicSweepBatch(t, base, dPos, core.SelectiveSets)
+		want, err := RunGang(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := slices.Clone(batch)
+		// Members in reverse batch order, grouped by ShareKey in that order.
+		n := len(batch)
+		reversed := make([]Config, n)
+		g := Gang{Cfgs: make([]*Config, n), Out: make([]*Result, n)}
+		out := make([]Result, n)
+		for i := range batch {
+			reversed[i] = batch[n-1-i]
+			g.Cfgs[i], g.Out[i] = &batch[n-1-i], &out[i]
+		}
+		g.Groups = shareGroups(reversed)
+		if len(g.Groups) < 2 || len(g.Groups) == n {
+			t.Fatalf("sampled %v: %d share groups over %d configs, want several shared ones", sampled, len(g.Groups), n)
+		}
+		for _, s := range []*Streams{nil, NewStreams(1), NewStreams(1)} {
+			if _, err := s.Run(g, nil); err != nil {
+				t.Fatal(err)
+			}
+			for i := range out {
+				if !reflect.DeepEqual(out[i], want[n-1-i]) {
+					diffResult(t, fmt.Sprintf("sampled %v: member %d", sampled, i), want[n-1-i], out[i])
+				}
+			}
+			clear(out)
+		}
+		for i := range batch {
+			if !batch[i].Equal(&before[i]) {
+				t.Errorf("sampled %v: config %d changed by the run", sampled, i)
+			}
 		}
 	}
 }

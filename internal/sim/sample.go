@@ -168,7 +168,7 @@ func (c Config) WarmKey() Key {
 // snapshot and the front-end are both checked before either is
 // restored, so a rejected payload leaves nothing restored behind.
 // Returns the instructions the prefix consumed.
-func warmupWithCheckpoint(cfg Config, prof *workload.Profile, eng *cpu.Gang, st stream, cs CheckpointStore, ws *WarmupStats) uint64 {
+func warmupWithCheckpoint(cfg *Config, prof *workload.Profile, eng *cpu.Gang, st stream, cs CheckpointStore, ws *WarmupStats) uint64 {
 	want := cfg.Sampling.WarmupInstructions
 	if want == 0 {
 		return 0
@@ -268,7 +268,7 @@ func (w *windowAccum) fork(m *machine) windowAccum {
 // observe folds one detailed window's result in. Window energy is the
 // machine's energy delta (after integrating background energy to the
 // window's end cycle) plus the core energy of the window's activity.
-func (w *windowAccum) observe(cfg Config, r cpu.Result) {
+func (w *windowAccum) observe(cfg *Config, r cpu.Result) {
 	winCycles := r.Cycles - w.base
 	w.m.integrateTo(r.Cycles)
 	nowPJ := w.m.energyPJ()
@@ -297,7 +297,7 @@ func (w *windowAccum) observe(cfg Config, r cpu.Result) {
 // mean CPI/EPI extrapolates over everything else. Event counters (cache
 // accesses, activity events) are instruction-proportional and scale
 // uniformly by total/detailed.
-func (w *windowAccum) finish(cfg Config, total, warmup uint64) (Result, error) {
+func (w *windowAccum) finish(cfg *Config, total, warmup uint64) (Result, error) {
 	if w.agg.Instructions == 0 {
 		return Result{}, fmt.Errorf("sim: %s: no detailed instructions measured (stream exhausted before the first window)", cfg.Benchmark)
 	}
@@ -474,9 +474,9 @@ func (p *pass) skip(n uint64) uint64        { return p.src.Skip(n) }
 func (p *pass) fastForward(n uint64) uint64 { return p.eng.FastForward(p.src, n) }
 
 // runSampled runs a sampled pass over st: the warmup prefix
-// (checkpointed), then the sampling schedule. It returns each machine's
-// Result in engine member order.
-func (p *pass) runSampled(prof *workload.Profile, st stream, cs CheckpointStore, ws *WarmupStats) ([]Result, error) {
+// (checkpointed), then the sampling schedule. It writes each machine's
+// Result to its leader's place in p.out.
+func (p *pass) runSampled(prof *workload.Profile, st stream, cs CheckpointStore, ws *WarmupStats) error {
 	cfg0 := p.cfgs[p.runs[0].lead]
 	consumed := warmupWithCheckpoint(cfg0, prof, p.eng, st, cs, ws)
 	p.src = st.src
@@ -486,13 +486,12 @@ func (p *pass) runSampled(prof *workload.Profile, st stream, cs CheckpointStore,
 		p.accs[i].m = sr.m
 	}
 	total := sampleSchedule(cfg0.Sampling, cfg0.Instructions, consumed, p)
-	out := make([]Result, len(p.accs))
-	for i := range p.accs {
-		res, err := p.accs[i].finish(p.cfgs[p.runs[i].lead], total, consumed)
+	for i, sr := range p.runs {
+		res, err := p.accs[i].finish(p.cfgs[sr.lead], total, consumed)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = res
+		*p.out[sr.lead] = res
 	}
-	return out, nil
+	return nil
 }

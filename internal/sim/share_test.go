@@ -146,8 +146,10 @@ func sharedSampling() SamplingSpec {
 }
 
 // TestSharedMembersMatchAloneSampled is TestSharedMembersMatchAlone for
-// sampled gangs against a warmup checkpoint store: every pass after the
-// first restores the checkpoint the first saved.
+// sampled gangs against a warmup checkpoint store. A gang makes one
+// pass per chunk, so the restore it exercises is checkMatchesAlone's
+// second, reversed run, which restores the checkpoint the first run
+// saved.
 func TestSharedMembersMatchAloneSampled(t *testing.T) {
 	apps := []string{"m88ksim", "su2cor"}
 	if testing.Short() {

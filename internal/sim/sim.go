@@ -514,7 +514,7 @@ func (m *machine) levelAt(i int) builtLevel {
 // assembles the complete Result from the engine's timing outcome. It
 // then returns the caches' frame arrays for reuse: the machine is dead
 // once finish returns.
-func (m *machine) finish(cfg Config, res cpu.Result) Result {
+func (m *machine) finish(cfg *Config, res cpu.Result) Result {
 	m.dc.level.Finalize(res.Cycles)
 	m.ic.level.Finalize(res.Cycles)
 	var sharedPJ float64

@@ -96,16 +96,15 @@ func TestPlanOfNormalizesAndDedups(t *testing.T) {
 // config instead of simulating, with a pool wide enough that blocked
 // stubs cannot starve other scenarios' work.
 func stubbedSession(runSim func(sim.Config) (sim.Result, error)) *Session {
-	runGang := func(cfgs []sim.Config) ([]sim.Result, error) {
-		out := make([]sim.Result, len(cfgs))
-		for i, cfg := range cfgs {
-			res, err := runSim(cfg)
+	runGang := func(g sim.Gang) error {
+		for i, cfg := range g.Cfgs {
+			res, err := runSim(*cfg)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			out[i] = res
+			*g.Out[i] = res
 		}
-		return out, nil
+		return nil
 	}
 	return &Session{r: runner.New(runner.Options{Workers: 64, RunGang: runGang})}
 }
@@ -248,7 +247,7 @@ func TestOnResultReportsCompletedOfTotal(t *testing.T) {
 // TestPlanRunsAsOneBatchedPass is the acceptance check for batch
 // scheduling: a multi-scenario plan submits its profiling sweeps through
 // one batched enqueue pass, where the same scenarios run sequentially
-// through Simulate pay one enqueue pass per sweep (each sweep's RunAll
+// through Simulate pay one enqueue pass per sweep (each sweep's gather
 // enqueues its own candidates, so even the solo path gangs); and a warm
 // plan re-run neither enqueues nor simulates.
 func TestPlanRunsAsOneBatchedPass(t *testing.T) {

@@ -22,12 +22,11 @@ func (s *artifactLookupCounter) LookupArtifact(k sim.Key) ([]byte, bool) {
 
 // stubbedStoreSession is stubbedSession over a persistent store.
 func stubbedStoreSession(store runner.Store) *Session {
-	runGang := func(cfgs []sim.Config) ([]sim.Result, error) {
-		out := make([]sim.Result, len(cfgs))
-		for i, cfg := range cfgs {
-			out[i] = stubResult(cfg)
+	runGang := func(g sim.Gang) error {
+		for i, cfg := range g.Cfgs {
+			*g.Out[i] = stubResult(*cfg)
 		}
-		return out, nil
+		return nil
 	}
 	return &Session{r: runner.New(runner.Options{Workers: 4, RunGang: runGang, Store: store}), store: store}
 }
