@@ -199,9 +199,10 @@ func SimSampledStreams(b *testing.B) {
 		}
 	}
 	const liveRuns = 3
+	var live *sim.Streams
 	liveStart := time.Now()
 	for i := 0; i < liveRuns; i++ {
-		if _, _, err := sim.RunGangWithCheckpoints(cfgs, store); err != nil {
+		if _, _, err := live.RunGang(cfgs, store); err != nil {
 			b.Fatal(err)
 		}
 	}

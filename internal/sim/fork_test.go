@@ -63,8 +63,7 @@ func forkBatch(t *testing.T, base Config, pos int, org core.Organization) []Conf
 	return batch
 }
 
-// runTraced runs gang as runGangOver does for RunGang, recording its
-// passes and forks.
+// runTraced runs gang as RunGang does, recording its passes and forks.
 func runTraced(t *testing.T, gang []Config, cs CheckpointStore) ([]Result, *gangTrace) {
 	t.Helper()
 	prof, err := workload.Get(gang[0].Benchmark)
@@ -72,11 +71,20 @@ func runTraced(t *testing.T, gang []Config, cs CheckpointStore) ([]Result, *gang
 		t.Fatal(err)
 	}
 	tr := new(gangTrace)
-	out, _, err := runGangOver(gang, prof, cs, nil, tr)
+	out, _, err := runOver(nil, gang, prof, cs, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out, tr
+}
+
+// runOver runs gang as s.RunGang does, but over prof's stream, which
+// need not be a registered benchmark's, and recording into tr when it
+// is non-nil.
+func runOver(s *Streams, gang []Config, prof *workload.Profile, cs CheckpointStore, tr *gangTrace) ([]Result, WarmupStats, error) {
+	g, out := gangOf(gang)
+	ws, err := s.run(g, prof, cs, tr)
+	return out, ws, err
 }
 
 // checkOnePass fails unless the gang ran as one engine pass: every

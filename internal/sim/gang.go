@@ -40,20 +40,12 @@ const gangChunk = 32
 // golden fixtures pin Run). An error that belongs to one member names
 // it, unless the gang has only that member.
 //
-// RunGang checks the front ends, groups the configs by ShareKey and
-// runs them as a Gang (Streams.Run); a caller that already holds the
-// grouping hands it over instead.
+// RunGang is Streams.RunGang on live generators, without a checkpoint
+// store.
 func RunGang(cfgs []Config) ([]Result, error) {
-	out, _, err := RunGangWithCheckpoints(cfgs, nil)
+	var live *Streams
+	out, _, err := live.RunGang(cfgs, nil)
 	return out, err
-}
-
-// RunGangWithCheckpoints is RunGang against an optional warmup
-// checkpoint store (nil behaves exactly like RunGang); see
-// RunWithCheckpoints for the checkpoint semantics. A sampled gang has
-// one shared warmup prefix, so one WarmupStats covers every member.
-func RunGangWithCheckpoints(cfgs []Config, cs CheckpointStore) ([]Result, WarmupStats, error) {
-	return runGang(cfgs, cs, nil)
 }
 
 // Gang is a batch of simulations handed to the engine by reference:
@@ -89,9 +81,15 @@ func (s *Streams) Run(g Gang, cs CheckpointStore) (WarmupStats, error) {
 	return s.run(g, prof, cs, nil)
 }
 
-// runGang is RunGangWithCheckpoints with every chunk's stream drawn
-// from streams (live generators when nil).
-func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, WarmupStats, error) {
+// RunGang runs cfgs as one gang (see the package-level RunGang), with
+// every chunk replaying s's recordings (live generators when s is nil),
+// against an optional warmup checkpoint store (nil runs without one; see
+// RunWithCheckpoints for the checkpoint semantics). A sampled gang has
+// one shared warmup prefix, so one WarmupStats covers every member. It
+// checks the configs and their front ends, groups them by ShareKey and
+// runs them as a Gang; a caller that already holds the grouping hands
+// it to Run instead.
+func (s *Streams) RunGang(cfgs []Config, cs CheckpointStore) ([]Result, WarmupStats, error) {
 	if len(cfgs) == 0 {
 		return nil, WarmupStats{}, nil
 	}
@@ -111,22 +109,23 @@ func runGang(cfgs []Config, cs CheckpointStore, streams *Streams) ([]Result, War
 				cfgs[0].Benchmark, cfgs[0].Instructions, cfgs[0].Engine, cfgs[0].CPU, cfgs[0].Sampling)
 		}
 	}
-	return runGangOver(cfgs, prof, cs, streams, nil)
+	g, out := gangOf(cfgs)
+	ws, err := s.run(g, prof, cs, nil)
+	if err != nil {
+		return nil, ws, err
+	}
+	return out, ws, nil
 }
 
-// runGangOver runs validated cfgs over prof's stream as one Gang,
-// grouped by ShareKey, and returns their Results in order.
-func runGangOver(cfgs []Config, prof *workload.Profile, cs CheckpointStore, streams *Streams, tr *gangTrace) ([]Result, WarmupStats, error) {
+// gangOf is the Gang over cfgs, grouped by ShareKey, and the Results
+// it writes.
+func gangOf(cfgs []Config) (Gang, []Result) {
 	out := make([]Result, len(cfgs))
 	g := Gang{Cfgs: make([]*Config, len(cfgs)), Groups: shareGroups(cfgs), Out: make([]*Result, len(cfgs))}
 	for i := range cfgs {
 		g.Cfgs[i], g.Out[i] = &cfgs[i], &out[i]
 	}
-	ws, err := streams.run(g, prof, cs, tr)
-	if err != nil {
-		return nil, ws, err
-	}
-	return out, ws, nil
+	return g, out
 }
 
 // run runs a validated gang over prof's stream. Each share group runs

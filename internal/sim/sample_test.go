@@ -299,7 +299,7 @@ func TestSampledGangMatchesSolo(t *testing.T) {
 	ways.DCache.Geom.Assoc = 2
 	cfgs := []Config{base, small, ways}
 
-	gang, ws, err := RunGangWithCheckpoints(cfgs, newMapStore())
+	gang, ws, err := (*Streams)(nil).RunGang(cfgs, newMapStore())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func TestSharedMembersMatchAloneSampled(t *testing.T) {
 						want := singles(t, gang)
 						store := newMapStore()
 						checkMatchesAlone(t, gang, want, func(cfgs []Config) ([]Result, error) {
-							out, _, err := RunGangWithCheckpoints(cfgs, store)
+							out, _, err := (*Streams)(nil).RunGang(cfgs, store)
 							return out, err
 						})
 					})

@@ -563,7 +563,8 @@ func Run(cfg Config) (Result, error) {
 // cfg.WarmKey() for later runs; the Result is bit-identical either way.
 // The returned WarmupStats says which of the two happened.
 func RunWithCheckpoints(cfg Config, cs CheckpointStore) (Result, WarmupStats, error) {
-	out, ws, err := RunGangWithCheckpoints([]Config{cfg}, cs)
+	var live *Streams
+	out, ws, err := live.RunGang([]Config{cfg}, cs)
 	if err != nil {
 		return Result{}, ws, err
 	}

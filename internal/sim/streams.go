@@ -90,12 +90,6 @@ func NewStreams(limit int) *Streams {
 	}
 }
 
-// RunGang is RunGangWithCheckpoints, with every gang — detailed or
-// sampled — replaying s's recordings.
-func (s *Streams) RunGang(cfgs []Config, cs CheckpointStore) ([]Result, WarmupStats, error) {
-	return runGang(cfgs, cs, s)
-}
-
 // recording returns the memoized stream a run of n instructions of prof
 // under spec consumes, or nil when it should run live: on its first
 // request, or when its recording would hold more than

@@ -221,11 +221,11 @@ func TestBackToBackRunsBitIdentical(t *testing.T) {
 // replayed a recording.
 func warmReplay(t *testing.T, s *Streams, gang []Config, prof *workload.Profile, cs CheckpointStore) ([]Result, WarmupStats) {
 	t.Helper()
-	if _, _, err := runGangOver(gang, prof, nil, s, nil); err != nil {
+	if _, _, err := runOver(s, gang, prof, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	before := s.replays.Load()
-	got, ws, err := runGangOver(gang, prof, cs, s, nil)
+	got, ws, err := runOver(s, gang, prof, cs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestStreamsSampledReplayChunked(t *testing.T) {
 			gang = append(gang, c)
 		}
 	}
-	want, _, err := RunGangWithCheckpoints(gang, newMapStore())
+	want, _, err := (*Streams)(nil).RunGang(gang, newMapStore())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestStreamsSampledReplayRunsDry(t *testing.T) {
 					ILevels: []workload.WSLevel{{Blocks: 64, Frac: 1}}},
 			},
 		}
-		want, _, err := runGangOver(gang, prof, nil, nil, nil)
+		want, _, err := runOver(nil, gang, prof, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestStreamsSampledReplayRunsDry(t *testing.T) {
 		for _, cs := range []CheckpointStore{nil, newMapStore()} {
 			got, _ := warmReplay(t, s, gang, prof, cs)
 			// A second replay restores the checkpoint the first saved.
-			again, ws, err := runGangOver(gang, prof, cs, s, nil)
+			again, ws, err := runOver(s, gang, prof, cs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -391,7 +391,7 @@ func TestStreamsReplayCheckpointMatchesLive(t *testing.T) {
 	cfg := sampledCheckpointConfig()
 	prof := workload.MustGet(cfg.Benchmark)
 	live := newMapStore()
-	want, ws, err := RunGangWithCheckpoints([]Config{cfg}, live)
+	want, ws, err := (*Streams)(nil).RunGang([]Config{cfg}, live)
 	if err != nil || !ws.CheckpointSaved {
 		t.Fatalf("live run: err=%v stats=%+v, want a save", err, ws)
 	}
@@ -404,7 +404,7 @@ func TestStreamsReplayCheckpointMatchesLive(t *testing.T) {
 	if a, b := live.m[cfg.WarmKey()], replayed.m[cfg.WarmKey()]; !bytes.Equal(a, b) {
 		t.Errorf("replay saved a %d-byte checkpoint, live run %d bytes; they differ", len(b), len(a))
 	}
-	restored, ws, err := runGangOver([]Config{cfg}, prof, live, s, nil)
+	restored, ws, err := s.RunGang([]Config{cfg}, live)
 	if err != nil || !ws.CheckpointHit {
 		t.Fatalf("replay over the live checkpoint: err=%v stats=%+v, want a hit", err, ws)
 	}
@@ -421,9 +421,8 @@ func TestStreamsReplayCheckpointMatchesLive(t *testing.T) {
 // the cold Result. So does the right length in the old JSON format.
 func TestStreamsReplayCheckpointWrongConsumed(t *testing.T) {
 	cfg := sampledCheckpointConfig()
-	prof := workload.MustGet(cfg.Benchmark)
 	st := newMapStore()
-	cold, _, err := RunGangWithCheckpoints([]Config{cfg}, st)
+	cold, _, err := (*Streams)(nil).RunGang([]Config{cfg}, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +441,7 @@ func TestStreamsReplayCheckpointWrongConsumed(t *testing.T) {
 		for _, streams := range []*Streams{nil, s} {
 			store := newMapStore()
 			store.RecordArtifact(cfg.WarmKey(), data)
-			res, ws, err := runGangOver([]Config{cfg}, prof, store, streams, nil)
+			res, ws, err := streams.RunGang([]Config{cfg}, store)
 			if err != nil {
 				t.Fatal(err)
 			}

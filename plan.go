@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"resizecache/internal/experiment"
 	"resizecache/internal/runner"
@@ -194,9 +193,10 @@ func (p Plan) Scenarios() []Scenario {
 }
 
 // Result is one scenario's outcome within a plan run. Exactly one
-// Result per plan scenario is delivered, in completion order; Index is
-// the scenario's position in plan order, and Err carries that
-// scenario's failure without affecting the rest of the plan.
+// Result per plan scenario is delivered, in emission order (see
+// Session.Run); Index is the scenario's position in plan order, and Err
+// carries that scenario's failure without affecting the rest of the
+// plan.
 type Result struct {
 	Index    int
 	Scenario Scenario
@@ -212,10 +212,10 @@ type runOptions struct {
 }
 
 // OnResult registers a progress callback invoked once per completed
-// scenario, in completion order, with the result and
-// completed-of-total counts. Callbacks are serialized; keep them fast —
-// they run on the scenario workers' critical path, before the result is
-// delivered on the stream.
+// scenario, in emission order, with the result and completed-of-total
+// counts. Callbacks run one at a time on the plan's goroutine, before
+// the result is delivered on the stream; keep them fast, since the next
+// scenario waits for them.
 func OnResult(fn func(r Result, completed, total int)) RunOption {
 	return func(o *runOptions) { o.onResult = fn }
 }
@@ -224,16 +224,22 @@ func OnResult(fn func(r Result, completed, total int)) RunOption {
 // runner and streams results back as scenarios complete. The returned
 // channel delivers exactly plan.Len() results and is then closed; it is
 // buffered to the plan size, so an abandoned stream never blocks the
-// workers.
+// plan.
 //
-// Batch scheduling: before any scenario starts gathering, one batched
-// pass enqueues every cold profiling sweep of the whole plan on the
-// runner (sweeps whose artifacts are already cached are skipped, so a
-// warm plan enqueues nothing). Scenario gathers then join that
-// in-flight work instead of each sweep enqueueing and draining its own
-// batch in turn, so the pool interleaves simulations across scenarios.
-// Work still in the queue when every scenario has finished (e.g. after
-// per-scenario errors) is abandoned.
+// Batch scheduling: one goroutine runs the plan. It first enqueues
+// every cold profiling sweep of the whole plan on the runner in one
+// batched pass (sweeps whose artifacts are already cached are skipped,
+// so a warm plan enqueues nothing), then walks the scenarios in plan
+// order, each gathering its sweeps' winners by joining that in-flight
+// work while the pool interleaves simulations across scenarios. A
+// scenario that resizes one cache is emitted as soon as it has
+// gathered; so is one that resizes several whose combined run the memo
+// or the store already holds. The other combined runs go to the runner
+// as one more batch after the walk, so same-front combined configs
+// gang as the sweeps' candidates do, and their scenarios are emitted,
+// in plan order, as those runs complete. Work still in the queue when
+// every scenario has been emitted (e.g. after per-scenario errors) is
+// abandoned.
 //
 // Errors are per scenario: a failing benchmark yields a Result with Err
 // set and the rest of the plan continues. Cancelling ctx stops the plan
@@ -251,7 +257,13 @@ func (s *Session) Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan 
 		close(out)
 		return out
 	}
+	go s.run(ctx, plan, ro, out)
+	return out
+}
 
+// run is Run's goroutine: it runs plan, delivers each scenario's Result
+// on out, and closes out once the stragglers have published.
+func (s *Session) run(ctx context.Context, plan Plan, ro runOptions, out chan<- Result) {
 	// Resolve every scenario's sweeps once: the enqueue pass and the
 	// scenario's gather share them — each scenario gathers over its own
 	// span of all, in which the enqueue pass records the cold sweeps'
@@ -261,129 +273,83 @@ func (s *Session) Run(ctx context.Context, plan Plan, opts ...RunOption) <-chan 
 	errs := make([]error, plan.Len())
 	var all []experiment.Sweep
 	bases := make(baselines)
-	enqCtx, stopEnqueue := context.WithCancel(ctx)
-	comb := &combiner{r: s.r, ctx: enqCtx}
 	for i, sc := range plan.scenarios {
 		sweeps[i], errs[i] = sc.sweeps(bases)
 		all = append(all, sweeps[i]...)
-		if errs[i] == nil && len(sweeps[i]) > 1 {
-			comb.pending++
-		}
 	}
 	for i, at := 0, 0; i < len(sweeps); i++ {
 		n := len(sweeps[i])
 		sweeps[i], at = all[at:at+n:at+n], at+n
 	}
-	_, waitEnqueued := experiment.EnqueueSweeps(enqCtx, all, s.r)
+	enqCtx, stopEnqueue := context.WithCancel(ctx)
+	_, waitSweeps := experiment.EnqueueSweeps(enqCtx, all, s.r)
 
-	total := plan.Len()
-	var wg sync.WaitGroup
-	var mu sync.Mutex
+	// emit delivers a scenario's Result. A failed scenario reports no
+	// Outcome; a successful one's Stats window, opened at before, closes
+	// here.
 	completed := 0
-	for i, sc := range plan.scenarios {
-		wg.Add(1)
-		go func(i int, sc Scenario) {
-			defer wg.Done()
-			res := Result{Index: i, Scenario: sc, Err: errs[i]}
-			if res.Err == nil {
-				res.Outcome, res.Err = gather(ctx, sc, sweeps[i], s.r, comb)
-			}
-			mu.Lock()
-			completed++
-			if ro.onResult != nil {
-				ro.onResult(res, completed, total)
-			}
-			mu.Unlock()
-			out <- res
-		}(i, sc)
-	}
-	go func() {
-		wg.Wait()
-		// Abandon enqueued work no gather is waiting for, then let the
-		// stragglers publish before the stream closes — otherwise a
-		// Flush right after could race their store writes and lose them.
-		stopEnqueue()
-		waitEnqueued()
-		comb.waitEnqueued()
-		close(out)
-	}()
-	return out
-}
-
-// combiner batches a plan's combined runs, the one simulation each
-// scenario that resizes several caches makes after its sweeps, so that
-// same-front combined configs gang as the sweeps' candidates do. A
-// scenario's combined config that the memo or the store already holds
-// resolves at once (a warm plan never waits here); a cold one joins the
-// batch, and its scenario waits until every scenario counted in pending
-// has either joined, resolved, or failed. The last to arrive enqueues
-// the batch, and each waiting scenario then gathers its result by
-// joining the in-flight work.
-type combiner struct {
-	r   *runner.Runner
-	ctx context.Context // the plan's enqueue context
-
-	mu      sync.Mutex
-	pending int // scenarios that have yet to arrive
-	jobs    []runner.Job
-	ready   chan struct{} // closed once the batch is enqueued
-	wait    func()        // the batch's Enqueue wait
-}
-
-// run resolves or batches the combined config cfg and returns its
-// result; it counts as its scenario's arrival.
-func (c *combiner) run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
-	key := cfg.Key()
-	if res, err, ok := c.r.Resolve(key); ok {
-		c.arrive(nil)
-		return res, err
-	}
-	return c.runCold(ctx, cfg, key)
-}
-
-// runCold adds a cold combined config to the batch, waits until the
-// batch is enqueued and joins its run. The batch keeps cfg, so it lives
-// on the heap; a warm run never gets here.
-func (c *combiner) runCold(ctx context.Context, cfg sim.Config, key sim.Key) (sim.Result, error) {
-	ready := c.arrive(&runner.Job{Cfg: &cfg, Key: key})
-	select {
-	case <-ready:
-	case <-ctx.Done():
-		return sim.Result{}, ctx.Err()
-	}
-	return c.r.Run(ctx, cfg)
-}
-
-// arrive records one counted scenario's arrival, with its cold combined
-// job if it has one, and returns the channel that closes once the batch
-// is enqueued. The last arrival enqueues it.
-func (c *combiner) arrive(j *runner.Job) <-chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ready == nil {
-		c.ready = make(chan struct{})
-	}
-	if j != nil {
-		c.jobs = append(c.jobs, *j)
-	}
-	if c.pending--; c.pending == 0 {
-		if len(c.jobs) > 0 {
-			_, c.wait = c.r.Enqueue(c.ctx, c.jobs)
+	emit := func(res Result, before runner.Stats) {
+		if res.Err != nil {
+			res.Outcome = Outcome{}
+		} else {
+			res.Outcome.Stats = s.r.Stats().Delta(before)
 		}
-		close(c.ready)
+		completed++
+		if ro.onResult != nil {
+			ro.onResult(res, completed, plan.Len())
+		}
+		out <- res
 	}
-	return c.ready
-}
+	// A profiled scenario whose combined run is cold waits here for the
+	// batch of combined runs.
+	type waiting struct {
+		res    Result
+		comb   experiment.Combination
+		key    sim.Key
+		before runner.Stats
+	}
+	var cold []waiting
+	for i, sc := range plan.scenarios {
+		res, before := Result{Index: i, Scenario: sc, Err: errs[i]}, s.r.Stats()
+		var c experiment.Combination
+		if res.Err == nil {
+			res.Outcome, c, res.Err = profile(ctx, sc, sweeps[i], s.r)
+		}
+		if res.Err == nil && len(sweeps[i]) > 1 {
+			key := c.Cfg.Key()
+			cres, err, ok := s.r.Resolve(key)
+			if !ok {
+				cold = append(cold, waiting{res, c, key, before})
+				continue
+			}
+			if res.Err = err; err == nil {
+				finish(&res.Outcome, sc, &c, cres)
+			}
+		}
+		emit(res, before)
+	}
 
-// waitEnqueued waits for the batch's stragglers, as Runner.Enqueue's
-// wait does.
-func (c *combiner) waitEnqueued() {
-	c.mu.Lock()
-	wait := c.wait
-	c.mu.Unlock()
-	if wait != nil {
-		wait()
+	var jobs []runner.Job
+	for k := range cold {
+		jobs = append(jobs, runner.Job{Cfg: &cold[k].comb.Cfg, Key: cold[k].key})
 	}
+	_, waitCombined := s.r.Enqueue(enqCtx, jobs)
+	for k := range cold {
+		w := &cold[k]
+		cres, err := s.r.Run(ctx, w.comb.Cfg)
+		if w.res.Err = err; err == nil {
+			finish(&w.res.Outcome, w.res.Scenario, &w.comb, cres)
+		}
+		emit(w.res, w.before)
+	}
+
+	// Abandon enqueued work no scenario is waiting for, then let the
+	// stragglers publish before the stream closes — otherwise a Flush
+	// right after could race their store writes and lose them.
+	stopEnqueue()
+	waitSweeps()
+	waitCombined()
+	close(out)
 }
 
 // Collect drains a Run stream and returns every result in plan order.

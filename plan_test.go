@@ -5,7 +5,9 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
@@ -217,6 +219,50 @@ func TestRunStreamsUnderCancellationMidPlan(t *testing.T) {
 		if !errors.Is(r.Err, context.Canceled) {
 			t.Errorf("%s: error = %v, want context.Canceled", r.Scenario.Benchmark, r.Err)
 		}
+	}
+}
+
+// TestRunStreamsUnderHeadOfLineCancellation: the plan's first scenario
+// blocks inside its simulation, and ctx is cancelled from outside the
+// plan. The scenarios behind it do not wait for that simulation: every
+// result streams out with the cancellation while it is still blocked,
+// and the stream closes only once it has drained.
+func TestRunStreamsUnderHeadOfLineCancellation(t *testing.T) {
+	gate, started := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s := stubbedSession(func(cfg sim.Config) (sim.Result, error) {
+		if cfg.Benchmark == "m88ksim" {
+			once.Do(func() { close(started) })
+			<-gate // block the first scenario until released
+		}
+		return stubResult(cfg), nil
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	plan := planOf(t, "m88ksim", "gcc", "vpr")
+	stream := s.Run(ctx, plan)
+	<-started
+	cancel()
+	for i := 0; i < plan.Len(); i++ {
+		select {
+		case r := <-stream:
+			if !errors.Is(r.Err, context.Canceled) {
+				t.Errorf("%s: error = %v, want context.Canceled", r.Scenario.Benchmark, r.Err)
+			}
+		case <-time.After(10 * time.Second):
+			close(gate)
+			t.Fatalf("%d of %d results streamed while the first scenario was blocked", i, plan.Len())
+		}
+	}
+	select {
+	case _, open := <-stream:
+		t.Fatalf("stream closed (open=%v) before the blocked simulation drained", open)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if _, open := <-stream; open {
+		t.Fatal("stream delivered more than one result per scenario")
 	}
 }
 

@@ -626,9 +626,14 @@ type Outcome struct {
 	// difference between the executing runner's counters after and
 	// before the scenario ran. A warm repeat therefore shows zero Runs
 	// and positive ArtifactHits rather than an ever-growing cumulative
-	// snapshot. On a Session running a concurrent plan the window also
-	// includes work submitted by overlapping callers; Session.Stats has
-	// the cumulative view.
+	// snapshot. Within a plan (Session.Run), a scenario's window opens
+	// when it starts gathering its sweeps and closes when it is emitted,
+	// so it also counts the plan's other enqueued sweeps that ran
+	// meanwhile. A scenario whose combined run was cold waits for the
+	// plan's batch of combined runs: its window spans the profiling of
+	// every later scenario in the plan and the batch up to its own run.
+	// Work submitted by overlapping callers counts too; Session.Stats
+	// has the cumulative view.
 	Stats runner.Stats
 }
 
@@ -748,7 +753,19 @@ func (s *Session) SimulateContext(ctx context.Context, sc Scenario) (Outcome, er
 	if err != nil {
 		return Outcome{}, err
 	}
-	return gather(ctx, sc, sweeps, s.r, nil)
+	before := s.r.Stats()
+	out, c, err := profile(ctx, sc, sweeps, s.r)
+	if err == nil && len(sweeps) > 1 {
+		var res sim.Result
+		if res, err = s.r.Run(ctx, c.Cfg); err == nil {
+			finish(&out, sc, &c, res)
+		}
+	}
+	if err != nil {
+		return Outcome{}, err
+	}
+	out.Stats = s.r.Stats().Delta(before)
+	return out, nil
 }
 
 // Stats reports the session's scheduling counters: how many simulations
@@ -827,36 +844,23 @@ func (s *Session) Artifact(ctx context.Context, domain string, version int, plan
 	return s.r.Artifact(ctx, planArtifactKey(domain, version, plan), decode, compute)
 }
 
-// gather runs (or resolves) a normalized scenario's resolved sweeps and
-// combines their winners into its Outcome. Within a plan, comb batches
-// the combined run of a scenario that resizes several caches, and such
-// a scenario is one of comb's pending arrivals; a lone scenario passes
-// nil and runs its combined config directly.
-func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runner.Runner, comb *combiner) (Outcome, error) {
-	before := r.Stats()
-	if len(sweeps) < 2 {
-		comb = nil
-	}
-	arrived := false
-	defer func() {
-		// A scenario that fails before its combined run still arrives,
-		// so the plan's batch does not wait for it.
-		if comb != nil && !arrived {
-			comb.arrive(nil)
-		}
-	}()
-
+// profile gathers a normalized scenario's resolved sweeps — running
+// them, or joining their enqueued work — into its Outcome (all but
+// Stats). A scenario that resizes one cache is then complete. One that
+// resizes several also gets its Combination: the combined run's config,
+// which finish turns into the Outcome once the run's result is in.
+func profile(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runner.Runner) (Outcome, experiment.Combination, error) {
 	// Profile each resizing cache alone (the paper's decoupled-profiling
 	// protocol, extended over the hierarchy), recording the per-cache
 	// outcome fields as the sweeps complete.
 	var out Outcome
-	// parts lives on the heap: a Best is 952 bytes, and a bigger frame
-	// here costs Session.Run's per-scenario goroutines a stack copy.
+	// parts lives on the heap, sized to the sweeps: a Best is 952 bytes,
+	// and a several-cache scenario's Combination keeps the slice.
 	parts := make([]experiment.Best, 0, len(sweeps))
 	for _, sw := range sweeps {
 		best, err := sw.Best(ctx, r)
 		if err != nil {
-			return Outcome{}, err
+			return Outcome{}, experiment.Combination{}, err
 		}
 		switch sw.Spec().Side {
 		case experiment.DSide:
@@ -876,40 +880,31 @@ func gather(ctx context.Context, sc Scenario, sweeps []experiment.Sweep, r *runn
 	// than one: a combined run holds every cache at its individually
 	// profiled winner (the paper's additivity experiment shows the
 	// resizings compose).
-	chosen := parts[0].Chosen
-	if len(parts) == 1 {
-		out.EDPReductionPct = parts[0].EDPReductionPct()
-		out.SlowdownPct = parts[0].SlowdownPct()
-	} else {
+	if len(parts) > 1 {
 		c, err := experiment.Combine(sweeps[0].Spec().Base, parts)
-		if err != nil {
-			return Outcome{}, err
-		}
-		var res sim.Result
-		if comb != nil {
-			arrived = true
-			res, err = comb.run(ctx, c.Cfg)
-		} else {
-			res, err = r.Run(ctx, c.Cfg)
-		}
-		if err != nil {
-			return Outcome{}, err
-		}
-		both := c.Best(res)
-		chosen = both.Chosen
-		out.EDPReductionPct = both.EDPReductionPct()
-		out.SlowdownPct = both.SlowdownPct()
-		if sc.resizesD() {
-			out.DCacheSizeReductionPct = chosen.DCache.SizeReductionPct()
-		}
-		if sc.resizesI() {
-			out.ICacheSizeReductionPct = chosen.ICache.SizeReductionPct()
-		}
-		if sc.resizesL2() {
-			out.L2SizeReductionPct = chosen.L2().SizeReductionPct()
-		}
+		return out, c, err
+	}
+	out.EDPReductionPct = parts[0].EDPReductionPct()
+	out.SlowdownPct = parts[0].SlowdownPct()
+	out.Energy = sharesOf(parts[0].Chosen.Energy)
+	return out, experiment.Combination{}, nil
+}
+
+// finish completes the Outcome of a scenario that resizes several
+// caches from its combined run's result res.
+func finish(out *Outcome, sc Scenario, c *experiment.Combination, res sim.Result) {
+	both := c.Best(res)
+	chosen := both.Chosen
+	out.EDPReductionPct = both.EDPReductionPct()
+	out.SlowdownPct = both.SlowdownPct()
+	if sc.resizesD() {
+		out.DCacheSizeReductionPct = chosen.DCache.SizeReductionPct()
+	}
+	if sc.resizesI() {
+		out.ICacheSizeReductionPct = chosen.ICache.SizeReductionPct()
+	}
+	if sc.resizesL2() {
+		out.L2SizeReductionPct = chosen.L2().SizeReductionPct()
 	}
 	out.Energy = sharesOf(chosen.Energy)
-	out.Stats = r.Stats().Delta(before)
-	return out, nil
 }
