@@ -67,6 +67,7 @@ func BenchmarkWarmSimulate(b *testing.B)        { benchsuite.WarmSimulate(b) }
 func BenchmarkWarmPlanArtifact(b *testing.B)    { benchsuite.WarmPlanArtifact(b) }
 func BenchmarkColdPlan(b *testing.B)            { benchsuite.ColdPlan(b) }
 func BenchmarkNetStoreLookup(b *testing.B)      { benchsuite.NetStoreLookup(b) }
+func BenchmarkRemoteWarmPlan(b *testing.B)      { benchsuite.RemoteWarmPlan(b) }
 
 // BenchmarkPlanBatchVsSequential quantifies the tentpole property of
 // the batch API: one plan over N scenarios submits its profiling sweeps

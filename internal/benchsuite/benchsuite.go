@@ -73,6 +73,7 @@ func All() []Bench {
 		{Name: "WarmPlanArtifact", Short: true, F: WarmPlanArtifact},
 		{Name: "ColdPlan", Short: true, F: ColdPlan},
 		{Name: "NetStoreLookup", Short: true, F: NetStoreLookup},
+		{Name: "RemoteWarmPlan", Short: true, F: RemoteWarmPlan},
 		{Name: "Table1Hybrid", F: Table1Hybrid},
 		{Name: "Figure4Organizations", F: Figure4Organizations},
 		{Name: "Figure5PerApp", F: Figure5PerApp},
@@ -452,6 +453,31 @@ func WarmPlanArtifact(b *testing.B) {
 	b.ReportMetric(float64(plan.Len()), "scenarios/op")
 }
 
+// serveDaemon starts a simd daemon over store on a unix socket in b's
+// temporary directory and returns its address; the daemon drains when
+// b ends.
+func serveDaemon(b *testing.B, store runner.Store) string {
+	srv, err := simd.New(simd.Options{Workers: 2, Store: store})
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr := "unix:" + filepath.Join(b.TempDir(), "simd.sock")
+	ln, err := simd.Listen(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ctx, ln) }()
+	b.Cleanup(func() {
+		stop()
+		if err := <-served; err != nil {
+			b.Error(err)
+		}
+	})
+	return addr
+}
+
 // NetStoreLookup times one stored-result lookup through a simd daemon
 // serving on a unix socket in this process: the request frame, the
 // daemon's store lookup, and the reply whose sealed binary StoredResult
@@ -465,25 +491,7 @@ func NetStoreLookup(b *testing.B) {
 	}
 	store := runner.NewMemStore()
 	store.Record(cfg.Key(), runner.StoredResult{Result: res})
-	srv, err := simd.New(simd.Options{Workers: 1, Store: store})
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr := "unix:" + filepath.Join(b.TempDir(), "simd.sock")
-	ln, err := simd.Listen(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, stop := context.WithCancel(context.Background())
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ctx, ln) }()
-	defer func() {
-		stop()
-		if err := <-served; err != nil {
-			b.Error(err)
-		}
-	}()
-	ns, err := runner.OpenNetStore(addr)
+	ns, err := runner.OpenNetStore(serveDaemon(b, store))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -627,4 +635,42 @@ func FigureL2Resizing(b *testing.B) {
 		b.ReportMetric(r.EDPReductionPct, "sets_l2_edp_red_pct")
 		b.ReportMetric(r.L2SizeRedPct, "sets_l2_size_red_pct")
 	}
+}
+
+// RemoteWarmPlan times one warm four-scenario plan through a simd
+// daemon serving on a unix socket in this process, the request shape of
+// perfbench's replay-remote workload: the plan frame with its scenario
+// payload, the daemon's warm Session.Run, and four result frames whose
+// outcomes RemoteSession decodes. The untimed cold run of the whole
+// PlanGrid before the loop warms the daemon.
+func RemoteWarmPlan(b *testing.B) {
+	grid, err := PlanGrid().Expand()
+	if err != nil {
+		b.Fatal(err)
+	}
+	remote, err := resizecache.Dial(serveDaemon(b, runner.NewMemStore()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer remote.Close()
+	ctx := context.Background()
+	if _, err := resizecache.Collect(remote.Run(ctx, grid)); err != nil {
+		b.Fatal(err)
+	}
+	all := grid.Scenarios()
+	var sub []resizecache.Scenario
+	for i := 0; i < len(all); i += len(all) / 4 {
+		sub = append(sub, all[i])
+	}
+	plan, err := resizecache.PlanOf(sub...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := resizecache.Collect(remote.Run(ctx, plan)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(plan.Len()), "scenarios/op")
 }

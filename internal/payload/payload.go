@@ -217,13 +217,19 @@ func (r *Reader) Bool() bool {
 // Len reads a slice length prefix. Every element takes at least one
 // byte, so a length beyond the bytes that remain fails here, before
 // the caller allocates for it.
-func (r *Reader) Len() (n int, isNil bool) {
+func (r *Reader) Len() (n int, isNil bool) { return r.LenMin(1) }
+
+// LenMin is Len for a slice whose elements each take at least min
+// bytes, a small layout constant: a length that many elements could
+// not fill from the bytes that remain fails before the caller
+// allocates for it.
+func (r *Reader) LenMin(min int) (n int, isNil bool) {
 	u := r.Uvarint()
 	if u == 0 {
 		return 0, true
 	}
-	if u-1 > uint64(len(r.buf)) {
-		r.fail("length %d exceeds the %d bytes left", u-1, len(r.buf))
+	if left := uint64(len(r.buf)); u-1 > left || (u-1)*uint64(min) > left {
+		r.fail("length %d of %d-byte elements exceeds the %d bytes left", u-1, min, len(r.buf))
 		return 0, true
 	}
 	return int(u - 1), false

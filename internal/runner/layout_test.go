@@ -2,10 +2,15 @@ package runner
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"resizecache/internal/payload"
 	"resizecache/internal/payload/payloadtest"
+	"resizecache/internal/sim"
 )
 
 // TestStoredResultLayoutCoversEveryField fills every field of a
@@ -29,6 +34,37 @@ func TestStoredResultLayoutCoversEveryField(t *testing.T) {
 		if again, _ := got.MarshalBinary(); !bytes.Equal(again, data) {
 			t.Errorf("%s: re-encodes to different bytes", shape)
 		}
+	}
+}
+
+// TestStoredResultBoundsLevelsCount: a stored result whose Levels count
+// claims a million levels in a megabyte of filler fails to decode
+// before the decoder allocates the reports, which are more than twice
+// the size of their smallest layout.
+func TestStoredResultBoundsLevelsCount(t *testing.T) {
+	var w payload.Writer
+	var empty sim.Result
+	empty.AppendPayload(&w)
+	sealed := w.Seal()
+	bin, err := base64.StdEncoding.DecodeString(string(sealed[1 : len(sealed)-1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An empty Result ends in its nil Levels prefix and its Sample flag.
+	lying := binary.AppendUvarint(bin[:len(bin)-2], 1<<20+1)
+	lying = append(lying, make([]byte, 1<<20)...)
+	data := []byte(`"` + base64.StdEncoding.EncodeToString(lying) + `"`)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var sr StoredResult
+	err = sr.UnmarshalBinary(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a million levels in a megabyte decoded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Errorf("a lying Levels count allocated %d MB decoding a %d KB payload", alloc>>20, len(data)>>10)
 	}
 }
 

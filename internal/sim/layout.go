@@ -78,7 +78,7 @@ func (r *Result) ReadPayload(rd *payload.Reader) {
 	r.DCache.readPayload(rd)
 	r.ICache.readPayload(rd)
 	r.Levels = nil
-	if n, isNil := rd.Len(); !isNil {
+	if n, isNil := rd.LenMin(levelMinBytes); !isNil {
 		r.Levels = make([]LevelReport, n)
 		for i := range r.Levels {
 			r.Levels[i].Name = rd.Str()
@@ -99,6 +99,12 @@ func (r *Result) ReadPayload(rd *payload.Reader) {
 		}
 	}
 }
+
+// levelMinBytes is the fewest bytes one LevelReport's layout takes: a
+// one-byte Name length, four one-byte varints, the SizeTrace length
+// prefix and five F64s. A Levels count is checked against it, so a
+// payload of n bytes allocates at most n/levelMinBytes reports.
+const levelMinBytes = 1 + 4 + 1 + 5*8
 
 func (c *CacheReport) appendPayload(w *payload.Writer) {
 	w.Uvarint(c.Accesses)

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"resizecache"
+	"resizecache/internal/payload"
 	"resizecache/internal/runner"
 	"resizecache/internal/sim"
 	"resizecache/internal/simd"
@@ -56,6 +57,66 @@ func TestRecordRejectsJSONStoredResult(t *testing.T) {
 	resp = exchange(wire.Request{ID: 2, Op: wire.OpLookup, Key: key})
 	if resp.ID != 2 || resp.Kind != wire.KindReply || resp.Found {
 		t.Fatalf("lookup after the rejected record answered %+v, want a miss reply", resp)
+	}
+}
+
+// TestPlanRejectsMalformedScenarios: an OpPlan whose scenario payload
+// does not decode — a JSON array (what a v4 peer sent), base64 that is
+// not, a count its bytes cannot hold — gets a "decode plan" error frame,
+// and the same connection then answers a well-formed plan.
+func TestPlanRejectsMalformedScenarios(t *testing.T) {
+	addr, _ := startDaemon(t, simd.Options{})
+	nc, err := net.Dial("unix", strings.TrimPrefix(addr, "unix:"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	doc, err := json.Marshal([]resizecache.Scenario{{Benchmark: "gcc", Organization: resizecache.SelectiveWays}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lying payload.Writer
+	lying.Uvarint(1 << 40)
+	for id, body := range []json.RawMessage{doc, json.RawMessage(`"not*base64!"`), lying.Seal()} {
+		req := wire.Request{V: wire.ProtocolVersion, ID: uint64(id + 1), Op: wire.OpPlan, Scenarios: body}
+		if err := wire.WriteFrame(nc, req); err != nil {
+			t.Fatal(err)
+		}
+		var resp wire.Response
+		if err := wire.ReadFrame(nc, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != req.ID || resp.Kind != wire.KindError || !strings.HasPrefix(resp.Err, "decode plan: ") {
+			t.Fatalf("plan payload %s answered %+v, want a decode plan error frame", body, resp)
+		}
+	}
+
+	sc := resizecache.Scenario{Benchmark: "m88ksim", Organization: resizecache.SelectiveWays,
+		Sides: resizecache.DOnly, Instructions: 20_000}
+	plan, err := resizecache.PlanOf(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := wire.Request{V: wire.ProtocolVersion, ID: 9, Op: wire.OpPlan,
+		Scenarios: resizecache.MarshalScenarios(plan.Scenarios())}
+	if err := wire.WriteFrame(nc, req); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{wire.KindResult, wire.KindDone} {
+		var resp wire.Response
+		if err := wire.ReadFrame(nc, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != 9 || resp.Kind != kind || resp.Err != "" {
+			t.Fatalf("well-formed plan after the rejections answered %+v, want a %s frame", resp, kind)
+		}
+		if kind == wire.KindResult {
+			var o resizecache.Outcome
+			if err := o.UnmarshalBinary(resp.Outcome); err != nil || o.DChosen == "" {
+				t.Errorf("result frame carries outcome %+v, %v", o, err)
+			}
+		}
 	}
 }
 

@@ -404,15 +404,16 @@ func (s *Server) handle(ctx context.Context, c *conn, req wire.Request) {
 	}
 }
 
-// handlePlan executes one plan submission: deserialize, re-validate
-// through PlanOf (scenarios arrive normalized, so plan order — and
-// therefore result indexing — is preserved), run it on the shared
-// session, and stream result frames in completion order followed by a
-// done frame. Per-scenario errors travel in their result frame; the
-// rest of the plan continues — exactly Session.Run's isolation.
+// handlePlan executes one plan submission: decode the scenario
+// payload, re-validate through PlanOf (scenarios arrive normalized, so
+// plan order — and therefore result indexing — is preserved), run it
+// on the shared session, and stream result frames in completion order
+// followed by a done frame. Per-scenario errors travel in their result
+// frame; the rest of the plan continues — exactly Session.Run's
+// isolation.
 func (s *Server) handlePlan(ctx context.Context, c *conn, req wire.Request) {
-	var scenarios []resizecache.Scenario
-	if err := json.Unmarshal(req.Scenarios, &scenarios); err != nil {
+	scenarios, err := resizecache.UnmarshalScenarios(req.Scenarios)
+	if err != nil {
 		c.send(wire.Response{ID: req.ID, Kind: wire.KindError, Err: fmt.Sprintf("decode plan: %v", err)})
 		return
 	}

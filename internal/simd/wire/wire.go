@@ -2,11 +2,13 @@
 // JSON frames carrying a small request/response vocabulary. A frame is a
 // 4-byte big-endian payload length followed by one JSON document; the
 // encoding is symmetric, so clients and the server share ReadFrame and
-// WriteFrame. The two hot bodies inside a frame, a stored result
-// (Request.Value of OpRecord, Response.Value of an OpLookup reply) and a
-// scenario outcome (Response.Outcome), are sealed binary payloads: a
-// JSON string holding the base64 of a layout from internal/payload, so
-// every frame stays one JSON document.
+// WriteFrame. The three hot bodies inside a frame, a plan's scenario
+// list (Request.Scenarios of OpPlan), a stored result (Request.Value of
+// OpRecord, Response.Value of an OpLookup reply) and a scenario outcome
+// (Response.Outcome), are sealed binary payloads: a JSON string holding
+// the base64 of a layout from internal/payload, so every frame stays
+// one JSON document. The envelopes around them are coded without
+// reflection (codec.go), into the bytes encoding/json gives them.
 //
 // Two request families flow over one connection:
 //
@@ -35,6 +37,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"resizecache/internal/sim"
 )
@@ -47,8 +50,9 @@ import (
 // and a v3 server would silently drop (Sides is the only spelling); 4 =
 // stored results and outcomes travel as sealed binary payloads instead
 // of JSON documents (runner.StoredResult and resizecache.Outcome
-// MarshalBinary).
-const ProtocolVersion = 4
+// MarshalBinary); 5 = plan scenarios travel as a sealed binary payload
+// (resizecache.MarshalScenarios) instead of a JSON array.
+const ProtocolVersion = 5
 
 // MaxFrame bounds a single frame's payload. Plans serialize to a few
 // bytes per scenario and results to a few KB, so 64 MiB is far above any
@@ -109,7 +113,8 @@ type Request struct {
 	ID uint64 `json:"id,omitempty"`
 	// Op selects the operation.
 	Op string `json:"op"`
-	// Scenarios is the serialized []resizecache.Scenario of an OpPlan.
+	// Scenarios is an OpPlan's scenario list as a sealed binary
+	// payload (resizecache.MarshalScenarios).
 	Scenarios json.RawMessage `json:"scenarios,omitempty"`
 	// Target is the plan request ID an OpCancel aborts.
 	Target uint64 `json:"target,omitempty"`
@@ -145,33 +150,71 @@ type Response struct {
 	Value json.RawMessage `json:"value,omitempty"`
 }
 
-// WriteFrame marshals v and writes it as one length-prefixed frame.
-// Callers serialize concurrent writers themselves (a frame must not
-// interleave with another).
+// WriteFrame encodes v and writes it as one length-prefixed frame, in
+// one Write. A Request or Response (or a pointer to one) is encoded by
+// the envelope codec (codec.go) into json.Marshal's bytes; any other
+// value by json.Marshal. Callers serialize concurrent writers
+// themselves (a frame must not interleave with another).
 func WriteFrame(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
+	bp := frames.Get().(*[]byte)
+	defer putFrame(bp)
+	buf, err := appendFrame((*bp)[:0], v)
+	*bp = buf
 	if err != nil {
-		return fmt.Errorf("wire: encode frame: %w", err)
-	}
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds the %d-byte bound", len(body), MaxFrame)
-	}
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(len(body)))
-	if _, err := w.Write(prefix[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(body)
+	_, err = w.Write(buf)
 	return err
+}
+
+// frames holds WriteFrame's buffers; putFrame keeps none past
+// exactFrame, so one large frame does not pin its buffer.
+var frames = sync.Pool{New: func() any { return new([]byte) }}
+
+func putFrame(bp *[]byte) {
+	if cap(*bp) <= exactFrame {
+		frames.Put(bp)
+	}
+}
+
+// appendFrame appends v's frame, length prefix and body, to buf.
+func appendFrame(buf []byte, v any) ([]byte, error) {
+	buf = append(buf, 0, 0, 0, 0)
+	var ok bool
+	switch v := v.(type) {
+	case Request:
+		buf, ok = appendRequest(buf, &v)
+	case *Request:
+		buf, ok = appendRequest(buf, v)
+	case Response:
+		buf, ok = appendResponse(buf, &v)
+	case *Response:
+		buf, ok = appendResponse(buf, v)
+	}
+	if !ok {
+		body, err := json.Marshal(v)
+		if err != nil {
+			return buf[:0], fmt.Errorf("wire: encode frame: %w", err)
+		}
+		buf = append(buf[:4], body...)
+	}
+	n := len(buf) - 4
+	if n > MaxFrame {
+		return buf[:0], fmt.Errorf("wire: frame of %d bytes exceeds the %d-byte bound", n, MaxFrame)
+	}
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	return buf, nil
 }
 
 // exactFrame is the largest body ReadFrame allocates up front at its
 // declared size; every ordinary frame fits.
 const exactFrame = 64 << 10
 
-// ReadFrame reads one length-prefixed frame and unmarshals it into v.
-// io.EOF means the peer hung up cleanly between frames; a frame cut
-// short, header or body, is io.ErrUnexpectedEOF.
+// ReadFrame reads one length-prefixed frame and decodes it into v: a
+// *Request or *Response in the envelope codec's canonical form by its
+// parser, whose raw fields share the frame's bytes, and anything else
+// by json.Unmarshal. io.EOF means the peer hung up cleanly between
+// frames; a frame cut short, header or body, is io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, v any) error {
 	var prefix [4]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
@@ -200,6 +243,16 @@ func ReadFrame(r io.Reader, v any) error {
 		}
 		body = append(body, make([]byte, min(n-got, got))...)
 	}
+	switch v := v.(type) {
+	case *Request:
+		if parseRequest(body, v) {
+			return nil
+		}
+	case *Response:
+		if parseResponse(body, v) {
+			return nil
+		}
+	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("wire: decode frame: %w", err)
 	}
@@ -210,13 +263,13 @@ func ReadFrame(r io.Reader, v any) error {
 // spelling of every store key.
 func ParseKey(s string) (sim.Key, error) {
 	var k sim.Key
-	b, err := hex.DecodeString(s)
-	if err != nil {
+	var src [2 * len(k)]byte
+	if len(s) != len(src) {
+		return sim.Key{}, fmt.Errorf("wire: parse key %q: %d hex digits, want %d", s, len(s), len(src))
+	}
+	copy(src[:], s)
+	if _, err := hex.Decode(k[:], src[:]); err != nil {
 		return sim.Key{}, fmt.Errorf("wire: parse key %q: %w", s, err)
 	}
-	if len(b) != len(k) {
-		return sim.Key{}, fmt.Errorf("wire: parse key %q: %d bytes, want %d", s, len(b), len(k))
-	}
-	copy(k[:], b)
 	return k, nil
 }

@@ -171,11 +171,7 @@ func (s *RemoteSession) Run(ctx context.Context, plan Plan, opts ...RunOption) <
 			for i, orig := range idx {
 				sub[i] = scenarios[orig]
 			}
-			var payload []byte
-			if payload, err = json.Marshal(sub); err != nil {
-				break
-			}
-			err = s.conn.Stream(ctx, wire.Request{Op: wire.OpPlan, Scenarios: payload},
+			err = s.conn.Stream(ctx, wire.Request{Op: wire.OpPlan, Scenarios: MarshalScenarios(sub)},
 				func(f wire.Response) error {
 					// The frame's index is into this attempt's submission;
 					// map it back to the original plan position.
@@ -296,6 +292,70 @@ func (o *Outcome) UnmarshalBinary(data []byte) error {
 	}
 	*o = v
 	return nil
+}
+
+// scenarioMinBytes is the fewest bytes one scenario's layout takes: a
+// one-byte Benchmark length, eight one-byte varints, the InOrder byte
+// and five one-byte uvarints.
+const scenarioMinBytes = 1 + 8 + 1 + 5
+
+// MarshalScenarios returns the wire payload of a plan submission, the
+// body of an OpPlan request: a count-prefixed run of scenarios, each
+// the Benchmark string, the five L1 and hierarchy axes and the three
+// L2Spec fields as zig-zag varints, InOrder, then Instructions and the
+// four Sampling fields as uvarints, sealed as a JSON string of base64
+// (see internal/payload). A layout change bumps wire.ProtocolVersion.
+func MarshalScenarios(scs []Scenario) []byte {
+	var w payload.Writer
+	w.Len(len(scs), scs == nil)
+	for i := range scs {
+		sc := &scs[i]
+		w.Str(sc.Benchmark)
+		for _, v := range [...]int{int(sc.Organization), int(sc.Strategy), int(sc.Sides), sc.Assoc,
+			int(sc.Hierarchy), int(sc.L2.Organization), int(sc.L2.Strategy), sc.L2.Assoc} {
+			w.Int(v)
+		}
+		w.Bool(sc.InOrder)
+		sp := &sc.Sampling
+		for _, v := range [...]uint64{sc.Instructions, sp.WarmupInstructions, sp.DetailedInstructions,
+			sp.FastForwardInstructions, sp.SkipInstructions} {
+			w.Uvarint(v)
+		}
+	}
+	return w.Seal()
+}
+
+// UnmarshalScenarios decodes a payload MarshalScenarios sealed. The
+// scenarios are as the peer sent them; PlanOf validates them.
+func UnmarshalScenarios(data []byte) ([]Scenario, error) {
+	rd := payload.Open(data)
+	n, isNil := rd.LenMin(scenarioMinBytes)
+	var scs []Scenario
+	if !isNil {
+		scs = make([]Scenario, n)
+	}
+	for i := range scs {
+		sc := &scs[i]
+		sc.Benchmark = rd.Str()
+		sc.Organization = Organization(rd.Int())
+		sc.Strategy = Strategy(rd.Int())
+		sc.Sides = Sides(rd.Int())
+		sc.Assoc = rd.Int()
+		sc.Hierarchy = Hierarchy(rd.Int())
+		sc.L2.Organization = Organization(rd.Int())
+		sc.L2.Strategy = Strategy(rd.Int())
+		sc.L2.Assoc = rd.Int()
+		sc.InOrder = rd.Bool()
+		sp := &sc.Sampling
+		for _, p := range [...]*uint64{&sc.Instructions, &sp.WarmupInstructions, &sp.DetailedInstructions,
+			&sp.FastForwardInstructions, &sp.SkipInstructions} {
+			*p = rd.Uvarint()
+		}
+	}
+	if err := rd.Done(); err != nil {
+		return nil, fmt.Errorf("resizecache: scenarios: %w", err)
+	}
+	return scs, nil
 }
 
 // Simulate runs one scenario on the daemon. It stays beside

@@ -3,6 +3,7 @@ package resizecache
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"resizecache/internal/payload"
@@ -75,6 +76,84 @@ func FuzzOutcome(f *testing.F) {
 			return
 		}
 		if again, _ := o.MarshalBinary(); !bytes.Equal(again, data) {
+			t.Errorf("decoded payload re-encodes differently:\nin:  %q\nout: %q", data, again)
+		}
+	})
+}
+
+// TestScenarioLayoutCoversEveryField fills every field of a plan's
+// scenarios — two of them, none, or a nil list — and requires the wire
+// layout to give them back, and to re-encode to the same bytes.
+func TestScenarioLayoutCoversEveryField(t *testing.T) {
+	for _, shape := range []payloadtest.Slices{payloadtest.Full, payloadtest.Empty, payloadtest.Nil} {
+		var plan struct{ Scenarios []Scenario }
+		payloadtest.Fill(&plan, shape)
+		data := MarshalScenarios(plan.Scenarios)
+		got, err := UnmarshalScenarios(data)
+		if err != nil {
+			t.Fatalf("%s: %v", shape, err)
+		}
+		if !reflect.DeepEqual(got, plan.Scenarios) {
+			t.Errorf("%s round trip:\ngot  %+v\nwant %+v", shape, got, plan.Scenarios)
+		}
+		if again := MarshalScenarios(got); !bytes.Equal(again, data) {
+			t.Errorf("%s: re-encodes to different bytes", shape)
+		}
+	}
+}
+
+// TestUnmarshalScenariosBoundsCount: a count prefix claiming more
+// scenarios than the bytes left could hold fails before the decoder
+// allocates for them, and so does one a byte short of the smallest
+// scenario.
+func TestUnmarshalScenariosBoundsCount(t *testing.T) {
+	var lying payload.Writer
+	lying.Uvarint(1 << 40)
+	lying.Bytes(make([]byte, 64))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := UnmarshalScenarios(lying.Seal())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a count of 2^40 scenarios in 71 bytes decoded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<16 {
+		t.Errorf("a lying count allocated %d bytes", alloc)
+	}
+
+	var short payload.Writer
+	short.Len(1, false)
+	for range scenarioMinBytes - 1 {
+		short.Uvarint(0)
+	}
+	if scs, err := UnmarshalScenarios(short.Seal()); err == nil {
+		t.Errorf("one scenario in %d bytes decoded as %+v", scenarioMinBytes-1, scs)
+	}
+	if scs, err := UnmarshalScenarios(MarshalScenarios([]Scenario{{}})); err != nil || len(scs) != 1 {
+		t.Errorf("the smallest scenario decoded as %+v, %v", scs, err)
+	}
+}
+
+// FuzzScenarios feeds arbitrary bytes to the scenario-list decoder, which
+// reads every plan a daemon is sent. It must never panic, it decodes
+// no more scenarios than the bytes could hold, and a payload that
+// decodes must re-encode to the same bytes.
+func FuzzScenarios(f *testing.F) {
+	var plan struct{ Scenarios []Scenario }
+	payloadtest.Fill(&plan, payloadtest.Full)
+	f.Add(MarshalScenarios(plan.Scenarios))
+	f.Add(MarshalScenarios([]Scenario{{Benchmark: "gcc", Organization: Hybrid, Strategy: Dynamic,
+		Sampling: DefaultSampling(), Instructions: 200_000}}))
+	f.Add(MarshalScenarios(nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		scs, err := UnmarshalScenarios(data)
+		if err != nil {
+			return
+		}
+		if len(scs)*scenarioMinBytes > len(data) {
+			t.Errorf("%d scenarios decoded from %d bytes", len(scs), len(data))
+		}
+		if again := MarshalScenarios(scs); !bytes.Equal(again, data) {
 			t.Errorf("decoded payload re-encodes differently:\nin:  %q\nout: %q", data, again)
 		}
 	})
