@@ -207,7 +207,8 @@ func appendFrame(buf []byte, v any) ([]byte, error) {
 }
 
 // exactFrame is the largest body ReadFrame allocates up front at its
-// declared size; every ordinary frame fits.
+// declared size, and the largest buffer WriteFrame keeps for reuse;
+// every ordinary frame fits.
 const exactFrame = 64 << 10
 
 // ReadFrame reads one length-prefixed frame and decodes it into v: a
