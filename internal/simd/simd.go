@@ -7,14 +7,15 @@
 // work across clients, and the second client to replay a plan gets
 // near-total store hits and zero new simulations.
 //
-// Each connection runs three goroutines: a reader that decodes request
-// frames, the request loop that dispatches them, and a writer that
-// serializes response frames. Handlers run concurrently per request
-// (a connection can interleave store calls with a long plan), publish
-// through the writer's channel, and derive their contexts from the
-// server's run context — not the accept loop's — so a graceful drain
-// (Serve's ctx cancelled) stops accepting and dispatching while
-// in-flight plans run to completion; Abort cancels them too.
+// Each connection runs one goroutine that reads request frames and
+// answers store, flush, stats and ping ops inline. A plan, the one op
+// that streams frames and can run for long, gets a goroutine of its
+// own, so a connection can interleave store calls with a long plan.
+// Whoever produces a response frame writes it, one frame at a time
+// under the connection's write lock. Plans derive their contexts from
+// the server's run context — not the accept loop's — so a graceful
+// drain (Serve's ctx cancelled) stops accepting and reading requests
+// while in-flight plans run to completion; Abort cancels them too.
 package simd
 
 import (
@@ -25,7 +26,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"resizecache"
@@ -48,12 +48,12 @@ type Options struct {
 	// flushes it after draining.
 	Store runner.Store
 	// IdleTimeout closes a connection that has sent no frame for this
-	// long while it has no in-flight requests — a half-open client can
-	// no longer pin its three goroutines for the process lifetime
-	// (0 = no idle timeout). A connection running a long plan is busy,
-	// not idle, and is never closed by this; idle clients that want to
-	// stay connected send wire.OpPing keepalives, which (like any
-	// frame) reset the clock.
+	// long while it has no plan in flight — a half-open client can no
+	// longer pin its goroutine for the process lifetime (0 = no idle
+	// timeout). A connection running a long plan is busy, not idle, and
+	// is never closed by this; idle clients that want to stay connected
+	// send wire.OpPing keepalives, which (like any frame) reset the
+	// clock.
 	IdleTimeout time.Duration
 	// Logf, when non-nil, receives connection-lifecycle log lines.
 	Logf func(format string, args ...any)
@@ -151,148 +151,122 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return acceptErr
 }
 
-// conn is one client connection's server-side state: the serialized
-// response stream and the cancel functions of its in-flight plans.
+// conn is one client connection's server-side state: the socket its
+// response frames are written to and the cancel functions of its
+// in-flight plans.
 type conn struct {
-	out chan wire.Response
+	nc    net.Conn
+	drain context.Context // Serve's: once done, send bounds each write
 
-	// inflight counts dispatched-but-unfinished requests: the reader's
-	// idle-timeout check treats a connection with in-flight work (a
-	// long-running plan, a slow store op) as busy, never idle.
-	inflight atomic.Int64
+	wmu  sync.Mutex // one frame at a time, each in one Write
+	dead bool       // a write failed; later frames are dropped
 
 	mu      sync.Mutex
 	cancels map[uint64]context.CancelFunc
+	plans   sync.WaitGroup
 }
 
-// send queues a response frame for the writer goroutine.
-func (c *conn) send(resp wire.Response) { c.out <- resp }
-
-// register installs a plan request's cancel func so an OpCancel frame
-// can abort it.
-func (c *conn) register(id uint64, cancel context.CancelFunc) {
-	c.mu.Lock()
-	c.cancels[id] = cancel
-	c.mu.Unlock()
-}
-
-func (c *conn) unregister(id uint64) {
-	c.mu.Lock()
-	delete(c.cancels, id)
-	c.mu.Unlock()
+// send writes one response frame. A failed write marks the connection
+// dead and closes it, so no later frame blocks on a gone peer and the
+// read loop sees the hangup. While the server drains, each write gets
+// drainGrace to finish.
+func (c *conn) send(resp wire.Response) {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if c.dead {
+		return
+	}
+	if c.drain.Err() != nil {
+		c.nc.SetWriteDeadline(time.Now().Add(drainGrace)) //simlint:allow drain deadline is transport plumbing, not simulation input
+	}
+	if err := wire.WriteFrame(c.nc, resp); err != nil {
+		c.dead = true
+		c.nc.Close()
+	}
 }
 
 // cancel aborts the in-flight plan with the given request ID, if any.
 func (c *conn) cancel(id uint64) {
 	c.mu.Lock()
-	fn := c.cancels[id]
-	c.mu.Unlock()
-	if fn != nil {
+	defer c.mu.Unlock()
+	if fn := c.cancels[id]; fn != nil {
 		fn()
 	}
 }
 
-// serveConn runs one connection's request loop until the client hangs
-// up or ctx asks for a drain; either way it waits for the connection's
-// in-flight handlers before closing the socket, so every accepted
+// busy reports whether the connection has a plan in flight.
+func (c *conn) busy() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.cancels) > 0
+}
+
+// serveConn reads and answers one connection's requests until the
+// client hangs up or ctx asks for a drain; either way it waits for the
+// connection's plans before closing the socket, so every accepted
 // request's frames are delivered.
 func (s *Server) serveConn(ctx context.Context, nc net.Conn) {
 	defer nc.Close()
-	c := &conn{out: make(chan wire.Response, 64), cancels: make(map[uint64]context.CancelFunc)}
+	c := &conn{nc: nc, drain: ctx, cancels: make(map[uint64]context.CancelFunc)}
+	// A drain ends the blocked read at once, and bounds a write already
+	// blocked on a peer that has stopped reading.
+	stop := context.AfterFunc(ctx, func() {
+		nc.SetReadDeadline(time.Unix(1, 0))
+		nc.SetWriteDeadline(time.Now().Add(drainGrace)) //simlint:allow drain deadline is transport plumbing, not simulation input
+	})
+	defer stop()
 
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		for resp := range c.out {
-			if err := wire.WriteFrame(nc, resp); err != nil {
-				// The client is gone; drain the channel so handlers never
-				// block publishing to it.
-				for range c.out {
-				}
-				return
-			}
-		}
-	}()
-
-	// Reader: frames flow to the request loop; a read error (EOF on
-	// hangup) closes reqs and ends the loop. With an idle timeout, each
-	// frame read carries a deadline: a connection that goes silent with
-	// no in-flight work is torn down instead of pinning its goroutines
-	// forever (the half-open-client case), while a deadline that fires
-	// on a busy connection — a client quietly waiting out a long plan —
-	// just re-arms. A deadline that fires mid-frame is a wedged peer
-	// either way and closes the connection: resuming a partial read
-	// after an unknown delay would desynchronize the framing.
-	reqs := make(chan wire.Request)
-	go func() {
-		defer close(reqs)
-		cr := &countingReader{r: nc}
-		for {
-			if s.idle > 0 {
-				// One wall-clock read per armed deadline; the value never
-				// reaches simulation state, only the socket option.
-				nc.SetReadDeadline(time.Now().Add(s.idle)) //simlint:allow idle-timeout deadline is transport plumbing, not simulation input
-			}
-			before := cr.n
-			var req wire.Request
-			if err := wire.ReadFrame(cr, &req); err != nil {
-				if s.idle > 0 && isTimeout(err) && cr.n == before && c.inflight.Load() > 0 {
-					continue // busy, not idle: re-arm and keep listening
-				}
-				return
-			}
-			select {
-			case reqs <- req:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-
-	var wg sync.WaitGroup
-loop:
+	// With an idle timeout, each frame read carries a deadline: a
+	// connection that goes silent with no plan in flight is torn down
+	// instead of pinning its goroutine forever (the half-open-client
+	// case), while a deadline that fires on a busy connection — a client
+	// quietly waiting out a long plan — just re-arms. A deadline that
+	// fires mid-frame is a wedged peer either way and closes the
+	// connection: resuming a partial read after an unknown delay would
+	// desynchronize the framing.
+	cr := &countingReader{r: nc}
 	for {
-		select {
-		case <-ctx.Done():
-			break loop
-		case req, ok := <-reqs:
-			if !ok {
-				break loop
+		if s.idle > 0 {
+			// One wall-clock read per armed deadline; the value never
+			// reaches simulation state, only the socket option.
+			nc.SetReadDeadline(time.Now().Add(s.idle)) //simlint:allow idle-timeout deadline is transport plumbing, not simulation input
+			if ctx.Err() != nil {
+				break // the re-arm may have undone the drain's deadline
 			}
-			s.dispatch(c, req, &wg)
 		}
+		before := cr.n
+		var req wire.Request
+		if err := wire.ReadFrame(cr, &req); err != nil {
+			if ctx.Err() == nil && s.idle > 0 && isTimeout(err) && cr.n == before && c.busy() {
+				continue // busy, not idle: re-arm and keep listening
+			}
+			break
+		}
+		if ctx.Err() != nil {
+			break
+		}
+		s.handle(c, req)
 	}
 	// On a client hangup, abort its in-flight plans — nobody is left to
-	// read their frames. On a drain (ctx done) the reader also stops, but
-	// connected clients keep their cancels unfired so plans finish.
+	// read their frames. On a drain connected clients keep their cancels
+	// unfired so plans finish.
 	if ctx.Err() == nil {
 		c.mu.Lock()
-		cancels := make([]context.CancelFunc, 0, len(c.cancels))
 		for _, fn := range c.cancels { //simlint:ordered cancel fan-out is order-insensitive
-			cancels = append(cancels, fn)
-		}
-		c.mu.Unlock()
-		for _, fn := range cancels {
 			fn()
 		}
+		c.mu.Unlock()
 	}
-	wg.Wait()
-	close(c.out)
-	// A peer that stopped reading (or a stalled transport) can wedge the
-	// writer on its final frames; bound the wait by closing the socket
-	// instead of pinning the drain forever.
-	unwedge := time.AfterFunc(drainGrace, func() { nc.Close() })
-	<-writerDone
-	unwedge.Stop()
+	c.plans.Wait()
 }
 
-// drainGrace bounds how long a closing connection waits for its last
-// response frames to flush to a peer that has stopped reading.
+// drainGrace bounds each response write made while the server drains,
+// so a peer that has stopped reading cannot hold Serve forever.
 const drainGrace = 5 * time.Second
 
 // countingReader counts bytes delivered to ReadFrame so the idle check
 // can tell "no frame started" (idle) from "a frame stalled mid-read"
-// (wedged peer). Only the reader goroutine touches it.
+// (wedged peer). Only the connection's goroutine touches it.
 type countingReader struct {
 	r io.Reader
 	n int64
@@ -310,39 +284,28 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// dispatch routes one request. Cancel frames are handled inline
-// (fire-and-forget); everything else gets a handler goroutine tracked
-// by wg — and counted in the connection's in-flight gauge, which the
-// idle-timeout check consults — scoped to the server's run context so a
-// drain does not cancel it.
-func (s *Server) dispatch(c *conn, req wire.Request, wg *sync.WaitGroup) {
+// handle answers one request on the connection's goroutine. Cancel and
+// the store, flush, stats and ping ops are answered inline. A plan, the
+// one op that streams frames and can run for long, runs on a goroutine
+// of its own, scoped to the server's run context so a drain does not
+// cancel it, and registered until its done frame is written: an OpCancel
+// frame or a hangup can abort it, and the idle-timeout check counts the
+// connection as busy.
+func (s *Server) handle(c *conn, req wire.Request) {
 	if req.Op == wire.OpCancel {
 		c.cancel(req.Target)
 		return
 	}
-	if req.V != wire.ProtocolVersion {
-		c.send(wire.Response{ID: req.ID, Kind: wire.KindError,
-			Err: fmt.Sprintf("protocol version mismatch: client v%d, server v%d", req.V, wire.ProtocolVersion)})
-		return
-	}
-	wg.Add(1)
-	c.inflight.Add(1)
-	go func() {
-		defer wg.Done()
-		defer c.inflight.Add(-1)
-		s.handle(s.runCtx, c, req)
-	}()
-}
-
-// handle executes one non-cancel request against the shared session and
-// store.
-func (s *Server) handle(ctx context.Context, c *conn, req wire.Request) {
 	fail := func(format string, args ...any) {
 		c.send(wire.Response{ID: req.ID, Kind: wire.KindError, Err: fmt.Sprintf(format, args...)})
 	}
 	reply := func(resp wire.Response) {
 		resp.ID, resp.Kind = req.ID, wire.KindReply
 		c.send(resp)
+	}
+	if req.V != wire.ProtocolVersion {
+		fail("protocol version mismatch: client v%d, server v%d", req.V, wire.ProtocolVersion)
+		return
 	}
 
 	// The store ops need a parsed key.
@@ -359,7 +322,19 @@ func (s *Server) handle(ctx context.Context, c *conn, req wire.Request) {
 
 	switch req.Op {
 	case wire.OpPlan:
-		s.handlePlan(ctx, c, req)
+		ctx, cancel := context.WithCancel(s.runCtx)
+		c.mu.Lock()
+		c.cancels[req.ID] = cancel
+		c.mu.Unlock()
+		c.plans.Add(1)
+		go func() {
+			defer c.plans.Done()
+			s.handlePlan(ctx, c, req)
+			c.mu.Lock()
+			delete(c.cancels, req.ID)
+			c.mu.Unlock()
+			cancel()
+		}()
 	case wire.OpLookup:
 		sr, ok := s.store.Lookup(key)
 		if !ok {
@@ -396,8 +371,8 @@ func (s *Server) handle(ctx context.Context, c *conn, req wire.Request) {
 		}
 		reply(wire.Response{Value: data})
 	case wire.OpPing:
-		// The health check: an empty reply proves the request loop is
-		// alive. Receiving the frame already reset the idle clock.
+		// The health check: an empty reply proves the connection is read
+		// and answered. Receiving the frame already reset the idle clock.
 		reply(wire.Response{})
 	default:
 		fail("unknown op %q", req.Op)
@@ -431,14 +406,9 @@ func (s *Server) handlePlan(ctx context.Context, c *conn, req wire.Request) {
 		return
 	}
 
-	pctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	c.register(req.ID, cancel)
-	defer c.unregister(req.ID)
-
 	total := plan.Len()
 	completed := 0
-	for r := range s.session.Run(pctx, plan) {
+	for r := range s.session.Run(ctx, plan) {
 		completed++
 		frame := wire.Response{ID: req.ID, Kind: wire.KindResult,
 			Index: r.Index, Completed: completed, Total: total}
